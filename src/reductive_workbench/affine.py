@@ -12,7 +12,7 @@ through isomorphism invariants (dimension, center dimension, Killing inertia).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ClosureFailure, NotEffective, NotNormal, NotReductive
 from .homspace import (
@@ -27,6 +27,7 @@ from .liealg import (
     LieAlgebra,
     SubspaceBasis,
     TripleWitness,
+    ad_invariance_check,
     center,
     centralizer,
     derived_subalgebra,
@@ -140,9 +141,6 @@ class _ZeroAlgebra:
 _ZERO_ALGEBRA = _ZeroAlgebra()
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     """Carrier m^h with the projected bracket; closure and Jacobi are verified."""
@@ -156,11 +154,11 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
             carrier, _ZERO_ALGEBRA, gram, True, True,
             SubspaceBasis.zero(pair.algebra.dim), status,
         )
-    rows = carrier.rows
+    in_m = [pair.m.coords_of(x) for x in carrier.rows]
     entries = []
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            value = vneg(pair.bracket_m(rows[a], rows[b]))
+    for a in range(carrier.dim):
+        for b in range(a + 1, carrier.dim):
+            value = vneg(pair.from_m_coords(pair.table.m_bracket(in_m[a], in_m[b])))
             coords = carrier.coords_of(value)
             if coords is None:
                 raise ClosureFailure((a, b, value))
@@ -168,9 +166,10 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     algebra = make_lie_algebra(
         carrier.dim, entries, [f"k{a + 1}" for a in range(carrier.dim)]
     )
-    metric_invariant = _k_metric_invariance(algebra, gram)
-    posdef = make_bilinear_form(gram).definiteness == "positive-definite"
-    basis_t = transpose(rows)
+    form = make_bilinear_form(gram)
+    metric_invariant = ad_invariance_check(algebra, form).ok
+    posdef = form.definiteness == "positive-definite"
+    basis_t = transpose(carrier.rows)
     center_ambient = SubspaceBasis.from_vectors(
         pair.algebra.dim, [matvec(basis_t, t) for t in center(algebra).rows]
     )
@@ -180,31 +179,22 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     )
 
 
-def _k_metric_invariance(algebra: LieAlgebra, gram: Matrix) -> bool:
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            bij = algebra.bracket_basis(i, j)
-            for k in range(n):
-                lhs = sum((bij[t] * gram[t][k] for t in range(n)), ZERO)
-                bik = algebra.bracket_basis(i, k)
-                rhs = sum((gram[j][t] * bik[t] for t in range(n)), ZERO)
-                if lhs + rhs != 0:
-                    return False
-    return True
-
-
 def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     """Infinitesimal isometry identity for every fixed direction X:
-    <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 over all Y, Z in the basis of m."""
+    <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 over all Y, Z in the basis of m.
+
+    The defect is linear in X, so it is the naturally reductive defect of the
+    structure table contracted with the m-coordinates of X."""
     if not pair.flags.reductive:
         raise NotReductive("Killing check needs a reductive pair")
     carrier = isotropy_fixed_subspace(pair)
-    G = pair.metric
+    defect_table = pair.table.nr_defect
+    r = pair.m.dim
     for a, x in enumerate(carrier.rows):
-        for b, y in enumerate(pair.m.rows):
-            for c, z in enumerate(pair.m.rows):
-                defect = G.apply(pair.bracket_m(x, y), z) + G.apply(y, pair.bracket_m(x, z))
+        terms = [(t, xt) for t, xt in enumerate(pair.m.coords_of(x)) if xt]
+        for b in range(r):
+            for c in range(r):
+                defect = sum((xt * defect_table[t][b][c] for t, xt in terms), ZERO)
                 if defect != 0:
                     return CheckResult(False, TripleWitness((a, b, c), defect))
     return CheckResult(True)
@@ -267,18 +257,17 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
 class TorusResult:
     dimension: int
     basis: SubspaceBasis  # ambient coordinates, inside the carrier of k
+    abelian: bool  # [u, w]_m = 0 for all basis rows u, w, checked exactly
 
 
 def fixed_torus(pair: ReductivePair) -> TorusResult:
-    """Center of the invariant-field algebra; abelian by an exact check."""
+    """Center of the invariant-field algebra, with an exact commutativity check."""
     if not pair.flags.normal:
         raise NotNormal("the fixed-point torus is stated for normal pairs")
-    k = invariant_field_algebra(pair)
-    basis = k.center
-    for u in basis.rows:
-        for w in basis.rows:
-            assert pair.bracket_m(u, w) == tuple(ZERO for _ in range(pair.algebra.dim))
-    return TorusResult(basis.dim, basis)
+    basis = invariant_field_algebra(pair).center
+    coords = [pair.m.coords_of(u) for u in basis.rows]
+    abelian = all(not any(pair.table.m_bracket(x, y)) for x in coords for y in coords)
+    return TorusResult(basis.dim, basis, abelian)
 
 
 @dataclass(frozen=True)

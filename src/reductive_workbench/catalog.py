@@ -28,7 +28,7 @@ from .homspace import (
 )
 from .liealg import LieAlgebra, SubspaceBasis, make_lie_algebra
 from .linalg import Matrix, ONE, ZERO
-from .numlab import MatrixRealization, make_matrix_realization
+from .numlab import MatrixRealization, commutator, make_matrix_realization
 
 DESK_CAP = 8
 
@@ -110,25 +110,10 @@ def _build_so(n: int) -> _Factor:
         return [M[i][j] for i in range(n) for j in range(i + 1, n)]
 
     def bracket_coords(a, b):
-        return extract(_real_commutator(mats[a], mats[b]))
+        return extract(commutator(mats[a], mats[b]))
 
     dim = n * (n - 1) // 2
     return _Factor(dim, tuple(labels), _entries_from_brackets(dim, bracket_coords), tuple(mats))
-
-
-def _real_commutator(A, B):
-    n = len(A)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a, b = A[i][k], B[i][k]
-            if a:
-                for j in range(n):
-                    out[i][j] += a * B[k][j]
-            if b:
-                for j in range(n):
-                    out[i][j] -= b * A[k][j]
-    return out
 
 
 def _build_su(n: int) -> _Factor:

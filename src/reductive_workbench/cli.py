@@ -4,9 +4,9 @@
     analyze --catalog so4_mod_so2      analyze a named catalog entry
     analyze --list-catalog             list curated catalog names
 
-Exit codes: 0 on success, 1 on input errors, 2 when a theorem verdict that
-should hold fails (for CI gating). REDUCTIVE_WORKBENCH_THREADS caps the number
-of analyses run in parallel; output order always follows input order.
+Inputs are analyzed one after another and reported in input order. Exit
+codes: 0 on success, 1 on input errors (including unreadable paths), 2 when a
+theorem verdict that should hold fails (for CI gating).
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .errors import SpecFileError, WorkbenchError
-from .report import PipelineError, run_report
+from .errors import WorkbenchError
+from .report import run_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,29 +73,12 @@ def main(argv=None) -> int:
         print("nothing to analyze: give files or --catalog NAME", file=sys.stderr)
         return 1
 
-    def analyze(item):
-        kind, value = item
-        source = _load_source(kind, value)
-        report = run_report(source, checks=args.checks, numeric=args.numeric_checks)
-        return report
-
-    workers = int(os.environ.get("REDUCTIVE_WORKBENCH_THREADS", "1") or "1")
     try:
-        if workers > 1 and len(inputs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(analyze, inputs))
-        else:
-            reports = [analyze(item) for item in inputs]
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except WorkbenchError as exc:
+        reports = [
+            run_report(_load_source(kind, value), checks=args.checks, numeric=args.numeric_checks)
+            for kind, value in inputs
+        ]
+    except (OSError, WorkbenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,10 @@ Sign conventions, fixed once and echoed in every report header:
 
 The torsion follows from T(X,Y) = D_X Y - D_Y X - [X,Y] applied to the induced
 Killing fields, whose Lie bracket at the basepoint is -[X,Y]_m.
+
+Every table is read from the pair's adapted structure table, and so is the
+consistency sweep (torsion antisymmetry, canonical = 2 LC, first Bianchi
+identity) that the report runs under `checks="all"`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotInM, NotNaturallyReductive, NotReductive
-from .homspace import ReductivePair
-from .linalg import Vector, smul, rat, vneg
+from .homspace import ReductivePair, StructureTable
+from .linalg import ZERO, Vector, rat, smul, vneg
 
 
 Table2 = tuple[tuple[Vector, ...], ...]
@@ -61,25 +65,76 @@ def connection_tensors_at_basepoint(pair: ReductivePair) -> ConnectionTensors:
     """Compute all basepoint tables exactly over the basis of m."""
     if not pair.flags.reductive:
         raise NotReductive("connection tensors need a reductive pair")
-    L = pair.algebra
-    rows = pair.m.rows
-    minus_bracket_m = tuple(
-        tuple(vneg(pair.bracket_m(x, y)) for y in rows) for x in rows
+    table = pair.table
+    r = pair.m.dim
+    canonical = tuple(
+        tuple(vneg(pair.from_m_coords(table.m_coords[a][b])) for b in range(r))
+        for a in range(r)
     )
-    canonical = minus_bracket_m
-    torsion = minus_bracket_m
+    torsion = canonical
     curvature = tuple(
         tuple(
-            tuple(vneg(L.bracket(pair.project_h(L.bracket(x, y)), z)) for z in rows)
-            for y in rows
+            tuple(pair.from_m_coords(_curvature(table, a, b, c)) for c in range(r))
+            for b in range(r)
         )
-        for x in rows
+        for a in range(r)
     )
     lc = None
     if pair.flags.naturally_reductive:
         half = rat("1/2")
         lc = tuple(tuple(smul(half, v) for v in row) for row in canonical)
     return ConnectionTensors(pair, canonical, torsion, curvature, lc)
+
+
+def _curvature(table: StructureTable, a: int, b: int, c: int) -> Vector:
+    """m-coordinates of R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c]."""
+    out = [ZERO] * len(table.m_coords)
+    for i, y in enumerate(table.h_coords[a][b]):
+        if y:
+            for t, row in enumerate(table.ad_h[i]):
+                if row[c]:
+                    out[t] -= y * row[c]
+    return tuple(out)
+
+
+def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
+    """Torsion antisymmetry, canonical = 2 LC (when LC exists) and the first
+    Bianchi identity sum_cyc R(X,Y)Z = sum_cyc T(T(X,Y), Z) over basis triples
+    of m, all exact."""
+    table = tensors.pair.table
+    r = tensors.pair.m.dim
+    torsion = tensors.torsion_table
+    antisym = all(
+        torsion[a][b] == vneg(torsion[b][a]) for a in range(r) for b in range(r)
+    )
+    doubling = (not tensors.has_lc) or all(
+        tensors.canonical_table[a][b] == smul(rat(2), tensors.lc_table[a][b])
+        for a in range(r)
+        for b in range(r)
+    )
+
+    def bianchi_holds(a: int, b: int, c: int) -> bool:
+        # in m-coordinates, where T(T(m_x, m_y), m_z) = [[m_x, m_y]_m, m_z]_m
+        total = [ZERO] * r
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for t, p in enumerate(_curvature(table, x, y, z)):
+                if p:
+                    total[t] += p
+            for s, coef in enumerate(table.m_coords[x][y]):
+                if coef:
+                    for t, q in enumerate(table.m_coords[s][z]):
+                        if q:
+                            total[t] -= coef * q
+        return not any(total)
+
+    bianchi = all(
+        bianchi_holds(a, b, c) for a in range(r) for b in range(a + 1, r) for c in range(r)
+    )
+    return {
+        "torsion_antisymmetric": antisym,
+        "canonical_equals_twice_lc": doubling,
+        "bianchi_cyclic_identity": bianchi,
+    }
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ the isotropy representation on m for fixed vectors and invariant subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import lru_cache
 
 from .errors import (
     InvalidDecomposition,
@@ -28,6 +27,7 @@ from .liealg import (
     TripleWitness,
     ad_invariance_check,
     center,
+    commutant,
     derived_subalgebra,
     is_subalgebra,
     killing_form,
@@ -44,15 +44,20 @@ from .linalg import (
     charpoly,
     factor_poly,
     identity,
+    is_scalar_matrix,
     kernel,
     mat_add,
     mat_inverse,
     matmul,
     matvec,
+    poly_eval_matrix,
+    poly_mul,
     rat,
+    stack,
     transpose,
     vadd,
     vector,
+    vneg,
 )
 
 
@@ -86,7 +91,9 @@ class MetricSpec:
 
 
 def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
-    """Assemble and fully verify the invariant metric described by `spec`."""
+    """Assemble the invariant metric described by `spec` and check that it is
+    positive-definite; its invariance is verified once, by the normal flag of
+    the pair built on it (see `normal_decomposition`)."""
     B = killing_form(L)
     z = center(L)
     if spec.scale_factors is not None:
@@ -133,9 +140,6 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
         raise MetricNotPositiveDefinite(
             f"assembled metric is {form.definiteness}; the algebra must be of compact type"
         )
-    inv = ad_invariance_check(L, form)
-    if not inv.ok:
-        raise MetricNotAdInvariant(f"witness {inv.witness}")
     return form
 
 
@@ -148,8 +152,43 @@ class ReductiveFlags:
 
 
 @dataclass(frozen=True)
+class StructureTable:
+    """The brackets of a reductive pair in its adapted basis: the echelon rows
+    h_i of h and m_a of m, with every entry in coordinates along those rows.
+
+        m_coords[a][b]      m-coordinates of [m_a, m_b]
+        h_coords[a][b]      h-coordinates of [m_a, m_b]
+        ad_h[i][c][b]       coefficient of m_c in [h_i, m_b], i.e. ad(h_i)|_m
+        nr_defect[a][b][c]  <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m>
+        nr_witness          first triple (a, b, c) with a nonzero nr_defect
+    """
+
+    m_coords: tuple[Matrix, ...]
+    h_coords: tuple[Matrix, ...]
+    ad_h: tuple[Matrix, ...]
+    nr_defect: tuple[Matrix, ...]
+    nr_witness: TripleWitness | None
+
+    def m_bracket(self, x: Vector, y: Vector) -> Vector:
+        """m-coordinates of [X, Y]_m, for X and Y given by m-coordinates."""
+        out = [ZERO] * len(x)
+        for a, xa in enumerate(x):
+            if xa:
+                for b, yb in enumerate(y):
+                    if yb:
+                        for t, c in enumerate(self.m_coords[a][b]):
+                            if c:
+                                out[t] += xa * yb * c
+        return tuple(out)
+
+
+@dataclass(frozen=True)
 class ReductivePair:
-    """The decomposition g = h + m with projections and verified flags."""
+    """The decomposition g = h + m with projections and verified flags.
+
+    `table` is the adapted structure table, None when the pair is not
+    reductive; it is derived data and takes no part in equality or hashing.
+    """
 
     algebra: LieAlgebra
     h: SubspaceBasis
@@ -158,9 +197,7 @@ class ReductivePair:
     flags: ReductiveFlags
     proj_h: Matrix
     proj_m: Matrix
-
-    def project_h(self, X: Vector) -> Vector:
-        return matvec(self.proj_h, X)
+    table: StructureTable | None = field(compare=False, repr=False)
 
     def project_m(self, X: Vector) -> Vector:
         return matvec(self.proj_m, X)
@@ -168,13 +205,21 @@ class ReductivePair:
     def bracket_m(self, X: Vector, Y: Vector) -> Vector:
         return self.project_m(self.algebra.bracket(X, Y))
 
-    @cached_property
-    def gram_m(self) -> Matrix:
-        """Metric restricted to the rows of m."""
-        return self.metric.restrict(self.m)
+    def from_m_coords(self, coords: Vector) -> Vector:
+        """The vector of m with the given coordinates along the rows of m."""
+        out = [ZERO] * self.algebra.dim
+        for c, row in zip(coords, self.m.rows, strict=True):
+            if c:
+                for k, x in enumerate(row):
+                    if x:
+                        out[k] += c * x
+        return tuple(out)
 
 
-def _projections(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis) -> tuple[Matrix, Matrix]:
+def _projections(
+    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis
+) -> tuple[Matrix, Matrix, Matrix]:
+    """Coordinate functionals along h.rows + m.rows, then the projections onto h and m."""
     rows = h.rows + m.rows
     if len(rows) != L.dim:
         raise InvalidDecomposition(f"dim h + dim m = {len(rows)} != {L.dim}")
@@ -188,36 +233,72 @@ def _projections(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis) -> tuple[Mat
         tuple(ZERO for _ in range(L.dim)) for _ in range(L.dim)
     )
     proj_m = mat_add(identity(L.dim), tuple(tuple(-x for x in row) for row in proj_h))
-    return proj_h, proj_m
+    return coord_rows, proj_h, proj_m
 
 
-def _reductive_flag(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis) -> bool:
-    return all(
-        m.contains_vector(L.bracket(u, w)) for u in h.rows for w in m.rows
+def _structure_table(
+    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coord_rows: Matrix, gram_m: Matrix
+) -> StructureTable | None:
+    """The adapted table, or None when some [h_i, m_b] leaves m."""
+    s, r = h.dim, m.dim
+    coord_cols = transpose(coord_rows)
+
+    def split(v: Vector) -> tuple[Vector, Vector]:
+        # (h-coordinates, m-coordinates) of v
+        out = [ZERO] * L.dim
+        for k, x in enumerate(v):
+            if x:
+                for t, y in enumerate(coord_cols[k]):
+                    if y:
+                        out[t] += x * y
+        return tuple(out[:s]), tuple(out[s:])
+
+    ad_h = []
+    for u in h.rows:
+        cols = []
+        for w in m.rows:
+            in_h, in_m = split(L.bracket(u, w))
+            if any(in_h):
+                return None
+            cols.append(in_m)
+        ad_h.append(transpose(tuple(cols)))
+    m_coords = [[(ZERO,) * r for _ in range(r)] for _ in range(r)]
+    h_coords = [[(ZERO,) * s for _ in range(r)] for _ in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            in_h, in_m = split(L.bracket(m.rows[a], m.rows[b]))
+            h_coords[a][b], m_coords[a][b] = in_h, in_m
+            h_coords[b][a], m_coords[b][a] = vneg(in_h), vneg(in_m)
+    # pairing[a][b][c] = <[m_a, m_b]_m, m_c>
+    pairing = [
+        [
+            [sum((x * gram_m[t][c] for t, x in enumerate(m_coords[a][b]) if x), ZERO)
+             for c in range(r)]
+            for b in range(r)
+        ]
+        for a in range(r)
+    ]
+    nr_defect = tuple(
+        tuple(tuple(pairing[a][b][c] + pairing[a][c][b] for c in range(r)) for b in range(r))
+        for a in range(r)
     )
-
-
-def _naturally_reductive_witness(pair_like) -> TripleWitness | None:
-    L, m, gram_m, proj_m = pair_like
-    units = m.rows
-    projected = {
-        (a, b): matvec(proj_m, L.bracket(units[a], units[b]))
-        for a in range(len(units))
-        for b in range(len(units))
-    }
-    coords = {key: m.coords_of(v) for key, v in projected.items()}
-
-    def pairing(coeffs, c):
-        # <v, m_c> with v given by m-coordinates
-        return sum((coeffs[t] * gram_m[t][c] for t in range(len(coeffs))), ZERO)
-
-    for a in range(len(units)):
-        for b in range(len(units)):
-            for c in range(len(units)):
-                defect = pairing(coords[(a, b)], c) + pairing(coords[(a, c)], b)
-                if defect != 0:
-                    return TripleWitness((a, b, c), defect)
-    return None
+    nr_witness = next(
+        (
+            TripleWitness((a, b, c), d)
+            for a, plane in enumerate(nr_defect)
+            for b, line in enumerate(plane)
+            for c, d in enumerate(line)
+            if d
+        ),
+        None,
+    )
+    return StructureTable(
+        tuple(tuple(row) for row in m_coords),
+        tuple(tuple(row) for row in h_coords),
+        tuple(ad_h),
+        nr_defect,
+        nr_witness,
+    )
 
 
 def make_reductive_pair(
@@ -227,12 +308,10 @@ def make_reductive_pair(
     sub_check = is_subalgebra(L, h)
     if not sub_check.ok:
         raise NotASubalgebra(sub_check.witness)
-    proj_h, proj_m = _projections(L, h, m)
-    reductive = _reductive_flag(L, h, m)
-    gram_m = metric.restrict(m)
-    nr = False
-    if reductive:
-        nr = _naturally_reductive_witness((L, m, gram_m, proj_m)) is None
+    coord_rows, proj_h, proj_m = _projections(L, h, m)
+    table = _structure_table(L, h, m, coord_rows, metric.restrict(m))
+    reductive = table is not None
+    nr = reductive and table.nr_witness is None
     normal = (
         metric.definiteness == "positive-definite"
         and ad_invariance_check(L, metric).ok
@@ -240,7 +319,7 @@ def make_reductive_pair(
     )
     effective = largest_ideal_in(L, h).dim == 0
     flags = ReductiveFlags(reductive, normal, nr, effective)
-    return ReductivePair(L, h, m, metric, flags, proj_h, proj_m)
+    return ReductivePair(L, h, m, metric, flags, proj_h, proj_m, table)
 
 
 def normal_decomposition(
@@ -249,8 +328,9 @@ def normal_decomposition(
     """h + h-perp with respect to an invariant positive-definite metric.
 
     Accepts a MetricSpec (default: plain -Killing with identity on the center)
-    or an explicit BilinearForm, which is then verified to be positive-definite
-    and invariant.
+    or an explicit BilinearForm. The metric is verified to be positive-definite
+    here and invariant by the pair's normal flag, which also yields the
+    reductive flag: [h, m] lies in m for every invariant metric.
     """
     sub_check = is_subalgebra(L, h)
     if not sub_check.ok:
@@ -263,13 +343,11 @@ def normal_decomposition(
         form = spec_or_form
         if form.definiteness != "positive-definite":
             raise MetricNotPositiveDefinite(f"metric is {form.definiteness}")
-        inv = ad_invariance_check(L, form)
-        if not inv.ok:
-            raise MetricNotAdInvariant(f"witness {inv.witness}")
     m = orthogonal_complement(h, form)
     pair = make_reductive_pair(L, h, m, form)
-    assert pair.flags.normal, "normal decomposition failed its own normality check"
-    assert pair.flags.reductive, "invariant metric must make h-perp reductive"
+    if not pair.flags.normal:
+        # m is the complement of a positive-definite form: only invariance can fail
+        raise MetricNotAdInvariant(f"witness {ad_invariance_check(L, form).witness}")
     return pair
 
 
@@ -277,9 +355,7 @@ def naturally_reductive_check(pair: ReductivePair) -> CheckResult:
     """<[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 over ordered basis triples of m."""
     if not pair.flags.reductive:
         raise NotReductive("naturally reductive check needs a reductive pair")
-    witness = _naturally_reductive_witness(
-        (pair.algebra, pair.m, pair.gram_m, pair.proj_m)
-    )
+    witness = pair.table.nr_witness
     return CheckResult(witness is None, witness)
 
 
@@ -314,23 +390,15 @@ def normalizer_invariance_check(pair: ReductivePair) -> NormalizerCheck:
     return NormalizerCheck(True, normalizer)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
     """m^h = {X in m : [h, X] = 0}, the fixed set of the isotropy action."""
     if not pair.flags.reductive:
         raise NotReductive("fixed subspace needs a reductive pair")
-    L, h, m = pair.algebra, pair.h, pair.m
-    if h.dim == 0 or m.dim == 0:
-        return m
-    basis_t = transpose(m.rows)
-    system_rows = []
-    for r in h.rows:
-        system_rows.extend(matmul(L.ad(r), basis_t))
-    t_kernel = kernel(tuple(system_rows), m.dim)
-    return SubspaceBasis.from_vectors(L.dim, [matvec(basis_t, t) for t in t_kernel])
+    if pair.h.dim == 0 or pair.m.dim == 0:
+        return pair.m
+    t_kernel = kernel(stack(*pair.table.ad_h), pair.m.dim)
+    return SubspaceBasis.from_vectors(pair.algebra.dim, [pair.from_m_coords(t) for t in t_kernel])
 
 
 @dataclass(frozen=True)
@@ -351,80 +419,26 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     """
     if not pair.flags.reductive:
         raise NotReductive("irreducibility probe needs a reductive pair")
-    L, h, m = pair.algebra, pair.h, pair.m
+    m = pair.m
     if m.dim == 0:
         return ProbeResult("irreducible", None, 0)
     fixed = isotropy_fixed_subspace(pair)
+    basis = commutant(pair.table.ad_h, m.dim)
     if 0 < fixed.dim < m.dim:
-        return ProbeResult("reducible", fixed, _commutant_dim(pair))
-    commutant = _isotropy_commutant(pair)
-    if len(commutant) == 1:
+        return ProbeResult("reducible", fixed, len(basis))
+    if len(basis) == 1:
         return ProbeResult("irreducible", None, 1)
-    basis_t = transpose(m.rows)
-    for T in commutant:
-        if _is_scalar(T):
+    for T in basis:
+        if is_scalar_matrix(T):
             continue
         for fac, mult in factor_poly(charpoly(T)):
             power = fac
             for _ in range(mult - 1):
-                power = _poly_mul(power, fac)
-            ker = kernel(_poly_matrix(power, T), m.dim)
+                power = poly_mul(power, fac)
+            ker = kernel(poly_eval_matrix(power, T), m.dim)
             if 0 < len(ker) < m.dim:
                 witness = SubspaceBasis.from_vectors(
-                    L.dim, [matvec(basis_t, t) for t in ker]
+                    pair.algebra.dim, [pair.from_m_coords(t) for t in ker]
                 )
-                return ProbeResult("reducible", witness, len(commutant))
-    return ProbeResult("inconclusive", None, len(commutant))
-
-
-def _isotropy_commutant(pair: ReductivePair) -> tuple[Matrix, ...]:
-    """Basis of {T on m : T commutes with ad(h)|_m}, in m-coordinates."""
-    L, h, m = pair.algebra, pair.h, pair.m
-    r = m.dim
-    restricted = []
-    for u in h.rows:
-        cols = []
-        for w in m.rows:
-            coords = m.coords_of(L.bracket(u, w))
-            assert coords is not None, "pair is not reductive"
-            cols.append(coords)
-        restricted.append(transpose(tuple(cols)))
-    system_rows = []
-    for A in restricted:
-        for a in range(r):
-            for b in range(r):
-                coeffs = [ZERO] * (r * r)
-                for c in range(r):
-                    coeffs[a * r + c] += A[c][b]
-                    coeffs[c * r + b] -= A[a][c]
-                system_rows.append(tuple(coeffs))
-    flat_basis = kernel(tuple(system_rows), r * r) if system_rows else identity(r * r)
-    return tuple(
-        tuple(tuple(flat[p * r + q] for q in range(r)) for p in range(r))
-        for flat in flat_basis
-    )
-
-
-def _commutant_dim(pair: ReductivePair) -> int:
-    return len(_isotropy_commutant(pair))
-
-
-def _is_scalar(T: Matrix) -> bool:
-    lam = T[0][0]
-    n = len(T)
-    return all(T[i][j] == (lam if i == j else 0) for i in range(n) for j in range(n))
-
-
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        if pa:
-            for b, qb in enumerate(q):
-                out[a + b] += pa * qb
-    return tuple(out)
-
-
-def _poly_matrix(coeffs: Sequence[Fraction], A: Matrix) -> Matrix:
-    from .linalg import poly_eval_matrix
-
-    return poly_eval_matrix(coeffs, A)
+                return ProbeResult("reducible", witness, len(basis))
+    return ProbeResult("inconclusive", None, len(basis))

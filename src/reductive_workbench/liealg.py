@@ -28,12 +28,14 @@ from .linalg import (
     dot,
     factor_poly,
     identity,
+    is_scalar_matrix,
     kernel,
     coords_in_rref,
     matmul,
     matvec,
     minpoly,
     poly_eval_matrix,
+    poly_mul,
     rat,
     rref,
     signature,
@@ -110,17 +112,6 @@ class LieAlgebra:
         for i, j, k, c in self.entries:
             table.setdefault((i, j), []).append((k, c))
         return {key: tuple(val) for key, val in table.items()}
-
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return ZERO
-        sign = ONE
-        if i > j:
-            i, j, sign = j, i, -ONE
-        for kk, c in self._table.get((i, j), ()):
-            if kk == k:
-                return sign * c
-        return ZERO
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a dense coordinate vector."""
@@ -433,24 +424,15 @@ def _generating_rows(L: LieAlgebra, piece: SubspaceBasis) -> Matrix:
     return piece.rows
 
 
-def _adjoint_commutant(L: LieAlgebra, piece: SubspaceBasis, generators: Matrix) -> tuple[Matrix, ...]:
-    """Basis of {T : T ad(g)|_piece = ad(g)|_piece T for all generators g}.
+def commutant(mats: Sequence[Matrix], r: int) -> tuple[Matrix, ...]:
+    """Basis of {T : T A = A T for every A in mats}, all r x r over Q.
 
-    T is expressed in the piece's row-basis coordinates. Commuting with a
-    generating set suffices because ad is a homomorphism.
+    Unknowns T[p][q] are flattened row-major; the linear system lists the
+    entries (T A - A T)[a][b] matrix by matrix, row-major, and this order
+    fixes the elimination cost on dense input.
     """
-    r = piece.dim
-    restricted = []
-    for g in generators:
-        cols = []
-        for row in piece.rows:
-            coords = piece.coords_of(L.bracket(g, row))
-            assert coords is not None, "piece is not ad-invariant"
-            cols.append(coords)
-        restricted.append(transpose(tuple(cols)))
     system_rows = []
-    for A in restricted:
-        # (T A - A T)[a][b] = 0, unknowns T[p][q] flattened row-major
+    for A in mats:
         for a in range(r):
             for b in range(r):
                 coeffs = [ZERO] * (r * r)
@@ -458,17 +440,11 @@ def _adjoint_commutant(L: LieAlgebra, piece: SubspaceBasis, generators: Matrix) 
                     coeffs[a * r + c] += A[c][b]
                     coeffs[c * r + b] -= A[a][c]
                 system_rows.append(tuple(coeffs))
-    flat_basis = kernel(tuple(system_rows), r * r)
+    flat_basis = kernel(tuple(system_rows), r * r) if system_rows else identity(r * r)
     return tuple(
         tuple(tuple(flat[p * r + q] for q in range(r)) for p in range(r))
         for flat in flat_basis
     )
-
-
-def _is_scalar_matrix(T: Matrix) -> bool:
-    n = len(T)
-    lam = T[0][0]
-    return all(T[i][j] == (lam if i == j else 0) for i in range(n) for j in range(n))
 
 
 def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm) -> list[SubspaceBasis]:
@@ -487,13 +463,19 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
             )
             return _split_semisimple(L, ideal, killing) + _split_semisimple(L, complement, killing)
     # Every basis seed generates the whole piece; certify or split via the
-    # commutant of the adjoint action (the centroid, for a perfect algebra).
-    commutant = _adjoint_commutant(L, piece, _generating_rows(L, piece))
-    if len(commutant) <= 1:
+    # commutant of the adjoint action (the centroid, for a perfect algebra),
+    # with ad(g) in the piece's row coordinates. Commuting with a generating
+    # set suffices because ad is a homomorphism.
+    restricted = [
+        transpose(tuple(piece.coords_of(L.bracket(g, row)) for row in piece.rows))
+        for g in _generating_rows(L, piece)
+    ]
+    centroid = commutant(restricted, piece.dim)
+    if len(centroid) <= 1:
         return [piece]
     basis_t = transpose(piece.rows)
-    for T in commutant:
-        if _is_scalar_matrix(T):
+    for T in centroid:
+        if is_scalar_matrix(T):
             continue
         mp = minpoly(T)
         factors = factor_poly(mp)
@@ -503,7 +485,7 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
         for fac, mult in factors:
             power = fac
             for _ in range(mult - 1):
-                power = _poly_mul(power, fac)
+                power = poly_mul(power, fac)
             ker = kernel(poly_eval_matrix(power, T), piece.dim)
             sub = SubspaceBasis.from_vectors(
                 L.dim, [matvec(basis_t, t) for t in ker]
@@ -517,15 +499,6 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
             return out
     # No rational idempotent found: the piece is simple over Q.
     return [piece]
-
-
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        if pa:
-            for b, qb in enumerate(q):
-                out[a + b] += pa * qb
-    return tuple(out)
 
 
 def simple_ideal_decomposition(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:

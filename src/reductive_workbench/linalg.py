@@ -263,6 +263,23 @@ def minpoly(A: Matrix) -> tuple[Fraction, ...]:
     raise AssertionError("no dependence among matrix powers up to the dimension")
 
 
+def is_scalar_matrix(A: Matrix) -> bool:
+    """True when A is a multiple of the identity."""
+    n = len(A)
+    lam = A[0][0]
+    return all(A[i][j] == (lam if i == j else 0) for i in range(n) for j in range(n))
+
+
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Product of two polynomials, coefficients low degree to high."""
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        if pa:
+            for b, qb in enumerate(q):
+                out[a + b] += pa * qb
+    return tuple(out)
+
+
 def poly_eval_matrix(coeffs: Sequence[Fraction], A: Matrix) -> Matrix:
     """Evaluate a polynomial (coefficients low to high) at a square matrix."""
     n = len(A)

@@ -64,13 +64,14 @@ def make_matrix_realization(algebra: LieAlgebra, basis_matrices) -> MatrixRealiz
     real = MatrixRealization(algebra, n, mats)
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            comm = _commutator(mats[i], mats[j])
+            comm = commutator(mats[i], mats[j])
             if comm != real.to_matrix(algebra.bracket_basis(i, j)):
                 raise ValueError(f"commutator of basis pair {(i, j)} disagrees with the bracket")
     return real
 
 
-def _commutator(A: Matrix, B: Matrix) -> Matrix:
+def commutator(A: Matrix, B: Matrix) -> Matrix:
+    """Exact AB - BA, skipping zero entries of A and B."""
     n = len(A)
     out = [[ZERO] * n for _ in range(n)]
     for i in range(n):

@@ -24,7 +24,7 @@ from .affine import (
     transvection_equals_g_check,
 )
 from .connection import CONVENTIONS as CONNECTION_CONVENTIONS
-from .connection import connection_tensors_at_basepoint
+from .connection import connection_tensors_at_basepoint, consistency_sweep
 from .errors import WorkbenchError
 from .homspace import (
     isotropy_fixed_subspace,
@@ -34,7 +34,7 @@ from .homspace import (
     normalizer_invariance_check,
 )
 from .liealg import make_lie_algebra, SubspaceBasis
-from .linalg import smul, vneg, rat, zero_vector
+from .linalg import zero_vector
 
 METRIC_CONVENTION = (
     "minus Killing form on each simple ideal (optional positive rational scales), "
@@ -225,37 +225,7 @@ def run_report(
     connection_details = None
     if checks == "all":
         tensors = _step("connection_tensors_at_basepoint", connection_tensors_at_basepoint, pair)
-        rows = pair.m.rows
-        n_m = len(rows)
-        antisym = all(
-            tensors.torsion_table[a][b] == vneg(tensors.torsion_table[b][a])
-            for a in range(n_m)
-            for b in range(n_m)
-        )
-        doubling = (not tensors.has_lc) or all(
-            tensors.canonical_table[a][b] == smul(rat(2), tensors.lc_table[a][b])
-            for a in range(n_m)
-            for b in range(n_m)
-        )
-        bianchi = True
-        for a in range(n_m):
-            for b in range(a + 1, n_m):
-                for c in range(n_m):
-                    total = zero_vector(algebra.dim)
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        total = tuple(
-                            p + q
-                            for p, q in zip(total, tensors.curvature_table[x][y][z])
-                        )
-                        t_of_t = vneg(pair.bracket_m(tensors.torsion_table[x][y], rows[z]))
-                        total = tuple(p - q for p, q in zip(total, t_of_t))
-                    if total != zero_vector(algebra.dim):
-                        bianchi = False
-        connection_details = {
-            "torsion_antisymmetric": antisym,
-            "canonical_equals_twice_lc": doubling,
-            "bianchi_cyclic_identity": bianchi,
-        }
+        connection_details = consistency_sweep(tensors)
 
     iso = _step("isometry_report", isometry_report, pair, assertions, probe, aff)
 
@@ -311,7 +281,7 @@ def run_report(
     verdict(
         "torus_abelian",
         pair.flags.normal,
-        True,  # fixed_torus verifies commutativity exactly or raises
+        torus.abelian,
         {"torus_dim": torus.dimension},
     )
     verdict(

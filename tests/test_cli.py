@@ -233,13 +233,27 @@ def test_cli_numeric_checks_skipped_for_files(capsys):
     assert body["numeric"]["status"].startswith("skipped")
 
 
-def test_cli_parallel_runs_match_sequential(capsys, monkeypatch):
-    args = ["--catalog", "so3_mod_so2", "--catalog", "r2_mod_0", "--json"]
-    assert main(args) == 0
-    sequential = capsys.readouterr().out
-    monkeypatch.setenv("REDUCTIVE_WORKBENCH_THREADS", "2")
-    assert main(args) == 0
-    assert capsys.readouterr().out == sequential
+def _run_module(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_cli_directory_input_is_an_input_error(tmp_path):
+    proc = _run_module("-m", "reductive_workbench", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_golden_report_under_optimize_flag():
+    # python -O strips asserts; every verdict must come from explicit checks
+    proc = _run_module("-O", "-m", "reductive_workbench", "--catalog", "so4_mod_so2", "--json")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "so4_mod_so2.json").read_text()
 
 
 def test_exit_code_two_on_failed_applicable_verdict():
@@ -252,14 +266,7 @@ def test_exit_code_two_on_failed_applicable_verdict():
 
 
 def test_console_entry_point_subprocess():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "reductive_workbench", "--catalog", "r2_mod_0", "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _run_module("-m", "reductive_workbench", "--catalog", "r2_mod_0", "--json")
     assert proc.returncode == 0
     body = json.loads(proc.stdout)
     assert body["dims"] == {

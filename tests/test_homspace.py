@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reductive_workbench.affine import invariant_field_killing_check
 from reductive_workbench.errors import (
     MetricNotAdInvariant,
     MetricNotPositiveDefinite,
@@ -194,6 +195,25 @@ def test_coupled_metric_breaks_natural_reductivity():
     assert (i, j) == (0, 3)
     assert res.witness.indices == (1, 2, 3)
     assert res.witness.defect == F(1, 2)
+
+
+def test_killing_check_fails_with_the_naturally_reductive_witness():
+    # The pinned coupling above: h = 0, so every direction of m is fixed and
+    # the Killing defect is the naturally reductive defect itself.
+    L = make_lie_algebra(5, CYCLIC_SO3)
+    gram = [[F(0)] * 5 for _ in range(5)]
+    for d in range(5):
+        gram[d][d] = F(2) if d < 3 else F(1)
+    gram[0][3] = gram[3][0] = F(1, 2)
+    pair = make_reductive_pair(
+        L, SubspaceBasis.zero(5), SubspaceBasis.full(5), make_bilinear_form(gram)
+    )
+    nr = naturally_reductive_check(pair)
+    killing = invariant_field_killing_check(pair)
+    assert not nr.ok and not killing.ok
+    assert killing.witness == nr.witness
+    assert killing.witness.indices == (1, 2, 3)
+    assert killing.witness.defect == F(1, 2)
 
 
 def test_abelian_pair_trivially_naturally_reductive():
