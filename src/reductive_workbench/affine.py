@@ -36,7 +36,7 @@ from .liealg import (
     make_lie_algebra,
     orthogonal_complement,
 )
-from .linalg import Matrix, ZERO, matvec, transpose, vneg
+from .linalg import Matrix, ZERO, matvec, transpose, vadd, vneg
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
 ALMOST_DIRECT_PRODUCT_NOTE = (
@@ -55,23 +55,33 @@ SPHERE_GATE_CAVEAT = (
 
 
 def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
-    """span([m, m]) + m inside g; verified to be a subalgebra (an ideal when normal)."""
+    """span([m, m]) + m inside g; verified to be a subalgebra (an ideal when normal).
+
+    [m_a, m_b] is read from the pair's structure table. A failed verification
+    raises ClosureFailure with the offending pair of rows."""
     if not pair.flags.reductive:
         raise NotReductive("transvection algebra needs a reductive pair")
-    L = pair.algebra
-    rows = pair.m.rows
-    vectors = list(rows)
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            vectors.append(L.bracket(rows[a], rows[b]))
+    L, table = pair.algebra, pair.table
+    r = pair.m.dim
+    vectors = list(pair.m.rows)
+    for a in range(r):
+        for b in range(a + 1, r):
+            in_h = pair.from_h_coords(table.h_coords[a][b])
+            vectors.append(vadd(in_h, pair.from_m_coords(table.m_coords[a][b])))
     tr = SubspaceBasis.from_vectors(L.dim, vectors)
-    assert is_subalgebra(L, tr).ok, "transvection span failed to close"
+    closed = is_subalgebra(L, tr)
+    if not closed.ok:
+        raise ClosureFailure(closed.witness, "transvection span is not bracket-closed")
     if pair.flags.normal:
-        assert all(
-            tr.contains_vector(L.bracket(u, w))
-            for u in SubspaceBasis.full(L.dim).rows
-            for w in tr.rows
-        ), "transvection algebra of a normal pair must be an ideal"
+        # [e_i, w] is minus column i of ad(w)
+        ads = [L.ad(w) for w in tr.rows]
+        for i in range(L.dim):
+            for b, A in enumerate(ads):
+                if not tr.contains_vector(tuple(row[i] for row in A)):
+                    raise ClosureFailure(
+                        TripleWitness((i, b, -1), ZERO),
+                        "transvection algebra of a normal pair is not an ideal",
+                    )
     return tr
 
 

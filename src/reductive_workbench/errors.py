@@ -40,6 +40,10 @@ class MetricNotPositiveDefinite(WorkbenchError):
     """Candidate metric is not positive-definite."""
 
 
+class InvalidMetricSpec(WorkbenchError):
+    """Metric recipe does not fit the algebra (scale count or center Gram shape)."""
+
+
 class InvalidDecomposition(WorkbenchError):
     """h + m is not a direct-sum decomposition of the algebra."""
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .errors import (
     InvalidDecomposition,
+    InvalidMetricSpec,
     MetricNotAdInvariant,
     MetricNotPositiveDefinite,
     NotASubalgebra,
@@ -48,6 +49,7 @@ from .linalg import (
     kernel,
     mat_add,
     mat_inverse,
+    mat_scale,
     matmul,
     matvec,
     poly_eval_matrix,
@@ -99,7 +101,7 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
     if spec.scale_factors is not None:
         _, ideals = simple_ideal_decomposition(L)
         if len(spec.scale_factors) != len(ideals):
-            raise ValueError(
+            raise InvalidMetricSpec(
                 f"{len(spec.scale_factors)} scale factors for {len(ideals)} simple ideals"
             )
         if any(s <= 0 for s in spec.scale_factors):
@@ -120,21 +122,19 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
     offset = z.dim
     for blk, s in zip(blocks, scales):
         R = coord_rows[offset : offset + blk.dim]
-        blk_gram = [
-            [-s * B.apply(u, v) for v in blk.rows] for u in blk.rows
-        ]
-        contrib = matmul(matmul(transpose(R), tuple(tuple(r) for r in blk_gram)), R)
+        blk_gram = mat_scale(-s, B.restrict(blk))
+        contrib = matmul(matmul(transpose(R), blk_gram), R)
         gram = [list(vadd(tuple(g), c)) for g, c in zip(gram, contrib)]
         offset += blk.dim
     if z.dim:
         cg = spec.center_gram if spec.center_gram is not None else identity(z.dim)
         if len(cg) != z.dim or any(len(r) != z.dim for r in cg):
-            raise ValueError(f"center gram must be {z.dim}x{z.dim}")
+            raise InvalidMetricSpec(f"center gram must be {z.dim}x{z.dim}")
         Rz = coord_rows[: z.dim]
         contrib = matmul(matmul(transpose(Rz), cg), Rz)
         gram = [list(vadd(tuple(g), c)) for g, c in zip(gram, contrib)]
     elif spec.center_gram is not None:
-        raise ValueError("center gram supplied but the algebra has no center")
+        raise InvalidMetricSpec("center gram supplied but the algebra has no center")
     form = make_bilinear_form(gram)
     if form.definiteness != "positive-definite":
         raise MetricNotPositiveDefinite(
@@ -205,15 +205,23 @@ class ReductivePair:
     def bracket_m(self, X: Vector, Y: Vector) -> Vector:
         return self.project_m(self.algebra.bracket(X, Y))
 
+    def from_h_coords(self, coords: Vector) -> Vector:
+        """The vector of h with the given coordinates along the rows of h."""
+        return _combine(coords, self.h.rows, self.algebra.dim)
+
     def from_m_coords(self, coords: Vector) -> Vector:
         """The vector of m with the given coordinates along the rows of m."""
-        out = [ZERO] * self.algebra.dim
-        for c, row in zip(coords, self.m.rows, strict=True):
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        out[k] += c * x
-        return tuple(out)
+        return _combine(coords, self.m.rows, self.algebra.dim)
+
+
+def _combine(coords: Vector, rows: Matrix, dim: int) -> Vector:
+    out = [ZERO] * dim
+    for c, row in zip(coords, rows, strict=True):
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
 
 
 def _projections(

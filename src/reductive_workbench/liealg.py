@@ -129,17 +129,36 @@ class LieAlgebra:
         if len(X) != self.dim or len(Y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
         out = [ZERO] * self.dim
+        # one pass over the table; a product with a zero factor is skipped
+        nx = {i for i, x in enumerate(X) if x}
+        ny = {i for i, y in enumerate(Y) if y}
         for (i, j), terms in self._table.items():
-            coef = X[i] * Y[j] - X[j] * Y[i]
+            plus = i in nx and j in ny
+            minus = j in nx and i in ny
+            if plus and minus:
+                coef = X[i] * Y[j] - X[j] * Y[i]
+            elif plus:
+                coef = X[i] * Y[j]
+            elif minus:
+                coef = -(X[j] * Y[i])
+            else:
+                continue
             if coef:
                 for k, c in terms:
                     out[k] += coef * c
         return tuple(out)
 
     def ad(self, X: Vector) -> Matrix:
-        """Matrix of ad(X) = [X, .] acting on coordinates."""
-        cols = [self.bracket(X, unit) for unit in identity(self.dim)]
-        return transpose(tuple(cols))
+        """Matrix of ad(X) = [X, .] acting on coordinates: the sum of X_i ad(e_i)
+        over the nonzero X_i, read from the sparse adjoint table."""
+        if len(X) != self.dim:
+            raise ValueError("vector length does not match the algebra dimension")
+        M = [[ZERO] * self.dim for _ in range(self.dim)]
+        for i, x in enumerate(X):
+            if x:
+                for (a, b), c in self._sparse_ads[i].items():
+                    M[a][b] += x * c
+        return tuple(tuple(row) for row in M)
 
     @cached_property
     def _sparse_ads(self) -> tuple[dict[tuple[int, int], Fraction], ...]:
@@ -149,19 +168,6 @@ class LieAlgebra:
             ads[i][(k, j)] = ads[i].get((k, j), ZERO) + c
             ads[j][(k, i)] = ads[j].get((k, i), ZERO) - c
         return tuple(ads)
-
-    @cached_property
-    def _ad_basis(self) -> tuple[Matrix, ...]:
-        mats = []
-        for i in range(self.dim):
-            M = [[ZERO] * self.dim for _ in range(self.dim)]
-            for (a, b), c in self._sparse_ads[i].items():
-                M[a][b] += c
-            mats.append(tuple(tuple(row) for row in M))
-        return tuple(mats)
-
-    def ad_basis_matrix(self, i: int) -> Matrix:
-        return self._ad_basis[i]
 
 
 def make_lie_algebra(
@@ -250,10 +256,9 @@ class BilinearForm:
         return dot(u, matvec(self.gram, v))
 
     def restrict(self, sub: SubspaceBasis) -> Matrix:
-        """Gram matrix of the form on the rows of `sub`."""
-        return tuple(
-            tuple(self.apply(r, s) for s in sub.rows) for r in sub.rows
-        )
+        """Gram matrix of the form on the rows of `sub`; G.s is formed once per row."""
+        images = [matvec(self.gram, s) for s in sub.rows]
+        return tuple(tuple(dot(r, gs) for gs in images) for r in sub.rows)
 
 
 def make_bilinear_form(gram: Iterable[Iterable]) -> BilinearForm:
@@ -388,7 +393,7 @@ def largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
         system_rows = []
         for i in range(L.dim):
             # condition: ann . ad(e_i) . (t-combination of current rows) = 0
-            block = matmul(matmul(ann, L.ad_basis_matrix(i)), basis_t)
+            block = matmul(matmul(ann, L.ad(_unit(L.dim, i))), basis_t)
             system_rows.extend(block)
         t_kernel = kernel(tuple(system_rows), current.dim)
         nxt = SubspaceBasis.from_vectors(

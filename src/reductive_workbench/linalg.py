@@ -2,6 +2,13 @@
 
 Every scalar is a `fractions.Fraction`; nothing here rounds or approximates.
 Vectors are tuples of Fractions, matrices are tuples of row vectors.
+
+The kernels skip zeros: `dot` (and through it `matvec`, `matmul` and the
+bilinear forms) multiplies only pairs of nonzero entries, and `rref`,
+`kernel` and `coords_in_rref` touch only the support (nonzero columns) of
+the row being subtracted. They return the same Fraction values in the same
+row order as the dense loops they replace, every entry still a Fraction, and
+there is no dense fallback beside them.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ def smul(c: Fraction, u: Vector) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
 
 
 def matvec(A: Matrix, v: Vector) -> Vector:
@@ -120,11 +127,15 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Matrix, tuple[
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = mat[r][c]
         if inv != 1:
-            mat[r] = [x / inv for x in mat[r]]
+            mat[r] = [x / inv if x else ZERO for x in mat[r]]
+        prow = mat[r]
+        support = [(k, b) for k, b in enumerate(prow) if b]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                row = mat[i]
+                f = row[c]
+                for k, b in support:
+                    row[k] -= f * b
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -159,8 +170,9 @@ def coords_in_rref(rows: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector |
         c = residual[p]
         coords.append(c)
         if c != 0:
-            for k in range(len(residual)):
-                residual[k] -= c * row[k]
+            for k, x in enumerate(row):
+                if x:
+                    residual[k] -= c * x
     if any(x != 0 for x in residual):
         return None
     return tuple(coords)
@@ -258,7 +270,8 @@ def minpoly(A: Matrix) -> tuple[Fraction, ...]:
             rel = ker[0]
             lead = rel[cols - 1]
             # first dependence: the top power must participate
-            assert lead != 0
+            if lead == 0:
+                raise AssertionError("first dependence among matrix powers omits the top power")
             return tuple(c / lead for c in rel)
     raise AssertionError("no dependence among matrix powers up to the dimension")
 

@@ -21,6 +21,7 @@ from reductive_workbench.homspace import (
     naturally_reductive_check,
 )
 from reductive_workbench.liealg import is_subalgebra, killing_form
+from reductive_workbench.report import run_report
 
 
 @pytest.fixture(params=CURATED_NAMES)
@@ -136,3 +137,23 @@ def test_catalog_names_listing():
     names = catalog_names()
     assert names == CURATED_NAMES
     assert len(set(names)) == len(names) == 13
+
+
+def test_desk_cap_so8_mod_so2_record():
+    # The centralizer of so(2) in so(8) is so(2) + so(6), so m^h = k = so(6):
+    # k has no center, and the affine algebra is so(8) + so(6).
+    report = run_report(construct("so8_mod_so2"), checks="all", numeric=False)
+    body = report.body
+    assert body["dims"] == {
+        "g": 28, "h": 1, "m": 27, "m_fixed": 15, "k": 15, "k_center": 0,
+        "transvection": 28, "affine": 43,
+    }
+    assert body["torus_dim"] == 0
+    assert body["flags"] == {
+        "reductive": True, "normal": True, "naturally_reductive": True,
+        "effective": True, "normalizer_invariant": True,
+        "transvection_equals_g": True, "isotropy_probe": "reducible",
+    }
+    applicable = [v for v in body["theorem_verdicts"] if v["applicable"]]
+    assert applicable and all(v["passed"] for v in applicable)
+    assert report.exit_code == 0

@@ -273,3 +273,16 @@ def test_console_entry_point_subprocess():
         "g": 2, "h": 0, "m": 2, "m_fixed": 2, "k": 2, "k_center": 2,
         "transvection": 2, "affine": 2,
     }
+
+
+def test_cli_metric_recipe_mismatch_is_an_input_error(tmp_path):
+    doc = json.loads((DATA / "so3_sphere.json").read_text())
+    doc["metric"] = {"mode": "custom", "scales": ["1", "2"]}
+    spec = tmp_path / "two_scales.json"
+    spec.write_text(json.dumps(doc))
+    proc = _run_module("-m", "reductive_workbench", str(spec))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "2 scale factors for 1 simple ideals" in lines[0]
+    assert "Traceback" not in proc.stderr

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from reductive_workbench.affine import invariant_field_killing_check
 from reductive_workbench.errors import (
+    InvalidMetricSpec,
     MetricNotAdInvariant,
     MetricNotPositiveDefinite,
     NotASubalgebra,
@@ -123,11 +124,11 @@ def test_build_metric_rejects_noncompact():
 
 def test_metric_spec_validation():
     L = so3_plus_so3()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidMetricSpec):
         build_metric(L, MetricSpec.custom(scale_factors=[1]))  # two ideals
     with pytest.raises(MetricNotPositiveDefinite):
         build_metric(L, MetricSpec.custom(scale_factors=[1, -1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidMetricSpec):
         build_metric(L, MetricSpec.custom(center_gram=[[1]]))  # centerless
     with pytest.raises(ValueError):
         MetricSpec("negative_killing", (rat(2),), None)

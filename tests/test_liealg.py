@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from reductive_workbench.linalg import identity, matrix, rat, vector
 from oracles import (
     commutator,
     cyclic_so3_matrices,
+    dense_ad_matrices,
+    express_in_basis,
     gauss_rank,
     killing_by_traces,
     so_coords,
@@ -435,3 +438,76 @@ def test_decomposition_of_so5_is_simple():
     z, ideals = simple_ideal_decomposition(so_algebra(5))
     assert z.dim == 0
     assert [s.dim for s in ideals] == [10]
+
+
+# --- zero-skipping bracket and adjoint against the dense oracles -------------------
+
+
+def dense_basis_so4():
+    """so(4) in the basis f_i = E_1 + ... + E_i: every bracket has many terms."""
+    E = so_matrix_basis(4)
+    basis = [
+        [[sum((E[t][a][b] for t in range(i + 1)), F(0)) for b in range(4)] for a in range(4)]
+        for i in range(6)
+    ]
+    entries = []
+    for i in range(6):
+        for j in range(i + 1, 6):
+            coords = express_in_basis(commutator(basis[i], basis[j]), basis)
+            entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+    return make_lie_algebra(6, entries)
+
+
+@lru_cache(maxsize=None)
+def kernel_algebra(name):
+    if name == "so4":
+        return so_algebra(4)
+    if name == "su3":
+        from reductive_workbench.catalog import construct
+
+        return construct("su3_mod_su2").algebra
+    return dense_basis_so4()
+
+
+KERNEL_ALGEBRAS = ("so4", "su3", "dense_so4")
+sparse_entries = st.sampled_from(
+    (F(0),) * 5 + (F(1), F(-1), F(1, 2), F(-1, 2), F(3))
+)
+dense_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def draw_vector(data, n):
+    entries = data.draw(st.sampled_from((sparse_entries, dense_entries)))
+    return tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_bilinear_expansion(name, data):
+    L = kernel_algebra(name)
+    X, Y = draw_vector(data, L.dim), draw_vector(data, L.dim)
+    expected = [F(0)] * L.dim
+    for i in range(L.dim):
+        for j in range(L.dim):
+            for k, c in enumerate(L.bracket_basis(i, j)):
+                expected[k] += X[i] * Y[j] * c
+    got = L.bracket(X, Y)
+    assert got == tuple(expected)
+    assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ad_matches_dense_oracle_combination(name, data):
+    L = kernel_algebra(name)
+    ads = dense_ad_matrices(L.dim, lambda i, j: list(L.bracket_basis(i, j)))
+    X = draw_vector(data, L.dim)
+    expected = [
+        [sum((X[i] * ads[i][a][b] for i in range(L.dim)), F(0)) for b in range(L.dim)]
+        for a in range(L.dim)
+    ]
+    got = L.ad(X)
+    assert got == tuple(tuple(row) for row in expected)
+    assert all(type(c) is Fraction for row in got for c in row)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from reductive_workbench import linalg
 from reductive_workbench.linalg import (
     charpoly,
+    coords_in_rref,
+    dot,
     factor_poly,
     identity,
     kernel,
@@ -20,10 +22,16 @@ from reductive_workbench.linalg import (
     signature,
 )
 
-from oracles import gauss_rank
+from oracles import dense_mul, gauss_rank
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
+)
+
+
+# Mostly zeros, as in the unit-vector bases of the catalog; shrinks toward 0.
+sparse_fractions = st.sampled_from(
+    (Fraction(0),) * 5 + (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(3))
 )
 
 
@@ -132,3 +140,72 @@ def test_minpoly_annihilates(rows):
     mp = minpoly(A)
     Z = poly_eval_matrix(mp, A)
     assert all(x == 0 for row in Z for x in row)
+
+
+# --- zero-skipping kernels against the dense oracles -----------------------------
+
+
+def sparse_matrix(data, max_rows=6, max_cols=7):
+    rows = data.draw(st.integers(1, max_rows))
+    cols = data.draw(st.integers(1, max_cols))
+    entries = st.lists(sparse_fractions, min_size=cols, max_size=cols).map(tuple)
+    return tuple(data.draw(st.lists(entries, min_size=rows, max_size=rows))), cols
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_sparse_rref_is_canonical_and_agrees_with_gauss_rank(data):
+    rows, cols = sparse_matrix(data)
+    red, pivots = rref(rows, cols)
+    assert len(red) == len(pivots) == gauss_rank(rows, cols)
+    assert list(pivots) == sorted(set(pivots))
+    for t, (row, p) in enumerate(zip(red, pivots)):
+        assert row[p] == 1 and not any(row[:p])
+        assert all(other[p] == 0 for u, other in enumerate(red) if u != t)
+    assert rref(red, cols) == (red, pivots)
+    assert all_fractions(red)
+    # same row space: every input row has coordinates that rebuild it
+    for v in rows:
+        coords = coords_in_rref(red, pivots, v)
+        assert coords is not None and all_fractions([coords])
+        rebuilt = [Fraction(0)] * cols
+        for c, row in zip(coords, red):
+            rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
+        assert tuple(rebuilt) == v
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_sparse_kernel_is_canonical_and_complementary(data):
+    rows, cols = sparse_matrix(data)
+    ker = kernel(rows, cols)
+    assert len(ker) == cols - gauss_rank(rows, cols)
+    assert rref(ker, cols)[0] == ker
+    assert all_fractions(ker)
+    for v in ker:
+        assert all(dot(row, v) == 0 for row in rows)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_sparse_products_match_dense_oracle(data):
+    A, inner = sparse_matrix(data)
+    cols = data.draw(st.integers(1, 5))
+    entries = st.lists(sparse_fractions, min_size=cols, max_size=cols).map(tuple)
+    B = tuple(data.draw(st.lists(entries, min_size=inner, max_size=inner)))
+    product = matmul(A, B)
+    assert product == tuple(tuple(row) for row in dense_mul(A, B))
+    assert all_fractions(product)
+    v = tuple(row[0] for row in B)
+    image = matvec(A, v)
+    assert all_fractions([image])
+    assert image == tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in A)
+
+
+def test_dot_of_disjoint_supports_is_a_fraction_zero():
+    value = dot((Fraction(1), Fraction(0)), (Fraction(0), Fraction(3)))
+    assert value == 0 and type(value) is Fraction
