@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import ClosureFailure, NotEffective, NotNormal, NotReductive
+from .errors import (
+    ClosureFailure,
+    NotCompactType,
+    NotEffective,
+    NotInFixedSubspace,
+    NotNormal,
+    NotReductive,
+)
 from .homspace import (
     ProbeResult,
     ReductivePair,
@@ -129,26 +136,7 @@ class InvariantFieldAlgebra:
     def killing(self) -> BilinearForm:
         from .liealg import killing_form
 
-        if self.dim == 0:
-            return make_bilinear_form(())
         return killing_form(self.algebra)
-
-
-class _ZeroAlgebra:
-    """Stand-in for the zero Lie algebra (LieAlgebra requires dim >= 1)."""
-
-    dim = 0
-    basis_labels: tuple[str, ...] = ()
-    entries: tuple = ()
-
-    def bracket(self, X, Y):
-        return ()
-
-    def bracket_basis(self, i, j):
-        raise IndexError("zero algebra has no basis")
-
-
-_ZERO_ALGEBRA = _ZeroAlgebra()
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +147,6 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
     gram = pair.metric.restrict(carrier)
-    if carrier.dim == 0:
-        return InvariantFieldAlgebra(
-            carrier, _ZERO_ALGEBRA, gram, True, True,
-            SubspaceBasis.zero(pair.algebra.dim), status,
-        )
     in_m = [pair.m.coords_of(x) for x in carrier.rows]
     entries = []
     for a in range(carrier.dim):
@@ -239,27 +222,35 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
         for b in range(a + 1, g1.dim):
             value = L.bracket(g1.rows[a], g1.rows[b])
             coords = g1.coords_of(value)
-            assert coords is not None, "derived subalgebra is an ideal"
+            if coords is None:
+                raise ClosureFailure(
+                    TripleWitness((a, b, -1), ZERO), "derived subalgebra is not bracket-closed"
+                )
             entries.extend((a, b, t, c) for t, c in enumerate(coords) if c)
     for a in range(k.dim):
         for b in range(a + 1, k.dim):
             for t, c in enumerate(k.algebra.bracket_basis(a, b)):
                 if c:
                     entries.append((g1.dim + a, g1.dim + b, g1.dim + t, c))
-    assert total >= 1, "an effective pair on a nonzero algebra has a nonzero affine algebra"
+    if total == 0 and L.dim:
+        # then g is abelian with m^h = m = 0, so h = g is an ideal inside h
+        raise NotEffective("an effective pair on a nonzero algebra has a nonzero affine algebra")
     labels = [f"g1_{a + 1}" for a in range(g1.dim)] + [f"k{a + 1}" for a in range(k.dim)]
     assembled = make_lie_algebra(total, entries, labels)
     # center of g must inject into k through the m-projection
     zg = center(L)
     if zg.dim:
         images = [pair.project_m(z) for z in zg.rows]
-        assert all(k.carrier.contains_vector(v) for v in images), "central directions must be fixed"
-        assert (
-            SubspaceBasis.from_vectors(L.dim, images).dim == zg.dim
-        ), "center of g must inject into k"
+        for i, v in enumerate(images):
+            if not k.carrier.contains_vector(v):
+                raise NotInFixedSubspace(f"central direction {i} of g is not isotropy-fixed")
+        if SubspaceBasis.from_vectors(L.dim, images).dim != zg.dim:
+            # a central direction inside h spans an ideal inside h
+            raise NotEffective("center of g does not inject into k")
     # carrier vectors inside g1 that centralize g1 vanish
     overlap = k.carrier.intersect(g1).intersect(centralizer(L, g1))
-    assert overlap.dim == 0, "semisimple Killing fields meet k only at zero"
+    if overlap.dim:
+        raise NotCompactType("semisimple Killing fields meet k away from zero")
     return AffineAlgebra(g1, k, total, assembled)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInM, NotNaturallyReductive, NotReductive
+from .errors import NotNaturallyReductive, NotReductive
 from .homspace import ReductivePair, StructureTable
 from .linalg import ZERO, Vector, rat, smul, vneg
 
@@ -135,20 +135,3 @@ def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
         "canonical_equals_twice_lc": doubling,
         "bianchi_cyclic_identity": bianchi,
     }
-
-
-@dataclass(frozen=True)
-class GeodesicDescriptor:
-    """Symbolic description of the basepoint geodesic generated by X in m."""
-
-    generator: Vector
-    curve: str = "one-parameter-subgroup-orbit"
-    transport: str = "differential-of-exp(tX)"
-
-
-def geodesic_and_transport_descriptors(pair: ReductivePair, X: Vector) -> GeodesicDescriptor:
-    if pair.project_m(X) != tuple(X):
-        raise NotInM("generator has a component outside m")
-    if all(c == 0 for c in X):
-        return GeodesicDescriptor(tuple(X), curve="constant-at-basepoint", transport="identity")
-    return GeodesicDescriptor(tuple(X))

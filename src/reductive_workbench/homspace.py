@@ -130,6 +130,10 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
         cg = spec.center_gram if spec.center_gram is not None else identity(z.dim)
         if len(cg) != z.dim or any(len(r) != z.dim for r in cg):
             raise InvalidMetricSpec(f"center gram must be {z.dim}x{z.dim}")
+        for i in range(z.dim):
+            for j in range(i + 1, z.dim):
+                if cg[i][j] != cg[j][i]:
+                    raise InvalidMetricSpec(f"center gram is not symmetric at {(i, j)}")
         Rz = coord_rows[: z.dim]
         contrib = matmul(matmul(transpose(Rz), cg), Rz)
         gram = [list(vadd(tuple(g), c)) for g, c in zip(gram, contrib)]

@@ -181,8 +181,8 @@ def make_lie_algebra(
     Raises IndexError for out-of-range indices and JacobiViolation with the first
     lexicographic failing triple and its defect vector.
     """
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    if dim < 0:
+        raise ValueError("dimension must be non-negative")
     if basis_labels is None:
         basis_labels = tuple(f"e{i + 1}" for i in range(dim))
     else:

@@ -1,20 +1,23 @@
 """Space-specification files: positioned parsing, schema and semantic checks.
 
-The input format is JSON (see schemas/spacespec.schema.json). A small
-recursive-descent reader records the line/column of every value so that both
-schema violations and semantic errors (bad indices, malformed rationals) are
-reported with a real position, which stdlib json only provides for syntax
-errors. Bracket indices in files are 1-based, matching the basis listing;
-the Python API stays 0-based.
+The input format is strict JSON (RFC 8259; see schemas/spacespec.schema.json).
+The stdlib decoder parses it, with hooks on its containers that record where
+every value starts and cap the nesting, so that syntax errors, schema
+violations and semantic errors (bad indices, malformed rationals) all carry a
+line and column. Bracket indices in files are 1-based, matching the basis
+listing; the Python API stays 0-based.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from json.decoder import WHITESPACE, JSONArray, JSONObject
+from json.scanner import py_make_scanner
 
 from .affine import UserAssertions
 from .errors import SpecFileError
@@ -26,156 +29,75 @@ _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 Position = tuple[int, int]
 Path = tuple
 
-
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> SpecFileError:
-        return SpecFileError(message, self.line, self.col)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.peek() in (" ", "\t", "\r", "\n"):
-            self.advance()
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.advance()
+# Far above the schema's own depth of 4; the containers check it, so the
+# position of the error does not depend on the caller's stack.
+MAX_NESTING = 32
 
 
 def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
     """Parse JSON, returning the value and a map from path tuples to positions."""
-    reader = _Reader(text)
-    positions: dict[Path, Position] = {}
-    reader.skip_ws()
-    value = _parse_value(reader, (), positions)
-    reader.skip_ws()
-    if reader.pos != len(text):
-        raise reader.error("trailing content after the document")
-    return value, positions
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    offsets: list[int] = []  # start of every value, in document pre-order
+    children: list[list[int]] = [[]]  # value starts in each open container
 
+    def where(offset: int) -> Position:
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
-def _parse_value(r: _Reader, path: Path, positions: dict):
-    positions[path] = (r.line, r.col)
-    ch = r.peek()
-    if ch == "{":
-        return _parse_object(r, path, positions)
-    if ch == "[":
-        return _parse_array(r, path, positions)
-    if ch == '"':
-        return _parse_string(r)
-    if ch and ch in "-0123456789":
-        return _parse_number(r)
-    for literal, value in (("true", True), ("false", False), ("null", None)):
-        if r.text.startswith(literal, r.pos):
-            for _ in literal:
-                r.advance()
-            return value
-    raise r.error("expected a JSON value")
+    def record(s: str, idx: int):
+        offsets.append(idx)
+        children[-1].append(idx)
+        return scan(s, idx)
 
+    def nested(parse, s_and_end, *args):
+        if len(children) > MAX_NESTING:
+            raise SpecFileError(f"nesting deeper than {MAX_NESTING}", *where(s_and_end[1] - 1))
+        children.append([])
+        result = parse(s_and_end, *args)
+        children.pop()
+        return result
 
-def _parse_object(r: _Reader, path: Path, positions: dict) -> dict:
-    r.expect("{")
-    out: dict = {}
-    r.skip_ws()
-    if r.peek() == "}":
-        r.advance()
-        return out
-    while True:
-        r.skip_ws()
-        if r.peek() != '"':
-            raise r.error("expected an object key")
-        key = _parse_string(r)
-        r.skip_ws()
-        r.expect(":")
-        r.skip_ws()
-        if key in out:
-            raise r.error(f"duplicate key {key!r}")
-        out[key] = _parse_value(r, path + (key,), positions)
-        r.skip_ws()
-        if r.peek() == ",":
-            r.advance()
-            continue
-        r.expect("}")
+    def unique_keys(pairs):
+        out = {}
+        for (key, value), offset in zip(pairs, children[-1]):
+            if key in out:
+                raise SpecFileError(f"duplicate key {key!r}", *where(offset))
+            out[key] = value
         return out
 
+    def no_constant(name):
+        raise SpecFileError(f"{name} is not a JSON value", *where(offsets[-1]))
 
-def _parse_array(r: _Reader, path: Path, positions: dict) -> list:
-    r.expect("[")
-    out: list = []
-    r.skip_ws()
-    if r.peek() == "]":
-        r.advance()
-        return out
-    while True:
-        r.skip_ws()
-        out.append(_parse_value(r, path + (len(out),), positions))
-        r.skip_ws()
-        if r.peek() == ",":
-            r.advance()
-            continue
-        r.expect("]")
-        return out
-
-
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _parse_string(r: _Reader) -> str:
-    r.expect('"')
-    chars: list[str] = []
-    while True:
-        ch = r.peek()
-        if ch == "":
-            raise r.error("unterminated string")
-        if ch == '"':
-            r.advance()
-            return "".join(chars)
-        if ch == "\\":
-            r.advance()
-            esc = r.advance()
-            if esc == "u":
-                code = ""
-                for _ in range(4):
-                    code += r.advance()
-                chars.append(chr(int(code, 16)))
-            elif esc in _ESCAPES:
-                chars.append(_ESCAPES[esc])
-            else:
-                raise r.error(f"bad escape \\{esc}")
-        else:
-            chars.append(r.advance())
-
-
-def _parse_number(r: _Reader):
-    start = r.pos
-    line, col = r.line, r.col
-    while r.peek() and r.peek() in "-+.eE0123456789":
-        r.advance()
-    token = r.text[start : r.pos]
+    decoder = json.JSONDecoder(object_pairs_hook=unique_keys, parse_constant=no_constant)
+    # the stdlib container parsers, scanning each value through record
+    decoder.parse_object = lambda at, strict, _, *hooks: nested(
+        JSONObject, at, strict, record, *hooks
+    )
+    decoder.parse_array = lambda at, _: nested(JSONArray, at, record)
+    scan = py_make_scanner(decoder)
     try:
-        if re.fullmatch(r"-?\d+", token):
-            return int(token)
-        return float(token)
-    except ValueError:
-        raise SpecFileError(f"bad number {token!r}", line, col) from None
+        value, end = record(text, WHITESPACE.match(text).end())
+    except StopIteration as exc:
+        raise SpecFileError("expected a JSON value", *where(exc.value)) from None
+    except json.JSONDecodeError as exc:
+        message = re.sub(r"( starting)? at$", "", exc.msg)  # the position follows
+        raise SpecFileError(message, exc.lineno, exc.colno) from None
+    except ValueError:  # an integer longer than int() converts
+        raise SpecFileError("integer has too many digits", *where(offsets[-1])) from None
+    end = WHITESPACE.match(text, end).end()
+    if end != len(text):
+        raise SpecFileError("trailing content after the document", *where(end))
+    # one iterative pre-order walk pairs each offset with its path
+    positions: dict[Path, Position] = {}
+    starts, stack = iter(offsets), [((), value)]
+    while stack:
+        path, item = stack.pop()
+        positions[path] = where(next(starts))
+        items = item.items() if isinstance(item, dict) else ()
+        if isinstance(item, list):
+            items = enumerate(item)
+        stack.extend(reversed([(path + (key,), child) for key, child in items]))
+    return value, positions
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +139,11 @@ def _rat_at(value, positions, path) -> Fraction:
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
         line, col = _position_for(positions, path)
         raise SpecFileError(f"malformed rational {value!r}", line, col)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:  # more digits than int() converts
+        line, col = _position_for(positions, path)
+        raise SpecFileError("rational has too many digits", line, col) from None
 
 
 def parse_space_spec(text: str) -> SpaceSpec:
@@ -305,4 +231,11 @@ def parse_space_spec(text: str) -> SpaceSpec:
 
 def load_space_spec_file(path: str) -> SpaceSpec:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_space_spec(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            prefix = exc.object[: exc.start].decode("utf-8")  # exc.object: the file's bytes
+            line, column = prefix.count("\n") + 1, len(prefix) - prefix.rfind("\n")
+            message = f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+            raise SpecFileError(message, line, column) from None
+    return parse_space_spec(text)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
@@ -26,6 +29,16 @@ def test_positioned_parser_tracks_paths():
     assert positions[("a",)] == (2, 8)
     assert positions[("a", 2, "b")][0] == 2
     assert positions[("c",)][0] == 3
+    # an escape is one character of the value but six of the line
+    value, positions = parse_positioned('{"k": "\\u00e9\\n", "n": 1}')
+    assert value == {"k": "\u00e9\n", "n": 1}
+    assert positions[("n",)] == (1, 24)
+    value, positions = parse_positioned('[[1, [2]],\n [[], 3]]')
+    assert value == [[1, [2]], [[], 3]]
+    assert positions[(0, 1, 0)] == (1, 7)
+    assert positions[(1,)] == (2, 2)
+    assert positions[(1, 0)] == (2, 3)
+    assert positions[(1, 1)] == (2, 7)
 
 
 def test_positioned_parser_syntax_errors():
@@ -63,6 +76,29 @@ def test_parse_space_spec_semantic_errors_have_positions():
     bad_float = dict(base, brackets=[[1, 2, 1, 0.5]])
     with pytest.raises(SpecFileError):
         parse_space_spec(json.dumps(bad_float))
+    long_rat = dict(base, brackets=[[1, 2, 1, "1/" + "9" * 5000]])
+    with pytest.raises(SpecFileError) as exc:
+        parse_space_spec(json.dumps(long_rat))
+    assert "too many digits" in str(exc.value)
+
+
+SPHERE_TEXT = (DATA / "so3_sphere.json").read_text()
+
+
+@st.composite
+def sphere_mutations(draw):
+    """so3_sphere.json with one character deleted, replaced or followed by another."""
+    i = draw(st.integers(0, len(SPHERE_TEXT) - 1))
+    return SPHERE_TEXT[:i] + draw(st.text(max_size=2)) + SPHERE_TEXT[i + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), sphere_mutations()))
+def test_parse_space_spec_raises_only_spec_file_errors(text):
+    try:
+        parse_space_spec(text)
+    except SpecFileError as exc:
+        assert exc.line is not None
 
 
 def test_parse_space_spec_roundtrip():
@@ -249,11 +285,45 @@ def test_cli_directory_input_is_an_input_error(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"basis": ["\\u12',
+        b'{"basis": ["\\uZZZZ"]}',
+        b"[" * 5000,
+        b'{"basis": ["\xe9"]}',
+    ],
+    ids=["truncated_escape", "non_hex_escape", "deep_nesting", "not_utf8"],
+)
+def test_cli_malformed_file_is_one_positioned_error(tmp_path, content):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(content)
+    proc = _run_module("-m", "reductive_workbench", str(spec))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line ")
+    assert "column" in lines[0]
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_golden_report_under_optimize_flag():
     # python -O strips asserts; every verdict must come from explicit checks
     proc = _run_module("-O", "-m", "reductive_workbench", "--catalog", "so4_mod_so2", "--json")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "so4_mod_so2.json").read_text()
+
+
+def test_source_has_no_assert_statements():
+    # python -O drops assert statements, so no check may rest on one
+    src = Path(__file__).resolve().parent.parent / "src" / "reductive_workbench"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_exit_code_two_on_failed_applicable_verdict():
@@ -276,13 +346,23 @@ def test_console_entry_point_subprocess():
 
 
 def test_cli_metric_recipe_mismatch_is_an_input_error(tmp_path):
-    doc = json.loads((DATA / "so3_sphere.json").read_text())
-    doc["metric"] = {"mode": "custom", "scales": ["1", "2"]}
-    spec = tmp_path / "two_scales.json"
-    spec.write_text(json.dumps(doc))
-    proc = _run_module("-m", "reductive_workbench", str(spec))
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "2 scale factors for 1 simple ideals" in lines[0]
-    assert "Traceback" not in proc.stderr
+    two_scales = json.loads((DATA / "so3_sphere.json").read_text())
+    two_scales["metric"] = {"mode": "custom", "scales": ["1", "2"]}
+    asymmetric = {
+        "basis": ["x", "y"],
+        "brackets": [],
+        "subalgebra": [],
+        "metric": {"mode": "custom", "center_gram": [["1", "1"], ["0", "1"]]},
+    }
+    for doc, message in (
+        (two_scales, "2 scale factors for 1 simple ideals"),
+        (asymmetric, "center gram is not symmetric at (0, 1)"),
+    ):
+        spec = tmp_path / "recipe.json"
+        spec.write_text(json.dumps(doc))
+        proc = _run_module("-m", "reductive_workbench", str(spec))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert "Traceback" not in proc.stderr

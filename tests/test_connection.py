@@ -2,11 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from reductive_workbench.connection import (
-    connection_tensors_at_basepoint,
-    geodesic_and_transport_descriptors,
-)
-from reductive_workbench.errors import NotInM, NotNaturallyReductive
+from reductive_workbench.connection import connection_tensors_at_basepoint
+from reductive_workbench.errors import NotNaturallyReductive
 from reductive_workbench.homspace import make_reductive_pair
 from reductive_workbench.liealg import make_bilinear_form
 from reductive_workbench.linalg import smul, rat, vadd, vector, vneg, zero_vector
@@ -177,15 +174,3 @@ def test_lc_table_refused_for_non_naturally_reductive_pair():
     assert t.canonical_table[0][1] == vector([0, 0, -1, 0, 0])
     with pytest.raises(NotNaturallyReductive):
         _ = t.lc_table
-
-
-def test_geodesic_descriptor():
-    pair = sphere_pair()
-    d = geodesic_and_transport_descriptors(pair, vector([1, 0, 0]))
-    assert d.generator == vector([1, 0, 0])
-    assert d.curve == "one-parameter-subgroup-orbit"
-    zero = geodesic_and_transport_descriptors(pair, vector([0, 0, 0]))
-    assert zero.generator == vector([0, 0, 0])
-    assert zero.curve == "constant-at-basepoint"
-    with pytest.raises(NotInM):
-        geodesic_and_transport_descriptors(pair, vector([0, 0, 1]))

@@ -152,6 +152,15 @@ def test_entries_must_be_upper_triangular():
         make_lie_algebra(3, [(1, 0, 2, 1)])
 
 
+def test_zero_dimensional_algebra():
+    Z = make_lie_algebra(0)
+    assert (Z.dim, Z.basis_labels, Z.entries) == (0, (), ())
+    assert killing_form(Z).definiteness == "positive-definite"
+    assert center(Z).dim == 0
+    with pytest.raises(ValueError):
+        make_lie_algebra(-1)
+
+
 def tilted_so3_entries():
     """so(3) in the basis (L1, L2, L1 + L3): brackets have multiple terms."""
     return [
