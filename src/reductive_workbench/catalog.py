@@ -3,9 +3,10 @@
 Families: so(n) on the lexicographic E_ij basis (elementary antisymmetric
 matrices), su(n) realified on the documented A/S/D basis, direct sums, corner
 embeddings so(k) in so(n) and su(k) in su(n) (top-left block), the diagonal
-embedding of g in g+g, trivial subalgebras and abelian r(d). Structure
-constants are generated from matrix commutators and validated by the algebra
-constructor; every entry also carries an exact matrix realization.
+embedding of g in g+g, trivial subalgebras and abelian r(d). A family states
+only its basis labels and exact antisymmetric basis matrices;
+`numlab.make_matrix_realization` derives the structure constants from their
+commutators, so every entry's algebra comes with its matrix realization.
 
 Regression expectations for the curated entries are loaded from packaged data
 produced by scripts/compute_expected_catalog.py, never typed by hand.
@@ -26,9 +27,9 @@ from .homspace import (
     isotropy_fixed_subspace,
     normal_decomposition,
 )
-from .liealg import LieAlgebra, SubspaceBasis, make_lie_algebra
+from .liealg import LieAlgebra, SubspaceBasis
 from .linalg import Matrix, ONE, ZERO
-from .numlab import MatrixRealization, commutator, make_matrix_realization
+from .numlab import MatrixRealization, make_matrix_realization
 
 DESK_CAP = 8
 
@@ -70,30 +71,18 @@ class CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# factor builders: (dim, labels, entries, real basis matrices)
+# factor builders: (labels, real basis matrices)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Factor:
-    dim: int
     labels: tuple[str, ...]
-    entries: tuple
     basis_mats: tuple[Matrix, ...]
 
 
 def _zeros(n):
     return [[ZERO] * n for _ in range(n)]
-
-
-def _entries_from_brackets(dim, bracket_coords):
-    entries = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k, c in enumerate(bracket_coords(i, j)):
-                if c:
-                    entries.append((i, j, k, c))
-    return tuple(entries)
 
 
 def _build_so(n: int) -> _Factor:
@@ -105,68 +94,13 @@ def _build_so(n: int) -> _Factor:
             M[i][j], M[j][i] = ONE, -ONE
             mats.append(tuple(tuple(r) for r in M))
             labels.append(f"E{i + 1}{j + 1}")
-
-    def extract(M):
-        return [M[i][j] for i in range(n) for j in range(i + 1, n)]
-
-    def bracket_coords(a, b):
-        return extract(commutator(mats[a], mats[b]))
-
-    dim = n * (n - 1) // 2
-    return _Factor(dim, tuple(labels), _entries_from_brackets(dim, bracket_coords), tuple(mats))
+    return _Factor(tuple(labels), tuple(mats))
 
 
 def _build_su(n: int) -> _Factor:
-    # complex anti-hermitian traceless basis, stored as (re, im) pairs:
+    # complex anti-hermitian traceless basis, realified from (re, im) pairs:
     # A_ij = E_ij - E_ji, S_ij = i(E_ij + E_ji), D_k = i(E_kk - E_{k+1,k+1})
-    cmats = []
-    labels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = _zeros(n)
-            re[i][j], re[j][i] = ONE, -ONE
-            cmats.append((re, _zeros(n)))
-            labels.append(f"A{i + 1}{j + 1}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            im = _zeros(n)
-            im[i][j], im[j][i] = ONE, ONE
-            cmats.append((_zeros(n), im))
-            labels.append(f"S{i + 1}{j + 1}")
-    for k in range(n - 1):
-        im = _zeros(n)
-        im[k][k], im[k + 1][k + 1] = ONE, -ONE
-        cmats.append((_zeros(n), im))
-        labels.append(f"D{k + 1}")
-
-    def extract(M):
-        re, im = M
-        coords = [re[i][j] for i in range(n) for j in range(i + 1, n)]
-        coords += [im[i][j] for i in range(n) for j in range(i + 1, n)]
-        acc = ZERO
-        for k in range(n - 1):
-            acc = acc + im[k][k]
-            coords.append(acc)
-        return coords
-
-    def ccomm(A, B):
-        (ar, ai), (br, bi) = A, B
-        rr, ri = _zeros(n), _zeros(n)
-        for i in range(n):
-            for k in range(n):
-                for sign, (xr, xi), (yr, yi) in ((1, (ar, ai), (br, bi)), (-1, (br, bi), (ar, ai))):
-                    a, b = xr[i][k], xi[i][k]
-                    if a or b:
-                        for j in range(n):
-                            rr[i][j] += sign * (a * yr[k][j] - b * yi[k][j])
-                            ri[i][j] += sign * (a * yi[k][j] + b * yr[k][j])
-        return rr, ri
-
-    def bracket_coords(a, b):
-        return extract(ccomm(cmats[a], cmats[b]))
-
-    def realify(pair):
-        re, im = pair
+    def realify(re, im):
         R = _zeros(2 * n)
         for i in range(n):
             for j in range(n):
@@ -176,13 +110,26 @@ def _build_su(n: int) -> _Factor:
                 R[2 * i + 1][2 * j] = im[i][j]
         return tuple(tuple(r) for r in R)
 
-    dim = n * n - 1
-    return _Factor(
-        dim,
-        tuple(labels),
-        _entries_from_brackets(dim, bracket_coords),
-        tuple(realify(pair) for pair in cmats),
-    )
+    mats = []
+    labels = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = _zeros(n)
+            re[i][j], re[j][i] = ONE, -ONE
+            mats.append(realify(re, _zeros(n)))
+            labels.append(f"A{i + 1}{j + 1}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            im = _zeros(n)
+            im[i][j], im[j][i] = ONE, ONE
+            mats.append(realify(_zeros(n), im))
+            labels.append(f"S{i + 1}{j + 1}")
+    for k in range(n - 1):
+        im = _zeros(n)
+        im[k][k], im[k + 1][k + 1] = ONE, -ONE
+        mats.append(realify(_zeros(n), im))
+        labels.append(f"D{k + 1}")
+    return _Factor(tuple(labels), tuple(mats))
 
 
 def _build_abelian(d: int) -> _Factor:
@@ -191,20 +138,13 @@ def _build_abelian(d: int) -> _Factor:
         M = _zeros(2 * d)
         M[2 * t][2 * t + 1], M[2 * t + 1][2 * t] = -ONE, ONE
         mats.append(tuple(tuple(r) for r in M))
-    return _Factor(d, tuple(f"Z{t + 1}" for t in range(d)), (), tuple(mats))
+    return _Factor(tuple(f"Z{t + 1}" for t in range(d)), tuple(mats))
 
 
 def _direct_sum(parts: list[_Factor]) -> _Factor:
     if len(parts) == 1:
         return parts[0]
-    dim = sum(p.dim for p in parts)
-    labels = []
-    entries = []
-    offset = 0
-    for t, p in enumerate(parts):
-        labels.extend(f"{lbl}_{t + 1}" for lbl in p.labels)
-        entries.extend((i + offset, j + offset, k + offset, c) for i, j, k, c in p.entries)
-        offset += p.dim
+    labels = [f"{lbl}_{t + 1}" for t, p in enumerate(parts) for lbl in p.labels]
     sizes = [len(p.basis_mats[0]) for p in parts]
     total = sum(sizes)
     mats = []
@@ -217,7 +157,7 @@ def _direct_sum(parts: list[_Factor]) -> _Factor:
                     M[off_mat + i][off_mat + j] = B[i][j]
             mats.append(tuple(tuple(r) for r in M))
         off_mat += sizes[t]
-    return _Factor(dim, tuple(labels), tuple(entries), tuple(mats))
+    return _Factor(tuple(labels), tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +258,7 @@ def construct(name: str) -> CatalogEntry:
             raise UnknownName(f"diagonal pairing needs equal factors, got {name}")
         _check_range(n, low=3)
         part = _build_so(n)
-        factor = _direct_sum([part, part])
-        algebra = make_lie_algebra(factor.dim, factor.entries, factor.labels)
-        h = _diagonal_subspace(part.dim)
-        return _finish(name, algebra, h, factor)
+        return _finish(name, _direct_sum([part, part]), _diagonal_subspace(len(part.labels)))
     elif m := re.fullmatch(r"so(\d+)so(\d+)_mod_second_factor", name):
         n, n2 = int(m.group(1)), int(m.group(2))
         if n != n2:
@@ -329,7 +266,7 @@ def construct(name: str) -> CatalogEntry:
         _check_range(n, low=3)
         part = _build_so(n)
         factor = _direct_sum([part, part])
-        h_indices = list(range(part.dim, 2 * part.dim))
+        h_indices = list(range(len(part.labels), 2 * len(part.labels)))
     elif m := re.fullmatch(r"r(\d+)_mod_0", name):
         d = int(m.group(1))
         _check_range(d, low=1)
@@ -340,15 +277,13 @@ def construct(name: str) -> CatalogEntry:
         h_indices = []
     else:
         raise UnknownName(f"no catalog family matches {name!r}")
-    algebra = make_lie_algebra(factor.dim, factor.entries, factor.labels)
-    h = _unit_rows(factor.dim, h_indices)
-    return _finish(name, algebra, h, factor)
+    return _finish(name, factor, _unit_rows(len(factor.labels), h_indices))
 
 
-def _finish(name: str, algebra: LieAlgebra, h: SubspaceBasis, factor: _Factor) -> CatalogEntry:
-    realization = make_matrix_realization(algebra, factor.basis_mats)
+def _finish(name: str, factor: _Factor, h: SubspaceBasis) -> CatalogEntry:
+    realization = make_matrix_realization(factor.basis_mats, factor.labels)
     expected = _expected_table().get(name, {})
-    return CatalogEntry(name, algebra, h, MetricSpec(), expected, realization)
+    return CatalogEntry(name, realization.algebra, h, MetricSpec(), expected, realization)
 
 
 def catalog_names() -> tuple[str, ...]:

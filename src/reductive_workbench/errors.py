@@ -93,11 +93,19 @@ class ParamOutOfRange(WorkbenchError):
 
 
 class SpecFileError(WorkbenchError):
-    """Input specification file is malformed; message carries the position."""
+    """Input specification file is malformed; message carries the position.
+
+    Messages may echo input values, so they are cut at MESSAGE_CAP characters
+    before the position is prefixed.
+    """
+
+    MESSAGE_CAP = 200
 
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
+        if len(message) > self.MESSAGE_CAP:
+            message = message[: self.MESSAGE_CAP] + "…"
         if line is not None:
             message = f"line {line}, column {column}: {message}"
         super().__init__(message)

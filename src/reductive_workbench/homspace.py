@@ -42,8 +42,6 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
-    charpoly,
-    factor_poly,
     identity,
     is_scalar_matrix,
     kernel,
@@ -52,8 +50,7 @@ from .linalg import (
     mat_scale,
     matmul,
     matvec,
-    poly_eval_matrix,
-    poly_mul,
+    primary_kernels,
     rat,
     stack,
     transpose,
@@ -419,15 +416,17 @@ class ProbeResult:
 
     verdict: str  # "irreducible" | "reducible" | "inconclusive"
     invariant_subspace: SubspaceBasis | None = None
-    commutant_dim: int = 0
+    commutant_dim: int | None = 0  # None when the fixed set decided without it
 
 
 def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     """Search for a proper invariant subspace of the isotropy action on m.
 
-    Factors characteristic polynomials of commutant elements over Q. A trivial
-    commutant certifies irreducibility; a rational factor yields a reducibility
-    witness; otherwise the probe stays honest and reports inconclusive.
+    A proper nonzero fixed set m^h is invariant and decides "reducible" before
+    any commutant is solved (`commutant_dim` is then None). Otherwise a
+    trivial commutant certifies irreducibility, and a proper primary component
+    of a commutant element over Q is a reducibility witness; failing both the
+    probe stays honest and reports inconclusive.
     """
     if not pair.flags.reductive:
         raise NotReductive("irreducibility probe needs a reductive pair")
@@ -435,19 +434,15 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     if m.dim == 0:
         return ProbeResult("irreducible", None, 0)
     fixed = isotropy_fixed_subspace(pair)
-    basis = commutant(pair.table.ad_h, m.dim)
     if 0 < fixed.dim < m.dim:
-        return ProbeResult("reducible", fixed, len(basis))
+        return ProbeResult("reducible", fixed, None)
+    basis = commutant(pair.table.ad_h, m.dim)
     if len(basis) == 1:
         return ProbeResult("irreducible", None, 1)
     for T in basis:
         if is_scalar_matrix(T):
             continue
-        for fac, mult in factor_poly(charpoly(T)):
-            power = fac
-            for _ in range(mult - 1):
-                power = poly_mul(power, fac)
-            ker = kernel(poly_eval_matrix(power, T), m.dim)
+        for ker in primary_kernels(T):
             if 0 < len(ker) < m.dim:
                 witness = SubspaceBasis.from_vectors(
                     pair.algebra.dim, [pair.from_m_coords(t) for t in ker]

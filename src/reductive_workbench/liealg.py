@@ -26,16 +26,13 @@ from .linalg import (
     Vector,
     ZERO,
     dot,
-    factor_poly,
     identity,
     is_scalar_matrix,
     kernel,
     coords_in_rref,
     matmul,
     matvec,
-    minpoly,
-    poly_eval_matrix,
-    poly_mul,
+    primary_kernels,
     rat,
     rref,
     signature,
@@ -482,26 +479,14 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
     for T in centroid:
         if is_scalar_matrix(T):
             continue
-        mp = minpoly(T)
-        factors = factor_poly(mp)
-        if len(factors) == 1 and factors[0][1] == 1:
-            continue  # irreducible minimal polynomial: no rational split from T
-        pieces = []
-        for fac, mult in factors:
-            power = fac
-            for _ in range(mult - 1):
-                power = poly_mul(power, fac)
-            ker = kernel(poly_eval_matrix(power, T), piece.dim)
-            sub = SubspaceBasis.from_vectors(
-                L.dim, [matvec(basis_t, t) for t in ker]
-            )
-            if sub.dim:
-                pieces.append(sub)
-        if len(pieces) >= 2:
-            out: list[SubspaceBasis] = []
-            for p in pieces:
-                out.extend(_split_semisimple(L, p, killing))
-            return out
+        kernels = primary_kernels(T)
+        if len(kernels) < 2:
+            continue  # one primary component: no rational split from T
+        out: list[SubspaceBasis] = []
+        for ker in kernels:
+            sub = SubspaceBasis.from_vectors(L.dim, [matvec(basis_t, t) for t in ker])
+            out.extend(_split_semisimple(L, sub, killing))
+        return out
     # No rational idempotent found: the piece is simple over Q.
     return [piece]
 

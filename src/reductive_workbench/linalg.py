@@ -253,29 +253,6 @@ def charpoly(A: Matrix) -> tuple[Fraction, ...]:
     return tuple(reversed(coeffs_high_to_low))
 
 
-def minpoly(A: Matrix) -> tuple[Fraction, ...]:
-    """Monic minimal polynomial via the first linear dependence among powers of A."""
-    n = len(A)
-    flat_powers = [tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))]
-    P = identity(n)
-    for _ in range(n):
-        P = matmul(A, P)
-        flat_powers.append(tuple(x for row in P for x in row))
-        cols = len(flat_powers)
-        system = tuple(
-            tuple(flat_powers[c][r] for c in range(cols)) for r in range(n * n)
-        )
-        ker = kernel(system, cols)
-        if ker:
-            rel = ker[0]
-            lead = rel[cols - 1]
-            # first dependence: the top power must participate
-            if lead == 0:
-                raise AssertionError("first dependence among matrix powers omits the top power")
-            return tuple(c / lead for c in rel)
-    raise AssertionError("no dependence among matrix powers up to the dimension")
-
-
 def is_scalar_matrix(A: Matrix) -> bool:
     """True when A is a multiple of the identity."""
     n = len(A)
@@ -321,4 +298,20 @@ def factor_poly(coeffs: Sequence[Fraction]) -> tuple[tuple[tuple[Fraction, ...],
         )
         out.append((cs, int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return tuple(out)
+
+
+def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:
+    """Kernel of f(A)^k for each irreducible factor f^k of charpoly(A), in
+    `factor_poly` order: the primary decomposition of Q^n under A.
+
+    The kernels are A-invariant and Q^n is their direct sum; each is the
+    generalized eigenspace of f, so a higher exponent gives the same kernel.
+    """
+    out = []
+    for fac, mult in factor_poly(charpoly(A)):
+        power = fac
+        for _ in range(mult - 1):
+            power = poly_mul(power, fac)
+        out.append(kernel(poly_eval_matrix(power, A), len(A)))
     return tuple(out)

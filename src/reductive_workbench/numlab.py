@@ -1,21 +1,25 @@
-"""Floating-point matrix laboratory for independent numeric sanity checks.
+"""Matrix realizations, and a floating-point lab for numeric sanity checks.
 
-Floats live only in this module; the exact engine never consumes a numeric
-result. A matrix realization stores exact rational basis matrices, and its
-commutators are checked against the algebra's structure table by exact
-equality before anything is flattened to floats.
+`make_matrix_realization` is the one route from exact antisymmetric basis
+matrices to an algebra: the commutator of each basis pair, read in the span
+of the basis, gives the structure constants, and `make_lie_algebra` checks
+Jacobi on them. Floats live only in the lab functions below; the exact
+engine never consumes a numeric result, and numpy is imported only when a
+float function runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonFinite, NotInFixedSubspace, NotInM
-from .liealg import LieAlgebra
-from .linalg import Matrix, Vector, ZERO
+from .liealg import LieAlgebra, make_lie_algebra
+from .linalg import Matrix, Vector, ZERO, coords_in_rref, identity, rref
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOLERANCE = 1e-9
 
@@ -42,32 +46,56 @@ class MatrixRealization:
         return tuple(tuple(r) for r in out)
 
     def to_float(self, X: Vector) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.to_matrix(X)])
 
 
-def make_matrix_realization(algebra: LieAlgebra, basis_matrices) -> MatrixRealization:
-    """Validate that matrix commutators reproduce the brackets exactly."""
-    mats = tuple(tuple(tuple(x for x in row) for row in B) for B in basis_matrices)
-    if len(mats) != algebra.dim:
-        raise ValueError("one basis matrix per basis vector required")
-    n = len(mats[0])
+def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
+    """Derive the algebra spanned by exact antisymmetric basis matrices.
+
+    The matrices must be linearly independent and their span closed under
+    the commutator. [B_i, B_j] is computed once per pair i < j, and its
+    coordinates in the basis are the structure constants; `make_lie_algebra`
+    then checks Jacobi. Raises ValueError for a matrix that is not
+    antisymmetric, for dependent matrices and for a commutator outside the
+    span.
+    """
+    mats = tuple(tuple(tuple(row) for row in B) for B in basis_matrices)
+    dim = len(mats)
+    n = len(mats[0]) if mats else 0
     for B in mats:
         for i in range(n):
             for j in range(n):
                 if B[i][j] != -B[j][i]:
                     raise ValueError("realization matrices must be antisymmetric")
-    from .linalg import rank
+    # an antisymmetric matrix is determined by its strict upper triangle
+    width = n * (n - 1) // 2
 
-    flattened = tuple(tuple(x for row in B for x in row) for B in mats)
-    if rank(flattened, n * n) != algebra.dim:
-        raise ValueError("realization must embed the algebra faithfully")
-    real = MatrixRealization(algebra, n, mats)
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            comm = commutator(mats[i], mats[j])
-            if comm != real.to_matrix(algebra.bracket_basis(i, j)):
-                raise ValueError(f"commutator of basis pair {(i, j)} disagrees with the bracket")
-    return real
+    def upper(M: Matrix) -> Vector:
+        return tuple(M[i][j] for i in range(n) for j in range(i + 1, n))
+
+    # Rows [upper(B_a) | e_a]: the matrices are independent iff every pivot
+    # falls in the left block, and the right block maps echelon coordinates
+    # back to basis coordinates.
+    red, pivots = rref([upper(B) + e for B, e in zip(mats, identity(dim))], width + dim)
+    if pivots and pivots[-1] >= width:
+        raise ValueError("realization matrices must be linearly independent")
+    echelon = tuple(row[:width] for row in red)
+    back = tuple(tuple((k, x) for k, x in enumerate(row[width:]) if x) for row in red)
+    entries = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            y = coords_in_rref(echelon, pivots, upper(commutator(mats[i], mats[j])))
+            if y is None:
+                raise ValueError(f"commutator of basis pair {(i, j)} leaves the span")
+            coords = [ZERO] * dim
+            for c, terms in zip(y, back):
+                if c:
+                    for k, x in terms:
+                        coords[k] += c * x
+            entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+    return MatrixRealization(make_lie_algebra(dim, entries, labels), n, mats)
 
 
 def commutator(A: Matrix, B: Matrix) -> Matrix:
@@ -94,6 +122,8 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
     times. For skew-symmetric input the result is orthogonal to well below
     the lab tolerance at desk scale.
     """
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
@@ -112,6 +142,8 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
 
 
 def orthogonality_residual(R: np.ndarray) -> float:
+    import numpy as np
+
     n = R.shape[0]
     return float(np.abs(R.T @ R - np.eye(n)).max())
 
@@ -131,6 +163,8 @@ def flow_commutation_check(entry, X: Vector, Y: Vector, t: float, s: float) -> f
         raise NotInFixedSubspace("X must be an isotropy-fixed direction of m")
     if not pair.m.contains_vector(tuple(Y)):
         raise NotInM("Y must lie in m")
+    import numpy as np
+
     real = entry.realization
     Xf = real.to_float(X)
     Yf = real.to_float(Y)
@@ -145,6 +179,8 @@ def isotropy_commutation_residual(entry, X: Vector, u: float = 1.0) -> float:
     of [h, X] = 0 for carrier directions."""
     if not entry.fixed_subspace.contains_vector(tuple(X)):
         raise NotInFixedSubspace("X must be an isotropy-fixed direction of m")
+    import numpy as np
+
     real = entry.realization
     base = matrix_exp(real.to_float(X))
     worst = 0.0

@@ -23,6 +23,8 @@ from reductive_workbench.homspace import (
 from reductive_workbench.liealg import is_subalgebra, killing_form
 from reductive_workbench.report import run_report
 
+from test_liealg import so_algebra
+
 
 @pytest.fixture(params=CURATED_NAMES)
 def entry(request):
@@ -100,6 +102,13 @@ def test_su3_su2_corner_is_subalgebra_with_fixed_line():
     fixed = e.fixed_subspace.rows[0]
     for r in e.h.rows:
         assert e.algebra.bracket(r, fixed) == tuple(0 for _ in range(8))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_so_family_matches_oracle_algebra(n):
+    # the catalog reads so(n) off its realization; the oracle path extracts
+    # commutator coordinates on its own
+    assert construct(f"so{n}_mod_0").algebra == so_algebra(n)
 
 
 def test_realizations_expose_exact_skew_matrices(entry):

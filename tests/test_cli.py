@@ -307,6 +307,32 @@ def test_cli_malformed_file_is_one_positioned_error(tmp_path, content):
     assert proc.stdout == ""
 
 
+def test_cli_long_input_value_is_cut_in_the_error(tmp_path):
+    doc = json.loads((DATA / "so3_sphere.json").read_text())
+    doc["brackets"][0][3] = "x" * 100000
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps(doc))
+    proc = _run_module("-m", "reductive_workbench", str(spec))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line ")
+    assert "column" in lines[0]
+    assert len(lines[0].encode()) < 300
+    assert proc.stdout == ""
+
+
+def test_exact_analysis_does_not_import_numpy():
+    code = (
+        "import sys\n"
+        "from reductive_workbench.cli import main\n"
+        "main(['--catalog', 'so4_mod_so2', '--json'])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_module("-c", code)
+    assert proc.returncode == 0
+    assert proc.stderr == "False\n"
+
+
 def test_golden_report_under_optimize_flag():
     # python -O strips asserts; every verdict must come from explicit checks
     proc = _run_module("-O", "-m", "reductive_workbench", "--catalog", "so4_mod_so2", "--json")

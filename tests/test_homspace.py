@@ -289,6 +289,7 @@ def test_probe_so4_mod_so2_reducible_via_fixed_line():
     res = isotropy_irreducibility_probe(so4_mod_so2_pair())
     assert res.verdict == "reducible"
     assert res.invariant_subspace == unit_subspace(6, [5])
+    assert res.commutant_dim is None  # the fixed line decides; no commutant is solved
 
 
 def test_probe_trivial_isotropy_reducible():

@@ -15,8 +15,8 @@ from reductive_workbench.linalg import (
     mat_inverse,
     matmul,
     matvec,
-    minpoly,
     poly_eval_matrix,
+    primary_kernels,
     rat,
     rref,
     signature,
@@ -104,14 +104,12 @@ def test_signature_known_cases(gram, expected):
     assert signature(linalg.matrix(gram)) == expected
 
 
-def test_charpoly_and_minpoly_known():
+def test_charpoly_known():
     J = linalg.matrix([[0, -1], [1, 0]])  # rotation generator: x^2 + 1
     assert charpoly(J) == (rat(1), rat(0), rat(1))
-    assert minpoly(J) == (rat(1), rat(0), rat(1))
     N = linalg.matrix([[0, 1], [0, 0]])  # nilpotent: x^2
     assert charpoly(N) == (rat(0), rat(0), rat(1))
-    D = linalg.matrix([[2, 0], [0, 2]])  # scalar: min poly degree 1
-    assert minpoly(D) == (rat(-2), rat(1))
+    D = linalg.matrix([[2, 0], [0, 2]])
     assert charpoly(D) == (rat(4), rat(-4), rat(1))
 
 
@@ -135,11 +133,15 @@ def test_factor_poly_splits_and_orders():
 
 @settings(max_examples=30)
 @given(small_matrix(3, 3))
-def test_minpoly_annihilates(rows):
+def test_primary_kernels_split_invariantly(rows):
+    # the primary kernels are A-invariant and Q^n is their direct sum
     A = linalg.matrix(rows)
-    mp = minpoly(A)
-    Z = poly_eval_matrix(mp, A)
-    assert all(x == 0 for row in Z for x in row)
+    kernels = primary_kernels(A)
+    assert sum(len(K) for K in kernels) == len(A)
+    assert len(rref([v for K in kernels for v in K], len(A))[0]) == len(A)
+    for K in kernels:
+        for v in K:
+            assert coords_in_rref(K, rref(K, len(A))[1], matvec(A, v)) is not None
 
 
 # --- zero-skipping kernels against the dense oracles -----------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.errors import NonFinite, NotInFixedSubspace, NotInM
-from reductive_workbench.liealg import make_lie_algebra
 from reductive_workbench.linalg import rat, vector
 from reductive_workbench.numlab import (
     TOLERANCE,
@@ -15,8 +14,6 @@ from reductive_workbench.numlab import (
     matrix_exp,
     orthogonality_residual,
 )
-
-from test_liealg import CYCLIC_SO3
 
 
 def test_exp_of_zero_is_identity():
@@ -57,18 +54,18 @@ def test_exp_rejects_non_finite():
 
 
 def test_realization_rejects_wrong_commutators():
-    L = make_lie_algebra(3, CYCLIC_SO3)
-    bad = [np.zeros((3, 3), dtype=object) for _ in range(3)]
     flat = [[[rat(0)] * 3 for _ in range(3)] for _ in range(3)]
     with pytest.raises(ValueError):
-        make_matrix_realization(L, flat)  # zero matrices do not realize so(3)
+        make_matrix_realization(flat)  # zero matrices are dependent
+    E12, E13, _E23 = construct("so3_mod_0").realization.basis_matrices
+    with pytest.raises(ValueError, match="leaves the span"):
+        make_matrix_realization([E12, E13])  # [E12, E13] = -E23 is missing
 
 
 def test_realization_rejects_non_skew():
-    L = make_lie_algebra(2, [])
     mats = [[[rat(1), rat(0)], [rat(0), rat(0)]], [[rat(0), rat(0)], [rat(0), rat(0)]]]
     with pytest.raises(ValueError):
-        make_matrix_realization(L, mats)
+        make_matrix_realization(mats)
 
 
 def test_flow_commutation_on_so4_mod_so2():
