@@ -154,7 +154,9 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
             value = vneg(pair.from_m_coords(pair.table.m_bracket(in_m[a], in_m[b])))
             coords = carrier.coords_of(value)
             if coords is None:
-                raise ClosureFailure((a, b, value))
+                raise ClosureFailure(
+                    TripleWitness((a, b, -1), ZERO), "invariant-field carrier is not bracket-closed"
+                )
             entries.extend((a, b, k, c) for k, c in enumerate(coords) if c)
     algebra = make_lie_algebra(
         carrier.dim, entries, [f"k{a + 1}" for a in range(carrier.dim)]

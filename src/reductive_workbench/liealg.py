@@ -21,6 +21,7 @@ from .errors import (
     NotCompactType,
 )
 from .linalg import (
+    EchelonBasis,
     Matrix,
     ONE,
     Vector,
@@ -402,17 +403,24 @@ def largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
     return current
 
 
-def _ideal_closure(L: LieAlgebra, seed_vectors: Sequence[Vector]) -> SubspaceBasis:
-    """Smallest ideal of L containing the seed vectors."""
-    current = SubspaceBasis.from_vectors(L.dim, seed_vectors)
-    while True:
-        new_vecs = [
-            L.bracket(_unit(L.dim, i), v) for i in range(L.dim) for v in current.rows
-        ]
-        grown = current.sum_with(SubspaceBasis.from_vectors(L.dim, new_vecs))
-        if grown.dim == current.dim:
-            return current
-        current = grown
+def _ideal_closure(L: LieAlgebra, seed: Vector, piece: SubspaceBasis) -> SubspaceBasis:
+    """Smallest ideal of L containing the seed, a vector of the ideal `piece`.
+
+    A worklist over an echelon basis: each vector that joins the basis is
+    bracketed with e_1, ..., e_n once (the rows of ad(v)^T), and each bracket
+    that does not reduce to zero joins the basis. The search ends when the
+    basis reaches dim piece: the ideal is then the whole piece.
+    """
+    basis = EchelonBasis()
+    basis.add(seed)
+    queue = [seed]
+    while queue and basis.dim < piece.dim:
+        for w in transpose(L.ad(queue.pop())):
+            if basis.add(w):
+                queue.append(w)
+    if basis.dim == piece.dim:
+        return piece
+    return SubspaceBasis.from_vectors(L.dim, basis.rows)
 
 
 def _generating_rows(L: LieAlgebra, piece: SubspaceBasis) -> Matrix:
@@ -430,19 +438,20 @@ def commutant(mats: Sequence[Matrix], r: int) -> tuple[Matrix, ...]:
     """Basis of {T : T A = A T for every A in mats}, all r x r over Q.
 
     Unknowns T[p][q] are flattened row-major; the linear system lists the
-    entries (T A - A T)[a][b] matrix by matrix, row-major, and this order
-    fixes the elimination cost on dense input.
+    entries (T A - A T)[a][b] matrix by matrix, row-major, each as a sparse
+    {unknown: coefficient} row with at most 2r entries.
     """
     system_rows = []
     for A in mats:
+        cols = [[(c, A[c][b]) for c in range(r) if A[c][b]] for b in range(r)]
+        rows = [[(c, x) for c, x in enumerate(A[a]) if x] for a in range(r)]
         for a in range(r):
             for b in range(r):
-                coeffs = [ZERO] * (r * r)
-                for c in range(r):
-                    coeffs[a * r + c] += A[c][b]
-                    coeffs[c * r + b] -= A[a][c]
-                system_rows.append(tuple(coeffs))
-    flat_basis = kernel(tuple(system_rows), r * r) if system_rows else identity(r * r)
+                coeffs = {a * r + c: x for c, x in cols[b]}
+                for c, x in rows[a]:
+                    coeffs[c * r + b] = coeffs.get(c * r + b, ZERO) - x
+                system_rows.append(coeffs)
+    flat_basis = kernel(system_rows, r * r) if mats else identity(r * r)
     return tuple(
         tuple(tuple(flat[p * r + q] for q in range(r)) for p in range(r))
         for flat in flat_basis
@@ -455,7 +464,7 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
     # Cheap route: the minimal ideal generated by a basis vector, split off its
     # Killing-orthogonal complement (also an ideal; the form is definite here).
     for row in piece.rows:
-        ideal = _ideal_closure(L, [row])
+        ideal = _ideal_closure(L, row, piece)
         if ideal.dim < piece.dim:
             comp_system = tuple(matvec(killing.gram, s) for s in ideal.rows)
             basis_t = transpose(piece.rows)

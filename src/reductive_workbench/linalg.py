@@ -3,17 +3,28 @@
 Every scalar is a `fractions.Fraction`; nothing here rounds or approximates.
 Vectors are tuples of Fractions, matrices are tuples of row vectors.
 
-The kernels skip zeros: `dot` (and through it `matvec`, `matmul` and the
-bilinear forms) multiplies only pairs of nonzero entries, and `rref`,
-`kernel` and `coords_in_rref` touch only the support (nonzero columns) of
-the row being subtracted. They return the same Fraction values in the same
-row order as the dense loops they replace, every entry still a Fraction, and
-there is no dense fallback beside them.
+The kernels skip zeros: `dot`, `matvec`, `matmul` and the bilinear forms
+multiply only pairs of nonzero entries, and `rref` and `coords_in_rref` touch
+only the support (nonzero columns) of the row being subtracted. They return
+the same Fraction values in the same row order as the dense loops they
+replace, every entry still a Fraction.
+
+`kernel` takes dense rows or sparse {column: value} rows. It scales each row
+to integers and eliminates the residues mod PRIME = 2^61 - 1 with sparse
+rows, lifts one candidate null vector per free column by rational
+reconstruction, and certifies the candidates exactly: every row of A times
+every candidate is zero. The rank over Q is at least the rank mod PRIME, so
+certified candidates span the exact kernel. A denominator divisible by
+PRIME, a residue beyond the reconstruction bound or a failed certificate
+sends the system to the exact eliminator `_exact_kernel` instead. Either way
+the result is the rref of the kernel, which is unique, so both routes return
+the same bytes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -22,6 +33,9 @@ Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+PRIME = 2**61 - 1  # the one prime of `kernel`
+RECONSTRUCTION_BOUND = 2**30  # |numerator| and denominator of a lifted residue
 
 
 def rat(x) -> Fraction:
@@ -80,8 +94,19 @@ def matvec(A: Matrix, v: Vector) -> Vector:
 
 
 def matmul(A: Matrix, B: Matrix) -> Matrix:
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
+    """A B, each row of A combining the nonzero entries of the rows of B it
+    has a nonzero coefficient for."""
+    ncols = len(B[0]) if B else 0
+    supports = [[(k, b) for k, b in enumerate(row) if b] for row in B]
+    out = []
+    for row in A:
+        acc = [ZERO] * ncols
+        for a, support in zip(row, supports, strict=True):
+            if a:
+                for k, b in support:
+                    acc[k] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
@@ -147,9 +172,53 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
-def kernel(A: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
-    """Canonical (rref) basis of the right kernel {x : A x = 0}."""
-    red, pivots = rref(A, ncols)
+def kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> Matrix:
+    """Canonical (rref) basis of the right kernel {x : A x = 0}.
+
+    Rows are dense sequences or sparse {column: value} dicts. The kernel is
+    found mod PRIME, lifted by rational reconstruction and certified exactly;
+    if any of the three steps fails, `_exact_kernel` solves the system instead.
+    """
+    int_rows: list[dict[int, int]] = []
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row's other entries
+    for row in A:
+        int_row = _integer_row(row)
+        if int_row is None:
+            return _exact_kernel(A, ncols)
+        int_rows.append(int_row)
+        _add_row_mod_p(pivots, int_row)
+        if len(pivots) == ncols:
+            return ()  # rank over Q is at least the rank mod p
+    candidates = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for p, prow in pivots.items():
+            x = prow.get(f)
+            if x is not None:
+                value = _reconstruct(PRIME - x)
+                if value is None:
+                    return _exact_kernel(A, ncols)
+                v[p] = value
+        candidates.append(tuple(v))
+    if not _annihilates(int_rows, candidates):
+        return _exact_kernel(A, ncols)
+    return rref(candidates, ncols)[0]
+
+
+def _exact_kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> Matrix:
+    """The exact eliminator behind `kernel`: rref of A, then of the null vectors."""
+    dense = []
+    for row in A:
+        if isinstance(row, dict):
+            full = [ZERO] * ncols
+            for c, x in row.items():
+                full[c] = x
+            row = full
+        dense.append(row)
+    red, pivots = rref(dense, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -160,6 +229,110 @@ def kernel(A: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
             v[p] = -row[f]
         basis.append(tuple(v))
     return rref(basis, ncols)[0]
+
+
+def _integer_row(row) -> dict[int, int] | None:
+    """The row's nonzero entries times the lcm of their denominators, or None
+    when a denominator is divisible by PRIME."""
+    entries = [(c, x) for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+    scale = 1
+    for _, x in entries:
+        d = x.denominator
+        if d != 1:
+            if d % PRIME == 0:
+                return None
+            scale = lcm(scale, d)
+    if scale == 1:
+        return {c: x.numerator for c, x in entries}
+    return {c: x.numerator * (scale // x.denominator) for c, x in entries}
+
+
+def _add_row_mod_p(pivots: dict[int, dict[int, int]], int_row: dict[int, int]) -> None:
+    """Reduce the row mod PRIME against the pivot rows and keep a nonzero
+    remainder as a new pivot row; every pivot row stays fully reduced, so a
+    row needs one pass over the pivot columns in its support."""
+    row = {c: r for c, x in int_row.items() if (r := x % PRIME)}
+    for c in [c for c in row if c in pivots]:
+        _axpy_mod_p(row, row.pop(c), pivots[c])
+    if not row:
+        return
+    p = min(row)
+    inv = pow(row.pop(p), -1, PRIME)
+    row = {c: x * inv % PRIME for c, x in row.items()}
+    for prow in pivots.values():
+        f = prow.pop(p, None)
+        if f is not None:
+            _axpy_mod_p(prow, f, row)
+    pivots[p] = row
+
+
+def _axpy_mod_p(row: dict[int, int], f: int, other: dict[int, int]) -> None:
+    """row -= f * other, mod PRIME, dropping entries that become zero."""
+    for c, x in other.items():
+        y = (row.get(c, 0) - f * x) % PRIME
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
+
+
+def _reconstruct(a: int) -> Fraction | None:
+    """The n/d with n = a d mod PRIME and |n|, d < RECONSTRUCTION_BOUND, or
+    None (Wang's half extended Euclid)."""
+    r0, r1, s0, s1 = PRIME, a, 0, 1
+    while r1 >= RECONSTRUCTION_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) >= RECONSTRUCTION_BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _annihilates(int_rows: list[dict[int, int]], candidates: list[Vector]) -> bool:
+    """Exact certificate: every row times every candidate is zero, each row
+    walked over its support (candidates scaled to integers first)."""
+    for v in candidates:
+        scale = lcm(*(x.denominator for x in v if x))
+        w = {c: x.numerator * (scale // x.denominator) for c, x in enumerate(v) if x}
+        for row in int_rows:
+            small, big = (row, w) if len(row) <= len(w) else (w, row)
+            if sum(x * big.get(c, 0) for c, x in small.items()):
+                return False
+    return True
+
+
+class EchelonBasis:
+    """A growing echelon basis of a subspace of Q^n.
+
+    Each row is scaled to 1 at its pivot and has zeros at the pivots of the
+    rows before it, so reducing against the rows in order clears every pivot.
+    """
+
+    def __init__(self):
+        self.rows: list[Vector] = []
+        self._reducers: list[tuple[int, list[tuple[int, Fraction]]]] = []  # (pivot, support)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence[Fraction]) -> bool:
+        """Reduce v against the basis; a nonzero remainder joins it (True)."""
+        residual = list(v)
+        for p, support in self._reducers:
+            c = residual[p]
+            if c:
+                for k, x in support:
+                    residual[k] -= c * x
+        pivot = next((k for k, x in enumerate(residual) if x), None)
+        if pivot is None:
+            return False
+        inv = residual[pivot]
+        row = tuple(x / inv if x else ZERO for x in residual)
+        self.rows.append(row)
+        self._reducers.append((pivot, [(k, x) for k, x in enumerate(row) if x]))
+        return True
 
 
 def coords_in_rref(rows: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector | None:

@@ -5,7 +5,8 @@ The stdlib decoder parses it, with hooks on its containers that record where
 every value starts and cap the nesting, so that syntax errors, schema
 violations and semantic errors (bad indices, malformed rationals) all carry a
 line and column. Bracket indices in files are 1-based, matching the basis
-listing; the Python API stays 0-based.
+listing; the Python API stays 0-based. A basis longer than MAX_DIM (63, the
+dimension of su(8)) is rejected at `basis` before any analysis starts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ Path = tuple
 # Far above the schema's own depth of 4; the containers check it, so the
 # position of the error does not depend on the caller's stack.
 MAX_NESTING = 32
+MAX_DIM = 63  # dim su(8), the largest algebra the engine is sized for
 
 
 def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
@@ -160,6 +162,13 @@ def parse_space_spec(text: str) -> SpaceSpec:
         raise SpecFileError(err.message, line, col)
 
     labels = tuple(doc["basis"])
+    if len(labels) > MAX_DIM:
+        line, col = _position_for(positions, ("basis",))
+        raise SpecFileError(
+            f"basis has {len(labels)} labels, more than the desk cap of {MAX_DIM} (su(8))",
+            line,
+            col,
+        )
     if len(set(labels)) != len(labels):
         line, col = _position_for(positions, ("basis",))
         raise SpecFileError("basis labels must be unique", line, col)

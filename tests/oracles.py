@@ -179,3 +179,71 @@ def killing_by_traces(dim, bracket_fn):
     """Killing matrix via dense ad products, independent of sparse bookkeeping."""
     ads = dense_ad_matrices(dim, bracket_fn)
     return [[dense_trace(dense_mul(ads[i], ads[j])) for j in range(dim)] for i in range(dim)]
+
+
+def dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan on dense rows: reduced row-echelon form, zero rows dropped."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        lead = mat[r][c]
+        mat[r] = [x / lead for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return [[F0 + x for x in row] for row in mat[:r]]
+
+
+def dense_kernel(rows, ncols):
+    """Reduced row-echelon basis of {x : A x = 0}, from dense Gauss-Jordan only."""
+    red = dense_rref(rows, ncols)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in red]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F0] * ncols
+        v[f] = F1
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return dense_rref(basis, ncols)
+
+
+def unimodular(n, rng):
+    """P and P^-1 from 3n elementary integer row additions row_i += s * row_j, s = +-1."""
+    P = [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+        for row in Pinv:  # right-multiply by the inverse step: col_j -= s * col_i
+            row[j] -= s * row[i]
+    return P, Pinv
+
+
+def changed_basis_entries(dim, bracket_fn, P, Pinv):
+    """Structure entries (i, j, k, c), i < j, in the basis f_a = sum_i P[a][i] e_i.
+
+    bracket_fn(i, j) gives [e_i, e_j] as a coordinate list in the old basis.
+    """
+    entries = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            old = [F0] * dim
+            for i in range(dim):
+                for j in range(dim):
+                    coef = P[a][i] * P[b][j]
+                    if coef:
+                        for k, c in enumerate(bracket_fn(i, j)):
+                            old[k] += coef * c
+            new = [sum((old[k] * Pinv[k][c] for k in range(dim)), F0) for c in range(dim)]
+            entries.extend((a, b, k, c) for k, c in enumerate(new) if c)
+    return entries

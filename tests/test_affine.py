@@ -12,9 +12,11 @@ from reductive_workbench.affine import (
     transvection_algebra,
     transvection_equals_g_check,
 )
-from reductive_workbench.errors import NotEffective, NotNormal
+from reductive_workbench import affine
+from reductive_workbench.errors import ClosureFailure, NotEffective, NotNormal
 from reductive_workbench.liealg import (
     SubspaceBasis,
+    TripleWitness,
     killing_form,
     make_bilinear_form,
     make_lie_algebra,
@@ -122,6 +124,15 @@ def test_k_bracket_table_closes_and_satisfies_jacobi():
         for b in range(3):
             expected = tuple(-c for c in L.bracket_basis(a, b))
             assert k.algebra.bracket_basis(a, b) == expected
+
+
+def test_unclosed_invariant_field_carrier_raises_a_triple_witness(monkeypatch):
+    # a carrier that is not bracket-closed: span(L1, L2) in so(3), [L1, L2] = L3
+    pair = so3_trivial_pair()
+    monkeypatch.setattr(affine, "isotropy_fixed_subspace", lambda p: unit_subspace(3, [0, 1]))
+    with pytest.raises(ClosureFailure) as info:
+        invariant_field_algebra.__wrapped__(pair)
+    assert info.value.witness == TripleWitness((0, 1, -1), F(0))
 
 
 # --- Killing check ----------------------------------------------------------------
@@ -275,3 +286,4 @@ def test_isometry_report_on_ineffective_pair():
     assert not frag.certified
     assert frag.group_dim is None
     assert any("effective" in c for c in frag.caveats)
+

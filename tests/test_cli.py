@@ -269,11 +269,11 @@ def test_cli_numeric_checks_skipped_for_files(capsys):
     assert body["numeric"]["status"].startswith("skipped")
 
 
-def _run_module(*args):
+def _run_module(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -319,6 +319,27 @@ def test_cli_long_input_value_is_cut_in_the_error(tmp_path):
     assert "column" in lines[0]
     assert len(lines[0].encode()) < 300
     assert proc.stdout == ""
+
+
+def test_cli_basis_beyond_desk_cap_is_one_positioned_error(tmp_path):
+    # an abelian algebra of dim 64 with h = 0: one more than su(8)
+    doc = {
+        "basis": [f"x{i}" for i in range(64)],
+        "brackets": [],
+        "subalgebra": [],
+        "metric": {"mode": "negative_killing"},
+    }
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(doc))
+    proc = _run_module("-m", "reductive_workbench", str(spec), timeout=30)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 1, column ")
+    assert "desk cap" in lines[0]
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    doc["basis"].pop()  # su(8) size is still accepted
+    assert parse_space_spec(json.dumps(doc)).dim == 63
 
 
 def test_exact_analysis_does_not_import_numpy():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,9 +27,10 @@ from reductive_workbench.liealg import (
     simple_ideal_decomposition,
     span_closure,
 )
-from reductive_workbench.linalg import identity, matrix, rat, vector
+from reductive_workbench.linalg import identity, matrix, matvec, rat, transpose, vector
 
 from oracles import (
+    changed_basis_entries,
     commutator,
     cyclic_so3_matrices,
     dense_ad_matrices,
@@ -37,6 +39,7 @@ from oracles import (
     killing_by_traces,
     so_coords,
     so_matrix_basis,
+    unimodular,
 )
 
 F = Fraction
@@ -447,6 +450,22 @@ def test_decomposition_of_so5_is_simple():
     z, ideals = simple_ideal_decomposition(so_algebra(5))
     assert z.dim == 0
     assert [s.dim for s in ideals] == [10]
+
+
+@pytest.mark.parametrize("name", ["so4", "so3so3", "su3"])
+def test_simple_ideals_survive_a_unimodular_change_of_basis(name):
+    L = so3_plus_so3() if name == "so3so3" else kernel_algebra(name)
+    P, Pinv = unimodular(L.dim, random.Random(29))
+    M = make_lie_algebra(L.dim, changed_basis_entries(L.dim, L.bracket_basis, P, Pinv))
+    z, ideals = simple_ideal_decomposition(L)
+    z_new, ideals_new = simple_ideal_decomposition(M)
+
+    def back(sub):  # coordinates c along f_a = sum_i P[a][i] e_i -> c P
+        return SubspaceBasis.from_vectors(L.dim, [matvec(transpose(P), v) for v in sub.rows])
+
+    assert [s.dim for s in ideals_new] == [s.dim for s in ideals]
+    assert back(z_new) == z
+    assert sorted(back(s).rows for s in ideals_new) == sorted(s.rows for s in ideals)
 
 
 # --- zero-skipping bracket and adjoint against the dense oracles -------------------

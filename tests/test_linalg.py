@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench import linalg
+from reductive_workbench import affine, catalog, homspace, linalg
+from reductive_workbench.affine import UserAssertions
+from reductive_workbench.homspace import MetricSpec
 from reductive_workbench.linalg import (
     charpoly,
     coords_in_rref,
@@ -20,9 +23,12 @@ from reductive_workbench.linalg import (
     rat,
     rref,
     signature,
+    transpose,
 )
+from reductive_workbench.report import run_report
+from reductive_workbench.specfile import SpaceSpec
 
-from oracles import dense_mul, gauss_rank
+from oracles import changed_basis_entries, dense_kernel, dense_mul, gauss_rank, unimodular
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -211,3 +217,103 @@ def test_sparse_products_match_dense_oracle(data):
 def test_dot_of_disjoint_supports_is_a_fraction_zero():
     value = dot((Fraction(1), Fraction(0)), (Fraction(0), Fraction(3)))
     assert value == 0 and type(value) is Fraction
+
+
+# --- the certified modular kernel -------------------------------------------------
+
+P = linalg.PRIME
+
+system_entries = st.one_of(
+    st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5)).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-(2**40), 2**40).map(Fraction),
+)
+
+
+def as_dicts(rows, keep_zeros):
+    return [{c: x for c, x in enumerate(row) if keep_zeros or x} for row in rows]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_kernel_matches_dense_oracle_on_dense_and_dict_rows(data):
+    rows_n = data.draw(st.integers(0, 6))
+    cols = data.draw(st.integers(1, 6))
+    entries = data.draw(st.sampled_from((system_entries, small_fractions, sparse_fractions)))
+    rows = [tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols))) for _ in range(rows_n)]
+    expected = tuple(tuple(v) for v in dense_kernel(rows, cols))
+    assert kernel(rows, cols) == expected
+    assert kernel(as_dicts(rows, False), cols) == expected
+    assert kernel(as_dicts(rows, True), cols) == expected
+    assert all_fractions(kernel(as_dicts(rows, False), cols))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_echelon_basis_grows_by_independent_rows(data):
+    rows, cols = sparse_matrix(data)
+    basis = linalg.EchelonBasis()
+    for t, v in enumerate(rows):
+        grows = gauss_rank(rows[: t + 1], cols) > basis.dim
+        assert basis.add(v) == grows
+    assert basis.dim == gauss_rank(rows, cols)
+    assert rref(basis.rows, cols) == rref(rows, cols)
+    assert all_fractions(basis.rows)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    calls = []
+    exact = linalg._exact_kernel
+
+    def spy(A, ncols):
+        calls.append(ncols)
+        return exact(A, ncols)
+
+    monkeypatch.setattr(linalg, "_exact_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # pivot entry p: mod p the first row is (0, 1, 0) and the rank drops
+        [[P, 1, 0], [0, 1, 1]],
+        # denominator p: no residue exists
+        [[Fraction(1, P), 1, 0], [0, 1, 1]],
+        # kernel entry (2^40 + 1)/3: beyond the reconstruction bound
+        [[3, -(2**40 + 1)]],
+    ],
+    ids=["pivot_is_p", "denominator_is_p", "beyond_reconstruction_bound"],
+)
+def test_unlucky_prime_falls_back_to_the_exact_kernel(rows, exact_calls):
+    rows = linalg.matrix(rows)
+    ncols = len(rows[0])
+    expected = tuple(tuple(v) for v in dense_kernel(rows, ncols))
+    assert expected  # a nonzero kernel, so a wrong candidate would show
+    assert kernel(rows, ncols) == expected
+    assert exact_calls == [ncols]
+    assert kernel(as_dicts(rows, False), ncols) == expected
+
+
+def test_report_never_needs_the_exact_kernel(monkeypatch):
+    def refuse(A, ncols):
+        raise AssertionError("the exact fallback kernel was reached")
+
+    monkeypatch.setattr(linalg, "_exact_kernel", refuse)
+    # fresh entries and empty caches, so every kernel of the pipeline runs here
+    homspace.isotropy_fixed_subspace.cache_clear()
+    affine.invariant_field_algebra.cache_clear()
+    for name in catalog.CURATED_NAMES:
+        run_report(catalog.construct.__wrapped__(name))
+    rng = random.Random(5)
+    for name in ("so4so4_mod_diag", "su3_mod_su2"):
+        entry = catalog.construct(name)
+        L, n = entry.algebra, entry.algebra.dim
+        Pm, Pinv = unimodular(n, rng)
+        entries = changed_basis_entries(n, L.bracket_basis, Pm, Pinv)
+        h_rows = tuple(matvec(transpose(linalg.matrix(Pinv)), v) for v in entry.h.rows)  # v P^-1
+        spec = SpaceSpec(n, L.basis_labels, tuple(entries), h_rows, MetricSpec(), UserAssertions())
+        assert run_report(spec).exit_code == 0
+    homspace.isotropy_fixed_subspace.cache_clear()
+    affine.invariant_field_algebra.cache_clear()
