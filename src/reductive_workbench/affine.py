@@ -238,7 +238,10 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
         # then g is abelian with m^h = m = 0, so h = g is an ideal inside h
         raise NotEffective("an effective pair on a nonzero algebra has a nonzero affine algebra")
     labels = [f"g1_{a + 1}" for a in range(g1.dim)] + [f"k{a + 1}" for a in range(k.dim)]
-    assembled = make_lie_algebra(total, entries, labels)
+    # No Jacobi sweep: g1 is a closed subalgebra of the checked g (coords_of
+    # above) and k was checked when it was built. The entries are already
+    # sorted, nonzero and have i < j.
+    assembled = LieAlgebra(total, tuple(labels), tuple(entries))
     # center of g must inject into k through the m-projection
     zg = center(L)
     if zg.dim:

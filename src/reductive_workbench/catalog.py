@@ -32,6 +32,8 @@ from .linalg import Matrix, ONE, ZERO
 from .numlab import MatrixRealization, make_matrix_realization
 
 DESK_CAP = 8
+# a family parameter: ASCII digits in canonical form, so each entry has one name
+_NUM = "([1-9][0-9]*)"
 
 CURATED_NAMES = (
     "so3_mod_so2",
@@ -227,39 +229,41 @@ def _check_range(n: int, low: int = 2) -> None:
 @cache
 def construct(name: str) -> CatalogEntry:
     """Build a catalog entry by name; parametric families are matched by pattern."""
+    if len(name) > 32:  # longer than any family's name; also keeps int() below in range
+        raise UnknownName(f"catalog name of {len(name)} characters matches no family")
     factor: _Factor
-    if m := re.fullmatch(r"so(\d+)_mod_so(\d+)", name):
+    if m := re.fullmatch(f"so{_NUM}_mod_so{_NUM}", name):
         n, k = int(m.group(1)), int(m.group(2))
         _check_range(n, low=3)
         if not 2 <= k < n:
             raise ParamOutOfRange(f"corner so({k}) needs 2 <= k < {n}")
         factor = _build_so(n)
         h_indices = so_corner_indices(n, k)
-    elif m := re.fullmatch(r"so(\d+)_mod_0", name):
+    elif m := re.fullmatch(f"so{_NUM}_mod_0", name):
         n = int(m.group(1))
         _check_range(n)
         factor = _build_so(n)
         h_indices = []
-    elif m := re.fullmatch(r"su(\d+)_mod_su(\d+)", name):
+    elif m := re.fullmatch(f"su{_NUM}_mod_su{_NUM}", name):
         n, k = int(m.group(1)), int(m.group(2))
         _check_range(n, low=3)
         if not 2 <= k < n:
             raise ParamOutOfRange(f"corner su({k}) needs 2 <= k < {n}")
         factor = _build_su(n)
         h_indices = su_corner_indices(n, k)
-    elif m := re.fullmatch(r"su(\d+)_mod_0", name):
+    elif m := re.fullmatch(f"su{_NUM}_mod_0", name):
         n = int(m.group(1))
         _check_range(n)
         factor = _build_su(n)
         h_indices = []
-    elif m := re.fullmatch(r"so(\d+)so(\d+)_mod_diag", name):
+    elif m := re.fullmatch(f"so{_NUM}so{_NUM}_mod_diag", name):
         n, n2 = int(m.group(1)), int(m.group(2))
         if n != n2:
             raise UnknownName(f"diagonal pairing needs equal factors, got {name}")
         _check_range(n, low=3)
         part = _build_so(n)
         return _finish(name, _direct_sum([part, part]), _diagonal_subspace(len(part.labels)))
-    elif m := re.fullmatch(r"so(\d+)so(\d+)_mod_second_factor", name):
+    elif m := re.fullmatch(f"so{_NUM}so{_NUM}_mod_second_factor", name):
         n, n2 = int(m.group(1)), int(m.group(2))
         if n != n2:
             raise UnknownName(f"factor pairing needs equal factors, got {name}")
@@ -267,7 +271,7 @@ def construct(name: str) -> CatalogEntry:
         part = _build_so(n)
         factor = _direct_sum([part, part])
         h_indices = list(range(len(part.labels), 2 * len(part.labels)))
-    elif m := re.fullmatch(r"r(\d+)_mod_0", name):
+    elif m := re.fullmatch(f"r{_NUM}_mod_0", name):
         d = int(m.group(1))
         _check_range(d, low=1)
         factor = _build_abelian(d)

@@ -18,6 +18,8 @@ identity) that the report runs under `checks="all"`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotNaturallyReductive, NotReductive
 from .homspace import ReductivePair, StructureTable
@@ -39,14 +41,25 @@ CONVENTIONS = {
 class ConnectionTensors:
     """Connection data at the basepoint, indexed over the echelon basis of m.
 
-    All values are ambient coordinate vectors lying in m.
+    All values are ambient coordinate vectors lying in m. The curvature table
+    (r^3 vectors) is built on first use; the consistency sweep does not read it.
     """
 
     pair: ReductivePair
     canonical_table: Table2
     torsion_table: Table2
-    curvature_table: Table3
     _lc: Table2 | None
+
+    @cached_property
+    def curvature_table(self) -> Table3:
+        table, r = self.pair.table, self.pair.m.dim
+        return tuple(
+            tuple(
+                tuple(self.pair.from_m_coords(_curvature(table, a, b, c)) for c in range(r))
+                for b in range(r)
+            )
+            for a in range(r)
+        )
 
     @property
     def lc_table(self) -> Table2:
@@ -72,18 +85,11 @@ def connection_tensors_at_basepoint(pair: ReductivePair) -> ConnectionTensors:
         for a in range(r)
     )
     torsion = canonical
-    curvature = tuple(
-        tuple(
-            tuple(pair.from_m_coords(_curvature(table, a, b, c)) for c in range(r))
-            for b in range(r)
-        )
-        for a in range(r)
-    )
     lc = None
     if pair.flags.naturally_reductive:
         half = rat("1/2")
         lc = tuple(tuple(smul(half, v) for v in row) for row in canonical)
-    return ConnectionTensors(pair, canonical, torsion, curvature, lc)
+    return ConnectionTensors(pair, canonical, torsion, lc)
 
 
 def _curvature(table: StructureTable, a: int, b: int, c: int) -> Vector:
@@ -113,19 +119,26 @@ def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
         for b in range(r)
     )
 
+    def nonzero(v: Vector) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((t, x) for t, x in enumerate(v) if x)
+
+    m_terms = [[nonzero(v) for v in row] for row in table.m_coords]
+    h_terms = [[nonzero(v) for v in row] for row in table.h_coords]
+    # ad_cols[i][z] = nonzero m-coordinates of [h_i, m_z]
+    ad_cols = [[nonzero(col) for col in zip(*A)] for A in table.ad_h]
+
     def bianchi_holds(a: int, b: int, c: int) -> bool:
         # in m-coordinates, where T(T(m_x, m_y), m_z) = [[m_x, m_y]_m, m_z]_m
-        total = [ZERO] * r
+        # and R(m_x, m_y)m_z = -[[m_x, m_y]_h, m_z]
+        total: dict[int, Fraction] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for t, p in enumerate(_curvature(table, x, y, z)):
-                if p:
-                    total[t] += p
-            for s, coef in enumerate(table.m_coords[x][y]):
-                if coef:
-                    for t, q in enumerate(table.m_coords[s][z]):
-                        if q:
-                            total[t] -= coef * q
-        return not any(total)
+            for i, coef in h_terms[x][y]:
+                for t, q in ad_cols[i][z]:
+                    total[t] = total.get(t, ZERO) - coef * q
+            for s, coef in m_terms[x][y]:
+                for t, q in m_terms[s][z]:
+                    total[t] = total.get(t, ZERO) - coef * q
+        return not any(total.values())
 
     bianchi = all(
         bianchi_holds(a, b, c) for a in range(r) for b in range(a + 1, r) for c in range(r)

@@ -41,7 +41,14 @@ class MetricNotPositiveDefinite(WorkbenchError):
 
 
 class InvalidMetricSpec(WorkbenchError):
-    """Metric recipe does not fit the algebra (scale count or center Gram shape)."""
+    """Metric recipe does not fit the algebra (scale count or center Gram shape).
+
+    `part` names the recipe field at fault: "scales" or "center_gram".
+    """
+
+    def __init__(self, message, part):
+        self.part = part
+        super().__init__(message)
 
 
 class InvalidDecomposition(WorkbenchError):

@@ -99,7 +99,8 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
         _, ideals = simple_ideal_decomposition(L)
         if len(spec.scale_factors) != len(ideals):
             raise InvalidMetricSpec(
-                f"{len(spec.scale_factors)} scale factors for {len(ideals)} simple ideals"
+                f"{len(spec.scale_factors)} scale factors for {len(ideals)} simple ideals",
+                "scales",
             )
         if any(s <= 0 for s in spec.scale_factors):
             raise MetricNotPositiveDefinite("scale factors must be positive")
@@ -126,16 +127,20 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
     if z.dim:
         cg = spec.center_gram if spec.center_gram is not None else identity(z.dim)
         if len(cg) != z.dim or any(len(r) != z.dim for r in cg):
-            raise InvalidMetricSpec(f"center gram must be {z.dim}x{z.dim}")
+            raise InvalidMetricSpec(f"center gram must be {z.dim}x{z.dim}", "center_gram")
         for i in range(z.dim):
             for j in range(i + 1, z.dim):
                 if cg[i][j] != cg[j][i]:
-                    raise InvalidMetricSpec(f"center gram is not symmetric at {(i, j)}")
+                    raise InvalidMetricSpec(
+                        f"center gram is not symmetric at {(i, j)}", "center_gram"
+                    )
         Rz = coord_rows[: z.dim]
         contrib = matmul(matmul(transpose(Rz), cg), Rz)
         gram = [list(vadd(tuple(g), c)) for g, c in zip(gram, contrib)]
     elif spec.center_gram is not None:
-        raise InvalidMetricSpec("center gram supplied but the algebra has no center")
+        raise InvalidMetricSpec(
+            "center gram supplied but the algebra has no center", "center_gram"
+        )
     form = make_bilinear_form(gram)
     if form.definiteness != "positive-definite":
         raise MetricNotPositiveDefinite(
@@ -423,10 +428,11 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     """Search for a proper invariant subspace of the isotropy action on m.
 
     A proper nonzero fixed set m^h is invariant and decides "reducible" before
-    any commutant is solved (`commutant_dim` is then None). Otherwise a
-    trivial commutant certifies irreducibility, and a proper primary component
-    of a commutant element over Q is a reducibility witness; failing both the
-    probe stays honest and reports inconclusive.
+    any commutant is solved (`commutant_dim` is then None); so does m^h = m
+    with dim m >= 2, where the action is trivial and the line of m_1 is
+    invariant. Otherwise a trivial commutant certifies irreducibility, and a
+    proper primary component of a commutant element over Q is a reducibility
+    witness; failing both the probe stays honest and reports inconclusive.
     """
     if not pair.flags.reductive:
         raise NotReductive("irreducibility probe needs a reductive pair")
@@ -436,6 +442,9 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     fixed = isotropy_fixed_subspace(pair)
     if 0 < fixed.dim < m.dim:
         return ProbeResult("reducible", fixed, None)
+    if fixed.dim == m.dim >= 2:
+        line = SubspaceBasis.from_vectors(pair.algebra.dim, [m.rows[0]])
+        return ProbeResult("reducible", line, None)
     basis = commutant(pair.table.ad_h, m.dim)
     if len(basis) == 1:
         return ProbeResult("irreducible", None, 1)

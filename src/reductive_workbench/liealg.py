@@ -306,24 +306,26 @@ def killing_form(L: LieAlgebra) -> BilinearForm:
 
 
 def ad_invariance_check(L: LieAlgebra, form: BilinearForm) -> CheckResult:
-    """<[e_i,e_j], e_k> + <e_j, [e_i,e_k]> = 0 over all ordered basis triples."""
+    """<[e_i,e_j], e_k> + <e_j, [e_i,e_k]> = 0 over all ordered basis triples.
+
+    The Gram matrix is symmetric, so the defect of (i, j, k) is
+    P_i[j][k] + P_i[k][j] with P_i[j][k] = <[e_i, e_j], e_k>; each P_i is summed
+    over the nonzero entries of ad(e_i) and of the Gram rows they reach. The
+    witness is the lexicographically first triple with a nonzero defect.
+    """
     if len(form.gram) != L.dim:
         raise ValueError("form dimension does not match the algebra")
-    G = form.gram
-    sparse: list[list[tuple[tuple[int, Fraction], ...]]] = [
-        [() for _ in range(L.dim)] for _ in range(L.dim)
-    ]
-    for (i, j), terms in L._table.items():
-        sparse[i][j] = terms
-        sparse[j][i] = tuple((k, -c) for k, c in terms)
-    for i in range(L.dim):
-        for j in range(L.dim):
-            bij = sparse[i][j]
-            for k in range(L.dim):
-                defect = sum((c * G[a][k] for a, c in bij), ZERO)
-                defect += sum((c * G[j][a] for a, c in sparse[i][k]), ZERO)
-                if defect != 0:
-                    return CheckResult(False, TripleWitness((i, j, k), defect))
+    gram_rows = [[(k, g) for k, g in enumerate(row) if g] for row in form.gram]
+    for i, ad in enumerate(L._sparse_ads):
+        defect: dict[tuple[int, int], Fraction] = {}
+        for (a, j), c in ad.items():
+            for k, g in gram_rows[a]:
+                defect[j, k] = defect.get((j, k), ZERO) + c * g
+                defect[k, j] = defect.get((k, j), ZERO) + c * g
+        failing = [jk for jk, d in defect.items() if d]
+        if failing:
+            j, k = min(failing)
+            return CheckResult(False, TripleWitness((i, j, k), defect[j, k]))
     return CheckResult(True)
 
 

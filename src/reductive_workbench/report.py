@@ -25,7 +25,7 @@ from .affine import (
 )
 from .connection import CONVENTIONS as CONNECTION_CONVENTIONS
 from .connection import connection_tensors_at_basepoint, consistency_sweep
-from .errors import WorkbenchError
+from .errors import InvalidMetricSpec, SpecFileError, WorkbenchError
 from .homspace import (
     isotropy_fixed_subspace,
     isotropy_irreducibility_probe,
@@ -172,7 +172,12 @@ def run_report(
             source.basis_labels,
         )
         h = SubspaceBasis.from_vectors(source.dim, source.subalgebra_rows)
-        pair = _step("normal_decomposition", normal_decomposition, algebra, h, source.metric_spec)
+        try:
+            pair = normal_decomposition(algebra, h, source.metric_spec)
+        except InvalidMetricSpec as exc:  # the recipe does not fit the algebra
+            raise SpecFileError(str(exc), *source.recipe_positions[exc.part]) from None
+        except WorkbenchError as exc:
+            raise PipelineError("normal_decomposition", exc) from exc
         assertions = assertions or source.assertions
         entry = None
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from json.decoder import WHITESPACE, JSONArray, JSONObject
@@ -117,6 +117,9 @@ class SpaceSpec:
     subalgebra_rows: Matrix
     metric_spec: MetricSpec
     assertions: UserAssertions
+    # where each metric-recipe field ("scales", "center_gram") starts in the
+    # file, for the recipe errors that only the algebra can reveal
+    recipe_positions: dict[str, Position] = field(default_factory=dict, compare=False)
 
 
 def _schema() -> dict:
@@ -215,10 +218,15 @@ def parse_space_spec(text: str) -> SpaceSpec:
     else:
         scales = None
         if "scales" in metric:
-            scales = [
-                _rat_at(s, positions, ("metric", "scales", c))
-                for c, s in enumerate(metric["scales"])
-            ]
+            scales = []
+            for c, s in enumerate(metric["scales"]):
+                path = ("metric", "scales", c)
+                scales.append(_rat_at(s, positions, path))
+                if scales[-1] <= 0:
+                    raise SpecFileError(
+                        f"scale {c + 1} is {scales[-1]}; scales must be positive",
+                        *_position_for(positions, path),
+                    )
         gram = None
         if "center_gram" in metric:
             gram = [
@@ -228,6 +236,13 @@ def parse_space_spec(text: str) -> SpaceSpec:
                 ]
                 for a, row in enumerate(metric["center_gram"])
             ]
+            for a, row in enumerate(gram):
+                for b in range(a + 1, len(row)):
+                    if b < len(gram) and a < len(gram[b]) and row[b] != gram[b][a]:
+                        raise SpecFileError(
+                            f"center gram is not symmetric at ({a + 1}, {b + 1})",
+                            *_position_for(positions, ("metric", "center_gram", a, b)),
+                        )
         spec = MetricSpec.custom(scale_factors=scales, center_gram=gram)
 
     asserts = doc.get("assertions", {})
@@ -235,7 +250,12 @@ def parse_space_spec(text: str) -> SpaceSpec:
         locally_irreducible=asserts.get("locally_irreducible"),
         is_sphere_or_rp=asserts.get("is_sphere_or_rp"),
     )
-    return SpaceSpec(dim, labels, tuple(entries), tuple(rows), spec, assertions)
+    recipe_positions = {
+        key: positions[("metric", key)] for key in ("scales", "center_gram") if key in metric
+    }
+    return SpaceSpec(
+        dim, labels, tuple(entries), tuple(rows), spec, assertions, recipe_positions
+    )
 
 
 def load_space_spec_file(path: str) -> SpaceSpec:

@@ -247,3 +247,18 @@ def changed_basis_entries(dim, bracket_fn, P, Pinv):
             new = [sum((old[k] * Pinv[k][c] for k in range(dim)), F0) for c in range(dim)]
             entries.extend((a, b, k, c) for k, c in enumerate(new) if c)
     return entries
+
+
+def dense_ad_invariance(dim, bracket_fn, gram):
+    """First ordered triple (i, j, k) with <[e_i,e_j], e_k> + <e_j, [e_i,e_k]> != 0
+    and its defect, from the plain triple loop over dense brackets; None when
+    the form is invariant. bracket_fn(i, j) gives [e_i, e_j] as a coordinate list."""
+    for i in range(dim):
+        rows = [bracket_fn(i, j) for j in range(dim)]
+        for j in range(dim):
+            for k in range(dim):
+                defect = sum((rows[j][a] * gram[a][k] for a in range(dim)), F0)
+                defect += sum((gram[j][a] * rows[k][a] for a in range(dim)), F0)
+                if defect:
+                    return (i, j, k), defect
+    return None

@@ -13,6 +13,7 @@ from reductive_workbench.affine import (
     transvection_equals_g_check,
 )
 from reductive_workbench import affine
+from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.errors import ClosureFailure, NotEffective, NotNormal
 from reductive_workbench.liealg import (
     SubspaceBasis,
@@ -199,6 +200,19 @@ def test_cross_presentation_agreement():
 
     assert algebra_center(a1.assembled).dim == algebra_center(a2.assembled).dim == 0
     assert killing_form(a1.assembled).inertia == killing_form(a2.assembled).inertia == (0, 6, 0)
+
+
+def test_assembled_affine_algebra_passes_the_skipped_jacobi_sweep():
+    # affine_algebra builds g1 + k without a Jacobi sweep; the validating
+    # constructor on the same entries must accept them and agree
+    pairs = [construct(name).pair for name in catalog_names()]
+    pairs = [p for p in pairs if p.flags.normal and p.flags.effective]
+    assert len(pairs) == len(catalog_names()) - 1  # all but so3so3_mod_second_factor
+    for pair in pairs:
+        aff = affine_algebra(pair)
+        assembled = aff.assembled
+        checked = make_lie_algebra(aff.total_dim, assembled.entries, assembled.basis_labels)
+        assert checked == assembled
 
 
 def test_affine_center_injection_on_algebra_with_center():

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,13 @@ from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError
 from reductive_workbench.report import SpaceReport, run_report
-from reductive_workbench.specfile import parse_positioned, parse_space_spec
+from reductive_workbench.specfile import (
+    load_space_spec_file,
+    parse_positioned,
+    parse_space_spec,
+)
+
+from oracles import F0, changed_basis_entries, unimodular
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -392,24 +399,95 @@ def test_console_entry_point_subprocess():
     }
 
 
+SO3_TEXT = '"basis": ["L1", "L2", "L3"], "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [1, 3, 2, "-1"]]'
+SO3_R1_TEXT = SO3_TEXT.replace('"L3"]', '"L3", "Z"]')
+R2_TEXT = '"basis": ["x", "y"], "brackets": []'
+
+
 def test_cli_metric_recipe_mismatch_is_an_input_error(tmp_path):
-    two_scales = json.loads((DATA / "so3_sphere.json").read_text())
-    two_scales["metric"] = {"mode": "custom", "scales": ["1", "2"]}
-    asymmetric = {
-        "basis": ["x", "y"],
-        "brackets": [],
-        "subalgebra": [],
-        "metric": {"mode": "custom", "center_gram": [["1", "1"], ["0", "1"]]},
-    }
-    for doc, message in (
-        (two_scales, "2 scale factors for 1 simple ideals"),
-        (asymmetric, "center gram is not symmetric at (0, 1)"),
-    ):
+    # the metric sits on line 2; columns point at the offending value, 1-based
+    cases = [
+        (SO3_TEXT, '{"mode": "custom", "scales": ["1", "2"]}', 41,
+         "2 scale factors for 1 simple ideals"),
+        (SO3_TEXT, '{"mode": "custom", "scales": ["-1/2"]}', 42,
+         "scale 1 is -1/2; scales must be positive"),
+        (R2_TEXT, '{"mode": "custom", "center_gram": [["1", "1"], ["0", "1"]]}', 53,
+         "center gram is not symmetric at (1, 2)"),
+        (SO3_R1_TEXT, '{"mode": "custom", "center_gram": [["1", "0"], ["0", "1"]]}', 46,
+         "center gram must be 1x1"),
+        (SO3_R1_TEXT, '{"mode": "custom", "center_gram": [["1", "0"]]}', 46,
+         "center gram must be 1x1"),
+        (SO3_TEXT, '{"mode": "custom", "center_gram": [["1"]]}', 46,
+         "center gram supplied but the algebra has no center"),
+    ]
+    for algebra, metric, column, message in cases:
         spec = tmp_path / "recipe.json"
-        spec.write_text(json.dumps(doc))
+        spec.write_text(f'{{{algebra}, "subalgebra": [],\n "metric": {metric}}}')
         proc = _run_module("-m", "reductive_workbench", str(spec))
         assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert message in lines[0]
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"error: line 2, column {column}: {message}"]
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "so03_mod_0",
+        pytest.param("so\u0663_mod_0", id="so_arabic_indic_3_mod_0"),
+        "so8_mod_so02",
+        "so9_mod_0",
+        "su0_mod_0",
+        "so8_mod_so9",
+        "so4so5_mod_diag",
+        "r0_mod_0",
+        pytest.param("", id="empty"),
+        pytest.param("so" + "1" * 5000 + "_mod_0", id="so_5000_digits_mod_0"),
+    ],
+)
+def test_cli_rejects_noncanonical_or_out_of_range_catalog_names(name, capsys):
+    assert main(["--catalog", name]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) < 200
+
+
+def test_trivial_isotropy_report_does_not_import_sympy():
+    # the probe decides a trivial action without a characteristic polynomial
+    code = (
+        "import sys\n"
+        "from reductive_workbench.cli import main\n"
+        "main(['--json', '--catalog', 'so5_mod_0'])\n"
+        "print('sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_module("-c", code)
+    assert proc.returncode == 0
+    assert proc.stderr == "False\n"
+
+
+def _report_invariants(body):
+    verdicts = [(v["name"], v["applicable"], v["passed"]) for v in body["theorem_verdicts"]]
+    return body["dims"], body["flags"], verdicts, body["torus_dim"]
+
+
+@pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3so3_mod_diag", "so4_mod_0"])
+def test_report_survives_a_unimodular_change_of_basis(name, tmp_path):
+    # the pair rewritten in the basis f_a = sum_i P[a][i] e_i and read back as
+    # a spec file must give the catalog run's dims, flags, verdicts and torus
+    entry = construct(name)
+    L, dim = entry.algebra, entry.algebra.dim
+    P, Pinv = unimodular(dim, random.Random(sum(map(ord, name))))
+    entries = changed_basis_entries(dim, L.bracket_basis, P, Pinv)
+    h_rows = [[sum((v[i] * Pinv[i][a] for i in range(dim)), F0) for a in range(dim)]
+              for v in entry.h.rows]
+    doc = {
+        "basis": [f"f{a + 1}" for a in range(dim)],
+        "brackets": [[i + 1, j + 1, k + 1, str(c)] for i, j, k, c in entries],
+        "subalgebra": [[str(x) for x in row] for row in h_rows],
+        "metric": {"mode": "negative_killing"},
+    }
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(doc))
+    changed = run_report(load_space_spec_file(str(spec))).body
+    assert _report_invariants(changed) == _report_invariants(run_report(entry).body)

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from reductive_workbench.connection import connection_tensors_at_basepoint
+from reductive_workbench.catalog import construct
+from reductive_workbench.connection import connection_tensors_at_basepoint, consistency_sweep
 from reductive_workbench.errors import NotNaturallyReductive
 from reductive_workbench.homspace import make_reductive_pair
 from reductive_workbench.liealg import make_bilinear_form
@@ -174,3 +176,17 @@ def test_lc_table_refused_for_non_naturally_reductive_pair():
     assert t.canonical_table[0][1] == vector([0, 0, -1, 0, 0])
     with pytest.raises(NotNaturallyReductive):
         _ = t.lc_table
+
+
+@pytest.mark.parametrize("name", ["su3_mod_su2", "so4_mod_0"])
+def test_sweep_catches_one_corrupted_m_bracket(name):
+    # the sweep reads only nonzero table entries; a wrong entry must still show
+    pair = construct(name).pair
+    assert all(consistency_sweep(connection_tensors_at_basepoint(pair)).values())
+    table = pair.table
+    m_coords = [list(row) for row in table.m_coords]
+    m_coords[0][1] = vadd(m_coords[0][1], vector([1] + [0] * (pair.m.dim - 1)))
+    bad_table = dataclasses.replace(table, m_coords=tuple(tuple(row) for row in m_coords))
+    bad_pair = dataclasses.replace(pair, table=bad_table)
+    result = consistency_sweep(connection_tensors_at_basepoint(bad_pair))
+    assert result["bianchi_cyclic_identity"] is False

@@ -298,6 +298,16 @@ def test_probe_trivial_isotropy_reducible():
     assert res.invariant_subspace.dim < 3
 
 
+@pytest.mark.parametrize("make", [cyclic_so3, so3_plus_so3, lambda: abelian(2)])
+def test_probe_trivial_action_takes_the_first_line_of_m(make):
+    # m^h = m: every line is invariant; no commutant is solved
+    pair = trivial_isotropy_pair(make())
+    res = isotropy_irreducibility_probe(pair)
+    assert res.verdict == "reducible"
+    assert res.invariant_subspace == SubspaceBasis.from_vectors(pair.algebra.dim, [pair.m.rows[0]])
+    assert res.commutant_dim is None
+
+
 def test_probe_round_sphere_s3_irreducible():
     pair = normal_decomposition(so_algebra(4), unit_subspace(6, [0, 1, 3]))
     res = isotropy_irreducibility_probe(pair)

@@ -33,6 +33,7 @@ from oracles import (
     changed_basis_entries,
     commutator,
     cyclic_so3_matrices,
+    dense_ad_invariance,
     dense_ad_matrices,
     express_in_basis,
     gauss_rank,
@@ -539,3 +540,43 @@ def test_ad_matches_dense_oracle_combination(name, data):
     got = L.ad(X)
     assert got == tuple(tuple(row) for row in expected)
     assert all(type(c) is Fraction for row in got for c in row)
+
+
+# --- sparse invariance check against the dense triple loop -------------------
+
+
+@lru_cache(maxsize=None)
+def invariance_algebra(name):
+    if name == "unimodular_su3":
+        L = kernel_algebra("su3")
+        P, Pinv = unimodular(L.dim, random.Random(31))
+        return make_lie_algebra(L.dim, changed_basis_entries(L.dim, L.bracket_basis, P, Pinv))
+    from reductive_workbench.catalog import construct
+
+    return construct(name).algebra
+
+
+@pytest.mark.parametrize(
+    "name", ["so3_mod_so2", "so4_mod_0", "su3_mod_su2", "so3r1_mod_0", "r2_mod_0", "unimodular_su3"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ad_invariance_matches_dense_triple_loop(name, data):
+    # a multiple of the Killing form (invariant) plus a few symmetric
+    # perturbations, which break invariance unless they sit on the center
+    L = invariance_algebra(name)
+    scale = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    gram = [[scale * x for x in row] for row in killing_form(L).gram]
+    index = st.integers(min_value=0, max_value=L.dim - 1)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        p, q = data.draw(index), data.draw(index)
+        delta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        gram[p][q] += delta
+        if p != q:
+            gram[q][p] += delta
+    form = make_bilinear_form(gram)
+    res = ad_invariance_check(L, form)
+    expected = dense_ad_invariance(L.dim, lambda i, j: L.bracket_basis(i, j), form.gram)
+    assert res.ok == (expected is None)
+    if expected is not None:
+        assert (res.witness.indices, res.witness.defect) == expected
