@@ -179,9 +179,12 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 over all Y, Z in the basis of m.
 
     The defect is linear in X, so it is the naturally reductive defect of the
-    structure table contracted with the m-coordinates of X."""
+    structure table contracted with the m-coordinates of X; when that table
+    has no witness, every entry of it is zero and so is every contraction."""
     if not pair.flags.reductive:
         raise NotReductive("Killing check needs a reductive pair")
+    if pair.table.nr_witness is None:
+        return CheckResult(True)
     carrier = isotropy_fixed_subspace(pair)
     defect_table = pair.table.nr_defect
     r = pair.m.dim

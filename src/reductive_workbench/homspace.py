@@ -283,15 +283,18 @@ def _structure_table(
             in_h, in_m = split(L.bracket(m.rows[a], m.rows[b]))
             h_coords[a][b], m_coords[a][b] = in_h, in_m
             h_coords[b][a], m_coords[b][a] = vneg(in_h), vneg(in_m)
-    # pairing[a][b][c] = <[m_a, m_b]_m, m_c>
-    pairing = [
-        [
-            [sum((x * gram_m[t][c] for t, x in enumerate(m_coords[a][b]) if x), ZERO)
-             for c in range(r)]
-            for b in range(r)
-        ]
-        for a in range(r)
-    ]
+    # pairing[a][b][c] = <[m_a, m_b]_m, m_c>: the nonzero m-coordinates of
+    # [m_a, m_b] times the nonzero entries of their Gram rows
+    gram_rows = [[(c, g) for c, g in enumerate(row) if g] for row in gram_m]
+    pairing = [[(ZERO,) * r for _ in range(r)] for _ in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            line = [ZERO] * r
+            for t, x in enumerate(m_coords[a][b]):
+                if x:
+                    for c, g in gram_rows[t]:
+                        line[c] += x * g
+            pairing[a][b], pairing[b][a] = tuple(line), vneg(line)
     nr_defect = tuple(
         tuple(tuple(pairing[a][b][c] + pairing[a][c][b] for c in range(r)) for b in range(r))
         for a in range(r)

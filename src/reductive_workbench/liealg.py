@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     NotCompactType,
 )
 from .linalg import (
+    PRIME,
     EchelonBasis,
     Matrix,
     ONE,
@@ -40,6 +42,8 @@ from .linalg import (
     stack,
     transpose,
     vector,
+    _add_row_mod_p,
+    _integer_row,
 )
 
 SparseTable = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
@@ -167,6 +171,20 @@ class LieAlgebra:
             ads[j][(k, i)] = ads[j].get((k, i), ZERO) - c
         return tuple(ads)
 
+    @cached_property
+    def _ads_mod_p(self) -> tuple[dict[int, dict[int, int]], ...] | None:
+        # ads[i][j] = {k: c mod PRIME} for [e_i, e_j] = sum_k c e_k; None when
+        # a denominator is divisible by PRIME
+        ads: list[dict[int, dict[int, int]]] = [dict() for _ in range(self.dim)]
+        for i, j, k, c in self.entries:
+            if c.denominator % PRIME == 0:
+                return None
+            x = c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+            if x:
+                ads[i].setdefault(j, {})[k] = x
+                ads[j].setdefault(i, {})[k] = PRIME - x
+        return tuple(ads)
+
 
 def make_lie_algebra(
     dim: int,
@@ -204,27 +222,44 @@ def make_lie_algebra(
 
 
 def _check_jacobi(L: LieAlgebra) -> None:
-    # Triples with a repeated index vanish identically by antisymmetry; sparse
-    # expansion keeps the sweep O(dim^3 * nnz) instead of O(dim^5).
-    table = L._table
-
-    def terms(i: int, j: int):
-        if i == j:
-            return ()
-        if i < j:
-            return table.get((i, j), ())
-        return tuple((k, -c) for k, c in table.get((j, i), ()))
-
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                defect = [ZERO] * L.dim
+    # Triples with a repeated index vanish identically by antisymmetry. The
+    # constants are scaled to integers by the lcm D of their denominators, and
+    # each vector [e_x, e_y] is packed into one integer, entry t at bits
+    # w t..w (t + 1) in balanced digits; a defect is D^2 times the rational one
+    # and its entries stay below 2^(w-1) in size, so it packs to zero iff it
+    # is zero. Only the first failing triple gets its Fraction defect.
+    n = L.dim
+    scale = lcm(*(c.denominator for *_, c in L.entries))
+    ints = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in L.entries]
+    bound = max((abs(c) for *_, c in ints), default=0)
+    w = (3 * n * bound * bound).bit_length() + 2
+    packed: list[list[int]] = [[0] * n for _ in range(n)]
+    terms: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in ints:
+        packed[i][j] += c << (w * k)
+        packed[j][i] -= c << (w * k)
+        terms[i][j].append((k, c))
+        terms[j][i].append((k, -c))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                defect = 0
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, c in terms(x, y):
-                        for t, d in terms(l, z):
-                            defect[t] += c * d
-                if any(defect):
-                    raise JacobiViolation(i, j, k, tuple(defect))
+                    for l, c in terms[x][y]:
+                        defect += c * packed[l][z]
+                if defect:
+                    raise JacobiViolation(i, j, k, _jacobi_defect(L, i, j, k))
+
+
+def _jacobi_defect(L: LieAlgebra, i: int, j: int, k: int) -> Vector:
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] in Fractions."""
+    defect = [ZERO] * L.dim
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, c in enumerate(L.bracket_basis(x, y)):
+            if c:
+                for t, d in enumerate(L.bracket_basis(l, z)):
+                    defect[t] += c * d
+    return tuple(defect)
 
 
 def _unit(n: int, i: int) -> Vector:
@@ -405,14 +440,57 @@ def largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
     return current
 
 
+def _closure_dim_mod_p(L: LieAlgebra, seeds: Sequence[Vector], target: int, ideal: bool) -> int:
+    """Dimension mod PRIME of the ideal (ideal=True) or the subalgebra generated
+    by the seeds, found by a worklist that stops at `target`; 0 when a
+    denominator of L or of a seed is divisible by PRIME.
+
+    Reduction mod PRIME commutes with brackets and can only lower a rank, so
+    the result is a lower bound for the dimension over Q. Each vector that
+    joins is bracketed once with e_1, ..., e_n (an ideal) or with every vector
+    that joined before it (a subalgebra).
+    """
+    ads = L._ads_mod_p
+    rows = [_integer_row(s) for s in seeds]  # a seed's multiple spans its line
+    if ads is None or None in rows:
+        return 0
+    pivots: dict[int, dict[int, int]] = {}
+    queue: list[dict[int, int]] = []
+
+    def offer(v: dict[int, int]) -> None:
+        before = len(pivots)
+        _add_row_mod_p(pivots, v)
+        if len(pivots) > before:
+            queue.append(v)
+
+    for row in rows:
+        offer(row)
+    partners = [{i: 1} for i in range(L.dim)] if ideal else []
+    while queue and len(pivots) < target:
+        v = queue.pop()
+        for u in partners:
+            out: dict[int, int] = {}
+            for i, x in v.items():
+                for j, y in u.items():
+                    for k, c in ads[i].get(j, {}).items():
+                        out[k] = out.get(k, 0) + x * y * c
+            offer(out)
+        if not ideal:
+            partners.append(v)
+    return len(pivots)
+
+
 def _ideal_closure(L: LieAlgebra, seed: Vector, piece: SubspaceBasis) -> SubspaceBasis:
     """Smallest ideal of L containing the seed, a vector of the ideal `piece`.
 
-    A worklist over an echelon basis: each vector that joins the basis is
-    bracketed with e_1, ..., e_n once (the rows of ad(v)^T), and each bracket
-    that does not reduce to zero joins the basis. The search ends when the
-    basis reaches dim piece: the ideal is then the whole piece.
+    When the closure mod PRIME reaches dim piece, the ideal is the whole
+    piece. Otherwise a worklist over an echelon basis: each vector that joins
+    the basis is bracketed with e_1, ..., e_n once (the rows of ad(v)^T), and
+    each bracket that does not reduce to zero joins the basis. The search ends
+    when the basis reaches dim piece: the ideal is then the whole piece.
     """
+    if _closure_dim_mod_p(L, [seed], piece.dim, ideal=True) == piece.dim:
+        return piece
     basis = EchelonBasis()
     basis.add(seed)
     queue = [seed]
@@ -426,10 +504,13 @@ def _ideal_closure(L: LieAlgebra, seed: Vector, piece: SubspaceBasis) -> Subspac
 
 
 def _generating_rows(L: LieAlgebra, piece: SubspaceBasis) -> Matrix:
-    """Greedy prefix of the piece's basis whose subalgebra closure is the piece."""
+    """Greedy prefix of the piece's basis whose subalgebra closure is the piece
+    (certified mod PRIME, else by the exact `span_closure`)."""
     chosen: list[Vector] = []
     for row in piece.rows:
         chosen.append(row)
+        if _closure_dim_mod_p(L, chosen, piece.dim, ideal=False) == piece.dim:
+            return tuple(chosen)
         closed = span_closure(L, SubspaceBasis.from_vectors(L.dim, chosen))
         if closed.dim == piece.dim:
             return tuple(chosen)

@@ -19,6 +19,11 @@ PRIME, a residue beyond the reconstruction bound or a failed certificate
 sends the system to the exact eliminator `_exact_kernel` instead. Either way
 the result is the rref of the kernel, which is unique, so both routes return
 the same bytes.
+
+`factor_poly` finds the rational roots mod PRIME as well: gcd(x^p - x, f)
+split by equal-degree steps, each root lifted by rational reconstruction and
+certified by exact division. sympy loads only for an irreducible factor of
+degree >= 2 that is left over, such as x^2 + 1 on so3_mod_so2.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ Matrix = tuple[Vector, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-PRIME = 2**61 - 1  # the one prime of `kernel`
+PRIME = 2**61 - 1  # the one prime of `kernel`, `factor_poly` and the closures
 RECONSTRUCTION_BOUND = 2**30  # |numerator| and denominator of a lifted residue
+SPLIT_SHIFTS = 64  # shifts a tried to split a product of linear factors by (x + a)^((p-1)/2)
 
 
 def rat(x) -> Fraction:
@@ -455,8 +461,34 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], A: Matrix) -> Matrix:
 def factor_poly(coeffs: Sequence[Fraction]) -> tuple[tuple[tuple[Fraction, ...], int], ...]:
     """Irreducible monic factors over Q of a rational polynomial, with multiplicities.
 
+    The rational roots are found mod PRIME (`_roots_mod_p`), lifted by rational
+    reconstruction, certified by exact division and divided out with their
+    multiplicities; only a nonconstant leftover goes to sympy. Factorization
+    is unique, so the result is the one sympy gives for the whole polynomial.
     Deterministic ordering: by degree, then by coefficient tuple.
     """
+    rest = list(coeffs)
+    while len(rest) > 1 and not rest[-1]:
+        rest.pop()
+    out = []
+    for residue in _roots_mod_p(_integer_row(rest)):
+        root = _reconstruct(residue)
+        mult = 0
+        while root is not None and len(rest) > 1:
+            quotient, remainder = _divide_by_root(rest, root)
+            if remainder:
+                break
+            rest, mult = quotient, mult + 1
+        if mult:
+            out.append(((-root, ONE), mult))
+    if len(rest) > 1:  # a constant leftover is the content
+        out.extend(_sympy_factors(rest))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return tuple(out)
+
+
+def _sympy_factors(coeffs: Sequence[Fraction]) -> list[tuple[tuple[Fraction, ...], int]]:
+    """Monic irreducible factors and multiplicities by sympy, unsorted."""
     import sympy  # local import: sympy is slow to load and only needed here
 
     x = sympy.Symbol("x")
@@ -470,8 +502,106 @@ def factor_poly(coeffs: Sequence[Fraction]) -> tuple[tuple[tuple[Fraction, ...],
             for c in reversed(poly.all_coeffs())
         )
         out.append((cs, int(mult)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return tuple(out)
+    return out
+
+
+def _divide_by_root(coeffs: Sequence[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Quotient and remainder of the polynomial by x - root (Horner)."""
+    quotient = [ZERO] * (len(coeffs) - 1)
+    acc = ZERO
+    for d in range(len(coeffs) - 1, 0, -1):
+        acc = acc * root + coeffs[d]
+        quotient[d - 1] = acc
+    return quotient, acc * root + coeffs[0]
+
+
+def _roots_mod_p(int_coeffs: dict[int, int] | None) -> list[int]:
+    """Distinct roots mod PRIME of an integer polynomial ({degree: coefficient}),
+    except those that SPLIT_SHIFTS equal-degree steps leave unseparated; none
+    when the polynomial is constant mod PRIME.
+
+    gcd(x^p - x, f) is the product of x - r over the roots r; it is split by
+    gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ...
+    """
+    degree = max(int_coeffs or (0,))
+    if degree == 0 or int_coeffs[degree] % PRIME == 0:
+        return []  # constant, or the degree drops mod PRIME and a root's denominator may vanish
+    f = _monic_mod_p([int_coeffs.get(d, 0) % PRIME for d in range(degree + 1)])
+    x = [0, 1]
+    pending = [_gcd_mod_p(f, _sub_mod_p(_pow_mod_p(x, PRIME, f), x))]
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % PRIME)
+            continue
+        for a in range(SPLIT_SHIFTS):
+            h = _gcd_mod_p(g, _sub_mod_p(_pow_mod_p([a, 1], (PRIME - 1) // 2, g), [1]))
+            if 1 < len(h) < len(g):
+                pending += [h, _divmod_mod_p(g, h)[0]]
+                break
+    return sorted(roots)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic_mod_p(a: list[int]) -> list[int]:
+    a = _trim(a)
+    inv = pow(a[-1], -1, PRIME) if a else 1
+    return [x * inv % PRIME for x in a]
+
+
+def _sub_mod_p(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for d, y in enumerate(b):
+        out[d] = (out[d] - y) % PRIME
+    return _trim(out)
+
+
+def _divmod_mod_p(a: list[int], m: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic m, mod PRIME."""
+    rem = list(a)
+    dm = len(m) - 1
+    quotient = [0] * max(len(a) - dm, 0)
+    for d in range(len(a) - 1, dm - 1, -1):
+        q = rem[d]
+        if q:
+            quotient[d - dm] = q
+            for e, y in enumerate(m):
+                rem[d - dm + e] = (rem[d - dm + e] - q * y) % PRIME
+    return _trim(quotient), _trim(rem[:dm])
+
+
+def _mulmod_mod_p(a: list[int], b: list[int], m: list[int]) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for d, x in enumerate(a):
+        if x:
+            for e, y in enumerate(b):
+                out[d + e] += x * y
+    return _divmod_mod_p([c % PRIME for c in out], m)[1]
+
+
+def _pow_mod_p(a: list[int], n: int, m: list[int]) -> list[int]:
+    """a^n mod (m, PRIME), m monic, by binary powering."""
+    result, base = [1], _divmod_mod_p(a, m)[1]
+    while n:
+        if n & 1:
+            result = _mulmod_mod_p(result, base, m)
+        base = _mulmod_mod_p(base, base, m)
+        n >>= 1
+    return result
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Monic gcd mod PRIME."""
+    a, b = _monic_mod_p(list(a)), _monic_mod_p(list(b))
+    while b:
+        a, b = b, _monic_mod_p(_divmod_mod_p(a, b)[1])
+    return a
 
 
 def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:

@@ -22,7 +22,11 @@ from reductive_workbench.liealg import (
     make_bilinear_form,
     make_lie_algebra,
 )
-from reductive_workbench.homspace import make_reductive_pair, normal_decomposition
+from reductive_workbench.homspace import (
+    isotropy_fixed_subspace,
+    make_reductive_pair,
+    normal_decomposition,
+)
 
 from test_homspace import (
     diagonal_pair,
@@ -31,7 +35,14 @@ from test_homspace import (
     sphere_pair,
     trivial_isotropy_pair,
 )
-from test_liealg import CYCLIC_SO3, abelian, cyclic_so3, heisenberg, unit_subspace
+from test_liealg import (
+    CYCLIC_SO3,
+    abelian,
+    cyclic_so3,
+    heisenberg,
+    so3_plus_so3,
+    unit_subspace,
+)
 
 F = Fraction
 
@@ -154,6 +165,41 @@ def test_killing_check_explicit_fixed_direction_in_so4():
     for y in pair.m.rows:
         for z in pair.m.rows:
             assert G.apply(pair.bracket_m(x, y), z) + G.apply(y, pair.bracket_m(x, z)) == 0
+
+
+def reference_killing_witness(pair):
+    """The full scan: each carrier row contracted with every entry of the
+    naturally reductive defect; the first nonzero one, or None."""
+    table, r = pair.table.nr_defect, pair.m.dim
+    for a, x in enumerate(isotropy_fixed_subspace(pair).rows):
+        coords = pair.m.coords_of(x)
+        for b in range(r):
+            for c in range(r):
+                defect = sum((coords[t] * table[t][b][c] for t in range(r)), F(0))
+                if defect:
+                    return TripleWitness((a, b, c), defect)
+    return None
+
+
+def so3so3_line_pair(weights):
+    # h = the line of A3 in so(3) + so(3); the carrier is the second factor
+    gram = [[F(weights[i]) if i == j else F(0) for j in range(6)] for i in range(6)]
+    return make_reductive_pair(
+        so3_plus_so3(), unit_subspace(6, [2]), unit_subspace(6, [0, 1, 3, 4, 5]),
+        make_bilinear_form(gram),
+    )
+
+
+def test_killing_check_keeps_the_scan_when_the_defect_is_nonzero():
+    # weights 1, 2, 3 on B1, B2, B3: <[B1, B2], B3> + <B2, [B1, B3]> = 3 - 2
+    pair = so3so3_line_pair([1, 1, 1, 1, 2, 3])
+    assert pair.table.nr_witness is not None
+    res = invariant_field_killing_check(pair)
+    assert not res.ok
+    assert res.witness == reference_killing_witness(pair) == TripleWitness((0, 3, 4), F(1))
+    for make in (sphere_pair, diagonal_pair, second_factor_pair, so4_mod_so2_pair, so3_trivial_pair):
+        pair = make()
+        assert pair.table.nr_witness is None and reference_killing_witness(pair) is None
 
 
 # --- affine algebra -----------------------------------------------------------------

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import random
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError
+from reductive_workbench.liealg import SubspaceBasis, simple_ideal_decomposition
 from reductive_workbench.report import SpaceReport, run_report
 from reductive_workbench.specfile import (
     load_space_spec_file,
@@ -361,6 +364,35 @@ def test_exact_analysis_does_not_import_numpy():
     assert proc.stderr == "False\n"
 
 
+def test_heavy_dependencies_are_imported_inside_functions_only():
+    # sympy, numpy and jsonschema load on first use, so that starting the
+    # command and the runs that never need them pay nothing for them; an
+    # `if TYPE_CHECKING:` block never runs
+    heavy = {"sympy", "numpy", "jsonschema"}
+    src = Path(__file__).resolve().parent.parent / "src" / "reductive_workbench"
+    found = []
+
+    def visit(node, path, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if not in_function and any(m.partition(".")[0] in heavy for m in modules):
+                found.append(f"{path.name}:{child.lineno}")
+            if isinstance(child, ast.If) and ast.unparse(child.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                visit(ast.Module(body=child.orelse, type_ignores=[]), path, in_function)
+                continue
+            inner = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, path, inner)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, False)
+    assert found == []
+
+
 def test_golden_report_under_optimize_flag():
     # python -O strips asserts; every verdict must come from explicit checks
     proc = _run_module("-O", "-m", "reductive_workbench", "--catalog", "so4_mod_so2", "--json")
@@ -466,28 +498,188 @@ def test_trivial_isotropy_report_does_not_import_sympy():
     assert proc.stderr == "False\n"
 
 
+def test_dense_custom_metric_spec_does_not_import_sympy(tmp_path):
+    # the split of so(4) in a dense basis factors characteristic polynomials
+    # whose roots are all rational: they are certified without sympy
+    entry = construct("so4_mod_so2")
+    entries, to_new = _changed_basis(entry.algebra, random.Random(3))
+    spec = tmp_path / "dense_so4.json"
+    _spec_file(spec, entry.algebra, entries, [to_new(v) for v in entry.h.rows],
+               {"mode": "custom", "scales": ["1", "3"]})
+    code = (
+        "import sys\n"
+        "from reductive_workbench import linalg\n"
+        "from reductive_workbench.cli import main\n"
+        "calls = []\n"
+        "factor = linalg.factor_poly\n"
+        "linalg.factor_poly = lambda cs: calls.append(cs) or factor(cs)\n"
+        f"code = main(['--json', {str(spec)!r}])\n"
+        "print(code, len(calls) > 0, 'sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_module("-c", code)
+    assert proc.returncode == 0
+    assert proc.stderr == "0 True False\n"
+
+
+def test_so3_mod_so2_stays_inconclusive_through_sympy():
+    # the isotropy of the 2-sphere rotates m: characteristic polynomial
+    # x^2 + 1, irreducible over Q, which only the sympy fallback can factor
+    code = (
+        "import json, sys\n"
+        "from reductive_workbench.catalog import construct\n"
+        "from reductive_workbench.report import run_report\n"
+        "body = run_report(construct('so3_mod_so2')).body\n"
+        "print(body['flags']['isotropy_probe'], 'sympy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_module("-c", code)
+    assert proc.returncode == 0
+    assert proc.stderr == "inconclusive True\n"
+
+
+# --- fuzzing main() -----------------------------------------------------------------
+
+SMALL_DIGITS = "0123\u0663\uff13"  # 0-3, an Arabic-Indic and a fullwidth three
+
+catalog_name_inputs = st.one_of(
+    st.sampled_from(["so3_mod_so2", "so3_mod_0", "r2_mod_0", "so3r1_mod_0", "so4_mod_so3"]),
+    st.builds(
+        "{}{}_mod_{}".format,
+        st.sampled_from(["so", "su", "r", "so3so", "sp", ""]),
+        st.text(SMALL_DIGITS, max_size=3),
+        st.one_of(st.just("0"), st.just("diag"), st.text(SMALL_DIGITS, max_size=2).map("so{}".format)),
+    ),
+    st.integers(33, 80).map(lambda n: "so" + "1" * n + "_mod_0"),
+    st.text(max_size=12),
+)
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["1", "-1/2", "0", "x", "1/0", ""])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["mode", "scales", "a"]), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+metric_recipes = st.one_of(
+    st.fixed_dictionaries({"mode": st.sampled_from(["negative_killing", "custom", "bogus"])}),
+    st.fixed_dictionaries(
+        {"mode": st.just("custom"), "scales": st.lists(st.sampled_from(["1", "2/3", "-1", "0", "a"]), max_size=3)}
+    ),
+    st.fixed_dictionaries({"mode": st.just("custom"), "center_gram": json_values}),
+    json_values,
+)
+
+
+@st.composite
+def spec_texts(draw):
+    doc = json.loads(SPHERE_TEXT)
+    kind = draw(st.sampled_from(["metric", "wrong_type", "truncated", "nested"]))
+    if kind == "metric":
+        doc["metric"] = draw(metric_recipes)
+    elif kind == "wrong_type":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(json_values)
+    text = json.dumps(doc)
+    if kind == "truncated":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "nested":
+        depth = draw(st.integers(1, 60))
+        text = text.replace('"subalgebra": ', '"subalgebra": ' + "[" * depth, 1)
+        text = text.replace('"metric"', "]" * depth + ', "metric"', 1)
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(catalog_name_inputs, max_size=2),
+    texts=st.lists(spec_texts(), max_size=2),
+    flags=st.sampled_from([[], ["--json"], ["--checks=fast"], ["--json", "--checks=fast"], ["--checks=none"]]),
+)
+def test_main_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, names, texts, flags):
+    folder = tmp_path_factory.mktemp("fuzz")
+    argv = list(flags)
+    for t, text in enumerate(texts):
+        path = folder / f"spec{t}.json"
+        path.write_text(text, encoding="utf-8")
+        argv.append(str(path))
+    for name in names:
+        argv += ["--catalog", name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert sum("error:" in line for line in lines) <= 1
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and (names or texts):
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def _report_invariants(body):
     verdicts = [(v["name"], v["applicable"], v["passed"]) for v in body["theorem_verdicts"]]
     return body["dims"], body["flags"], verdicts, body["torus_dim"]
 
 
-@pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3so3_mod_diag", "so4_mod_0"])
-def test_report_survives_a_unimodular_change_of_basis(name, tmp_path):
-    # the pair rewritten in the basis f_a = sum_i P[a][i] e_i and read back as
-    # a spec file must give the catalog run's dims, flags, verdicts and torus
-    entry = construct(name)
-    L, dim = entry.algebra, entry.algebra.dim
-    P, Pinv = unimodular(dim, random.Random(sum(map(ord, name))))
-    entries = changed_basis_entries(dim, L.bracket_basis, P, Pinv)
-    h_rows = [[sum((v[i] * Pinv[i][a] for i in range(dim)), F0) for a in range(dim)]
-              for v in entry.h.rows]
+def _changed_basis(L, rng):
+    """Structure entries in a random unimodular basis f_a = sum_i P[a][i] e_i,
+    and the map from old coordinates to coordinates along the f_a."""
+    dim = L.dim
+    P, Pinv = unimodular(dim, rng)
+
+    def to_new(v):
+        return [sum((v[i] * Pinv[i][a] for i in range(dim)), F0) for a in range(dim)]
+
+    return changed_basis_entries(dim, L.bracket_basis, P, Pinv), to_new
+
+
+def _spec_file(path, L, entries, h_rows, metric):
     doc = {
-        "basis": [f"f{a + 1}" for a in range(dim)],
+        "basis": list(L.basis_labels),
         "brackets": [[i + 1, j + 1, k + 1, str(c)] for i, j, k, c in entries],
         "subalgebra": [[str(x) for x in row] for row in h_rows],
-        "metric": {"mode": "negative_killing"},
+        "metric": metric,
     }
-    spec = tmp_path / f"{name}.json"
-    spec.write_text(json.dumps(doc))
-    changed = run_report(load_space_spec_file(str(spec))).body
-    assert _report_invariants(changed) == _report_invariants(run_report(entry).body)
+    path.write_text(json.dumps(doc))
+    return load_space_spec_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "name, scales",
+    [
+        pytest.param("so4_mod_so2", None, id="so4_mod_so2"),
+        pytest.param("su3_mod_su2", None, id="su3_mod_su2"),
+        pytest.param("so3so3_mod_diag", None, id="so3so3_mod_diag"),
+        pytest.param("so4_mod_0", None, id="so4_mod_0"),
+        # a parametric entry outside the curated 13
+        pytest.param("so5_mod_so3", None, id="so5_mod_so3"),
+        # one scale per simple ideal, so the split runs on the dense basis
+        pytest.param("so4_mod_so2", ("1", "3"), id="so4_mod_so2_custom"),
+        pytest.param("so3so3_mod_diag", ("5/2", "1"), id="so3so3_mod_diag_custom"),
+    ],
+)
+def test_report_survives_a_unimodular_change_of_basis(name, scales, tmp_path):
+    # the pair rewritten in the basis f_a = sum_i P[a][i] e_i and read back as
+    # a spec file must give the original run's dims, flags, verdicts and torus
+    entry = construct(name)
+    L, dim = entry.algebra, entry.algebra.dim
+    entries, to_new = _changed_basis(L, random.Random(sum(map(ord, name))))
+    h_rows = [to_new(v) for v in entry.h.rows]
+    if scales is None:
+        metric = {"mode": "negative_killing"}
+        original = run_report(entry).body
+    else:
+        # scales go to the simple ideals in the split's order, which the new
+        # basis may change: each ideal keeps its scale
+        _, ideals = simple_ideal_decomposition(L)
+        moved = [SubspaceBasis.from_vectors(dim, map(to_new, s.rows)) for s in ideals]
+        order = sorted(range(len(moved)), key=lambda t: (moved[t].dim, moved[t].pivots, moved[t].rows))
+        metric = {"mode": "custom", "scales": [scales[t] for t in order]}
+        spec = _spec_file(tmp_path / "original.json", L, L.entries, entry.h.rows,
+                          {"mode": "custom", "scales": list(scales)})
+        original = run_report(spec).body
+    changed = _spec_file(tmp_path / f"{name}.json", L, entries, h_rows, metric)
+    assert _report_invariants(run_report(changed).body) == _report_invariants(original)

@@ -23,6 +23,8 @@ from reductive_workbench.homspace import (
 )
 from reductive_workbench.liealg import (
     SubspaceBasis,
+    TripleWitness,
+    killing_form,
     make_bilinear_form,
     make_lie_algebra,
 )
@@ -215,6 +217,52 @@ def test_killing_check_fails_with_the_naturally_reductive_witness():
     assert killing.witness == nr.witness
     assert killing.witness.indices == (1, 2, 3)
     assert killing.witness.defect == F(1, 2)
+
+
+def dense_nr_defect(pair):
+    """<[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m> from ambient brackets and the
+    metric, one dense evaluation per entry."""
+    G, rows, r = pair.metric, pair.m.rows, pair.m.dim
+
+    def pairing(a, b, c):
+        return G.apply(pair.bracket_m(rows[a], rows[b]), rows[c])
+
+    return tuple(
+        tuple(tuple(pairing(a, b, c) + pairing(a, c, b) for c in range(r)) for b in range(r))
+        for a in range(r)
+    )
+
+
+@pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3_mod_0"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_structure_table_defect_matches_the_dense_reference(name, data):
+    # the normal pair's m under the Killing metric plus symmetric perturbations
+    from reductive_workbench.catalog import construct
+
+    entry = construct(name)
+    L, n = entry.algebra, entry.algebra.dim
+    gram = [[-x for x in row] for row in killing_form(L).gram]
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 3))):
+        p, q = data.draw(index), data.draw(index)
+        delta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        gram[p][q] += delta
+        if p != q:
+            gram[q][p] += delta
+    pair = make_reductive_pair(L, entry.h, entry.pair.m, make_bilinear_form(gram))
+    expected = dense_nr_defect(pair)
+    assert pair.table.nr_defect == expected
+    first = next(
+        ((a, b, c) for a in range(len(expected)) for b in range(len(expected))
+         for c in range(len(expected)) if expected[a][b][c]),
+        None,
+    )
+    if first is None:
+        assert pair.table.nr_witness is None
+    else:
+        a, b, c = first
+        assert pair.table.nr_witness == TripleWitness(first, expected[a][b][c])
 
 
 def test_abelian_pair_trivially_naturally_reductive():

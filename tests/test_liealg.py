@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reductive_workbench import liealg, linalg
 from reductive_workbench.errors import (
     DegenerateForm,
     JacobiViolation,
@@ -13,6 +14,7 @@ from reductive_workbench.errors import (
     NotCompactType,
 )
 from reductive_workbench.liealg import (
+    LieAlgebra,
     SubspaceBasis,
     ad_invariance_check,
     center,
@@ -194,6 +196,83 @@ def test_jacobi_rejects_corrupted_table_with_witness():
         table[(j, i)][k] -= c
     first = brute_force_jacobi(3, lambda i, j: [F(x) for x in table[(i, j)]])
     assert first == (0, 1, 2)
+
+
+def reference_jacobi_sweep(L):
+    """The Fraction sweep that the integer sweep replaced: the first triple
+    i < j < k with a nonzero Jacobi defect and that defect, or None."""
+    table = L._table
+
+    def terms(i, j):
+        if i == j:
+            return ()
+        if i < j:
+            return table.get((i, j), ())
+        return tuple((k, -c) for k, c in table.get((j, i), ()))
+
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                defect = [F(0)] * L.dim
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, c in terms(x, y):
+                        for t, d in terms(l, z):
+                            defect[t] += c * d
+                if any(defect):
+                    return (i, j, k), tuple(defect)
+    return None
+
+
+basis_scales = st.one_of(
+    st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+    st.integers(1, 2**70).map(lambda n: F(n, 7)),
+)
+
+
+@pytest.mark.parametrize("name", ["so4", "su3", "random"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jacobi_sweep_matches_the_fraction_sweep(name, data):
+    # the algebra in the basis f_a = s_a e_a, so the constants are fractions,
+    # with up to two entries perturbed; or a table of small random constants,
+    # whose defects have small entries of either sign
+    if name == "random":
+        n = data.draw(st.integers(3, 4))
+        coefficient = st.integers(-3, 3).map(F)
+        acc = {(i, j, k): data.draw(coefficient)
+               for i in range(n) for j in range(i + 1, n) for k in range(n)}
+        labels = tuple(f"e{a + 1}" for a in range(n))
+    else:
+        base = kernel_algebra(name)
+        n, labels = base.dim, base.basis_labels
+        s = data.draw(st.lists(basis_scales, min_size=n, max_size=n))
+        acc = {(i, j, k): c * s[i] * s[j] / s[k] for i, j, k, c in base.entries}
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j, k = data.draw(index), data.draw(index), data.draw(index)
+        if i < j:
+            delta = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+            acc[i, j, k] = acc.get((i, j, k), F(0)) + delta
+    entries = tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c)
+    expected = reference_jacobi_sweep(LieAlgebra(n, labels, entries))
+    if expected is None:
+        make_lie_algebra(n, entries)
+    else:
+        with pytest.raises(JacobiViolation) as exc:
+            make_lie_algebra(n, entries)
+        assert (exc.value.triple, exc.value.defect) == expected
+        assert all(type(c) is Fraction for c in exc.value.defect)
+
+
+def test_jacobi_defect_is_found_whatever_its_entries_would_cancel_to():
+    # [e1, e2] = e1, [e1, e3] = e2, [e2, e3] = b e2: the defect of (1, 2, 3) is
+    # (-b, 1, 0), which a packing of b = 2^t with t-bit slots would read as zero
+    for t in range(1, 64):
+        b = F(2**t)
+        with pytest.raises(JacobiViolation) as exc:
+            make_lie_algebra(3, [(0, 1, 0, 1), (0, 2, 1, 1), (1, 2, 1, b)])
+        assert exc.value.triple == (0, 1, 2)
+        assert exc.value.defect == (-b, F(1), F(0))
 
 
 # --- killing form / ad invariance -------------------------------------------
@@ -540,6 +619,70 @@ def test_ad_matches_dense_oracle_combination(name, data):
     got = L.ad(X)
     assert got == tuple(tuple(row) for row in expected)
     assert all(type(c) is Fraction for row in got for c in row)
+
+
+# --- closures certified mod p -------------------------------------------------------
+
+
+def exact_closure(L, seeds, ideal):
+    """The ideal (or subalgebra) generated by the seeds, by rref rounds over Q."""
+    current = SubspaceBasis.from_vectors(L.dim, seeds)
+    while True:
+        partners = identity(L.dim) if ideal else current.rows
+        brackets = [L.bracket(u, v) for u in current.rows for v in partners]
+        grown = current.sum_with(SubspaceBasis.from_vectors(L.dim, brackets))
+        if grown.dim == current.dim:
+            return current
+        current = grown
+
+
+P = linalg.PRIME
+closure_entries = st.sampled_from(
+    (F(0),) * 4 + (F(1), F(-1), F(1, 2), F(2, 3), F(P), F(-P), F(2 * P), F(P, 3))
+)
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS + ("so3so3",))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_modular_closure_dimension_is_a_lower_bound(name, data):
+    # multiples of P vanish mod P, so the modular dimension can fall short
+    L = so3_plus_so3() if name == "so3so3" else kernel_algebra(name)
+    vec = st.lists(closure_entries, min_size=L.dim, max_size=L.dim).map(tuple)
+    seeds = data.draw(st.lists(vec, min_size=1, max_size=2))
+    ideal = data.draw(st.booleans())
+    exact = exact_closure(L, seeds, ideal)
+    assert liealg._closure_dim_mod_p(L, seeds, L.dim, ideal) <= exact.dim
+    if ideal and len(seeds) == 1:
+        assert liealg._ideal_closure(L, seeds[0], SubspaceBasis.full(L.dim)) == exact
+
+
+def test_modular_closure_short_of_the_piece_runs_the_exact_worklist():
+    # P e1 + e4 is e4 mod P: its ideal is one factor mod P, all of so(3) + so(3) over Q
+    L = so3_plus_so3()
+    seed = (F(P), F(0), F(0), F(1), F(0), F(0))
+    assert liealg._closure_dim_mod_p(L, [seed], 6, ideal=True) == 3
+    assert liealg._ideal_closure(L, seed, SubspaceBasis.full(6)) == SubspaceBasis.full(6)
+
+
+def test_prime_denominator_skips_the_modular_closure(monkeypatch):
+    # so(3) + so(3) in the basis (P e1, e2, ..., e6): [f2, f3] = f1 / P
+    s = [F(P)] + [F(1)] * 5
+    L = make_lie_algebra(
+        6, [(i, j, k, F(c) * s[i] * s[j] / s[k]) for i, j, k, c in direct_sum_entries(CYCLIC_SO3, 3, CYCLIC_SO3)]
+    )
+    assert L._ads_mod_p is None
+    assert liealg._closure_dim_mod_p(L, [unit_subspace(6, [3]).rows[0]], 6, ideal=True) == 0
+    so3 = cyclic_so3()
+    assert so3._ads_mod_p is not None
+    assert liealg._closure_dim_mod_p(so3, [(F(1, P), F(0), F(0))], 3, ideal=True) == 0
+    exact_rounds = []
+    closure = liealg.span_closure
+    monkeypatch.setattr(liealg, "span_closure", lambda *a: exact_rounds.append(1) or closure(*a))
+    z, ideals = simple_ideal_decomposition(L)
+    assert z.dim == 0
+    assert ideals == (unit_subspace(6, [0, 1, 2]), unit_subspace(6, [3, 4, 5]))
+    assert exact_rounds
 
 
 # --- sparse invariance check against the dense triple loop -------------------

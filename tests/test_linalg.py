@@ -137,6 +137,53 @@ def test_factor_poly_splits_and_orders():
     assert fs == (((rat(-1), rat(1)), 2),)
 
 
+def sympy_route(coeffs):
+    """The whole polynomial factored by sympy, in `factor_poly` order."""
+    return tuple(sorted(linalg._sympy_factors(coeffs), key=lambda fm: (len(fm[0]), fm[0])))
+
+
+linear_factors = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=8),
+    # roots beyond the reconstruction bound 2^30 reach sympy through the leftover
+    st.integers(2**30, 2**62).map(Fraction),
+    st.integers(1, 2**31).map(lambda d: Fraction(-1, d)),
+).map(lambda root: (-root, Fraction(1)))
+irreducible_factors = st.sampled_from([
+    (1, 0, 1),         # x^2 + 1 has no root mod 2^61 - 1
+    (-2, 0, 1),        # x^2 - 2
+    (1, 1, 1),
+    (-2, 0, 0, 1),     # x^3 - 2
+    (3, 0, 0, 0, 1),
+]).map(lambda cs: tuple(map(Fraction, cs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.one_of(linear_factors, irreducible_factors), max_size=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_factor_poly_matches_the_sympy_route(factors, lead):
+    # non-monic products, repeated factors and roots beyond 2^30 included
+    f = (lead,)
+    for factor in factors:
+        f = linalg.poly_mul(f, factor)
+    assert factor_poly(f) == sympy_route(f)
+
+
+def test_factor_poly_leaves_only_the_nonlinear_part_to_sympy(monkeypatch):
+    seen = []
+    sympy_factors = linalg._sympy_factors
+    monkeypatch.setattr(linalg, "_sympy_factors", lambda cs: seen.append(cs) or sympy_factors(cs))
+    # 3 (x - 1/2)^2 (x + 7): every root is certified mod p; the content drops
+    f = linalg.poly_mul(linalg.poly_mul((Fraction(-3, 2), rat(3)), (Fraction(-1, 2), rat(1))), (rat(7), rat(1)))
+    assert factor_poly(f) == (((Fraction(-1, 2), rat(1)), 2), ((rat(7), rat(1)), 1))
+    assert seen == []
+    # (x - 2)(x^2 + 1): only x^2 + 1 goes to sympy
+    f = linalg.poly_mul((rat(-2), rat(1)), (rat(1), rat(0), rat(1)))
+    assert factor_poly(f) == (((rat(-2), rat(1)), 1), ((rat(1), rat(0), rat(1)), 1))
+    assert seen == [[rat(1), rat(0), rat(1)]]
+
+
 @settings(max_examples=30)
 @given(small_matrix(3, 3))
 def test_primary_kernels_split_invariantly(rows):
