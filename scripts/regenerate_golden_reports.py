@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI reports for every curated catalog entry.
+"""Regenerate the golden CLI reports for every curated catalog entry and for
+the spec files under tests/data named in SPEC_FILES.
 
 Run after intentional report-format changes, then review the diff:
 
@@ -13,13 +14,23 @@ from pathlib import Path
 
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.report import run_report
+from reductive_workbench.specfile import load_space_spec_file
+
+# so3so3_mod_diag in a fixed unimodular basis with one metric scale per
+# simple ideal: the custom-metric path on dense constants
+SPEC_FILES = ("so3so3_mod_diag_dense",)
 
 
 def main() -> int:
     golden_dir = Path(__file__).resolve().parent.parent / "tests" / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
-    for name in catalog_names():
-        report = run_report(construct(name), checks="all", numeric=False)
+    data_dir = golden_dir.parent / "data"
+    reports = [(name, run_report(construct(name), checks="all", numeric=False)) for name in catalog_names()]
+    for name in SPEC_FILES:
+        report = run_report(load_space_spec_file(str(data_dir / f"{name}.json")), checks="all")
+        report.body["input"] = f"file:{name}.json"  # as `analyze` names a file input
+        reports.append((name, report))
+    for name, report in reports:
         json_path = golden_dir / f"{name}.json"
         json_path.write_text(report.to_json(), encoding="utf-8")
         text_path = golden_dir / f"{name}.txt"

@@ -64,8 +64,9 @@ SPHERE_GATE_CAVEAT = (
 def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
     """span([m, m]) + m inside g; verified to be a subalgebra (an ideal when normal).
 
-    [m_a, m_b] is read from the pair's structure table. A failed verification
-    raises ClosureFailure with the offending pair of rows."""
+    [m_a, m_b] is read from the pair's structure table. A span that is all of
+    g is both at once and needs no sweep. A failed verification raises
+    ClosureFailure with the offending pair of rows."""
     if not pair.flags.reductive:
         raise NotReductive("transvection algebra needs a reductive pair")
     L, table = pair.algebra, pair.table
@@ -76,6 +77,8 @@ def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
             in_h = pair.from_h_coords(table.h_coords[a][b])
             vectors.append(vadd(in_h, pair.from_m_coords(table.m_coords[a][b])))
     tr = SubspaceBasis.from_vectors(L.dim, vectors)
+    if tr.dim == L.dim:
+        return tr
     closed = is_subalgebra(L, tr)
     if not closed.ok:
         raise ClosureFailure(closed.witness, "transvection span is not bracket-closed")

@@ -26,13 +26,13 @@ from .liealg import (
     LieAlgebra,
     SubspaceBasis,
     TripleWitness,
+    _largest_ideal_in,
     ad_invariance_check,
     center,
     commutant,
     derived_subalgebra,
     is_subalgebra,
     killing_form,
-    largest_ideal_in,
     make_bilinear_form,
     orthogonal_complement,
     simple_ideal_decomposition,
@@ -325,6 +325,13 @@ def make_reductive_pair(
     sub_check = is_subalgebra(L, h)
     if not sub_check.ok:
         raise NotASubalgebra(sub_check.witness)
+    return _reductive_pair(L, h, m, metric)
+
+
+def _reductive_pair(
+    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, metric: BilinearForm
+) -> ReductivePair:
+    """`make_reductive_pair` for an h already checked to be a subalgebra."""
     coord_rows, proj_h, proj_m = _projections(L, h, m)
     table = _structure_table(L, h, m, coord_rows, metric.restrict(m))
     reductive = table is not None
@@ -334,7 +341,7 @@ def make_reductive_pair(
         and ad_invariance_check(L, metric).ok
         and m == orthogonal_complement(h, metric)
     )
-    effective = largest_ideal_in(L, h).dim == 0
+    effective = _largest_ideal_in(L, h).dim == 0
     flags = ReductiveFlags(reductive, normal, nr, effective)
     return ReductivePair(L, h, m, metric, flags, proj_h, proj_m, table)
 
@@ -361,7 +368,7 @@ def normal_decomposition(
         if form.definiteness != "positive-definite":
             raise MetricNotPositiveDefinite(f"metric is {form.definiteness}")
     m = orthogonal_complement(h, form)
-    pair = make_reductive_pair(L, h, m, form)
+    pair = _reductive_pair(L, h, m, form)
     if not pair.flags.normal:
         # m is the complement of a positive-definite form: only invariance can fail
         raise MetricNotAdInvariant(f"witness {ad_invariance_check(L, form).witness}")

@@ -1,10 +1,18 @@
-"""Structure-constant Lie algebra calculus over exact rationals.
+"""Structure-constant Lie algebra calculus, exact over the rationals.
 
 A Lie algebra is given by its dimension, basis labels and a sparse table of
 structure constants [e_i, e_j] = sum_k c[i][j][k] e_k, stored for i < j only
 and completed by antisymmetry. Basis indices are 0-based throughout the
 Python API. All subspaces are canonicalized in reduced row-echelon form, so
 subspace equality is structural equality.
+
+Each algebra caches one integer table: the scale D, the lcm of the
+denominators of its constants, and D c[i][j][k] for both orders of every
+basis pair. The g-level kernels (`bracket`, `ad`, `bracket_basis`,
+`killing_form`, `ad_invariance_check`, the Jacobi sweep and the mod-p
+closures) read that table in Python ints, scale their vector or Gram
+arguments to integers the same way, and divide once per result entry. Their
+results are the same Fractions as exact rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -46,7 +54,8 @@ from .linalg import (
     _integer_row,
 )
 
-SparseTable = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+# rows[i][j] = ((k, D c), ...) for [e_i, e_j] = sum_k c e_k, scaled by D
+IntegerTable = tuple[dict[int, tuple[tuple[int, int], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -109,81 +118,95 @@ class LieAlgebra:
     entries: tuple[tuple[int, int, int, Fraction], ...]  # (i, j, k, c) with i < j, sorted
 
     @cached_property
-    def _table(self) -> SparseTable:
-        table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    def _integer_table(self) -> tuple[int, IntegerTable]:
+        """(D, rows): D is the lcm of the denominators of the constants, and
+        rows[i][j] = ((k, D c), ...) over the nonzero c of [e_i, e_j] = sum_k c e_k,
+        completed by antisymmetry. Every kernel below reads these integers and
+        divides by a power of D once per result."""
+        scale = lcm(*(c.denominator for *_, c in self.entries))
+        acc: list[dict[int, dict[int, int]]] = [dict() for _ in range(self.dim)]
         for i, j, k, c in self.entries:
-            table.setdefault((i, j), []).append((k, c))
-        return {key: tuple(val) for key, val in table.items()}
+            x = c.numerator * (scale // c.denominator)
+            plus, minus = acc[i].setdefault(j, {}), acc[j].setdefault(i, {})
+            plus[k] = plus.get(k, 0) + x
+            minus[k] = minus.get(k, 0) - x
+        rows = tuple(
+            {j: terms for j, col in row.items() if (terms := tuple((k, x) for k, x in col.items() if x))}
+            for row in acc
+        )
+        return scale, rows
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a dense coordinate vector."""
-        out = [ZERO] * self.dim
-        if i == j:
-            return tuple(out)
-        sign = ONE
-        if i > j:
-            i, j, sign = j, i, -ONE
-        for k, c in self._table.get((i, j), ()):
-            out[k] += sign * c
-        return tuple(out)
+        acc = [0] * self.dim
+        scale, rows = self._integer_table
+        for k, c in rows[i].get(j, ()):
+            acc[k] = c
+        return _divided(acc, scale)
 
     def bracket(self, X: Vector, Y: Vector) -> Vector:
         if len(X) != self.dim or len(Y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        out = [ZERO] * self.dim
-        # one pass over the table; a product with a zero factor is skipped
-        nx = {i for i, x in enumerate(X) if x}
-        ny = {i for i, y in enumerate(Y) if y}
-        for (i, j), terms in self._table.items():
-            plus = i in nx and j in ny
-            minus = j in nx and i in ny
-            if plus and minus:
-                coef = X[i] * Y[j] - X[j] * Y[i]
-            elif plus:
-                coef = X[i] * Y[j]
-            elif minus:
-                coef = -(X[j] * Y[i])
-            else:
-                continue
-            if coef:
-                for k, c in terms:
-                    out[k] += coef * c
-        return tuple(out)
+        # X = xs / dx and Y = ys / dy with integer xs, ys over the supports
+        dx, xs = _integer_support(X)
+        dy, ys = _integer_support(Y)
+        scale, rows = self._integer_table
+        acc = [0] * self.dim
+        for i, x in xs:
+            row = rows[i]
+            for j, y in ys:
+                terms = row.get(j)
+                if terms:
+                    xy = x * y
+                    for k, c in terms:
+                        acc[k] += xy * c
+        return _divided(acc, scale * dx * dy)
 
     def ad(self, X: Vector) -> Matrix:
         """Matrix of ad(X) = [X, .] acting on coordinates: the sum of X_i ad(e_i)
-        over the nonzero X_i, read from the sparse adjoint table."""
+        over the nonzero X_i, read from the integer table."""
         if len(X) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        M = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, x in enumerate(X):
-            if x:
-                for (a, b), c in self._sparse_ads[i].items():
-                    M[a][b] += x * c
-        return tuple(tuple(row) for row in M)
-
-    @cached_property
-    def _sparse_ads(self) -> tuple[dict[tuple[int, int], Fraction], ...]:
-        # ads[i][(a, b)] = coefficient of e_a in [e_i, e_b]
-        ads: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(self.dim)]
-        for i, j, k, c in self.entries:
-            ads[i][(k, j)] = ads[i].get((k, j), ZERO) + c
-            ads[j][(k, i)] = ads[j].get((k, i), ZERO) - c
-        return tuple(ads)
+        dx, xs = _integer_support(X)
+        scale, rows = self._integer_table
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for i, x in xs:
+            for b, terms in rows[i].items():
+                for a, c in terms:
+                    acc[a][b] += x * c
+        return tuple(_divided(row, scale * dx) for row in acc)
 
     @cached_property
     def _ads_mod_p(self) -> tuple[dict[int, dict[int, int]], ...] | None:
         # ads[i][j] = {k: c mod PRIME} for [e_i, e_j] = sum_k c e_k; None when
-        # a denominator is divisible by PRIME
-        ads: list[dict[int, dict[int, int]]] = [dict() for _ in range(self.dim)]
-        for i, j, k, c in self.entries:
-            if c.denominator % PRIME == 0:
-                return None
-            x = c.numerator * pow(c.denominator, -1, PRIME) % PRIME
-            if x:
-                ads[i].setdefault(j, {})[k] = x
-                ads[j].setdefault(i, {})[k] = PRIME - x
-        return tuple(ads)
+        # PRIME divides the scale of the integer table
+        scale, rows = self._integer_table
+        if scale % PRIME == 0:
+            return None
+        inverse = pow(scale, -1, PRIME)
+        return tuple(
+            {j: {k: r for k, x in terms if (r := x * inverse % PRIME)} for j, terms in row.items()}
+            for row in rows
+        )
+
+
+def _integer_support(v: Vector) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(i, d v_i), ...]) over the nonzero v_i, d the lcm of their denominators."""
+    support = [(i, x) for i, x in enumerate(v) if x]
+    d = lcm(*(x.denominator for _, x in support))
+    if d == 1:
+        return 1, [(i, x.numerator) for i, x in support]
+    return d, [(i, x.numerator * (d // x.denominator)) for i, x in support]
+
+
+def _divided(acc: Sequence[int], den: int) -> Vector:
+    """The integers over one positive denominator, as Fractions. The tuple is
+    built from a list of its exact length: a tuple grown from a generator is
+    shrunk at the end and may keep its larger memory block, which every
+    result kept alive then carries."""
+    if den == 1:
+        return tuple([Fraction(a) if a else ZERO for a in acc])
+    return tuple([Fraction(a, den) if a else ZERO for a in acc])
 
 
 def make_lie_algebra(
@@ -223,30 +246,23 @@ def make_lie_algebra(
 
 def _check_jacobi(L: LieAlgebra) -> None:
     # Triples with a repeated index vanish identically by antisymmetry. The
-    # constants are scaled to integers by the lcm D of their denominators, and
-    # each vector [e_x, e_y] is packed into one integer, entry t at bits
-    # w t..w (t + 1) in balanced digits; a defect is D^2 times the rational one
-    # and its entries stay below 2^(w-1) in size, so it packs to zero iff it
-    # is zero. Only the first failing triple gets its Fraction defect.
+    # sweep reads the integer table (the constants times D), and each vector
+    # D [e_x, e_y] is packed into one integer, entry t at bits w t..w (t + 1)
+    # in balanced digits; a defect is D^2 times the rational one and its
+    # entries stay below 2^(w-1) in size, so it packs to zero iff it is zero.
+    # Only the first failing triple gets its Fraction defect.
     n = L.dim
-    scale = lcm(*(c.denominator for *_, c in L.entries))
-    ints = [(i, j, k, c.numerator * (scale // c.denominator)) for i, j, k, c in L.entries]
-    bound = max((abs(c) for *_, c in ints), default=0)
+    _, rows = L._integer_table
+    bound = max((abs(c) for row in rows for terms in row.values() for _, c in terms), default=0)
     w = (3 * n * bound * bound).bit_length() + 2
-    packed: list[list[int]] = [[0] * n for _ in range(n)]
-    terms: list[list[list[tuple[int, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in ints:
-        packed[i][j] += c << (w * k)
-        packed[j][i] -= c << (w * k)
-        terms[i][j].append((k, c))
-        terms[j][i].append((k, -c))
+    packed = [{j: sum(c << (w * k) for k, c in terms) for j, terms in row.items()} for row in rows]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 defect = 0
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, c in terms[x][y]:
-                        defect += c * packed[l][z]
+                    for l, c in rows[x].get(y, ()):
+                        defect += c * packed[l].get(z, 0)
                 if defect:
                     raise JacobiViolation(i, j, k, _jacobi_defect(L, i, j, k))
 
@@ -325,18 +341,22 @@ class CheckResult:
 
 
 def killing_form(L: LieAlgebra) -> BilinearForm:
-    """B(X, Y) = trace(ad X . ad Y) on basis pairs, assembled sparsely."""
-    ads = L._sparse_ads
+    """B(X, Y) = trace(ad X . ad Y) on basis pairs: integer traces of the
+    scaled adjoints, each divided by D^2 once."""
+    scale, rows = L._integer_table
+    # ads[i][(a, b)] = D times the coefficient of e_a in [e_i, e_b]
+    ads = [{(a, b): c for b, terms in row.items() for a, c in terms} for row in rows]
     gram = [[ZERO] * L.dim for _ in range(L.dim)]
     for i in range(L.dim):
         for j in range(i, L.dim):
-            total = ZERO
+            other = ads[j]
+            total = 0
             for (a, b), c in ads[i].items():
-                other = ads[j].get((b, a))
-                if other is not None:
-                    total += c * other
-            gram[i][j] = total
-            gram[j][i] = total
+                d = other.get((b, a))
+                if d is not None:
+                    total += c * d
+            if total:
+                gram[i][j] = gram[j][i] = Fraction(total, scale * scale)
     return make_bilinear_form(gram)
 
 
@@ -345,22 +365,30 @@ def ad_invariance_check(L: LieAlgebra, form: BilinearForm) -> CheckResult:
 
     The Gram matrix is symmetric, so the defect of (i, j, k) is
     P_i[j][k] + P_i[k][j] with P_i[j][k] = <[e_i, e_j], e_k>; each P_i is summed
-    over the nonzero entries of ad(e_i) and of the Gram rows they reach. The
-    witness is the lexicographically first triple with a nonzero defect.
+    in integers, over the nonzero entries of the scaled ad(e_i) and of the Gram
+    matrix scaled by the lcm G of its denominators. The witness is the
+    lexicographically first triple with a nonzero defect, divided by D G.
     """
     if len(form.gram) != L.dim:
         raise ValueError("form dimension does not match the algebra")
-    gram_rows = [[(k, g) for k, g in enumerate(row) if g] for row in form.gram]
-    for i, ad in enumerate(L._sparse_ads):
-        defect: dict[tuple[int, int], Fraction] = {}
-        for (a, j), c in ad.items():
-            for k, g in gram_rows[a]:
-                defect[j, k] = defect.get((j, k), ZERO) + c * g
-                defect[k, j] = defect.get((k, j), ZERO) + c * g
+    scale, rows = L._integer_table
+    gram_scale = lcm(*(g.denominator for row in form.gram for g in row if g))
+    gram_rows = [
+        [(k, g.numerator * (gram_scale // g.denominator)) for k, g in enumerate(row) if g]
+        for row in form.gram
+    ]
+    for i, row in enumerate(rows):
+        defect: dict[tuple[int, int], int] = {}
+        for j, terms in row.items():
+            for a, c in terms:
+                for k, g in gram_rows[a]:
+                    cg = c * g
+                    defect[j, k] = defect.get((j, k), 0) + cg
+                    defect[k, j] = defect.get((k, j), 0) + cg
         failing = [jk for jk, d in defect.items() if d]
         if failing:
             j, k = min(failing)
-            return CheckResult(False, TripleWitness((i, j, k), defect[j, k]))
+            return CheckResult(False, TripleWitness((i, j, k), Fraction(defect[j, k], scale * gram_scale)))
     return CheckResult(True)
 
 
@@ -421,6 +449,11 @@ def largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
     """
     if not is_subalgebra(L, h):
         raise NotASubalgebra()
+    return _largest_ideal_in(L, h)
+
+
+def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
+    """`largest_ideal_in` for an h already checked to be a subalgebra."""
     current = h
     while current.dim > 0:
         ann = current.annihilator()

@@ -1,7 +1,12 @@
 """Exact rational linear algebra on immutable tuple-backed vectors and matrices.
 
-Every scalar is a `fractions.Fraction`; nothing here rounds or approximates.
-Vectors are tuples of Fractions, matrices are tuples of row vectors.
+Every scalar that goes in or comes out is a `fractions.Fraction`; nothing
+here rounds or approximates. Vectors are tuples of Fractions, matrices are
+tuples of row vectors. Inside, the heavy kernels work on integers: a row
+times the lcm of its denominators (`_integer_row`), reduced mod PRIME where
+a rank or a kernel is all that is needed, and divided back once per result.
+The structure-constant kernels of `liealg` follow the same rule with one
+integer table per algebra.
 
 The kernels skip zeros: `dot`, `matvec`, `matmul` and the bilinear forms
 multiply only pairs of nonzero entries, and `rref` and `coords_in_rref` touch

@@ -133,9 +133,10 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
     norm = np.abs(A).sum(axis=1).max() if n else 0.0
     s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
     scaled = A / (2.0**s)
-    out = np.eye(n)
+    eye = np.eye(n)
+    out = eye
     for k in range(18, 0, -1):
-        out = np.eye(n) + scaled @ out / k
+        out = eye + scaled @ out / k
     for _ in range(s):
         out = out @ out
     return out
@@ -158,18 +159,43 @@ def flow_commutation_check(entry, X: Vector, Y: Vector, t: float, s: float) -> f
     """
     if abs(t) > 2 or abs(s) > 2:
         raise ValueError("step parameters are capped at |t|, |s| <= 2")
-    pair = entry.pair
+    Xf, flow = _fixed_flow(entry, X, t)
+    return _flow_residual(Xf, flow, _moved_basepoint(entry, Y, s), t)
+
+
+def flow_commutation_residuals(entry, t: float, s: float) -> list[float]:
+    """`flow_commutation_check` over every pair (X, Y) of a row of m^h and a
+    row of m, X-major: Exp(tX) and Exp(sY) are formed once per row."""
+    if abs(t) > 2 or abs(s) > 2:
+        raise ValueError("step parameters are capped at |t|, |s| <= 2")
+    moved = [_moved_basepoint(entry, Y, s) for Y in entry.pair.m.rows]
+    out = []
+    for X in entry.fixed_subspace.rows:
+        Xf, flow = _fixed_flow(entry, X, t)
+        out.extend(_flow_residual(Xf, flow, g, t) for g in moved)
+    return out
+
+
+def _fixed_flow(entry, X: Vector, t: float):
+    """X as a float matrix and Exp(tX), for an isotropy-fixed direction X."""
     if not entry.fixed_subspace.contains_vector(tuple(X)):
         raise NotInFixedSubspace("X must be an isotropy-fixed direction of m")
-    if not pair.m.contains_vector(tuple(Y)):
+    Xf = entry.realization.to_float(X)
+    return Xf, matrix_exp(t * Xf)
+
+
+def _moved_basepoint(entry, Y: Vector, s: float):
+    """g = Exp(sY) for a direction Y of m."""
+    if not entry.pair.m.contains_vector(tuple(Y)):
         raise NotInM("Y must lie in m")
+    return matrix_exp(s * entry.realization.to_float(Y))
+
+
+def _flow_residual(Xf, flow, g, t: float) -> float:
+    """max |g Exp(tX) - Exp(t Ad(g)X) g|, the one residual of the flow identity."""
     import numpy as np
 
-    real = entry.realization
-    Xf = real.to_float(X)
-    Yf = real.to_float(Y)
-    g = matrix_exp(s * Yf)
-    route_one = g @ matrix_exp(t * Xf)
+    route_one = g @ flow
     route_two = matrix_exp(t * (g @ Xf @ g.T)) @ g
     return float(np.abs(route_one - route_two).max())
 

@@ -4,9 +4,12 @@ The input format is strict JSON (RFC 8259; see schemas/spacespec.schema.json).
 The stdlib decoder parses it, with hooks on its containers that record where
 every value starts and cap the nesting, so that syntax errors, schema
 violations and semantic errors (bad indices, malformed rationals) all carry a
-line and column. Bracket indices in files are 1-based, matching the basis
-listing; the Python API stays 0-based. A basis longer than MAX_DIM (63, the
-dimension of su(8)) is rejected at `basis` before any analysis starts.
+line and column. The schema's rules are walked in plain Python first; only
+a document that walk does not accept goes to jsonschema, which is loaded
+then and words the first error, so a valid file never imports it. Bracket
+indices in files are 1-based, matching the basis listing; the Python API
+stays 0-based. A basis longer than MAX_DIM (63, the dimension of su(8)) is
+rejected at `basis` before any analysis starts.
 """
 
 from __future__ import annotations
@@ -127,6 +130,62 @@ def _schema() -> dict:
     return json.loads(data.read_text(encoding="utf-8"))
 
 
+def _is_rational(x) -> bool:
+    # the schema's "rational": an integer (never a bool), or a string that the
+    # pattern finds with re.search, as jsonschema applies it
+    return type(x) is int or (type(x) is str and _RATIONAL.search(x) is not None)
+
+
+def _is_list_of(x, accepts) -> bool:
+    return type(x) is list and all(accepts(y) for y in x)
+
+
+def _is_bracket(item) -> bool:
+    return (
+        type(item) is list
+        and len(item) == 4
+        and all(type(i) is int and i >= 1 for i in item[:3])
+        and _is_rational(item[3])
+    )
+
+
+def _is_metric(metric) -> bool:
+    return (
+        type(metric) is dict
+        and metric.keys() <= {"mode", "scales", "center_gram"}
+        and type(metric.get("mode")) is str
+        and metric["mode"] in ("negative_killing", "custom")
+        and _is_list_of(metric.get("scales", []), _is_rational)
+        and _is_list_of(metric.get("center_gram", []), lambda row: _is_list_of(row, _is_rational))
+    )
+
+
+def _is_assertions(asserts) -> bool:
+    return (
+        type(asserts) is dict
+        and asserts.keys() <= {"locally_irreducible", "is_sphere_or_rp"}
+        and all(type(v) is bool for v in asserts.values())
+    )
+
+
+def _plainly_valid(doc) -> bool:
+    """True only when the document satisfies schemas/spacespec.schema.json:
+    types, required and extra keys, minItems, indices >= 1 and the rational
+    pattern. A bool or a float where a number belongs, or anything else the
+    walk is not sure of, answers False and leaves the verdict to jsonschema."""
+    return (
+        type(doc) is dict
+        and {"basis", "brackets", "subalgebra", "metric"} <= doc.keys()
+        and doc.keys() <= {"basis", "brackets", "subalgebra", "metric", "assertions"}
+        and _is_list_of(doc["basis"], lambda label: type(label) is str and len(label) >= 1)
+        and len(doc["basis"]) >= 1
+        and _is_list_of(doc["brackets"], _is_bracket)
+        and _is_list_of(doc["subalgebra"], lambda row: _is_list_of(row, _is_rational))
+        and _is_metric(doc["metric"])
+        and _is_assertions(doc.get("assertions", {}))
+    )
+
+
 def _position_for(positions: dict, path: tuple) -> Position:
     while path:
         if path in positions:
@@ -154,15 +213,15 @@ def _rat_at(value, positions, path) -> Fraction:
 def parse_space_spec(text: str) -> SpaceSpec:
     """Parse and validate a specification document; raises SpecFileError."""
     doc, positions = parse_positioned(text)
+    if not _plainly_valid(doc):
+        import jsonschema
 
-    import jsonschema
-
-    validator = jsonschema.Draft7Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        line, col = _position_for(positions, tuple(err.absolute_path))
-        raise SpecFileError(err.message, line, col)
+        validator = jsonschema.Draft7Validator(_schema())
+        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        if errors:
+            err = errors[0]
+            line, col = _position_for(positions, tuple(err.absolute_path))
+            raise SpecFileError(err.message, line, col)
 
     labels = tuple(doc["basis"])
     if len(labels) > MAX_DIM:

@@ -2,7 +2,8 @@
 
 Deliberately different code paths from the package: dense Fraction matrices out
 of explicit matrix realizations, naive Gaussian elimination, closed-form trace
-identities. Nothing here imports the package under test.
+identities. Nothing here imports the package under test, and an algebra is
+read only through its `dim` and `entries` fields, never through its methods.
 """
 
 from __future__ import annotations
@@ -132,6 +133,17 @@ def express_in_basis(M, basis):
     for i in range(r, rows):
         assert aug[i][len(basis)] == 0, "matrix is outside the span of the basis"
     return coords
+
+
+def bracket_basis(L):
+    """bracket_fn(i, j) -> [e_i, e_j] as a coordinate list, built from the
+    algebra's (i, j, k, c) entries (i < j) and completed by antisymmetry."""
+    table = {}
+    for i, j, k, c in L.entries:
+        table.setdefault((i, j), [F0] * L.dim)[k] += c
+        table.setdefault((j, i), [F0] * L.dim)[k] -= c
+    zero = [F0] * L.dim
+    return lambda i, j: list(table.get((i, j), zero))
 
 
 def brute_force_jacobi(dim, bracket_fn):

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reductive_workbench import specfile
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError
@@ -111,6 +113,79 @@ def test_parse_space_spec_raises_only_spec_file_errors(text):
         assert exc.line is not None
 
 
+VALID_DOCS = tuple(
+    json.loads((DATA / name).read_text())
+    for name in ("so3_sphere.json", "so4_mod_so2_asserted.json", "so3so3_mod_diag_dense.json")
+)
+ODD_VALUES = (
+    True, False, None, 0, 1, -2, 1.0, 2.5, 2**70, "", "x", "3", "-1/2", "1/0", "2/", "\u0663",
+    "5\n", [], {}, [1, 2, 3, "1"], {"mode": "custom"},
+)
+SPEC_KEYS = ("basis", "brackets", "subalgebra", "metric", "assertions", "mode", "scales",
+             "center_gram", "locally_irreducible", "is_sphere_or_rp", "extra")
+
+
+def _value_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _value_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid spec document with one to three values swapped for odd ones,
+    keys or items deleted, or keys and items added."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_value_paths(doc))))
+        odd = draw(st.sampled_from(ODD_VALUES))
+        if not path:
+            doc = odd
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        action = draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "replace":
+            parent[path[-1]] = copy.deepcopy(odd)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(target, dict):
+            target[draw(st.sampled_from(SPEC_KEYS))] = copy.deepcopy(odd)
+        elif isinstance(target, list):
+            target.insert(draw(st.integers(0, len(target))), copy.deepcopy(odd))
+    return doc
+
+
+def test_valid_documents_pass_the_schema_walk():
+    for doc in VALID_DOCS:
+        assert specfile._plainly_valid(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_schema_walk_accepts_only_what_jsonschema_accepts(doc):
+    # the walk may leave a valid document to jsonschema, never pass an invalid one
+    import jsonschema
+
+    if specfile._plainly_valid(doc):
+        assert list(jsonschema.Draft7Validator(specfile._schema()).iter_errors(doc)) == []
+
+
+def test_valid_spec_file_never_imports_jsonschema():
+    code = (
+        "import sys\n"
+        "from reductive_workbench.cli import main\n"
+        f"code = main(['--json', {str(DATA / 'so3so3_mod_diag_dense.json')!r}])\n"
+        "print(code, 'jsonschema' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_module("-c", code)
+    assert proc.returncode == 0
+    assert proc.stderr == "0 False\n"
+
+
 def test_parse_space_spec_roundtrip():
     spec = parse_space_spec((DATA / "so3_sphere.json").read_text())
     assert spec.dim == 3
@@ -128,6 +203,31 @@ def test_golden_reports_are_stable(name):
     assert report.to_json() == (GOLDEN / f"{name}.json").read_text()
     assert report.to_text() == (GOLDEN / f"{name}.txt").read_text()
     assert report.exit_code == 0
+
+
+def test_golden_report_of_a_dense_custom_metric_spec(capsys):
+    # so3so3_mod_diag in a fixed unimodular basis, one metric scale per simple
+    # ideal: the simple-ideal split and every g-level sweep on dense constants
+    spec = str(DATA / "so3so3_mod_diag_dense.json")
+    for flags, suffix in ((["--json"], "json"), ([], "txt")):
+        assert main([spec, *flags]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"so3so3_mod_diag_dense.{suffix}").read_text()
+
+
+def test_report_checks_that_h_is_a_subalgebra_once(monkeypatch):
+    # normal_decomposition checks h; the pair's constructor, the largest ideal
+    # in h and a transvection span that is all of g need no second sweep
+    from reductive_workbench import affine, homspace, liealg
+
+    checked = []
+    for module in (affine, homspace, liealg):
+        check = module.is_subalgebra
+        monkeypatch.setattr(
+            module, "is_subalgebra", lambda L, sub, check=check: checked.append(sub.dim) or check(L, sub)
+        )
+    report = run_report(load_space_spec_file(str(DATA / "so3so3_mod_diag_dense.json")))
+    assert report.body["flags"]["transvection_equals_g"]
+    assert checked == [3]
 
 
 def test_reports_validate_against_report_schema():

@@ -32,6 +32,7 @@ from reductive_workbench.liealg import (
 from reductive_workbench.linalg import identity, matrix, matvec, rat, transpose, vector
 
 from oracles import (
+    bracket_basis,
     changed_basis_entries,
     commutator,
     cyclic_so3_matrices,
@@ -86,6 +87,12 @@ def so3_plus_so3():
     return make_lie_algebra(6, direct_sum_entries(CYCLIC_SO3, 3, CYCLIC_SO3))
 
 
+def rescaled_so3_plus_so3(s):
+    """so(3) + so(3) in the basis f_a = s_a e_a."""
+    entries = direct_sum_entries(CYCLIC_SO3, 3, CYCLIC_SO3)
+    return make_lie_algebra(6, [(i, j, k, F(c) * s[i] * s[j] / s[k]) for i, j, k, c in entries])
+
+
 def heisenberg():
     return make_lie_algebra(3, [(0, 1, 2, 1)], ["x", "y", "z"])
 
@@ -126,7 +133,7 @@ def test_heisenberg_valid_by_brute_force():
     from oracles import brute_force_jacobi
 
     L = heisenberg()
-    assert brute_force_jacobi(3, lambda i, j: list(L.bracket_basis(i, j))) is None
+    assert brute_force_jacobi(3, bracket_basis(L)) is None
 
 
 def test_bracket_of_vector_with_itself_vanishes():
@@ -199,25 +206,19 @@ def test_jacobi_rejects_corrupted_table_with_witness():
 
 
 def reference_jacobi_sweep(L):
-    """The Fraction sweep that the integer sweep replaced: the first triple
-    i < j < k with a nonzero Jacobi defect and that defect, or None."""
-    table = L._table
-
-    def terms(i, j):
-        if i == j:
-            return ()
-        if i < j:
-            return table.get((i, j), ())
-        return tuple((k, -c) for k, c in table.get((j, i), ()))
-
+    """The Fraction sweep that the integer sweep replaced, over brackets read
+    from L.entries: the first triple i < j < k with a nonzero Jacobi defect
+    and that defect, or None."""
+    bracket = bracket_basis(L)
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k in range(j + 1, L.dim):
                 defect = [F(0)] * L.dim
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, c in terms(x, y):
-                        for t, d in terms(l, z):
-                            defect[t] += c * d
+                    for l, c in enumerate(bracket(x, y)):
+                        if c:
+                            for t, d in enumerate(bracket(l, z)):
+                                defect[t] += c * d
                 if any(defect):
                     return (i, j, k), tuple(defect)
     return None
@@ -282,7 +283,7 @@ def test_killing_so3_is_minus_two_identity():
     L = cyclic_so3()
     B = killing_form(L)
     assert B.gram == matrix([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
-    oracle = killing_by_traces(3, lambda i, j: list(L.bracket_basis(i, j)))
+    oracle = killing_by_traces(3, bracket_basis(L))
     assert B.gram == matrix(oracle)
 
 
@@ -305,7 +306,7 @@ def test_killing_direct_sum_is_block_diagonal():
 def test_killing_so4_diagonal_matches_trace_oracle():
     L = so_algebra(4)
     B = killing_form(L)
-    oracle = killing_by_traces(6, lambda i, j: list(L.bracket_basis(i, j)))
+    oracle = killing_by_traces(6, bracket_basis(L))
     assert B.gram == matrix(oracle)
     assert all(B.gram[i][i] == -4 for i in range(6))
     assert all(B.gram[i][j] == 0 for i in range(6) for j in range(6) if i != j)
@@ -323,9 +324,9 @@ def test_ad_invariance_failure_carries_witness():
     assert not res.ok
     i, j, k = res.witness.indices
     # independently recompute the defect at the reported triple
-    units = identity(3)
-    defect = form.apply(L.bracket_basis(i, j), units[k]) + form.apply(
-        units[j], L.bracket_basis(i, k)
+    units, bracket = identity(3), bracket_basis(L)
+    defect = form.apply(vector(bracket(i, j)), units[k]) + form.apply(
+        units[j], vector(bracket(i, k))
     )
     assert defect == res.witness.defect != 0
     # determinism: first lexicographic violation
@@ -574,10 +575,16 @@ def kernel_algebra(name):
         from reductive_workbench.catalog import construct
 
         return construct("su3_mod_su2").algebra
+    if name == "coprime_so3so3":
+        # constants with large coprime denominators, one of them the prime of
+        # the modular kernels, so the integer table's scale exceeds 2^100
+        return rescaled_so3_plus_so3(
+            [F(linalg.PRIME), F(1), F(3**20, 7), F(1), F(2**40 + 1, 5**10), F(1)]
+        )
     return dense_basis_so4()
 
 
-KERNEL_ALGEBRAS = ("so4", "su3", "dense_so4")
+KERNEL_ALGEBRAS = ("so4", "su3", "dense_so4", "coprime_so3so3")
 sparse_entries = st.sampled_from(
     (F(0),) * 5 + (F(1), F(-1), F(1, 2), F(-1, 2), F(3))
 )
@@ -590,15 +597,30 @@ def draw_vector(data, n):
 
 
 @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+def test_basis_brackets_and_killing_form_match_the_entries(name):
+    L = kernel_algebra(name)
+    bracket = bracket_basis(L)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            got = L.bracket_basis(i, j)
+            assert got == tuple(bracket(i, j))
+            assert all(type(c) is Fraction for c in got)
+    B = killing_form(L)
+    assert B.gram == matrix(killing_by_traces(L.dim, bracket))
+    assert all(type(c) is Fraction for row in B.gram for c in row)
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_bracket_matches_bilinear_expansion(name, data):
     L = kernel_algebra(name)
+    bracket = bracket_basis(L)
     X, Y = draw_vector(data, L.dim), draw_vector(data, L.dim)
     expected = [F(0)] * L.dim
     for i in range(L.dim):
         for j in range(L.dim):
-            for k, c in enumerate(L.bracket_basis(i, j)):
+            for k, c in enumerate(bracket(i, j)):
                 expected[k] += X[i] * Y[j] * c
     got = L.bracket(X, Y)
     assert got == tuple(expected)
@@ -610,7 +632,7 @@ def test_bracket_matches_bilinear_expansion(name, data):
 @given(data=st.data())
 def test_ad_matches_dense_oracle_combination(name, data):
     L = kernel_algebra(name)
-    ads = dense_ad_matrices(L.dim, lambda i, j: list(L.bracket_basis(i, j)))
+    ads = dense_ad_matrices(L.dim, bracket_basis(L))
     X = draw_vector(data, L.dim)
     expected = [
         [sum((X[i] * ads[i][a][b] for i in range(L.dim)), F(0)) for b in range(L.dim)]
@@ -667,10 +689,7 @@ def test_modular_closure_short_of_the_piece_runs_the_exact_worklist():
 
 def test_prime_denominator_skips_the_modular_closure(monkeypatch):
     # so(3) + so(3) in the basis (P e1, e2, ..., e6): [f2, f3] = f1 / P
-    s = [F(P)] + [F(1)] * 5
-    L = make_lie_algebra(
-        6, [(i, j, k, F(c) * s[i] * s[j] / s[k]) for i, j, k, c in direct_sum_entries(CYCLIC_SO3, 3, CYCLIC_SO3)]
-    )
+    L = rescaled_so3_plus_so3([F(linalg.PRIME)] + [F(1)] * 5)
     assert L._ads_mod_p is None
     assert liealg._closure_dim_mod_p(L, [unit_subspace(6, [3]).rows[0]], 6, ideal=True) == 0
     so3 = cyclic_so3()
@@ -694,13 +713,16 @@ def invariance_algebra(name):
         L = kernel_algebra("su3")
         P, Pinv = unimodular(L.dim, random.Random(31))
         return make_lie_algebra(L.dim, changed_basis_entries(L.dim, L.bracket_basis, P, Pinv))
+    if name in KERNEL_ALGEBRAS:
+        return kernel_algebra(name)
     from reductive_workbench.catalog import construct
 
     return construct(name).algebra
 
 
 @pytest.mark.parametrize(
-    "name", ["so3_mod_so2", "so4_mod_0", "su3_mod_su2", "so3r1_mod_0", "r2_mod_0", "unimodular_su3"]
+    "name",
+    ["so3_mod_so2", "so4_mod_0", "su3_mod_su2", "so3r1_mod_0", "r2_mod_0", "unimodular_su3", "coprime_so3so3"],
 )
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -719,7 +741,7 @@ def test_ad_invariance_matches_dense_triple_loop(name, data):
             gram[q][p] += delta
     form = make_bilinear_form(gram)
     res = ad_invariance_check(L, form)
-    expected = dense_ad_invariance(L.dim, lambda i, j: L.bracket_basis(i, j), form.gram)
+    expected = dense_ad_invariance(L.dim, bracket_basis(L), form.gram)
     assert res.ok == (expected is None)
     if expected is not None:
         assert (res.witness.indices, res.witness.defect) == expected

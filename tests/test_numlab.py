@@ -9,6 +9,7 @@ from reductive_workbench.linalg import rat, vector
 from reductive_workbench.numlab import (
     TOLERANCE,
     flow_commutation_check,
+    flow_commutation_residuals,
     isotropy_commutation_residual,
     make_matrix_realization,
     matrix_exp,
@@ -107,3 +108,19 @@ def test_isotropy_commutation_residuals():
         entry = construct(name)
         for X in entry.fixed_subspace.rows:
             assert isotropy_commutation_residual(entry, X) < TOLERANCE
+
+
+@pytest.mark.parametrize("name", ["so5_mod_0", "su4_mod_0"])
+def test_numeric_section_reports_the_worst_per_pair_flow_check(name):
+    from reductive_workbench.report import run_report
+
+    entry = construct(name)
+    numeric = run_report(entry, checks="fast", numeric=True).body["numeric"]
+    worst = max(
+        flow_commutation_check(entry, X, Y, 1.0, 1.0)
+        for X in entry.fixed_subspace.rows
+        for Y in entry.pair.m.rows
+    )
+    assert max(flow_commutation_residuals(entry, 1.0, 1.0)) == worst
+    assert numeric["flow_commutation_max"] == f"{worst:.3e}"
+    assert numeric["flow_commutation_checks"] == entry.fixed_subspace.dim * entry.pair.m.dim
