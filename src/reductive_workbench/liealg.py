@@ -8,11 +8,14 @@ subspace equality is structural equality.
 
 Each algebra caches one integer table: the scale D, the lcm of the
 denominators of its constants, and D c[i][j][k] for both orders of every
-basis pair. The g-level kernels (`bracket`, `ad`, `bracket_basis`,
-`killing_form`, `ad_invariance_check`, the Jacobi sweep and the mod-p
-closures) read that table in Python ints, scale their vector or Gram
-arguments to integers the same way, and divide once per result entry. Their
-results are the same Fractions as exact rational arithmetic gives.
+basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
+`bracket_basis`, `killing_form`, `ad_invariance_check`, the Jacobi sweep and
+the mod-p closures) read that table in Python ints, scale their vector or
+Gram arguments to integers the same way, and divide once per result entry.
+Their results are the same Fractions as exact rational arithmetic gives.
+
+Subalgebra closures, ideal closures and largest ideals are fixpoints of one
+exact worklist, `_closure`; only the mod-p dimension has its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegenerateForm,
@@ -33,7 +36,6 @@ from .linalg import (
     PRIME,
     EchelonBasis,
     Matrix,
-    ONE,
     Vector,
     ZERO,
     dot,
@@ -176,6 +178,22 @@ class LieAlgebra:
                     acc[a][b] += x * c
         return tuple(_divided(row, scale * dx) for row in acc)
 
+    def coadjoint(self, phi: Vector) -> Matrix:
+        """The rows phi o ad(e_i) of a functional phi: entry (i, b) is
+        phi([e_i, e_b]), read from the integer table."""
+        if len(phi) != self.dim:
+            raise ValueError("vector length does not match the algebra dimension")
+        dphi, support = _integer_support(phi)
+        ps = dict(support)
+        scale, rows = self._integer_table
+        out = []
+        for row in rows:
+            acc = [0] * self.dim
+            for b, terms in row.items():
+                acc[b] = sum(ps.get(a, 0) * c for a, c in terms)
+            out.append(_divided(acc, scale * dphi))
+        return tuple(out)
+
     @cached_property
     def _ads_mod_p(self) -> tuple[dict[int, dict[int, int]], ...] | None:
         # ads[i][j] = {k: c mod PRIME} for [e_i, e_j] = sum_k c e_k; None when
@@ -276,10 +294,6 @@ def _jacobi_defect(L: LieAlgebra, i: int, j: int, k: int) -> Vector:
                 for t, d in enumerate(L.bracket_basis(l, z)):
                     defect[t] += c * d
     return tuple(defect)
-
-
-def _unit(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -420,18 +434,10 @@ def derived_subalgebra(L: LieAlgebra) -> SubspaceBasis:
 
 
 def span_closure(L: LieAlgebra, seed: SubspaceBasis) -> SubspaceBasis:
-    """Smallest subalgebra containing the seed; dimension grows strictly each round."""
-    current = seed
-    while True:
-        new_vecs = [
-            L.bracket(u, v)
-            for a, u in enumerate(current.rows)
-            for v in current.rows[a + 1 :]
-        ]
-        grown = current.sum_with(SubspaceBasis.from_vectors(L.dim, new_vecs))
-        if grown.dim == current.dim:
-            return current
-        current = grown
+    """Smallest subalgebra containing the seed: each vector that joins is
+    bracketed once with every vector that joined before it."""
+    rows = _closure(seed.rows, L.dim, lambda v, done: [L.bracket(u, v) for u in done])
+    return SubspaceBasis.from_vectors(L.dim, rows)
 
 
 def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
@@ -443,34 +449,38 @@ def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
 
 
 def largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
-    """Largest ideal of L contained in the subalgebra h.
-
-    Fixpoint of the descending chain h_{k+1} = {X in h_k : [L, X] in h_k}.
-    """
+    """Largest ideal of L contained in the subalgebra h."""
     if not is_subalgebra(L, h):
         raise NotASubalgebra()
     return _largest_ideal_in(L, h)
 
 
 def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
-    """`largest_ideal_in` for an h already checked to be a subalgebra."""
-    current = h
-    while current.dim > 0:
-        ann = current.annihilator()
-        basis_t = transpose(current.rows)
-        system_rows = []
-        for i in range(L.dim):
-            # condition: ann . ad(e_i) . (t-combination of current rows) = 0
-            block = matmul(matmul(ann, L.ad(_unit(L.dim, i))), basis_t)
-            system_rows.extend(block)
-        t_kernel = kernel(tuple(system_rows), current.dim)
-        nxt = SubspaceBasis.from_vectors(
-            L.dim, [matvec(basis_t, t) for t in t_kernel]
-        )
-        if nxt.dim == current.dim:
-            return current
-        current = nxt
-    return current
+    """`largest_ideal_in` for an h already checked to be a subalgebra.
+
+    A subspace I of h is an ideal iff its annihilator contains that of h and
+    is closed under phi -> phi o ad(e_i), so the largest ideal is the kernel
+    of the closure of the annihilator of h under those maps.
+    """
+    dual = _closure(h.annihilator(), L.dim, lambda phi, done: L.coadjoint(phi))
+    return SubspaceBasis.from_vectors(L.dim, kernel(dual, L.dim))
+
+
+def _closure(seeds: Iterable[Vector], target: int, images: Callable[..., Iterable[Vector]]) -> list[Vector]:
+    """Echelon rows of the smallest subspace that contains the seeds and is
+    closed under `images`; the search stops at dimension `target`. Each vector
+    that joins is mapped once, by images(v, done), `done` being the vectors
+    mapped before it."""
+    basis = EchelonBasis()
+    queue = [v for v in seeds if basis.add(v)]
+    done: list[Vector] = []
+    while queue and basis.dim < target:
+        v = queue.pop()
+        for w in images(v, done):
+            if basis.add(w):
+                queue.append(w)
+        done.append(v)
+    return basis.rows
 
 
 def _closure_dim_mod_p(L: LieAlgebra, seeds: Sequence[Vector], target: int, ideal: bool) -> int:
@@ -514,26 +524,13 @@ def _closure_dim_mod_p(L: LieAlgebra, seeds: Sequence[Vector], target: int, idea
 
 
 def _ideal_closure(L: LieAlgebra, seed: Vector, piece: SubspaceBasis) -> SubspaceBasis:
-    """Smallest ideal of L containing the seed, a vector of the ideal `piece`.
-
-    When the closure mod PRIME reaches dim piece, the ideal is the whole
-    piece. Otherwise a worklist over an echelon basis: each vector that joins
-    the basis is bracketed with e_1, ..., e_n once (the rows of ad(v)^T), and
-    each bracket that does not reduce to zero joins the basis. The search ends
-    when the basis reaches dim piece: the ideal is then the whole piece.
-    """
+    """Smallest ideal of L containing the seed, a vector of the ideal `piece`:
+    the whole piece when the closure mod PRIME reaches dim piece, else the
+    exact `_closure` under the rows of ad(v)^T, which stops at dim piece."""
     if _closure_dim_mod_p(L, [seed], piece.dim, ideal=True) == piece.dim:
         return piece
-    basis = EchelonBasis()
-    basis.add(seed)
-    queue = [seed]
-    while queue and basis.dim < piece.dim:
-        for w in transpose(L.ad(queue.pop())):
-            if basis.add(w):
-                queue.append(w)
-    if basis.dim == piece.dim:
-        return piece
-    return SubspaceBasis.from_vectors(L.dim, basis.rows)
+    rows = _closure([seed], piece.dim, lambda v, done: transpose(L.ad(v)))
+    return SubspaceBasis.from_vectors(L.dim, rows)
 
 
 def _generating_rows(L: LieAlgebra, piece: SubspaceBasis) -> Matrix:

@@ -76,16 +76,8 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(c == 0 for c in v)
-
-
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vneg(u: Vector) -> Vector:

@@ -26,7 +26,7 @@ from json.scanner import py_make_scanner
 from .affine import UserAssertions
 from .errors import SpecFileError
 from .homspace import MetricSpec
-from .linalg import Matrix
+from .linalg import Matrix, signature
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -242,6 +242,8 @@ def parse_space_spec(text: str) -> SpaceSpec:
         path = ("brackets", t)
         line, col = _position_for(positions, path)
         for idx in (i, j, k):
+            if type(idx) is not int:
+                raise SpecFileError(f"bracket index {idx!r} is not an integer", line, col)
             if not 1 <= idx <= dim:
                 raise SpecFileError(
                     f"bracket index {idx} out of range 1..{dim}", line, col
@@ -302,6 +304,11 @@ def parse_space_spec(text: str) -> SpaceSpec:
                             f"center gram is not symmetric at ({a + 1}, {b + 1})",
                             *_position_for(positions, ("metric", "center_gram", a, b)),
                         )
+            if all(len(row) == len(gram) for row in gram) and signature(gram)[0] < len(gram):
+                raise SpecFileError(
+                    "center gram is not positive-definite",
+                    *_position_for(positions, ("metric", "center_gram")),
+                )
         spec = MetricSpec.custom(scale_factors=scales, center_gram=gram)
 
     asserts = doc.get("assertions", {})

@@ -274,3 +274,35 @@ def dense_ad_invariance(dim, bracket_fn, gram):
                 if defect:
                     return (i, j, k), defect
     return None
+
+
+def largest_ideal_by_descent(L, h_rows):
+    """Rref basis of the largest ideal of L inside the span of h_rows, as the
+    fixpoint of the descending chain h_{k+1} = {X in h_k : [e_i, X] in h_k for
+    every i}. Each step solves, for the coordinates t of X = sum t_r h_k[r],
+    phi([e_i, X]) = 0 for every i and every phi in the dot-annihilator of h_k,
+    with dense Gauss-Jordan only."""
+    n = L.dim
+    bracket = bracket_basis(L)
+    brackets = [[bracket(i, b) for b in range(n)] for i in range(n)]
+    current = dense_rref(h_rows, n)
+    while current:
+        ann = dense_kernel(current, n)
+        system = []
+        for i in range(n):
+            # [e_i, row] for each basis row of h_k
+            images = [
+                [sum((row[b] * brackets[i][b][a] for b in range(n)), F0) for a in range(n)]
+                for row in current
+            ]
+            for phi in ann:
+                system.append([sum((p * x for p, x in zip(phi, image)), F0) for image in images])
+        coords = dense_kernel(system, len(current))
+        nxt = dense_rref(
+            [[sum((t * row[c] for t, row in zip(ts, current)), F0) for c in range(n)] for ts in coords],
+            n,
+        )
+        if len(nxt) == len(current):
+            return current
+        current = nxt
+    return current

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 from reductive_workbench import specfile
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
-from reductive_workbench.errors import SpecFileError
-from reductive_workbench.liealg import SubspaceBasis, simple_ideal_decomposition
+from reductive_workbench.errors import SpecFileError, WorkbenchError
+from reductive_workbench.liealg import SubspaceBasis, make_lie_algebra, simple_ideal_decomposition
 from reductive_workbench.report import SpaceReport, run_report
 from reductive_workbench.specfile import (
     load_space_spec_file,
@@ -157,6 +159,38 @@ def mutated_documents(draw):
         elif isinstance(target, list):
             target.insert(draw(st.integers(0, len(target))), copy.deepcopy(odd))
     return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_parsed_spec_builds_its_algebra_or_raises_a_workbench_error(doc):
+    try:
+        spec = parse_space_spec(json.dumps(doc))
+    except SpecFileError:
+        return
+    try:
+        make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
+    except WorkbenchError:
+        pass
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_cli_float_bracket_index_is_an_input_error(tmp_path, position):
+    # JSON Schema counts 1.0 as an integer, so only the parser can reject it
+    doc = json.loads(SPHERE_TEXT)
+    doc["brackets"][0][position] = float(doc["brackets"][0][position])
+    text = json.dumps(doc, indent=1)
+    line, column = parse_positioned(text)[1][("brackets", 0)]
+    spec = tmp_path / "float_index.json"
+    spec.write_text(text)
+    proc = _run_module("-m", "reductive_workbench", str(spec))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    index = doc["brackets"][0][position]
+    assert proc.stderr.splitlines() == [
+        f"error: line {line}, column {column}: bracket index {index!r} is not an integer"
+    ]
+    assert proc.stdout == ""
 
 
 def test_valid_documents_pass_the_schema_walk():
@@ -512,6 +546,28 @@ def test_source_has_no_assert_statements():
     assert found == []
 
 
+def test_every_source_function_is_referenced():
+    # a def whose name appears nowhere but on its own line is dead code
+    root = Path(__file__).resolve().parent.parent
+    words = Counter(
+        word
+        for tree in ("src", "tests", "scripts", "benchmarks")
+        for path in sorted((root / tree).rglob("*.py"))
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    unreferenced = []
+    for path in sorted((root / "src" / "reductive_workbench").rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
+                if words[node.name] <= own:
+                    unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []
+
+
 def test_exit_code_two_on_failed_applicable_verdict():
     body = {
         "theorem_verdicts": [
@@ -551,6 +607,8 @@ def test_cli_metric_recipe_mismatch_is_an_input_error(tmp_path):
          "center gram must be 1x1"),
         (SO3_TEXT, '{"mode": "custom", "center_gram": [["1"]]}', 46,
          "center gram supplied but the algebra has no center"),
+        (R2_TEXT, '{"mode": "custom", "center_gram": [["1", "0"], ["0", "-1"]]}', 46,
+         "center gram is not positive-definite"),
     ]
     for algebra, metric, column, message in cases:
         spec = tmp_path / "recipe.json"

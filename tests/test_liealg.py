@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductive_workbench import liealg, linalg
+from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.errors import (
     DegenerateForm,
     JacobiViolation,
@@ -41,6 +42,7 @@ from oracles import (
     express_in_basis,
     gauss_rank,
     killing_by_traces,
+    largest_ideal_by_descent,
     so_coords,
     so_matrix_basis,
     unimodular,
@@ -677,6 +679,8 @@ def test_modular_closure_dimension_is_a_lower_bound(name, data):
     assert liealg._closure_dim_mod_p(L, seeds, L.dim, ideal) <= exact.dim
     if ideal and len(seeds) == 1:
         assert liealg._ideal_closure(L, seeds[0], SubspaceBasis.full(L.dim)) == exact
+    if not ideal:
+        assert span_closure(L, SubspaceBasis.from_vectors(L.dim, seeds)) == exact
 
 
 def test_modular_closure_short_of_the_piece_runs_the_exact_worklist():
@@ -702,6 +706,44 @@ def test_prime_denominator_skips_the_modular_closure(monkeypatch):
     assert z.dim == 0
     assert ideals == (unit_subspace(6, [0, 1, 2]), unit_subspace(6, [3, 4, 5]))
     assert exact_rounds
+
+
+# --- largest ideal and coadjoint rows against dense oracles ------------------------
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_largest_ideal_matches_the_descending_chain_oracle(name, data):
+    # h is the subalgebra generated by one or two drawn vectors
+    L = kernel_algebra(name)
+    seeds = [draw_vector(data, L.dim) for _ in range(data.draw(st.integers(1, 2)))]
+    h = span_closure(L, SubspaceBasis.from_vectors(L.dim, seeds))
+    expected = largest_ideal_by_descent(L, h.rows)
+    assert liealg._largest_ideal_in(L, h).rows == matrix(expected)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_largest_ideal_of_each_catalog_h_matches_the_oracle(name):
+    entry = construct(name)
+    expected = largest_ideal_by_descent(entry.algebra, entry.h.rows)
+    assert largest_ideal_in(entry.algebra, entry.h).rows == matrix(expected)
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coadjoint_rows_are_the_functional_on_basis_brackets(name, data):
+    L = kernel_algebra(name)
+    bracket = bracket_basis(L)
+    phi = draw_vector(data, L.dim)
+    got = L.coadjoint(phi)
+    expected = tuple(
+        tuple(sum((p * x for p, x in zip(phi, bracket(i, b))), F(0)) for b in range(L.dim))
+        for i in range(L.dim)
+    )
+    assert got == expected
+    assert all(type(c) is Fraction for row in got for c in row)
 
 
 # --- sparse invariance check against the dense triple loop -------------------
