@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI reports for every curated catalog entry and for
-the spec files under tests/data named in SPEC_FILES.
+"""Regenerate the golden CLI reports for every curated catalog entry, for the
+desk-cap family members named in DESK_CAP_NAMES and for the spec files under
+tests/data named in SPEC_FILES.
 
 Run after intentional report-format changes, then review the diff:
 
@@ -19,13 +20,19 @@ from reductive_workbench.specfile import load_space_spec_file
 # so3so3_mod_diag in a fixed unimodular basis with one metric scale per
 # simple ideal: the custom-metric path on dense constants
 SPEC_FILES = ("so3so3_mod_diag_dense",)
+# family members at the desk cap that stress the pair's adapted table: trivial
+# isotropy at full size, a diagonal pair and a corner with a large h
+DESK_CAP_NAMES = ("su8_mod_0", "su7_mod_0", "so8so8_mod_diag", "su8_mod_su7")
 
 
 def main() -> int:
     golden_dir = Path(__file__).resolve().parent.parent / "tests" / "golden"
     golden_dir.mkdir(parents=True, exist_ok=True)
     data_dir = golden_dir.parent / "data"
-    reports = [(name, run_report(construct(name), checks="all", numeric=False)) for name in catalog_names()]
+    reports = [
+        (name, run_report(construct(name), checks="all", numeric=False))
+        for name in catalog_names() + DESK_CAP_NAMES
+    ]
     for name in SPEC_FILES:
         report = run_report(load_space_spec_file(str(data_dir / f"{name}.json")), checks="all")
         report.body["input"] = f"file:{name}.json"  # as `analyze` names a file input

@@ -231,7 +231,12 @@ def test_parse_space_spec_roundtrip():
 # --- golden reports ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", catalog_names())
+# desk-cap family members with frozen reports, as in
+# scripts/regenerate_golden_reports.py
+DESK_CAP_NAMES = ("su8_mod_0", "su7_mod_0", "so8so8_mod_diag", "su8_mod_su7")
+
+
+@pytest.mark.parametrize("name", catalog_names() + DESK_CAP_NAMES)
 def test_golden_reports_are_stable(name):
     report = run_report(construct(name), checks="all", numeric=False)
     assert report.to_json() == (GOLDEN / f"{name}.json").read_text()
