@@ -43,7 +43,7 @@ from .liealg import (
     make_lie_algebra,
     orthogonal_complement,
 )
-from .linalg import Matrix, ZERO, matvec, transpose, vadd, vneg
+from .linalg import Matrix, ZERO, matvec, transpose
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
 ALMOST_DIRECT_PRODUCT_NOTE = (
@@ -64,18 +64,15 @@ SPHERE_GATE_CAVEAT = (
 def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
     """span([m, m]) + m inside g; verified to be a subalgebra (an ideal when normal).
 
-    [m_a, m_b] is read from the pair's structure table. A span that is all of
-    g is both at once and needs no sweep. A failed verification raises
-    ClosureFailure with the offending pair of rows."""
+    It is m plus the h-parts of the [m_a, m_b], read from the adapted table.
+    A span that is all of g is both at once and needs no sweep. A failed
+    verification raises ClosureFailure with the offending pair of rows."""
     if not pair.flags.reductive:
         raise NotReductive("transvection algebra needs a reductive pair")
-    L, table = pair.algebra, pair.table
-    r = pair.m.dim
+    L = pair.algebra
     vectors = list(pair.m.rows)
-    for a in range(r):
-        for b in range(a + 1, r):
-            in_h = pair.from_h_coords(table.h_coords[a][b])
-            vectors.append(vadd(in_h, pair.from_m_coords(table.m_coords[a][b])))
+    for row in pair.table.pairs:
+        vectors.extend(pair.from_h_terms(in_h) for in_h, _ in row.values() if in_h)
     tr = SubspaceBasis.from_vectors(L.dim, vectors)
     if tr.dim == L.dim:
         return tr
@@ -150,12 +147,12 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
     gram = pair.metric.restrict(carrier)
-    in_m = [pair.m.coords_of(x) for x in carrier.rows]
+    in_m = [pair.m_terms(x) for x in carrier.rows]
     entries = []
     for a in range(carrier.dim):
         for b in range(a + 1, carrier.dim):
-            value = vneg(pair.from_m_coords(pair.table.m_bracket(in_m[a], in_m[b])))
-            coords = carrier.coords_of(value)
+            value = pair.table.bracket(in_m[a], in_m[b])[1]
+            coords = carrier.coords_of(pair.from_m_terms((t, -v) for t, v in value.items()))
             if coords is None:
                 raise ClosureFailure(
                     TripleWitness((a, b, -1), ZERO), "invariant-field carrier is not bracket-closed"
@@ -181,24 +178,17 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     """Infinitesimal isometry identity for every fixed direction X:
     <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 over all Y, Z in the basis of m.
 
-    The defect is linear in X, so it is the naturally reductive defect of the
-    structure table contracted with the m-coordinates of X; when that table
-    has no witness, every entry of it is zero and so is every contraction."""
+    The defect is linear in X, so it is the naturally reductive defect
+    contracted with the m-coordinates of X; when the adapted table has no
+    naturally reductive witness, that defect and every contraction vanish."""
     if not pair.flags.reductive:
         raise NotReductive("Killing check needs a reductive pair")
     if pair.table.nr_witness is None:
         return CheckResult(True)
-    carrier = isotropy_fixed_subspace(pair)
-    defect_table = pair.table.nr_defect
-    r = pair.m.dim
-    for a, x in enumerate(carrier.rows):
-        terms = [(t, xt) for t, xt in enumerate(pair.m.coords_of(x)) if xt]
-        for b in range(r):
-            for c in range(r):
-                defect = sum((xt * defect_table[t][b][c] for t, xt in terms), ZERO)
-                if defect != 0:
-                    return CheckResult(False, TripleWitness((a, b, c), defect))
-    return CheckResult(True)
+    rows = isotropy_fixed_subspace(pair).rows
+    witnesses = (pair.table.nr_defect_witness(pair.m_terms(x), a) for a, x in enumerate(rows))
+    witness = next(filter(None, witnesses), None)
+    return CheckResult(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -277,8 +267,8 @@ def fixed_torus(pair: ReductivePair) -> TorusResult:
     if not pair.flags.normal:
         raise NotNormal("the fixed-point torus is stated for normal pairs")
     basis = invariant_field_algebra(pair).center
-    coords = [pair.m.coords_of(u) for u in basis.rows]
-    abelian = all(not any(pair.table.m_bracket(x, y)) for x in coords for y in coords)
+    coords = [pair.m_terms(u) for u in basis.rows]
+    abelian = all(not any(pair.table.bracket(x, y)[1].values()) for x in coords for y in coords)
     return TorusResult(basis.dim, basis, abelian)
 
 

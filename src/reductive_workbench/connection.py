@@ -10,9 +10,9 @@ Sign conventions, fixed once and echoed in every report header:
 The torsion follows from T(X,Y) = D_X Y - D_Y X - [X,Y] applied to the induced
 Killing fields, whose Lie bracket at the basepoint is -[X,Y]_m.
 
-Every table is read from the pair's adapted structure table, and so is the
-consistency sweep (torsion antisymmetry, canonical = 2 LC, first Bianchi
-identity) that the report runs under `checks="all"`.
+The consistency sweep (torsion antisymmetry, canonical = 2 LC, first Bianchi
+identity) that the report runs under `checks="all"` reads the pair's adapted
+table in m-coordinates; the tables of ambient vectors are views of it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotNaturallyReductive, NotReductive
-from .homspace import ReductivePair, StructureTable
-from .linalg import ZERO, Vector, rat, smul, vneg
+from .homspace import AdaptedTable, ReductivePair, Terms
+from .linalg import ONE, ZERO, Vector
+
+HALF = Fraction(1, 2)
 
 
 Table2 = tuple[tuple[Vector, ...], ...]
@@ -41,107 +43,115 @@ CONVENTIONS = {
 class ConnectionTensors:
     """Connection data at the basepoint, indexed over the echelon basis of m.
 
-    All values are ambient coordinate vectors lying in m. The curvature table
-    (r^3 vectors) is built on first use; the consistency sweep does not read it.
+    The tables hold ambient vectors lying in m. Each is a view of the pair's
+    adapted table, built on first use; the consistency sweep reads none.
     """
 
     pair: ReductivePair
-    canonical_table: Table2
-    torsion_table: Table2
-    _lc: Table2 | None
+
+    def _view(self, scale: Fraction) -> Table2:
+        table, r = self.pair.table, self.pair.m.dim
+        return tuple(
+            tuple(self.pair.from_m_terms(_m_part(table, a, b, scale).items()) for b in range(r))
+            for a in range(r)
+        )
+
+    @cached_property
+    def canonical_table(self) -> Table2:
+        return self._view(-ONE)
+
+    @property
+    def torsion_table(self) -> Table2:
+        return self.canonical_table
+
+    @cached_property
+    def lc_table(self) -> Table2:
+        if not self.has_lc:
+            raise NotNaturallyReductive(
+                "Levi-Civita basepoint table needs a naturally reductive pair"
+            )
+        return self._view(-HALF)
 
     @cached_property
     def curvature_table(self) -> Table3:
         table, r = self.pair.table, self.pair.m.dim
         return tuple(
             tuple(
-                tuple(self.pair.from_m_coords(_curvature(table, a, b, c)) for c in range(r))
+                tuple(self.pair.from_m_terms(_curvature(table, a, b, c).items()) for c in range(r))
                 for b in range(r)
             )
             for a in range(r)
         )
 
     @property
-    def lc_table(self) -> Table2:
-        if self._lc is None:
-            raise NotNaturallyReductive(
-                "Levi-Civita basepoint table needs a naturally reductive pair"
-            )
-        return self._lc
-
-    @property
     def has_lc(self) -> bool:
-        return self._lc is not None
+        return self.pair.flags.naturally_reductive
 
 
 def connection_tensors_at_basepoint(pair: ReductivePair) -> ConnectionTensors:
-    """Compute all basepoint tables exactly over the basis of m."""
+    """The basepoint tensors over the basis of m; their tables are views."""
     if not pair.flags.reductive:
         raise NotReductive("connection tensors need a reductive pair")
-    table = pair.table
-    r = pair.m.dim
-    canonical = tuple(
-        tuple(vneg(pair.from_m_coords(table.m_coords[a][b])) for b in range(r))
-        for a in range(r)
-    )
-    torsion = canonical
-    lc = None
-    if pair.flags.naturally_reductive:
-        half = rat("1/2")
-        lc = tuple(tuple(smul(half, v) for v in row) for row in canonical)
-    return ConnectionTensors(pair, canonical, torsion, lc)
+    return ConnectionTensors(pair)
 
 
-def _curvature(table: StructureTable, a: int, b: int, c: int) -> Vector:
+def _m_part(table: AdaptedTable, a: int, b: int, scale: Fraction) -> dict[int, Fraction]:
+    """m-coordinates of scale [m_a, m_b]_m: C = T at scale -1, LC at -1/2."""
+    sign, _, in_m = table.entry(a, b)
+    return {t: sign * scale * x for t, x in in_m}
+
+
+def _curvature(table: AdaptedTable, a: int, b: int, c: int) -> dict[int, Fraction]:
     """m-coordinates of R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c]."""
-    out = [ZERO] * len(table.m_coords)
-    for i, y in enumerate(table.h_coords[a][b]):
-        if y:
-            for t, row in enumerate(table.ad_h[i]):
-                if row[c]:
-                    out[t] -= y * row[c]
-    return tuple(out)
+    sign, in_h, _ = table.entry(a, b)
+    out: dict[int, Fraction] = {}
+    for i, y in in_h:
+        for t, v in table.ad_h[i][c]:
+            out[t] = out.get(t, ZERO) - sign * y * v
+    return out
 
 
 def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
     """Torsion antisymmetry, canonical = 2 LC (when LC exists) and the first
     Bianchi identity sum_cyc R(X,Y)Z = sum_cyc T(T(X,Y), Z) over basis triples
-    of m, all exact."""
+    of m, all exact and in m-coordinates.
+
+    The table stores each [m_a, m_b] once, so the Bianchi defect alternates
+    in its three slots: it vanishes on a repeated index and changes sign
+    under a swap, and the triples a < b < c decide it."""
     table = tensors.pair.table
     r = tensors.pair.m.dim
-    torsion = tensors.torsion_table
-    antisym = all(
-        torsion[a][b] == vneg(torsion[b][a]) for a in range(r) for b in range(r)
-    )
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    antisym = all(_m_part(table, a, b, -ONE) == _m_part(table, b, a, ONE) for a, b in pairs)
     doubling = (not tensors.has_lc) or all(
-        tensors.canonical_table[a][b] == smul(rat(2), tensors.lc_table[a][b])
-        for a in range(r)
-        for b in range(r)
+        _m_part(table, a, b, -ONE) == {t: 2 * x for t, x in _m_part(table, a, b, -HALF).items()}
+        for a, b in pairs
     )
-
-    def nonzero(v: Vector) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((t, x) for t, x in enumerate(v) if x)
-
-    m_terms = [[nonzero(v) for v in row] for row in table.m_coords]
-    h_terms = [[nonzero(v) for v in row] for row in table.h_coords]
-    # ad_cols[i][z] = nonzero m-coordinates of [h_i, m_z]
-    ad_cols = [[nonzero(col) for col in zip(*A)] for A in table.ad_h]
 
     def bianchi_holds(a: int, b: int, c: int) -> bool:
-        # in m-coordinates, where T(T(m_x, m_y), m_z) = [[m_x, m_y]_m, m_z]_m
-        # and R(m_x, m_y)m_z = -[[m_x, m_y]_h, m_z]
+        # R(m_x, m_y)m_z - T(T(m_x, m_y), m_z) = -[[m_x, m_y]_h, m_z] - [[m_x, m_y]_m, m_z]_m;
+        # each product is formed once, its sign folded into the outer coefficient
         total: dict[int, Fraction] = {}
+
+        def add(coef: Fraction, terms: Terms) -> None:
+            for t, q in terms:
+                p = coef * q
+                total[t] = total[t] + p if t in total else p
+
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for i, coef in h_terms[x][y]:
-                for t, q in ad_cols[i][z]:
-                    total[t] = total.get(t, ZERO) - coef * q
-            for s, coef in m_terms[x][y]:
-                for t, q in m_terms[s][z]:
-                    total[t] = total.get(t, ZERO) - coef * q
+            sign, in_h, in_m = table.entry(x, y)
+            for i, coef in in_h:
+                add(coef if sign < 0 else -coef, table.ad_h[i][z])
+            for s, coef in in_m:
+                sign2, _, m2 = table.entry(s, z)
+                add(coef if sign * sign2 < 0 else -coef, m2)
         return not any(total.values())
 
     bianchi = all(
-        bianchi_holds(a, b, c) for a in range(r) for b in range(a + 1, r) for c in range(r)
+        bianchi_holds(a, b, c)
+        for a in range(r)
+        for b in range(a + 1, r)
+        for c in range(b + 1, r)
     )
     return {
         "torsion_antisymmetric": antisym,

@@ -7,9 +7,10 @@ the isotropy representation on m for fixed vectors and invariant subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import (
     InvalidDecomposition,
@@ -52,11 +53,9 @@ from .linalg import (
     matvec,
     primary_kernels,
     rat,
-    stack,
     transpose,
     vadd,
     vector,
-    vneg,
 )
 
 
@@ -157,42 +156,68 @@ class ReductiveFlags:
     effective: bool
 
 
+# ((index, coefficient), ...) over the nonzero coordinates of one vector
+Terms = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
-class StructureTable:
-    """The brackets of a reductive pair in its adapted basis: the echelon rows
-    h_i of h and m_a of m, with every entry in coordinates along those rows.
+class AdaptedTable:
+    """The brackets of a reductive pair in its adapted basis, the echelon rows
+    h_i of h and m_a of m, as nonzero terms along those rows:
 
-        m_coords[a][b]      m-coordinates of [m_a, m_b]
-        h_coords[a][b]      h-coordinates of [m_a, m_b]
-        ad_h[i][c][b]       coefficient of m_c in [h_i, m_b], i.e. ad(h_i)|_m
-        nr_defect[a][b][c]  <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m>
-        nr_witness          first triple (a, b, c) with a nonzero nr_defect
-    """
+        ad_h[i][b]    m-terms of [h_i, m_b], i.e. column b of ad(h_i)|_m
+        pairs[a][b]   (h-terms, m-terms) of [m_a, m_b] for a < b, when nonzero;
+                      [m_b, m_a] is read as its negative
+        gram[a]       the nonzero <m_a, m_c> of the metric on m
+        nr_witness    first (a, b, c) with <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m> != 0"""
 
-    m_coords: tuple[Matrix, ...]
-    h_coords: tuple[Matrix, ...]
-    ad_h: tuple[Matrix, ...]
-    nr_defect: tuple[Matrix, ...]
+    ad_h: tuple[tuple[Terms, ...], ...]
+    pairs: tuple[dict[int, tuple[Terms, Terms]], ...]
+    gram: tuple[Terms, ...]
     nr_witness: TripleWitness | None
 
-    def m_bracket(self, x: Vector, y: Vector) -> Vector:
-        """m-coordinates of [X, Y]_m, for X and Y given by m-coordinates."""
-        out = [ZERO] * len(x)
-        for a, xa in enumerate(x):
-            if xa:
-                for b, yb in enumerate(y):
-                    if yb:
-                        for t, c in enumerate(self.m_coords[a][b]):
-                            if c:
-                                out[t] += xa * yb * c
-        return tuple(out)
+    def entry(self, a: int, b: int) -> tuple[int, Terms, Terms]:
+        """(sign, h-terms, m-terms) with [m_a, m_b] = sign times the terms."""
+        if a < b:
+            return (1, *self.pairs[a].get(b, ((), ())))
+        return (-1, *self.pairs[b].get(a, ((), ())))
+
+    def bracket(self, x: Terms, y: Terms) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+        """h- and m-coordinates of [X, Y] for X, Y in m given by their nonzero
+        m-coordinates; a coordinate that cancels stays as a zero."""
+        in_h, in_m = {}, {}
+        for a, xa in x:
+            for b, yb in y:
+                sign, h_terms, m_terms = self.entry(a, b)
+                if not (h_terms or m_terms):
+                    continue
+                coef = sign * xa * yb
+                for i, v in h_terms:
+                    in_h[i] = in_h.get(i, ZERO) + coef * v
+                for t, v in m_terms:
+                    in_m[t] = in_m.get(t, ZERO) + coef * v
+        return in_h, in_m
+
+    def nr_defect_witness(self, x: Terms, a: int) -> TripleWitness | None:
+        """(a, b, c) for the lexicographically first (b, c) with a nonzero
+        defect <[X, m_b]_m, m_c> + <m_b, [X, m_c]_m>, with that defect, for X
+        in m given by its nonzero m-coordinates; None when there is none."""
+        pairing: dict[tuple[int, int], Fraction] = {}
+        for b in range(len(self.pairs)):
+            for t, v in self.bracket(x, ((b, ONE),))[1].items():
+                for c, g in self.gram[t]:
+                    pairing[b, c] = pairing.get((b, c), ZERO) + v * g
+        # the defect is symmetric in b and c, so the first one has b <= c
+        defects = {(min(bc), max(bc)): p + pairing.get(bc[::-1], ZERO) for bc, p in pairing.items()}
+        first = min((bc for bc, d in defects.items() if d), default=None)
+        return None if first is None else TripleWitness((a, *first), defects[first])
 
 
 @dataclass(frozen=True)
 class ReductivePair:
     """The decomposition g = h + m with projections and verified flags.
 
-    `table` is the adapted structure table, None when the pair is not
+    `table` is the adapted table, None when the pair is not
     reductive; it is derived data and takes no part in equality or hashing.
     """
 
@@ -203,7 +228,7 @@ class ReductivePair:
     flags: ReductiveFlags
     proj_h: Matrix
     proj_m: Matrix
-    table: StructureTable | None = field(compare=False, repr=False)
+    table: AdaptedTable | None = field(compare=False, repr=False)
 
     def project_m(self, X: Vector) -> Vector:
         return matvec(self.proj_m, X)
@@ -211,20 +236,25 @@ class ReductivePair:
     def bracket_m(self, X: Vector, Y: Vector) -> Vector:
         return self.project_m(self.algebra.bracket(X, Y))
 
-    def from_h_coords(self, coords: Vector) -> Vector:
-        """The vector of h with the given coordinates along the rows of h."""
-        return _combine(coords, self.h.rows, self.algebra.dim)
+    def from_h_terms(self, terms: Iterable[tuple[int, Fraction]]) -> Vector:
+        """The vector sum c h_i over the (i, c) terms, in ambient coordinates."""
+        return _combine(terms, self.h.rows, self.algebra.dim)
 
-    def from_m_coords(self, coords: Vector) -> Vector:
-        """The vector of m with the given coordinates along the rows of m."""
-        return _combine(coords, self.m.rows, self.algebra.dim)
+    def from_m_terms(self, terms: Iterable[tuple[int, Fraction]]) -> Vector:
+        """The vector sum c m_a over the (a, c) terms, in ambient coordinates."""
+        return _combine(terms, self.m.rows, self.algebra.dim)
+
+    def m_terms(self, X: Vector) -> Terms:
+        """The nonzero m-coordinates of X in m: as the rows of m are in reduced
+        echelon form, they are the entries of X at the pivots of m."""
+        return tuple((a, X[p]) for a, p in enumerate(self.m.pivots) if X[p])
 
 
-def _combine(coords: Vector, rows: Matrix, dim: int) -> Vector:
+def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> Vector:
     out = [ZERO] * dim
-    for c, row in zip(coords, rows, strict=True):
+    for a, c in terms:
         if c:
-            for k, x in enumerate(row):
+            for k, x in enumerate(rows[a]):
                 if x:
                     out[k] += c * x
     return tuple(out)
@@ -250,72 +280,35 @@ def _projections(
     return coord_rows, proj_h, proj_m
 
 
-def _structure_table(
+def _adapted_table(
     L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coord_rows: Matrix, gram_m: Matrix
-) -> StructureTable | None:
+) -> AdaptedTable | None:
     """The adapted table, or None when some [h_i, m_b] leaves m."""
     s, r = h.dim, m.dim
-    coord_cols = transpose(coord_rows)
+    coord_cols = [[(t, y) for t, y in enumerate(col) if y] for col in transpose(coord_rows)]
 
-    def split(v: Vector) -> tuple[Vector, Vector]:
-        # (h-coordinates, m-coordinates) of v
-        out = [ZERO] * L.dim
-        for k, x in enumerate(v):
+    def split(u: Vector, w: Vector) -> tuple[Terms, Terms]:
+        # (h-terms, m-terms) of [u, w]
+        out: dict[int, Fraction] = {}
+        for k, x in enumerate(L.bracket(u, w)):
             if x:
-                for t, y in enumerate(coord_cols[k]):
-                    if y:
-                        out[t] += x * y
-        return tuple(out[:s]), tuple(out[s:])
+                for t, y in coord_cols[k]:
+                    out[t] = out.get(t, ZERO) + x * y
+        terms = sorted((t, v) for t, v in out.items() if v)
+        return tuple(tv for tv in terms if tv[0] < s), tuple((t - s, v) for t, v in terms if t >= s)
 
-    ad_h = []
-    for u in h.rows:
-        cols = []
-        for w in m.rows:
-            in_h, in_m = split(L.bracket(u, w))
-            if any(in_h):
-                return None
-            cols.append(in_m)
-        ad_h.append(transpose(tuple(cols)))
-    m_coords = [[(ZERO,) * r for _ in range(r)] for _ in range(r)]
-    h_coords = [[(ZERO,) * s for _ in range(r)] for _ in range(r)]
-    for a in range(r):
-        for b in range(a + 1, r):
-            in_h, in_m = split(L.bracket(m.rows[a], m.rows[b]))
-            h_coords[a][b], m_coords[a][b] = in_h, in_m
-            h_coords[b][a], m_coords[b][a] = vneg(in_h), vneg(in_m)
-    # pairing[a][b][c] = <[m_a, m_b]_m, m_c>: the nonzero m-coordinates of
-    # [m_a, m_b] times the nonzero entries of their Gram rows
-    gram_rows = [[(c, g) for c, g in enumerate(row) if g] for row in gram_m]
-    pairing = [[(ZERO,) * r for _ in range(r)] for _ in range(r)]
-    for a in range(r):
-        for b in range(a + 1, r):
-            line = [ZERO] * r
-            for t, x in enumerate(m_coords[a][b]):
-                if x:
-                    for c, g in gram_rows[t]:
-                        line[c] += x * g
-            pairing[a][b], pairing[b][a] = tuple(line), vneg(line)
-    nr_defect = tuple(
-        tuple(tuple(pairing[a][b][c] + pairing[a][c][b] for c in range(r)) for b in range(r))
+    ad_h = tuple(tuple(split(u, w) for w in m.rows) for u in h.rows)
+    if any(in_h for cols in ad_h for in_h, _ in cols):
+        return None
+    pairs = tuple(
+        {b: entry for b in range(a + 1, r) if any(entry := split(m.rows[a], m.rows[b]))}
         for a in range(r)
     )
-    nr_witness = next(
-        (
-            TripleWitness((a, b, c), d)
-            for a, plane in enumerate(nr_defect)
-            for b, line in enumerate(plane)
-            for c, d in enumerate(line)
-            if d
-        ),
-        None,
-    )
-    return StructureTable(
-        tuple(tuple(row) for row in m_coords),
-        tuple(tuple(row) for row in h_coords),
-        tuple(ad_h),
-        nr_defect,
-        nr_witness,
-    )
+    gram = tuple(tuple((c, g) for c, g in enumerate(row) if g) for row in gram_m)
+    table = AdaptedTable(tuple(tuple(in_m for _, in_m in cols) for cols in ad_h), pairs, gram, None)
+    # the defect is walked one a at a time, in the order of the triples
+    witnesses = (table.nr_defect_witness(((a, ONE),), a) for a in range(r))
+    return replace(table, nr_witness=next(filter(None, witnesses), None))
 
 
 def make_reductive_pair(
@@ -333,7 +326,7 @@ def _reductive_pair(
 ) -> ReductivePair:
     """`make_reductive_pair` for an h already checked to be a subalgebra."""
     coord_rows, proj_h, proj_m = _projections(L, h, m)
-    table = _structure_table(L, h, m, coord_rows, metric.restrict(m))
+    table = _adapted_table(L, h, m, coord_rows, metric.restrict(m))
     reductive = table is not None
     nr = reductive and table.nr_witness is None
     normal = (
@@ -397,19 +390,13 @@ def normalizer_invariance_check(pair: ReductivePair) -> NormalizerCheck:
     """Does the normalizer algebra of h keep m invariant: [n_g(h), m] in m?"""
     if not pair.flags.reductive:
         raise NotReductive("normalizer invariance check needs a reductive pair")
-    L, h, m = pair.algebra, pair.h, pair.m
-    if h.dim == 0:
-        normalizer = SubspaceBasis.full(L.dim)
-    else:
-        ann_h = h.annihilator()
-        system_rows = []
-        for r in h.rows:
-            # [X, r] in h  <=>  ann_h . ad(r) . X = 0 (up to sign)
-            system_rows.extend(matmul(ann_h, L.ad(r)))
-        normalizer = SubspaceBasis.from_vectors(L.dim, kernel(tuple(system_rows), L.dim))
+    # write u = u_h + X along h + m: [u_h, h] lies in h and [X, h] in m, so u
+    # normalizes h iff X lies in m^h, and u keeps m invariant iff [X, m_b]_h = 0
+    normalizer = pair.h.sum_with(isotropy_fixed_subspace(pair))
     for a, u in enumerate(normalizer.rows):
-        for b, w in enumerate(m.rows):
-            if not m.contains_vector(L.bracket(u, w)):
+        x = pair.m_terms(pair.project_m(u))
+        for b in range(pair.m.dim):
+            if any(pair.table.bracket(x, ((b, ONE),))[0].values()):
                 return NormalizerCheck(False, normalizer, TripleWitness((a, b, -1), ZERO))
     return NormalizerCheck(True, normalizer)
 
@@ -421,8 +408,17 @@ def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
         raise NotReductive("fixed subspace needs a reductive pair")
     if pair.h.dim == 0 or pair.m.dim == 0:
         return pair.m
-    t_kernel = kernel(stack(*pair.table.ad_h), pair.m.dim)
-    return SubspaceBasis.from_vectors(pair.algebra.dim, [pair.from_m_coords(t) for t in t_kernel])
+    # one equation per (i, c): the coefficient of m_c in [h_i, X] vanishes
+    r = pair.m.dim
+    system = [
+        {b: x for b, col in enumerate(cols) for t, x in col if t == c}
+        for cols in pair.table.ad_h
+        for c in range(r)
+    ]
+    t_kernel = kernel(system, r)
+    return SubspaceBasis.from_vectors(
+        pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in t_kernel]
+    )
 
 
 @dataclass(frozen=True)
@@ -464,7 +460,7 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
         for ker in primary_kernels(T):
             if 0 < len(ker) < m.dim:
                 witness = SubspaceBasis.from_vectors(
-                    pair.algebra.dim, [pair.from_m_coords(t) for t in ker]
+                    pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in ker]
                 )
                 return ProbeResult("reducible", witness, len(basis))
     return ProbeResult("inconclusive", None, len(basis))

@@ -547,17 +547,17 @@ def _generating_rows(L: LieAlgebra, piece: SubspaceBasis) -> Matrix:
     return piece.rows
 
 
-def commutant(mats: Sequence[Matrix], r: int) -> tuple[Matrix, ...]:
-    """Basis of {T : T A = A T for every A in mats}, all r x r over Q.
+def commutant(mats: Sequence[Sequence[Sequence[tuple[int, Fraction]]]], r: int) -> tuple[Matrix, ...]:
+    """Basis of {T : T A = A T for every A in mats}, all r x r over Q; each A
+    is given by its columns, column b as the nonzero terms (c, A[c][b]).
 
     Unknowns T[p][q] are flattened row-major; the linear system lists the
     entries (T A - A T)[a][b] matrix by matrix, row-major, each as a sparse
     {unknown: coefficient} row with at most 2r entries.
     """
     system_rows = []
-    for A in mats:
-        cols = [[(c, A[c][b]) for c in range(r) if A[c][b]] for b in range(r)]
-        rows = [[(c, x) for c, x in enumerate(A[a]) if x] for a in range(r)]
+    for cols in mats:
+        rows = [[(b, x) for b, col in enumerate(cols) for c, x in col if c == a] for a in range(r)]
         for a in range(r):
             for b in range(r):
                 coeffs = {a * r + c: x for c, x in cols[b]}
@@ -591,7 +591,10 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
     # with ad(g) in the piece's row coordinates. Commuting with a generating
     # set suffices because ad is a homomorphism.
     restricted = [
-        transpose(tuple(piece.coords_of(L.bracket(g, row)) for row in piece.rows))
+        [
+            tuple((c, x) for c, x in enumerate(piece.coords_of(L.bracket(g, row))) if x)
+            for row in piece.rows
+        ]
         for g in _generating_rows(L, piece)
     ]
     centroid = commutant(restricted, piece.dim)

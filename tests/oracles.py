@@ -306,3 +306,89 @@ def largest_ideal_by_descent(L, h_rows):
             return current
         current = nxt
     return current
+
+
+def dense_coords(basis_rows, v):
+    """Coordinates of v along the rows of an invertible square basis, from one
+    Gauss-Jordan solve of the augmented system."""
+    n = len(v)
+    aug = [[row[k] for row in basis_rows] + [v[k]] for k in range(n)]
+    return [row[n] for row in dense_rref(aug, n + 1)]
+
+
+def dense_nr_defect(L, h_rows, m_rows, gram):
+    """defect[a][b][c] = <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m>, where
+    [., .]_m is the m-part along g = h + m: dense brackets from the entries
+    of L, one Gauss-Jordan solve per bracket and the plain Gram pairing."""
+    n, s, r = L.dim, len(h_rows), len(m_rows)
+    bracket = bracket_basis(L)
+    basis = list(h_rows) + list(m_rows)
+
+    def m_part(u, v):
+        out = [F0] * n
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                if x and y:
+                    out = [o + x * y * c for o, c in zip(out, bracket(i, j))]
+        coords = dense_coords(basis, out)
+        return [sum((coords[s + t] * m_rows[t][k] for t in range(r)), F0) for k in range(n)]
+
+    def pairing(u, v):
+        return sum((u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)), F0)
+
+    brackets = [[m_part(m_rows[a], m_rows[b]) for b in range(r)] for a in range(r)]
+    pairings = [[[pairing(brackets[a][b], m_rows[c]) for c in range(r)] for b in range(r)] for a in range(r)]
+    return [
+        [[pairings[a][b][c] + pairings[a][c][b] for c in range(r)] for b in range(r)]
+        for a in range(r)
+    ]
+
+
+def dense_bianchi_holds(pairs, ad_h, s, r):
+    """The first Bianchi identity with torsion over every ordered triple of m:
+    sum_cyc ([[m_x, m_y]_h, m_z] + [[m_x, m_y]_m, m_z]_m) = 0, with dense
+    brackets completed by antisymmetry from `pairs[a][b]` (a < b), each an
+    (h-terms, m-terms) couple of (index, coefficient) lists, and [h_i, m_z]
+    from the terms `ad_h[i][z]`."""
+    h_part = [[[F0] * s for _ in range(r)] for _ in range(r)]
+    m_part = [[[F0] * r for _ in range(r)] for _ in range(r)]
+    for a, row in enumerate(pairs):
+        for b, (h_terms, m_terms) in row.items():
+            for i, x in h_terms:
+                h_part[a][b][i] += x
+                h_part[b][a][i] -= x
+            for t, x in m_terms:
+                m_part[a][b][t] += x
+                m_part[b][a][t] -= x
+    ad = [[[F0] * r for _ in range(r)] for _ in range(s)]
+    for i in range(s):
+        for z in range(r):
+            for t, x in ad_h[i][z]:
+                ad[i][z][t] += x
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                total = [F0] * r
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for i in range(s):
+                        total = [p + h_part[x][y][i] * q for p, q in zip(total, ad[i][z])]
+                    for u in range(r):
+                        total = [p + m_part[x][y][u] * q for p, q in zip(total, m_part[u][z])]
+                if any(total):
+                    return False
+    return True
+
+
+def dense_normalizer(L, h_rows):
+    """Rref basis of the normalizer {X : [X, h] in h}: phi([X, r]) = 0 for
+    every row r of h and every phi in the dot-annihilator of h, solved by
+    dense Gauss-Jordan."""
+    n = L.dim
+    bracket = bracket_basis(L)
+    system = []
+    for r in h_rows:
+        # images[k] = [e_k, r]
+        images = [[sum((r[j] * bracket(k, j)[a] for j in range(n)), F0) for a in range(n)] for k in range(n)]
+        for phi in dense_kernel(h_rows, n):
+            system.append([sum((p * x for p, x in zip(phi, images[k])), F0) for k in range(n)])
+    return dense_kernel(system, n)

@@ -28,6 +28,7 @@ from reductive_workbench.homspace import (
     normal_decomposition,
 )
 
+from oracles import dense_nr_defect
 from test_homspace import (
     diagonal_pair,
     second_factor_pair,
@@ -169,8 +170,9 @@ def test_killing_check_explicit_fixed_direction_in_so4():
 
 def reference_killing_witness(pair):
     """The full scan: each carrier row contracted with every entry of the
-    naturally reductive defect; the first nonzero one, or None."""
-    table, r = pair.table.nr_defect, pair.m.dim
+    dense naturally reductive defect of the oracle; the first nonzero one, or None."""
+    table = dense_nr_defect(pair.algebra, pair.h.rows, pair.m.rows, pair.metric.gram)
+    r = pair.m.dim
     for a, x in enumerate(isotropy_fixed_subspace(pair).rows):
         coords = pair.m.coords_of(x)
         for b in range(r):

@@ -166,3 +166,44 @@ def test_desk_cap_so8_mod_so2_record():
     applicable = [v for v in body["theorem_verdicts"] if v["applicable"]]
     assert applicable and all(v["passed"] for v in applicable)
     assert report.exit_code == 0
+
+
+def _so(n):
+    return n * (n - 1) // 2
+
+
+def _su(n):
+    return n * n - 1
+
+
+def _family_closed_forms():
+    """(name, dim g, dim m^h, torus, affine) for every family member with
+    dim g <= 24, from the structure of the family alone: m^h is so(n-k) for
+    so(n)/so(k) and u(n-k) for su(n)/su(k), all of g for g/0 (the torus is
+    then the center of g and the affine algebra [g, g] + g) and zero for a
+    diagonal pair."""
+    rows = []
+    for n in range(3, 8):
+        for k in range(2, n):
+            rows.append((f"so{n}_mod_so{k}", _so(n), _so(n - k), int(n - k == 2), _so(n) + _so(n - k)))
+    for n in range(3, 6):
+        for k in range(2, n):
+            rows.append((f"su{n}_mod_su{k}", _su(n), (n - k) ** 2, 1, _su(n) + (n - k) ** 2))
+    # g/0 as (name, dim g, dim of the center, dim [g, g])
+    groups = [("so2_mod_0", 1, 1, 0), ("so3r1_mod_0", 4, 1, 3)]
+    groups += [(f"so{n}_mod_0", _so(n), 0, _so(n)) for n in range(3, 8)]
+    groups += [(f"su{n}_mod_0", _su(n), 0, _su(n)) for n in range(2, 6)]
+    groups += [(f"r{d}_mod_0", d, d, 0) for d in range(1, 9)]
+    rows += [(name, dim, dim, z, derived + dim) for name, dim, z, derived in groups]
+    rows += [(f"so{n}so{n}_mod_diag", 2 * _so(n), 0, 0, 2 * _so(n)) for n in range(3, 6)]
+    return rows
+
+
+@pytest.mark.parametrize("name, dim_g, m_fixed, torus, affine", _family_closed_forms())
+def test_family_member_matches_its_closed_form(name, dim_g, m_fixed, torus, affine):
+    body = run_report(construct(name)).body
+    dims, flags = body["dims"], body["flags"]
+    assert (dims["g"], dims["m_fixed"], dims["k"], dims["k_center"]) == (dim_g, m_fixed, m_fixed, torus)
+    assert (body["torus_dim"], dims["affine"], dims["transvection"]) == (torus, affine, dim_g)
+    assert flags["normal"] and flags["naturally_reductive"] and flags["effective"]
+    assert flags["transvection_equals_g"]

@@ -143,7 +143,7 @@ def mutated_documents(draw):
         path = draw(st.sampled_from(list(_value_paths(doc))))
         odd = draw(st.sampled_from(ODD_VALUES))
         if not path:
-            doc = odd
+            doc = copy.deepcopy(odd)
             continue
         parent = doc
         for key in path[:-1]:

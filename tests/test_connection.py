@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reductive_workbench.catalog import construct
 from reductive_workbench.connection import connection_tensors_at_basepoint, consistency_sweep
@@ -10,6 +12,7 @@ from reductive_workbench.homspace import make_reductive_pair
 from reductive_workbench.liealg import make_bilinear_form
 from reductive_workbench.linalg import smul, rat, vadd, vector, vneg, zero_vector
 
+from oracles import dense_bianchi_holds
 from test_homspace import (
     diagonal_pair,
     second_factor_pair,
@@ -178,15 +181,44 @@ def test_lc_table_refused_for_non_naturally_reductive_pair():
         _ = t.lc_table
 
 
+def with_pair_entry(pair, a, b, part, index, delta):
+    """The pair with delta added to coordinate `index` of the h-part (part 0)
+    or the m-part (part 1) of the stored entry [m_a, m_b], a < b; the mirrored
+    entry [m_b, m_a] changes with it."""
+    table = pair.table
+    entry = [dict(terms) for terms in table.pairs[a].get(b, ((), ()))]
+    entry[part][index] = entry[part].get(index, F(0)) + delta
+    terms = tuple(tuple(sorted((t, x) for t, x in part.items() if x)) for part in entry)
+    pairs = list(table.pairs)
+    pairs[a] = {**pairs[a], b: terms}
+    return dataclasses.replace(pair, table=dataclasses.replace(table, pairs=tuple(pairs)))
+
+
 @pytest.mark.parametrize("name", ["su3_mod_su2", "so4_mod_0"])
 def test_sweep_catches_one_corrupted_m_bracket(name):
     # the sweep reads only nonzero table entries; a wrong entry must still show
     pair = construct(name).pair
     assert all(consistency_sweep(connection_tensors_at_basepoint(pair)).values())
-    table = pair.table
-    m_coords = [list(row) for row in table.m_coords]
-    m_coords[0][1] = vadd(m_coords[0][1], vector([1] + [0] * (pair.m.dim - 1)))
-    bad_table = dataclasses.replace(table, m_coords=tuple(tuple(row) for row in m_coords))
-    bad_pair = dataclasses.replace(pair, table=bad_table)
+    bad_pair = with_pair_entry(pair, 0, 1, 1, 0, F(1))  # [m_0, m_1] += m_0
     result = consistency_sweep(connection_tensors_at_basepoint(bad_pair))
     assert result["bianchi_cyclic_identity"] is False
+
+
+@pytest.mark.parametrize("name", ["so3_mod_so2", "so4_mod_so2", "su3_mod_su2", "so3so3_mod_diag", "so4_mod_0"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sweep_bianchi_flag_matches_all_ordered_triples(name, data):
+    # the sweep decides Bianchi on a < b < c only; one corrupted stored entry
+    # must get the same flag as the dense oracle over every ordered triple
+    pair = construct(name).pair
+    s, r = pair.h.dim, pair.m.dim
+    a = data.draw(st.integers(0, r - 2))
+    b = data.draw(st.integers(a + 1, r - 1))
+    part = data.draw(st.sampled_from([0, 1] if s else [1]))
+    index = data.draw(st.integers(0, (s, r)[part] - 1))
+    delta = data.draw(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(lambda x: x != 0)
+    )
+    bad = with_pair_entry(pair, a, b, part, index, delta)
+    flag = consistency_sweep(connection_tensors_at_basepoint(bad))["bianchi_cyclic_identity"]
+    assert flag == dense_bianchi_holds(bad.table.pairs, bad.table.ad_h, s, r)

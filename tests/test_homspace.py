@@ -30,6 +30,8 @@ from reductive_workbench.liealg import (
 )
 from reductive_workbench.linalg import matrix, rat
 
+from oracles import dense_normalizer, dense_nr_defect
+
 from test_liealg import (
     CYCLIC_SO3,
     abelian,
@@ -219,20 +221,6 @@ def test_killing_check_fails_with_the_naturally_reductive_witness():
     assert killing.witness.defect == F(1, 2)
 
 
-def dense_nr_defect(pair):
-    """<[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m> from ambient brackets and the
-    metric, one dense evaluation per entry."""
-    G, rows, r = pair.metric, pair.m.rows, pair.m.dim
-
-    def pairing(a, b, c):
-        return G.apply(pair.bracket_m(rows[a], rows[b]), rows[c])
-
-    return tuple(
-        tuple(tuple(pairing(a, b, c) + pairing(a, c, b) for c in range(r)) for b in range(r))
-        for a in range(r)
-    )
-
-
 @pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3_mod_0"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -251,8 +239,7 @@ def test_structure_table_defect_matches_the_dense_reference(name, data):
         if p != q:
             gram[q][p] += delta
     pair = make_reductive_pair(L, entry.h, entry.pair.m, make_bilinear_form(gram))
-    expected = dense_nr_defect(pair)
-    assert pair.table.nr_defect == expected
+    expected = dense_nr_defect(L, pair.h.rows, pair.m.rows, pair.metric.gram)
     first = next(
         ((a, b, c) for a in range(len(expected)) for b in range(len(expected))
          for c in range(len(expected)) if expected[a][b][c]),
@@ -286,20 +273,41 @@ def test_normalizer_invariance_on_normal_pairs():
 
 
 def test_normalizer_moves_complement_in_heisenberg_pair():
-    # naturally reductive but non-normal: h = center, m = span(x, y)
-    L = heisenberg()
-    pair = make_reductive_pair(
-        L,
-        unit_subspace(3, [2]),
-        unit_subspace(3, [0, 1]),
-        make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    )
+    pair = heisenberg_center_pair()
     assert pair.flags.reductive and pair.flags.naturally_reductive
     assert not pair.flags.normal
     res = normalizer_invariance_check(pair)
     assert not res.ok
     assert res.normalizer == SubspaceBasis.full(3)
     assert res.witness.indices[:2] == (0, 1)  # [x, y] = z leaves m
+
+
+def heisenberg_center_pair():
+    # naturally reductive but non-normal: h = center, m = span(x, y)
+    return make_reductive_pair(
+        heisenberg(),
+        unit_subspace(3, [2]),
+        unit_subspace(3, [0, 1]),
+        make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    )
+
+
+def catalog_pair(name):
+    from reductive_workbench.catalog import construct
+
+    return lambda: construct(name).pair
+
+
+@pytest.mark.parametrize(
+    "make",
+    [heisenberg_center_pair]
+    + [catalog_pair(n) for n in ("so4_mod_so2", "su3_mod_su2", "so5_mod_so2", "so3so3_mod_second_factor", "so3_mod_0")],
+)
+def test_normalizer_matches_the_dense_oracle(make):
+    # the check reads the normalizer as h + m^h; the oracle solves [X, h] in h
+    pair = make()
+    expected = dense_normalizer(pair.algebra, pair.h.rows)
+    assert [list(row) for row in normalizer_invariance_check(pair).normalizer.rows] == expected
 
 
 # --- isotropy fixed subspace -----------------------------------------------------
