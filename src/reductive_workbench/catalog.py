@@ -6,7 +6,9 @@ embeddings so(k) in so(n) and su(k) in su(n) (top-left block), the diagonal
 embedding of g in g+g, trivial subalgebras and abelian r(d). A family states
 only its basis labels and exact antisymmetric basis matrices;
 `numlab.make_matrix_realization` derives the structure constants from their
-commutators, so every entry's algebra comes with its matrix realization.
+commutators, formed over nonzero entries only (a family matrix has at most
+four, and a cross-block pair of a direct sum meets none), so every entry's
+algebra comes with its matrix realization.
 
 Regression expectations for the curated entries are loaded from packaged data
 produced by scripts/compute_expected_catalog.py, never typed by hand.

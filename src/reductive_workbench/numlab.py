@@ -1,11 +1,11 @@
 """Matrix realizations, and a floating-point lab for numeric sanity checks.
 
 `make_matrix_realization` is the one route from exact antisymmetric basis
-matrices to an algebra: the commutator of each basis pair, read in the span
-of the basis, gives the structure constants, and `make_lie_algebra` checks
-Jacobi on them. Floats live only in the lab functions below; the exact
-engine never consumes a numeric result, and numpy is imported only when a
-float function runs.
+matrices to an algebra: the commutator of each basis pair, formed over the
+nonzero entries of the two matrices and read in the span of the basis, gives
+the structure constants, and `make_lie_algebra` checks Jacobi on them.
+Floats live only in the lab functions below; the exact engine never consumes
+a numeric result, and numpy is imported only when a float function runs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NonFinite, NotInFixedSubspace, NotInM
 from .liealg import LieAlgebra, make_lie_algebra
-from .linalg import Matrix, Vector, ZERO, coords_in_rref, identity, rref
+from .linalg import Matrix, Vector, ZERO, identity, rref
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,63 +55,59 @@ def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
     """Derive the algebra spanned by exact antisymmetric basis matrices.
 
     The matrices must be linearly independent and their span closed under
-    the commutator. [B_i, B_j] is computed once per pair i < j, and its
-    coordinates in the basis are the structure constants; `make_lie_algebra`
-    then checks Jacobi. Raises ValueError for a matrix that is not
-    antisymmetric, for dependent matrices and for a commutator outside the
-    span.
+    the commutator. [B_a, B_b] is formed once per pair a < b, over the
+    nonzero entries of the two matrices and on its strict upper triangle
+    only, and its coordinates in the basis are the structure constants;
+    `make_lie_algebra` then checks Jacobi. Raises ValueError for a matrix
+    that is not antisymmetric, for dependent matrices and for a commutator
+    outside the span.
     """
     mats = tuple(tuple(tuple(row) for row in B) for B in basis_matrices)
     dim = len(mats)
     n = len(mats[0]) if mats else 0
-    for B in mats:
-        for i in range(n):
-            for j in range(n):
-                if B[i][j] != -B[j][i]:
-                    raise ValueError("realization matrices must be antisymmetric")
+    # rows[a][i] = ((j, x), ...) over the nonzero entries x = B_a[i][j]
+    rows = tuple(tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in B) for B in mats)
+    nonzero = tuple(tuple((i, j, x) for i, r in enumerate(R) for j, x in r) for R in rows)
+    # this also rejects a nonzero diagonal entry and an unmatched one
+    for B, nz in zip(mats, nonzero):
+        if any(B[j][i] != -x for i, j, x in nz):
+            raise ValueError("realization matrices must be antisymmetric")
     # an antisymmetric matrix is determined by its strict upper triangle
-    width = n * (n - 1) // 2
-
-    def upper(M: Matrix) -> Vector:
-        return tuple(M[i][j] for i in range(n) for j in range(i + 1, n))
-
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    width = len(upper)
     # Rows [upper(B_a) | e_a]: the matrices are independent iff every pivot
     # falls in the left block, and the right block maps echelon coordinates
     # back to basis coordinates.
-    red, pivots = rref([upper(B) + e for B, e in zip(mats, identity(dim))], width + dim)
+    red, pivots = rref(
+        [tuple(B[i][j] for i, j in upper) + e for B, e in zip(mats, identity(dim))], width + dim
+    )
     if pivots and pivots[-1] >= width:
         raise ValueError("realization matrices must be linearly independent")
-    echelon = tuple(row[:width] for row in red)
+    # the echelon rows are reduced, so a vector of the span has coordinate
+    # C[pivot] on each row; each row's support and back-map terms, read once
+    pivot_row = {upper[p]: r for r, p in enumerate(pivots)}
+    support = tuple(tuple((upper[c], x) for c, x in enumerate(row[:width]) if x) for row in red)
     back = tuple(tuple((k, x) for k, x in enumerate(row[width:]) if x) for row in red)
     entries = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            y = coords_in_rref(echelon, pivots, upper(commutator(mats[i], mats[j])))
-            if y is None:
-                raise ValueError(f"commutator of basis pair {(i, j)} leaves the span")
-            coords = [ZERO] * dim
-            for c, terms in zip(y, back):
-                if c:
-                    for k, x in terms:
-                        coords[k] += c * x
-            entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            # [B_a, B_b] on the strict upper triangle, as {(i, j): value}
+            C = {}
+            for first, second, sign in ((a, b, 1), (b, a, -1)):
+                for i, k, x in nonzero[first]:
+                    for j, y in rows[second][k]:
+                        if j > i:
+                            C[i, j] = C.get((i, j), ZERO) + sign * x * y
+            residual = dict(C)
+            for pos, c in C.items():
+                if c and (r := pivot_row.get(pos)) is not None:
+                    for q, x in support[r]:
+                        residual[q] = residual.get(q, ZERO) - c * x
+                    # make_lie_algebra sums the terms of each (a, b, k)
+                    entries.extend((a, b, k, c * x) for k, x in back[r])
+            if any(residual.values()):
+                raise ValueError(f"commutator of basis pair {(a, b)} leaves the span")
     return MatrixRealization(make_lie_algebra(dim, entries, labels), n, mats)
-
-
-def commutator(A: Matrix, B: Matrix) -> Matrix:
-    """Exact AB - BA, skipping zero entries of A and B."""
-    n = len(A)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a, b = A[i][k], B[i][k]
-            if a:
-                for j in range(n):
-                    out[i][j] += a * B[k][j]
-            if b:
-                for j in range(n):
-                    out[i][j] -= b * A[k][j]
-    return tuple(tuple(r) for r in out)
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:

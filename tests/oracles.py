@@ -123,7 +123,7 @@ def express_in_basis(M, basis):
         for i in range(rows):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c] / aug[r][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[r])]
         piv_rows.append((r, c))
         r += 1
     coords = [F0] * len(basis)

@@ -23,6 +23,7 @@ from reductive_workbench.homspace import (
 from reductive_workbench.liealg import is_subalgebra, killing_form
 from reductive_workbench.report import run_report
 
+from oracles import commutator, express_in_basis
 from test_liealg import so_algebra
 
 
@@ -109,6 +110,23 @@ def test_so_family_matches_oracle_algebra(n):
     # the catalog reads so(n) off its realization; the oracle path extracts
     # commutator coordinates on its own
     assert construct(f"so{n}_mod_0").algebra == so_algebra(n)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["su3_mod_0", "su4_mod_0", "su5_mod_0", "so3so3_mod_diag", "so4so4_mod_diag", "so3r1_mod_0", "r3_mod_0"],
+)
+def test_catalog_algebra_matches_dense_commutators_of_its_matrices(name):
+    # su(n), direct sums and r(d) against dense commutators of the same basis
+    # matrices, each solved in the basis by the oracle's own elimination
+    entry = construct(name)
+    mats = entry.realization.basis_matrices
+    expected = []
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            coords = express_in_basis(commutator(mats[i], mats[j]), mats)
+            expected.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+    assert entry.algebra.entries == tuple(expected)
 
 
 def test_realizations_expose_exact_skew_matrices(entry):

@@ -819,6 +819,8 @@ def _spec_file(path, L, entries, h_rows, metric):
         pytest.param("so4_mod_0", None, id="so4_mod_0"),
         # a parametric entry outside the curated 13
         pytest.param("so5_mod_so3", None, id="so5_mod_so3"),
+        pytest.param("so6_mod_so4", None, id="so6_mod_so4"),
+        pytest.param("su4_mod_su2", None, id="su4_mod_su2"),
         # one scale per simple ideal, so the split runs on the dense basis
         pytest.param("so4_mod_so2", ("1", "3"), id="so4_mod_so2_custom"),
         pytest.param("so3so3_mod_diag", ("5/2", "1"), id="so3so3_mod_diag_custom"),

@@ -69,6 +69,19 @@ def test_realization_rejects_non_skew():
         make_matrix_realization(mats)
 
 
+@pytest.mark.parametrize(
+    "B",
+    [
+        pytest.param([[0, 0], [1, 0]], id="below_diagonal_alone"),
+        pytest.param([[0, 1], [1, 0]], id="symmetric_pair"),
+    ],
+)
+def test_realization_rejects_unmatched_off_diagonal_entries(B):
+    # one matrix, so no commutator and no dependence can reject it instead
+    with pytest.raises(ValueError, match="antisymmetric"):
+        make_matrix_realization([[[rat(x) for x in row] for row in B]])
+
+
 def test_flow_commutation_on_so4_mod_so2():
     entry = construct("so4_mod_so2")
     X = vector([0, 0, 0, 0, 0, 1])  # E34, the fixed direction
