@@ -12,7 +12,7 @@ through isomorphism invariants (dimension, center dimension, Killing inertia).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     ClosureFailure,
@@ -39,6 +39,7 @@ from .liealg import (
     centralizer,
     derived_subalgebra,
     is_subalgebra,
+    killing_form,
     make_bilinear_form,
     make_lie_algebra,
     orthogonal_complement,
@@ -132,10 +133,8 @@ class InvariantFieldAlgebra:
     def dim(self) -> int:
         return self.carrier.dim
 
-    @cached_property
+    @property
     def killing(self) -> BilinearForm:
-        from .liealg import killing_form
-
         return killing_form(self.algebra)
 
 
@@ -146,8 +145,17 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
         raise NotReductive("invariant-field algebra needs a reductive pair")
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
-    gram = pair.metric.restrict(carrier)
     in_m = [pair.m_terms(x) for x in carrier.rows]
+    # the carrier lies in m, so its Gram matrix pairs m-coordinates through the
+    # metric on m: images[a][c] = <carrier row a, m_c>
+    images = [{} for _ in in_m]
+    for image, x in zip(images, in_m):
+        for t, v in x:
+            for c, g in pair.table.gram[t]:
+                image[c] = image.get(c, ZERO) + v * g
+    gram = tuple(
+        tuple(sum((v * image.get(t, ZERO) for t, v in y), ZERO) for y in in_m) for image in images
+    )
     entries = []
     for a in range(carrier.dim):
         for b in range(a + 1, carrier.dim):
@@ -215,16 +223,23 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
     g1 = derived_subalgebra(L)
     k = invariant_field_algebra(pair)
     total = g1.dim + k.dim
-    entries = []
-    for a in range(g1.dim):
-        for b in range(a + 1, g1.dim):
-            value = L.bracket(g1.rows[a], g1.rows[b])
-            coords = g1.coords_of(value)
-            if coords is None:
-                raise ClosureFailure(
-                    TripleWitness((a, b, -1), ZERO), "derived subalgebra is not bracket-closed"
-                )
-            entries.extend((a, b, t, c) for t, c in enumerate(coords) if c)
+    if g1.dim == L.dim:
+        # g1 = g: its rows are the unit vectors, so its table is g's own
+        entries = list(L.entries)
+        g1_centralizer = center(L)
+    else:
+        entries = []
+        for a in range(g1.dim):
+            for b in range(a + 1, g1.dim):
+                value = L.bracket(g1.rows[a], g1.rows[b])
+                coords = g1.coords_of(value)
+                if coords is None:
+                    raise ClosureFailure(
+                        TripleWitness((a, b, -1), ZERO),
+                        "derived subalgebra is not bracket-closed",
+                    )
+                entries.extend((a, b, t, c) for t, c in enumerate(coords) if c)
+        g1_centralizer = centralizer(L, g1)
     for a in range(k.dim):
         for b in range(a + 1, k.dim):
             for t, c in enumerate(k.algebra.bracket_basis(a, b)):
@@ -234,7 +249,7 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
         # then g is abelian with m^h = m = 0, so h = g is an ideal inside h
         raise NotEffective("an effective pair on a nonzero algebra has a nonzero affine algebra")
     labels = [f"g1_{a + 1}" for a in range(g1.dim)] + [f"k{a + 1}" for a in range(k.dim)]
-    # No Jacobi sweep: g1 is a closed subalgebra of the checked g (coords_of
+    # No Jacobi sweep: g1 is g or a closed subalgebra of the checked g (coords_of
     # above) and k was checked when it was built. The entries are already
     # sorted, nonzero and have i < j.
     assembled = LieAlgebra(total, tuple(labels), tuple(entries))
@@ -249,7 +264,7 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
             # a central direction inside h spans an ideal inside h
             raise NotEffective("center of g does not inject into k")
     # carrier vectors inside g1 that centralize g1 vanish
-    overlap = k.carrier.intersect(g1).intersect(centralizer(L, g1))
+    overlap = k.carrier.intersect(g1).intersect(g1_centralizer)
     if overlap.dim:
         raise NotCompactType("semisimple Killing fields meet k away from zero")
     return AffineAlgebra(g1, k, total, assembled)

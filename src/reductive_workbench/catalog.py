@@ -217,7 +217,6 @@ def _diagonal_subspace(factor_dim: int) -> SubspaceBasis:
 # ---------------------------------------------------------------------------
 
 
-@cache
 def _expected_table() -> dict:
     data = resources.files("reductive_workbench").joinpath("data/catalog_expected.json")
     return json.loads(data.read_text(encoding="utf-8"))

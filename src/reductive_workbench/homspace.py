@@ -213,12 +213,13 @@ class AdaptedTable:
         return None if first is None else TripleWitness((a, *first), defects[first])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductivePair:
     """The decomposition g = h + m with projections and verified flags.
 
-    `table` is the adapted table, None when the pair is not
-    reductive; it is derived data and takes no part in equality or hashing.
+    `table` is the adapted table, None when the pair is not reductive. A pair
+    is equal only to itself and hashes by identity, so the caches keyed by a
+    pair look it up without hashing its matrices.
     """
 
     algebra: LieAlgebra
@@ -228,7 +229,7 @@ class ReductivePair:
     flags: ReductiveFlags
     proj_h: Matrix
     proj_m: Matrix
-    table: AdaptedTable | None = field(compare=False, repr=False)
+    table: AdaptedTable | None = field(repr=False)
 
     def project_m(self, X: Vector) -> Vector:
         return matvec(self.proj_m, X)

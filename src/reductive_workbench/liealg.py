@@ -14,6 +14,10 @@ the mod-p closures) read that table in Python ints, scale their vector or
 Gram arguments to integers the same way, and divide once per result entry.
 Their results are the same Fractions as exact rational arithmetic gives.
 
+An algebra also caches its Killing form, center, derived subalgebra [g, g]
+and simple-ideal split, each built once on first use; `killing_form`,
+`center`, `derived_subalgebra` and `simple_ideal_decomposition` return them.
+
 Subalgebra closures, ideal closures and largest ideals are fixpoints of one
 exact worklist, `_closure`; only the mod-p dimension has its own.
 """
@@ -194,6 +198,23 @@ class LieAlgebra:
             out.append(_divided(acc, scale * dphi))
         return tuple(out)
 
+    # g's structures, each built once on first use by the module's builder
+    @cached_property
+    def _killing(self) -> BilinearForm:
+        return _build_killing(self)
+
+    @cached_property
+    def _center(self) -> SubspaceBasis:
+        return _build_center(self)
+
+    @cached_property
+    def _derived(self) -> SubspaceBasis:
+        return _build_derived(self)
+
+    @cached_property
+    def _ideals(self) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:
+        return _build_ideals(self)
+
     @cached_property
     def _ads_mod_p(self) -> tuple[dict[int, dict[int, int]], ...] | None:
         # ads[i][j] = {k: c mod PRIME} for [e_i, e_j] = sum_k c e_k; None when
@@ -356,7 +377,11 @@ class CheckResult:
 
 def killing_form(L: LieAlgebra) -> BilinearForm:
     """B(X, Y) = trace(ad X . ad Y) on basis pairs: integer traces of the
-    scaled adjoints, each divided by D^2 once."""
+    scaled adjoints, each divided by D^2 once, and cached on L."""
+    return L._killing
+
+
+def _build_killing(L: LieAlgebra) -> BilinearForm:
     scale, rows = L._integer_table
     # ads[i][(a, b)] = D times the coefficient of e_a in [e_i, e_b]
     ads = [{(a, b): c for b, terms in row.items() for a, c in terms} for row in rows]
@@ -423,10 +448,18 @@ def centralizer(L: LieAlgebra, sub: SubspaceBasis) -> SubspaceBasis:
 
 
 def center(L: LieAlgebra) -> SubspaceBasis:
+    return L._center
+
+
+def _build_center(L: LieAlgebra) -> SubspaceBasis:
     return centralizer(L, SubspaceBasis.full(L.dim))
 
 
 def derived_subalgebra(L: LieAlgebra) -> SubspaceBasis:
+    return L._derived
+
+
+def _build_derived(L: LieAlgebra) -> SubspaceBasis:
     vectors = [
         L.bracket_basis(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
     ]
@@ -621,8 +654,12 @@ def simple_ideal_decomposition(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[Subs
 
     Requires the Killing form negative semi-definite with kernel equal to the
     center (raises NotCompactType otherwise). The simple ideals are returned in
-    a deterministic order (dimension, then echelon rows).
+    a deterministic order (dimension, then echelon rows), and cached on L.
     """
+    return L._ideals
+
+
+def _build_ideals(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:
     B = killing_form(L)
     pos, _neg, _zero = B.inertia
     if pos > 0:

@@ -392,3 +392,34 @@ def dense_normalizer(L, h_rows):
         for phi in dense_kernel(h_rows, n):
             system.append([sum((p * x for p, x in zip(phi, images[k])), F0) for k in range(n)])
     return dense_kernel(system, n)
+
+
+def dense_affine_entries(L, k):
+    """g1 = [g, g] of L as dense Gauss-Jordan rows, and the (i, j, t, c)
+    entries of g1 + k: each [g1_a, g1_b] is bracketed densely from the entries
+    of L and solved along the g1 rows, then the entries of the algebra k follow,
+    shifted past g1."""
+    n = L.dim
+    bracket = bracket_basis(L)
+    g1 = dense_rref([bracket(i, j) for i in range(n) for j in range(i + 1, n)], n)
+    s = len(g1)
+
+    def bracket_vec(x, y):
+        out = [F0] * n
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if xi and yj:
+                    for t, c in enumerate(bracket(i, j)):
+                        out[t] += xi * yj * c
+        return out
+
+    entries = []
+    for a in range(s):
+        for b in range(a + 1, s):
+            value = bracket_vec(g1[a], g1[b])
+            # [G^T | v] has rank s exactly when v lies in the span of the g1 rows
+            red = dense_rref([[row[t] for row in g1] + [v] for t, v in enumerate(value)], s + 1)
+            assert len(red) == s, "g1 is not bracket-closed"
+            entries.extend((a, b, t, row[s]) for t, row in enumerate(red) if row[s])
+    entries.extend((s + i, s + j, s + t, c) for i, j, t, c in k.entries)
+    return g1, entries

@@ -1,4 +1,6 @@
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from reductive_workbench.affine import (
     transvection_algebra,
     transvection_equals_g_check,
 )
-from reductive_workbench import affine
+from reductive_workbench import affine, liealg
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.errors import ClosureFailure, NotEffective, NotNormal
 from reductive_workbench.liealg import (
@@ -28,7 +30,10 @@ from reductive_workbench.homspace import (
     normal_decomposition,
 )
 
-from oracles import dense_nr_defect
+from reductive_workbench.report import run_report
+from reductive_workbench.specfile import load_space_spec_file
+
+from oracles import dense_affine_entries, dense_nr_defect
 from test_homspace import (
     diagonal_pair,
     second_factor_pair,
@@ -261,6 +266,52 @@ def test_assembled_affine_algebra_passes_the_skipped_jacobi_sweep():
         assembled = aff.assembled
         checked = make_lie_algebra(aff.total_dim, assembled.entries, assembled.basis_labels)
         assert checked == assembled
+
+
+@pytest.mark.parametrize("name", ["su3_mod_su2", "so4so4_mod_diag", "so3r1_mod_0", "r2_mod_0"])
+def test_assembled_entries_match_the_dense_oracle(name):
+    # g1 = g on the first two, g with a center on the last two
+    pair = construct(name).pair
+    aff = affine_algebra(pair)
+    g1, entries = dense_affine_entries(pair.algebra, aff.k.algebra)
+    assert [list(row) for row in aff.g1.rows] == g1
+    assert list(aff.assembled.entries) == entries
+    assert aff.assembled.basis_labels == tuple(
+        [f"g1_{a + 1}" for a in range(len(g1))] + [f"k{b + 1}" for b in range(aff.k.dim)]
+    )
+
+
+def test_each_structure_of_g_is_built_once_per_algebra(monkeypatch):
+    built = defaultdict(list)  # builder name -> the algebras it was called on
+    for name in ("_build_killing", "_build_center", "_build_derived", "_build_ideals"):
+        original = getattr(liealg, name)
+
+        def counting(L, name=name, original=original):
+            built[name].append(L)
+            return original(L)
+
+        monkeypatch.setattr(liealg, name, counting)
+    entry = construct.__wrapped__("so8_mod_so7")  # fresh: nothing cached on its algebra
+    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
+    for source in (entry, spec):
+        run_report(source)
+    for name, algebras in built.items():
+        assert len({id(L) for L in algebras}) == len(algebras), name
+    # g of both inputs had its Killing form, center and [g, g]; the custom
+    # metric of the spec file split g into simple ideals
+    g_of_spec = built["_build_ideals"]
+    assert len(g_of_spec) == 1 and g_of_spec[0].dim == spec.dim
+    for name in ("_build_killing", "_build_center", "_build_derived"):
+        assert any(L is entry.algebra for L in built[name]), name
+        assert any(L is g_of_spec[0] for L in built[name]), name
+
+
+def test_k_gram_is_the_metric_on_the_carrier():
+    for name in catalog_names():
+        pair = construct(name).pair
+        if pair.flags.reductive:
+            k = invariant_field_algebra(pair)
+            assert k.gram == pair.metric.restrict(k.carrier), name
 
 
 def test_affine_center_injection_on_algebra_with_center():
