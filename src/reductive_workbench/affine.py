@@ -145,7 +145,7 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
         raise NotReductive("invariant-field algebra needs a reductive pair")
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
-    in_m = [pair.m_terms(x) for x in carrier.rows]
+    in_m = [pair.split(x)[1] for x in carrier.rows]
     # the carrier lies in m, so its Gram matrix pairs m-coordinates through the
     # metric on m: images[a][c] = <carrier row a, m_c>
     images = [{} for _ in in_m]
@@ -194,7 +194,7 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     if pair.table.nr_witness is None:
         return CheckResult(True)
     rows = isotropy_fixed_subspace(pair).rows
-    witnesses = (pair.table.nr_defect_witness(pair.m_terms(x), a) for a, x in enumerate(rows))
+    witnesses = (pair.table.nr_defect_witness(pair.split(x)[1], a) for a, x in enumerate(rows))
     witness = next(filter(None, witnesses), None)
     return CheckResult(witness is None, witness)
 
@@ -282,7 +282,7 @@ def fixed_torus(pair: ReductivePair) -> TorusResult:
     if not pair.flags.normal:
         raise NotNormal("the fixed-point torus is stated for normal pairs")
     basis = invariant_field_algebra(pair).center
-    coords = [pair.m_terms(u) for u in basis.rows]
+    coords = [pair.split(u)[1] for u in basis.rows]
     abelian = all(not any(pair.table.bracket(x, y)[1].values()) for x in coords for y in coords)
     return TorusResult(basis.dim, basis, abelian)
 

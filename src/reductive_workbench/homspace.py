@@ -3,6 +3,11 @@
 Builds normal decompositions (m = orthogonal complement of h with respect to
 an invariant positive-definite metric), verifies all flags exactly, and probes
 the isotropy representation on m for fixed vectors and invariant subspaces.
+
+The default metric is -B, minus the Killing form; a recipe adds only its
+center Gram matrix and rescaled simple ideals to it. A pair keeps one
+coordinate map along the rows of h and then of m, which `ReductivePair.split`
+reads.
 """
 
 from __future__ import annotations
@@ -48,13 +53,10 @@ from .linalg import (
     kernel,
     mat_add,
     mat_inverse,
-    mat_scale,
     matmul,
-    matvec,
     primary_kernels,
     rat,
     transpose,
-    vadd,
     vector,
 )
 
@@ -91,7 +93,12 @@ class MetricSpec:
 def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
     """Assemble the invariant metric described by `spec` and check that it is
     positive-definite; its invariance is verified once, by the normal flag of
-    the pair built on it (see `normal_decomposition`)."""
+    the pair built on it (see `normal_decomposition`).
+
+    B vanishes on z and pairs distinct simple ideals to zero, so the recipe is
+    -B plus the center Gram matrix on the z-coordinates plus (1 - s) B(x_I, y)
+    for each ideal I of scale s != 1: one product R^T F, with R the coordinates
+    along z + the ideals, formed only when there is such a term."""
     B = killing_form(L)
     z = center(L)
     if spec.scale_factors is not None:
@@ -103,43 +110,32 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
             )
         if any(s <= 0 for s in spec.scale_factors):
             raise MetricNotPositiveDefinite("scale factors must be positive")
-        blocks = list(ideals)
-        scales = list(spec.scale_factors)
+        blocks = list(zip(ideals, spec.scale_factors))
     else:
-        g1 = derived_subalgebra(L)
-        blocks = [g1] if g1.dim else []
-        scales = [ONE]
-    gram = [[ZERO] * L.dim for _ in range(L.dim)]
-    adapted = list(z.rows)
-    for blk in blocks:
-        adapted.extend(blk.rows)
+        blocks = [(derived_subalgebra(L), ONE)]
+    adapted = z.rows + tuple(row for blk, _ in blocks for row in blk.rows)
     if len(adapted) != L.dim:
         raise NotCompactType("center and derived subalgebra do not span the algebra")
-    coord_rows = mat_inverse(transpose(tuple(adapted)))  # row r = coordinates along adapted[r]
-    offset = z.dim
-    for blk, s in zip(blocks, scales):
-        R = coord_rows[offset : offset + blk.dim]
-        blk_gram = mat_scale(-s, B.restrict(blk))
-        contrib = matmul(matmul(transpose(R), blk_gram), R)
-        gram = [list(vadd(tuple(g), c)) for g, c in zip(gram, contrib)]
-        offset += blk.dim
-    if z.dim:
-        cg = spec.center_gram if spec.center_gram is not None else identity(z.dim)
-        if len(cg) != z.dim or any(len(r) != z.dim for r in cg):
-            raise InvalidMetricSpec(f"center gram must be {z.dim}x{z.dim}", "center_gram")
-        for i in range(z.dim):
-            for j in range(i + 1, z.dim):
-                if cg[i][j] != cg[j][i]:
-                    raise InvalidMetricSpec(
-                        f"center gram is not symmetric at {(i, j)}", "center_gram"
-                    )
-        Rz = coord_rows[: z.dim]
-        contrib = matmul(matmul(transpose(Rz), cg), Rz)
-        gram = [list(vadd(tuple(g), c)) for g, c in zip(gram, contrib)]
-    elif spec.center_gram is not None:
-        raise InvalidMetricSpec(
-            "center gram supplied but the algebra has no center", "center_gram"
-        )
+    if spec.center_gram is not None and not z.dim:
+        raise InvalidMetricSpec("center gram supplied but the algebra has no center", "center_gram")
+    cg = spec.center_gram if spec.center_gram is not None else identity(z.dim)
+    if len(cg) != z.dim or any(len(r) != z.dim for r in cg):
+        raise InvalidMetricSpec(f"center gram must be {z.dim}x{z.dim}", "center_gram")
+    asymmetric = [(i, j) for i in range(z.dim) for j in range(i + 1, z.dim) if cg[i][j] != cg[j][i]]
+    if asymmetric:
+        raise InvalidMetricSpec(f"center gram is not symmetric at {asymmetric[0]}", "center_gram")
+    gram = tuple(tuple(-x for x in row) for row in B.gram)
+    if z.dim or any(s != ONE for _, s in blocks):
+        try:
+            R = mat_inverse(transpose(adapted))  # row r = coordinates along adapted[r]
+        except ValueError:
+            # z and [g, g] have complementary dimensions but meet
+            raise NotCompactType("center and derived subalgebra do not span the algebra") from None
+        F = list(matmul(cg, R[: z.dim]))
+        for blk, s in blocks:
+            By = matmul(blk.rows, B.gram) if s != ONE else [(ZERO,) * L.dim] * blk.dim
+            F.extend(tuple((ONE - s) * x for x in row) for row in By)
+        gram = mat_add(gram, matmul(transpose(R), F))
     form = make_bilinear_form(gram)
     if form.definiteness != "positive-definite":
         raise MetricNotPositiveDefinite(
@@ -215,11 +211,12 @@ class AdaptedTable:
 
 @dataclass(frozen=True, eq=False)
 class ReductivePair:
-    """The decomposition g = h + m with projections and verified flags.
+    """The decomposition g = h + m with its coordinate map and verified flags.
 
+    `coords[k]` holds the nonzero (t, y) with e_k = sum y (h.rows + m.rows)[t];
     `table` is the adapted table, None when the pair is not reductive. A pair
     is equal only to itself and hashes by identity, so the caches keyed by a
-    pair look it up without hashing its matrices.
+    pair look it up without hashing its fields.
     """
 
     algebra: LieAlgebra
@@ -227,12 +224,15 @@ class ReductivePair:
     m: SubspaceBasis
     metric: BilinearForm
     flags: ReductiveFlags
-    proj_h: Matrix
-    proj_m: Matrix
+    coords: tuple[Terms, ...] = field(repr=False)
     table: AdaptedTable | None = field(repr=False)
 
+    def split(self, X: Vector) -> tuple[Terms, Terms]:
+        """The nonzero (h-terms, m-terms) of X along g = h + m."""
+        return _split(self.coords, self.h.dim, X)
+
     def project_m(self, X: Vector) -> Vector:
-        return matvec(self.proj_m, X)
+        return self.from_m_terms(self.split(X)[1])
 
     def bracket_m(self, X: Vector, Y: Vector) -> Vector:
         return self.project_m(self.algebra.bracket(X, Y))
@@ -245,11 +245,6 @@ class ReductivePair:
         """The vector sum c m_a over the (a, c) terms, in ambient coordinates."""
         return _combine(terms, self.m.rows, self.algebra.dim)
 
-    def m_terms(self, X: Vector) -> Terms:
-        """The nonzero m-coordinates of X in m: as the rows of m are in reduced
-        echelon form, they are the entries of X at the pivots of m."""
-        return tuple((a, X[p]) for a, p in enumerate(self.m.pivots) if X[p])
-
 
 def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> Vector:
     out = [ZERO] * dim
@@ -261,42 +256,25 @@ def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> V
     return tuple(out)
 
 
-def _projections(
-    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Coordinate functionals along h.rows + m.rows, then the projections onto h and m."""
-    rows = h.rows + m.rows
-    if len(rows) != L.dim:
-        raise InvalidDecomposition(f"dim h + dim m = {len(rows)} != {L.dim}")
-    basis_t = transpose(rows)
-    try:
-        coord_rows = mat_inverse(basis_t)
-    except ValueError:
-        raise InvalidDecomposition("h and m have a nonzero intersection") from None
-    h_block = tuple(basis_t[i][: h.dim] for i in range(L.dim))
-    proj_h = matmul(h_block, coord_rows[: h.dim]) if h.dim else tuple(
-        tuple(ZERO for _ in range(L.dim)) for _ in range(L.dim)
-    )
-    proj_m = mat_add(identity(L.dim), tuple(tuple(-x for x in row) for row in proj_h))
-    return coord_rows, proj_h, proj_m
+def _split(coords: tuple[Terms, ...], s: int, X: Vector) -> tuple[Terms, Terms]:
+    # `ReductivePair.split` with the pair's coordinate map and dim h
+    out: dict[int, Fraction] = {}
+    for k, x in enumerate(X):
+        if x:
+            for t, y in coords[k]:
+                out[t] = out.get(t, ZERO) + x * y
+    terms = sorted((t, v) for t, v in out.items() if v)
+    return tuple(tv for tv in terms if tv[0] < s), tuple((t - s, v) for t, v in terms if t >= s)
 
 
 def _adapted_table(
-    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coord_rows: Matrix, gram_m: Matrix
+    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coords: tuple[Terms, ...], gram_m: Matrix
 ) -> AdaptedTable | None:
     """The adapted table, or None when some [h_i, m_b] leaves m."""
-    s, r = h.dim, m.dim
-    coord_cols = [[(t, y) for t, y in enumerate(col) if y] for col in transpose(coord_rows)]
+    r = m.dim
 
     def split(u: Vector, w: Vector) -> tuple[Terms, Terms]:
-        # (h-terms, m-terms) of [u, w]
-        out: dict[int, Fraction] = {}
-        for k, x in enumerate(L.bracket(u, w)):
-            if x:
-                for t, y in coord_cols[k]:
-                    out[t] = out.get(t, ZERO) + x * y
-        terms = sorted((t, v) for t, v in out.items() if v)
-        return tuple(tv for tv in terms if tv[0] < s), tuple((t - s, v) for t, v in terms if t >= s)
+        return _split(coords, h.dim, L.bracket(u, w))
 
     ad_h = tuple(tuple(split(u, w) for w in m.rows) for u in h.rows)
     if any(in_h for cols in ad_h for in_h, _ in cols):
@@ -326,18 +304,27 @@ def _reductive_pair(
     L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, metric: BilinearForm
 ) -> ReductivePair:
     """`make_reductive_pair` for an h already checked to be a subalgebra."""
-    coord_rows, proj_h, proj_m = _projections(L, h, m)
-    table = _adapted_table(L, h, m, coord_rows, metric.restrict(m))
+    rows = h.rows + m.rows
+    if len(rows) != L.dim:
+        raise InvalidDecomposition(f"dim h + dim m = {len(rows)} != {L.dim}")
+    try:
+        coord_rows = mat_inverse(transpose(rows))  # row t = coordinates along rows[t]
+    except ValueError:
+        raise InvalidDecomposition("h and m have a nonzero intersection") from None
+    coords = tuple(tuple((t, y) for t, y in enumerate(col) if y) for col in transpose(coord_rows))
+    images = matmul(m.rows, metric.gram)  # G.m_b, as the metric is symmetric
+    table = _adapted_table(L, h, m, coords, matmul(m.rows, transpose(images)))
     reductive = table is not None
     nr = reductive and table.nr_witness is None
+    # h + m = g, so for a positive-definite metric m = h-perp iff every <h_i, m_b> = 0
     normal = (
         metric.definiteness == "positive-definite"
         and ad_invariance_check(L, metric).ok
-        and m == orthogonal_complement(h, metric)
+        and not any(map(any, matmul(h.rows, transpose(images)) if m.dim else ()))
     )
     effective = _largest_ideal_in(L, h).dim == 0
     flags = ReductiveFlags(reductive, normal, nr, effective)
-    return ReductivePair(L, h, m, metric, flags, proj_h, proj_m, table)
+    return ReductivePair(L, h, m, metric, flags, coords, table)
 
 
 def normal_decomposition(
@@ -395,7 +382,7 @@ def normalizer_invariance_check(pair: ReductivePair) -> NormalizerCheck:
     # normalizes h iff X lies in m^h, and u keeps m invariant iff [X, m_b]_h = 0
     normalizer = pair.h.sum_with(isotropy_fixed_subspace(pair))
     for a, u in enumerate(normalizer.rows):
-        x = pair.m_terms(pair.project_m(u))
+        x = pair.split(u)[1]
         for b in range(pair.m.dim):
             if any(pair.table.bracket(x, ((b, ONE),))[0].values()):
                 return NormalizerCheck(False, normalizer, TripleWitness((a, b, -1), ZERO))

@@ -340,9 +340,9 @@ class BilinearForm:
         return dot(u, matvec(self.gram, v))
 
     def restrict(self, sub: SubspaceBasis) -> Matrix:
-        """Gram matrix of the form on the rows of `sub`; G.s is formed once per row."""
-        images = [matvec(self.gram, s) for s in sub.rows]
-        return tuple(tuple(dot(r, gs) for gs in images) for r in sub.rows)
+        """Gram matrix on the rows of `sub`: the images G.s are the rows of S G,
+        as G is symmetric, and each pairing runs over the support of its row."""
+        return matmul(sub.rows, transpose(matmul(sub.rows, self.gram)))
 
 
 def make_bilinear_form(gram: Iterable[Iterable]) -> BilinearForm:
@@ -435,7 +435,7 @@ def orthogonal_complement(sub: SubspaceBasis, form: BilinearForm) -> SubspaceBas
     """{v : <s, v> = 0 for every s in sub}; requires a non-degenerate form."""
     if form.definiteness == "degenerate":
         raise DegenerateForm("orthogonal complement needs a non-degenerate form")
-    system = tuple(matvec(form.gram, s) for s in sub.rows)
+    system = matmul(sub.rows, form.gram)  # G.s for each row s, as G is symmetric
     return SubspaceBasis.from_vectors(sub.ambient_dim, kernel(system, sub.ambient_dim))
 
 

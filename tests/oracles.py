@@ -316,6 +316,35 @@ def dense_coords(basis_rows, v):
     return [row[n] for row in dense_rref(aug, n + 1)]
 
 
+def dense_block_metric(L, center_rows, blocks, scales, center_gram):
+    """R^T blockdiag(center_gram, -s_a B|I_a) R, where R holds the coordinates
+    along the center rows and then the rows of each block I_a (one dense
+    Gauss-Jordan inverse) and B is the Killing matrix by traces of dense ad
+    products built from the entries of L."""
+    n = L.dim
+    B = killing_by_traces(n, bracket_basis(L))
+    adapted = [list(r) for r in center_rows] + [list(r) for rows in blocks for r in rows]
+    identity = dense_identity(n)
+    # R = (adapted^T)^-1: row t is the coordinate along adapted[t]
+    aug = [[adapted[t][k] for t in range(n)] + identity[k] for k in range(n)]
+    R = [row[n:] for row in dense_rref(aug, 2 * n)]
+    D = dense_zero(n)
+    z = len(center_rows)
+    for i in range(z):
+        for j in range(z):
+            D[i][j] = F0 + center_gram[i][j]
+    offset = z
+    for rows, s in zip(blocks, scales):
+        for a, u in enumerate(rows):
+            for b, v in enumerate(rows):
+                D[offset + a][offset + b] = -s * sum(
+                    (u[p] * B[p][q] * v[q] for p in range(n) for q in range(n)), F0
+                )
+        offset += len(rows)
+    Rt = [[R[t][k] for t in range(n)] for k in range(n)]
+    return dense_mul(dense_mul(Rt, D), R)
+
+
 def dense_nr_defect(L, h_rows, m_rows, gram):
     """defect[a][b][c] = <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m>, where
     [., .]_m is the m-part along g = h + m: dense brackets from the entries

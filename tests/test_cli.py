@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reductive_workbench import specfile
@@ -491,6 +491,28 @@ def test_cli_basis_beyond_desk_cap_is_one_positioned_error(tmp_path):
     assert parse_space_spec(json.dumps(doc)).dim == 63
 
 
+# the free 2-step nilpotent algebra on x1, x2, x3: z = [g, g] = span(c12, c13, c23)
+FREE_NILPOTENT_DOC = {
+    "basis": ["x1", "x2", "x3", "c12", "c13", "c23"],
+    "brackets": [[1, 2, 4, "1"], [1, 3, 5, "1"], [2, 3, 6, "1"]],
+    "subalgebra": [],
+    "metric": {"mode": "negative_killing"},
+}
+
+
+def test_cli_center_meeting_the_derived_algebra_is_one_error(tmp_path):
+    # dim z + dim [g, g] = dim g although the two spaces coincide
+    spec = tmp_path / "free_nilpotent.json"
+    spec.write_text(json.dumps(FREE_NILPOTENT_DOC))
+    proc = _run_module("-m", "reductive_workbench", str(spec))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "center and derived subalgebra do not span the algebra" in lines[0]
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_exact_analysis_does_not_import_numpy():
     code = (
         "import sys\n"
@@ -780,6 +802,50 @@ def test_main_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, 
     assert "Traceback" not in err.getvalue()
     if code == 1 and (names or texts):
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@st.composite
+def two_step_nilpotent_documents(draw):
+    """Generators x_1..x_g and central c_1..c_t with each [x_i, x_j] a small
+    rational combination of the c's: nilpotent of step at most 2, so Jacobi
+    holds, and not of compact type unless every bracket vanishes."""
+    gens = draw(st.integers(2, 4))
+    centrals = draw(st.integers(1, gens * (gens - 1) // 2))
+    dim = gens + centrals
+    coefficient = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    brackets = [
+        [i + 1, j + 1, gens + t + 1, str(c)]
+        for i in range(gens)
+        for j in range(i + 1, gens)
+        for t in range(centrals)
+        if (c := draw(coefficient))
+    ]
+    generator = draw(st.one_of(st.none(), st.integers(0, gens - 1)))
+    subalgebra = [] if generator is None else [["1" if k == generator else "0" for k in range(dim)]]
+    gram_size = draw(st.integers(1, 3))
+    metric = draw(
+        st.sampled_from(
+            [
+                {"mode": "negative_killing"},
+                {"mode": "custom"},
+                {"mode": "custom", "center_gram": [["2" if a == b else "0" for b in range(gram_size)] for a in range(gram_size)]},
+            ]
+        )
+    )
+    basis = [f"x{i + 1}" for i in range(gens)] + [f"c{t + 1}" for t in range(centrals)]
+    return {"basis": basis, "brackets": brackets, "subalgebra": subalgebra, "metric": metric}
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=two_step_nilpotent_documents(), flags=st.sampled_from([[], ["--json"]]))
+@example(doc=FREE_NILPOTENT_DOC, flags=[])
+def test_main_on_two_step_nilpotent_algebras_ends_in_an_exit_code(tmp_path_factory, doc, flags):
+    path = tmp_path_factory.mktemp("nilpotent") / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*flags, str(path)])
+    assert code in (0, 1, 2)
 
 
 def _report_invariants(body):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,13 +25,16 @@ from reductive_workbench.homspace import (
 from reductive_workbench.liealg import (
     SubspaceBasis,
     TripleWitness,
+    center,
+    derived_subalgebra,
     killing_form,
     make_bilinear_form,
     make_lie_algebra,
+    simple_ideal_decomposition,
 )
-from reductive_workbench.linalg import matrix, rat
+from reductive_workbench.linalg import mat_inverse, matrix, rat
 
-from oracles import dense_normalizer, dense_nr_defect
+from oracles import dense_block_metric, dense_normalizer, dense_nr_defect
 
 from test_liealg import (
     CYCLIC_SO3,
@@ -98,13 +102,17 @@ def test_second_factor_pair_is_not_effective():
 
 
 def test_projections_identities():
-    pair = so4_mod_so2_pair()
-    from reductive_workbench.linalg import identity, mat_add, matmul
+    from reductive_workbench.linalg import identity, vadd
 
-    P, Q = pair.proj_h, pair.proj_m
-    assert mat_add(P, Q) == identity(6)
-    assert matmul(P, P) == P
-    assert matmul(Q, Q) == Q
+    for pair in (so4_mod_so2_pair(), diagonal_pair()):
+        for e in identity(pair.algebra.dim):
+            in_h, in_m = pair.split(e)
+            assert vadd(pair.from_h_terms(in_h), pair.from_m_terms(in_m)) == e
+            assert pair.project_m(pair.project_m(e)) == pair.project_m(e)
+        for i, row in enumerate(pair.h.rows):
+            assert pair.split(row) == (((i, 1),), ())
+        for a, row in enumerate(pair.m.rows):
+            assert pair.split(row) == ((), ((a, 1),))
 
 
 def test_normal_decomposition_rejects_non_subalgebra():
@@ -144,6 +152,82 @@ def test_center_gram_metric_on_so3_plus_r():
     assert form.gram == matrix([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     pair = normal_decomposition(L, SubspaceBasis.zero(4), MetricSpec.custom(center_gram=[[3]]))
     assert pair.flags.normal and pair.flags.naturally_reductive
+
+
+def _dense_spec_recipe():
+    from reductive_workbench.specfile import load_space_spec_file
+
+    spec = load_space_spec_file(str(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json"))
+    return make_lie_algebra(spec.dim, spec.bracket_entries), spec.metric_spec
+
+
+def _catalog_recipe(name, spec):
+    from reductive_workbench.catalog import construct
+
+    return lambda: (construct(name).algebra, spec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(_catalog_recipe("so3r1_mod_0", MetricSpec.custom(center_gram=[[3]])), id="so3r1_gram"),
+        pytest.param(
+            _catalog_recipe("so3r1_mod_0", MetricSpec.custom(scale_factors=[2], center_gram=[[5]])),
+            id="so3r1_scaled_gram",
+        ),
+        pytest.param(_catalog_recipe("r2_mod_0", MetricSpec.custom(center_gram=[[2, 1], [1, 1]])), id="r2_gram"),
+        pytest.param(_catalog_recipe("so4_mod_0", MetricSpec.custom(scale_factors=[1, 2])), id="so4_1_2"),
+        pytest.param(_catalog_recipe("so4_mod_0", MetricSpec.custom(scale_factors=[3, 3])), id="so4_3_3"),
+        pytest.param(
+            _catalog_recipe("so4so4_mod_diag", MetricSpec.custom(scale_factors=[1, 2, "1/3", 1])),
+            id="so4so4_scaled",
+        ),
+        pytest.param(_catalog_recipe("su3_mod_su2", MetricSpec()), id="su3_default"),
+        pytest.param(_dense_spec_recipe, id="so3so3_dense_file"),
+    ],
+)
+def test_build_metric_matches_the_block_recipe(make):
+    # -B plus the center Gram and the rescaled ideals against the recipe itself:
+    # R^T blockdiag(center gram, -s_a B|I_a) R along z + the blocks
+    L, spec = make()
+    z = center(L)
+    if spec.scale_factors is None:
+        blocks, scales = [derived_subalgebra(L).rows], [F(1)]
+    else:
+        blocks, scales = [ideal.rows for ideal in simple_ideal_decomposition(L)[1]], spec.scale_factors
+    cg = spec.center_gram if spec.center_gram is not None else matrix(
+        [[int(i == j) for j in range(z.dim)] for i in range(z.dim)]
+    )
+    expected = dense_block_metric(L, z.rows, blocks, scales, cg)
+    assert [list(row) for row in build_metric(L, spec).gram] == expected
+
+
+def test_normal_decomposition_forms_one_coordinate_map(monkeypatch):
+    # the default recipe on a centerless algebra is -B itself: only the pair's
+    # coordinates along h + m take an inverse
+    from reductive_workbench import homspace
+    from reductive_workbench.catalog import construct
+
+    entry = construct("so8_mod_so7")
+    calls = []
+
+    def counting_inverse(A):
+        calls.append(len(A))
+        return mat_inverse(A)
+
+    monkeypatch.setattr(homspace, "mat_inverse", counting_inverse)
+    pair = normal_decomposition(entry.algebra, entry.h)
+    assert calls == [entry.algebra.dim]
+    assert pair.flags.normal
+
+
+def test_reductive_pair_with_m_not_orthogonal_to_h_is_not_normal():
+    # so(3) + R with h = R central and m = span(e1, e2, e3 + z): [h, m] = 0, the
+    # metric -B + identity is invariant and positive-definite, but <z, e3 + z> = 1
+    L = make_lie_algebra(4, CYCLIC_SO3)
+    m = SubspaceBasis.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    pair = make_reductive_pair(L, unit_subspace(4, [3]), m, build_metric(L, MetricSpec()))
+    assert pair.flags.reductive and not pair.flags.normal
 
 
 @settings(max_examples=15, deadline=None)
