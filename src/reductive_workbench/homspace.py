@@ -36,6 +36,7 @@ from .liealg import (
     ad_invariance_check,
     center,
     commutant,
+    commutant_split,
     derived_subalgebra,
     is_subalgebra,
     killing_form,
@@ -49,12 +50,10 @@ from .linalg import (
     Vector,
     ZERO,
     identity,
-    is_scalar_matrix,
     kernel,
     mat_add,
     mat_inverse,
     matmul,
-    primary_kernels,
     rat,
     transpose,
     vector,
@@ -442,13 +441,10 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     basis = commutant(pair.table.ad_h, m.dim)
     if len(basis) == 1:
         return ProbeResult("irreducible", None, 1)
-    for T in basis:
-        if is_scalar_matrix(T):
-            continue
-        for ker in primary_kernels(T):
-            if 0 < len(ker) < m.dim:
-                witness = SubspaceBasis.from_vectors(
-                    pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in ker]
-                )
-                return ProbeResult("reducible", witness, len(basis))
-    return ProbeResult("inconclusive", None, len(basis))
+    kernels = commutant_split(basis)
+    if kernels is None:
+        return ProbeResult("inconclusive", None, len(basis))
+    witness = SubspaceBasis.from_vectors(
+        pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernels[0]]
+    )
+    return ProbeResult("reducible", witness, len(basis))

@@ -604,6 +604,21 @@ def commutant(mats: Sequence[Sequence[Sequence[tuple[int, Fraction]]]], r: int) 
     )
 
 
+def commutant_split(basis: Sequence[Matrix]) -> tuple[Matrix, ...] | None:
+    """The primary kernels of the first non-scalar element of a commutant
+    basis that has two or more, or None when no basis element splits.
+
+    Primary kernels are nonzero and their dimensions add up to the whole
+    space, so each of two or more is a proper invariant subspace.
+    """
+    for T in basis:
+        if not is_scalar_matrix(T):
+            kernels = primary_kernels(T)
+            if len(kernels) >= 2:
+                return kernels
+    return None
+
+
 def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm) -> list[SubspaceBasis]:
     if piece.dim == 0:
         return []
@@ -630,23 +645,15 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
         ]
         for g in _generating_rows(L, piece)
     ]
-    centroid = commutant(restricted, piece.dim)
-    if len(centroid) <= 1:
+    kernels = commutant_split(commutant(restricted, piece.dim))
+    if kernels is None:  # no rational idempotent: the piece is simple over Q
         return [piece]
     basis_t = transpose(piece.rows)
-    for T in centroid:
-        if is_scalar_matrix(T):
-            continue
-        kernels = primary_kernels(T)
-        if len(kernels) < 2:
-            continue  # one primary component: no rational split from T
-        out: list[SubspaceBasis] = []
-        for ker in kernels:
-            sub = SubspaceBasis.from_vectors(L.dim, [matvec(basis_t, t) for t in ker])
-            out.extend(_split_semisimple(L, sub, killing))
-        return out
-    # No rational idempotent found: the piece is simple over Q.
-    return [piece]
+    out: list[SubspaceBasis] = []
+    for ker in kernels:
+        sub = SubspaceBasis.from_vectors(L.dim, [matvec(basis_t, t) for t in ker])
+        out.extend(_split_semisimple(L, sub, killing))
+    return out
 
 
 def simple_ideal_decomposition(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:

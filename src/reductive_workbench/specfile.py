@@ -1,15 +1,16 @@
-"""Space-specification files: positioned parsing, schema and semantic checks.
+"""Space-specification files: positioned parsing and one validating walk.
 
 The input format is strict JSON (RFC 8259; see schemas/spacespec.schema.json).
 The stdlib decoder parses it, with hooks on its containers that record where
 every value starts and cap the nesting, so that syntax errors, schema
 violations and semantic errors (bad indices, malformed rationals) all carry a
-line and column. The schema's rules are walked in plain Python first; only
-a document that walk does not accept goes to jsonschema, which is loaded
-then and words the first error, so a valid file never imports it. Bracket
-indices in files are 1-based, matching the basis listing; the Python API
-stays 0-based. A basis longer than MAX_DIM (63, the dimension of su(8)) is
-rejected at `basis` before any analysis starts.
+line and column. One walk over the fields, in the order basis, brackets,
+subalgebra, metric, assertions, enforces the schema's rules and the semantic
+ones together and stops at the first value that breaks one; the tests check
+it against the schema with jsonschema, which the package itself never loads.
+Bracket indices in files are 1-based, matching the basis listing; the Python
+API stays 0-based. A basis longer than MAX_DIM (63, the dimension of su(8))
+is rejected at `basis` before any analysis starts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import py_make_scanner
 
@@ -28,7 +28,7 @@ from .errors import SpecFileError
 from .homspace import MetricSpec
 from .linalg import Matrix, signature
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")  # matched whole, as the schema's pattern
 
 Position = tuple[int, int]
 Path = tuple
@@ -37,6 +37,10 @@ Path = tuple
 # position of the error does not depend on the caller's stack.
 MAX_NESTING = 32
 MAX_DIM = 63  # dim su(8), the largest algebra the engine is sized for
+
+SPEC_KEYS = ("basis", "brackets", "subalgebra", "metric", "assertions")  # the first four required
+METRIC_KEYS = ("mode", "scales", "center_gram")
+ASSERTION_KEYS = ("locally_irreducible", "is_sphere_or_rp")
 
 
 def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
@@ -106,7 +110,7 @@ def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
 
 
 # ---------------------------------------------------------------------------
-# schema + semantic validation
+# validation: one walk over the document
 # ---------------------------------------------------------------------------
 
 
@@ -125,200 +129,142 @@ class SpaceSpec:
     recipe_positions: dict[str, Position] = field(default_factory=dict, compare=False)
 
 
-def _schema() -> dict:
-    data = resources.files("reductive_workbench").joinpath("schemas/spacespec.schema.json")
-    return json.loads(data.read_text(encoding="utf-8"))
+def _error(message: str, positions: dict[Path, Position], path: Path) -> SpecFileError:
+    return SpecFileError(message, *positions[path])
 
 
-def _is_rational(x) -> bool:
-    # the schema's "rational": an integer (never a bool), or a string that the
-    # pattern finds with re.search, as jsonschema applies it
-    return type(x) is int or (type(x) is str and _RATIONAL.search(x) is not None)
+def _name(path: Path) -> str:
+    """The value at `path` as messages name it: its key, or "'key' entry" for
+    an item of the array under that key."""
+    keys = [key for key in path if type(key) is str]
+    if not keys:
+        return "the document"
+    return repr(keys[-1]) + (" entry" if type(path[-1]) is int else "")
 
 
-def _is_list_of(x, accepts) -> bool:
-    return type(x) is list and all(accepts(y) for y in x)
+def _object(value, keys, required, positions, path) -> dict:
+    """`value` as an object that has every `required` key and no key outside `keys`."""
+    if type(value) is not dict:
+        raise _error(f"{_name(path)} must be an object, got {value!r}", positions, path)
+    for key in required:
+        if key not in value:
+            raise _error(f"missing key {key!r}", positions, path)
+    for key in value:
+        if key not in keys:
+            raise _error(f"unexpected key {key!r}", positions, path + (key,))
+    return value
 
 
-def _is_bracket(item) -> bool:
-    return (
-        type(item) is list
-        and len(item) == 4
-        and all(type(i) is int and i >= 1 for i in item[:3])
-        and _is_rational(item[3])
-    )
-
-
-def _is_metric(metric) -> bool:
-    return (
-        type(metric) is dict
-        and metric.keys() <= {"mode", "scales", "center_gram"}
-        and type(metric.get("mode")) is str
-        and metric["mode"] in ("negative_killing", "custom")
-        and _is_list_of(metric.get("scales", []), _is_rational)
-        and _is_list_of(metric.get("center_gram", []), lambda row: _is_list_of(row, _is_rational))
-    )
-
-
-def _is_assertions(asserts) -> bool:
-    return (
-        type(asserts) is dict
-        and asserts.keys() <= {"locally_irreducible", "is_sphere_or_rp"}
-        and all(type(v) is bool for v in asserts.values())
-    )
-
-
-def _plainly_valid(doc) -> bool:
-    """True only when the document satisfies schemas/spacespec.schema.json:
-    types, required and extra keys, minItems, indices >= 1 and the rational
-    pattern. A bool or a float where a number belongs, or anything else the
-    walk is not sure of, answers False and leaves the verdict to jsonschema."""
-    return (
-        type(doc) is dict
-        and {"basis", "brackets", "subalgebra", "metric"} <= doc.keys()
-        and doc.keys() <= {"basis", "brackets", "subalgebra", "metric", "assertions"}
-        and _is_list_of(doc["basis"], lambda label: type(label) is str and len(label) >= 1)
-        and len(doc["basis"]) >= 1
-        and _is_list_of(doc["brackets"], _is_bracket)
-        and _is_list_of(doc["subalgebra"], lambda row: _is_list_of(row, _is_rational))
-        and _is_metric(doc["metric"])
-        and _is_assertions(doc.get("assertions", {}))
-    )
-
-
-def _position_for(positions: dict, path: tuple) -> Position:
-    while path:
-        if path in positions:
-            return positions[path]
-        path = path[:-1]
-    return positions.get((), (1, 1))
+def _array(value, positions, path) -> list:
+    if type(value) is not list:
+        raise _error(f"{_name(path)} must be an array, got {value!r}", positions, path)
+    return value
 
 
 def _rat_at(value, positions, path) -> Fraction:
+    """The schema's rational: an integer (never a bool) or a 'p/q' string."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        line, col = _position_for(positions, path)
-        raise SpecFileError(
-            f"rationals must be integers or 'p/q' strings, got {value!r}", line, col
-        )
+        message = f"rationals must be integers or 'p/q' strings, got {value!r}"
+        raise _error(message, positions, path)
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        line, col = _position_for(positions, path)
-        raise SpecFileError(f"malformed rational {value!r}", line, col)
+        raise _error(f"malformed rational {value!r}", positions, path)
     try:
         return Fraction(value)
     except ValueError:  # more digits than int() converts
-        line, col = _position_for(positions, path)
-        raise SpecFileError("rational has too many digits", line, col) from None
+        raise _error("rational has too many digits", positions, path) from None
 
 
 def parse_space_spec(text: str) -> SpaceSpec:
-    """Parse and validate a specification document; raises SpecFileError."""
+    """Parse and validate a specification document; raises SpecFileError at
+    the first value, in document order, that breaks a rule."""
     doc, positions = parse_positioned(text)
-    if not _plainly_valid(doc):
-        import jsonschema
+    doc = _object(doc, SPEC_KEYS, SPEC_KEYS[:4], positions, ())
 
-        validator = jsonschema.Draft7Validator(_schema())
-        errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-        if errors:
-            err = errors[0]
-            line, col = _position_for(positions, tuple(err.absolute_path))
-            raise SpecFileError(err.message, line, col)
-
-    labels = tuple(doc["basis"])
+    labels = tuple(_array(doc["basis"], positions, ("basis",)))
+    if not labels:
+        raise _error("'basis' must list at least one label", positions, ("basis",))
+    for c, label in enumerate(labels):
+        if type(label) is not str or not label:
+            message = f"'basis' entry must be a non-empty string, got {label!r}"
+            raise _error(message, positions, ("basis", c))
     if len(labels) > MAX_DIM:
-        line, col = _position_for(positions, ("basis",))
-        raise SpecFileError(
-            f"basis has {len(labels)} labels, more than the desk cap of {MAX_DIM} (su(8))",
-            line,
-            col,
-        )
+        message = f"basis has {len(labels)} labels, more than the desk cap of {MAX_DIM} (su(8))"
+        raise _error(message, positions, ("basis",))
     if len(set(labels)) != len(labels):
-        line, col = _position_for(positions, ("basis",))
-        raise SpecFileError("basis labels must be unique", line, col)
+        raise _error("basis labels must be unique", positions, ("basis",))
     dim = len(labels)
 
     entries = []
-    for t, item in enumerate(doc["brackets"]):
-        i, j, k = item[0], item[1], item[2]
+    for t, item in enumerate(_array(doc["brackets"], positions, ("brackets",))):
         path = ("brackets", t)
-        line, col = _position_for(positions, path)
+        if type(item) is not list or len(item) != 4:
+            raise _error(f"'brackets' entry must be [i, j, k, c], got {item!r}", positions, path)
+        i, j, k = item[:3]
         for idx in (i, j, k):
             if type(idx) is not int:
-                raise SpecFileError(f"bracket index {idx!r} is not an integer", line, col)
+                raise _error(f"bracket index {idx!r} is not an integer", positions, path)
             if not 1 <= idx <= dim:
-                raise SpecFileError(
-                    f"bracket index {idx} out of range 1..{dim}", line, col
-                )
+                raise _error(f"bracket index {idx} out of range 1..{dim}", positions, path)
         if i >= j:
-            raise SpecFileError(
-                f"bracket entries need i < j (antisymmetry is automatic), got ({i}, {j})",
-                line,
-                col,
-            )
+            message = f"bracket entries need i < j (antisymmetry is automatic), got ({i}, {j})"
+            raise _error(message, positions, path)
         coeff = _rat_at(item[3], positions, path + (3,))
         entries.append((i - 1, j - 1, k - 1, coeff))
 
     rows = []
-    for t, row in enumerate(doc["subalgebra"]):
+    for t, row in enumerate(_array(doc["subalgebra"], positions, ("subalgebra",))):
         path = ("subalgebra", t)
-        if len(row) != dim:
-            line, col = _position_for(positions, path)
-            raise SpecFileError(
-                f"subalgebra vector has length {len(row)}, expected {dim}", line, col
-            )
+        if len(_array(row, positions, path)) != dim:
+            message = f"subalgebra vector has length {len(row)}, expected {dim}"
+            raise _error(message, positions, path)
         rows.append(tuple(_rat_at(x, positions, path + (c,)) for c, x in enumerate(row)))
 
-    metric = doc["metric"]
-    if metric["mode"] == "negative_killing":
-        for extra in ("scales", "center_gram"):
-            if extra in metric:
-                line, col = _position_for(positions, ("metric", extra))
-                raise SpecFileError(
-                    f"{extra} requires metric mode 'custom'", line, col
-                )
-        spec = MetricSpec()
-    else:
-        scales = None
-        if "scales" in metric:
-            scales = []
-            for c, s in enumerate(metric["scales"]):
-                path = ("metric", "scales", c)
-                scales.append(_rat_at(s, positions, path))
-                if scales[-1] <= 0:
-                    raise SpecFileError(
-                        f"scale {c + 1} is {scales[-1]}; scales must be positive",
-                        *_position_for(positions, path),
-                    )
-        gram = None
-        if "center_gram" in metric:
-            gram = [
-                [
-                    _rat_at(x, positions, ("metric", "center_gram", a, b))
-                    for b, x in enumerate(row)
-                ]
-                for a, row in enumerate(metric["center_gram"])
-            ]
-            for a, row in enumerate(gram):
-                for b in range(a + 1, len(row)):
-                    if b < len(gram) and a < len(gram[b]) and row[b] != gram[b][a]:
-                        raise SpecFileError(
-                            f"center gram is not symmetric at ({a + 1}, {b + 1})",
-                            *_position_for(positions, ("metric", "center_gram", a, b)),
-                        )
-            if all(len(row) == len(gram) for row in gram) and signature(gram)[0] < len(gram):
-                raise SpecFileError(
-                    "center gram is not positive-definite",
-                    *_position_for(positions, ("metric", "center_gram")),
-                )
-        spec = MetricSpec.custom(scale_factors=scales, center_gram=gram)
+    metric = _object(doc["metric"], METRIC_KEYS, ("mode",), positions, ("metric",))
+    mode = metric["mode"]
+    if mode not in ("negative_killing", "custom"):
+        message = f"'mode' must be 'negative_killing' or 'custom', got {mode!r}"
+        raise _error(message, positions, ("metric", "mode"))
+    for key in METRIC_KEYS[1:]:
+        if key in metric:
+            _array(metric[key], positions, ("metric", key))
+            if mode != "custom":
+                raise _error(f"{key} requires metric mode 'custom'", positions, ("metric", key))
+    scales = None
+    if "scales" in metric:
+        scales = []
+        for c, s in enumerate(metric["scales"]):
+            path = ("metric", "scales", c)
+            scales.append(_rat_at(s, positions, path))
+            if scales[-1] <= 0:
+                message = f"scale {c + 1} is {scales[-1]}; scales must be positive"
+                raise _error(message, positions, path)
+    gram = None
+    if "center_gram" in metric:
+        gram = []
+        for a, row in enumerate(metric["center_gram"]):
+            path = ("metric", "center_gram", a)
+            row = _array(row, positions, path)
+            gram.append([_rat_at(x, positions, path + (b,)) for b, x in enumerate(row)])
+        for a, row in enumerate(gram):
+            for b in range(a + 1, len(row)):
+                if b < len(gram) and a < len(gram[b]) and row[b] != gram[b][a]:
+                    message = f"center gram is not symmetric at ({a + 1}, {b + 1})"
+                    raise _error(message, positions, ("metric", "center_gram", a, b))
+        if all(len(row) == len(gram) for row in gram) and signature(gram)[0] < len(gram):
+            message = "center gram is not positive-definite"
+            raise _error(message, positions, ("metric", "center_gram"))
+    spec = MetricSpec.custom(scales, gram) if mode == "custom" else MetricSpec()
 
-    asserts = doc.get("assertions", {})
+    asserts = _object(doc.get("assertions", {}), ASSERTION_KEYS, (), positions, ("assertions",))
+    for key, value in asserts.items():
+        if type(value) is not bool:
+            message = f"{key!r} must be true or false, got {value!r}"
+            raise _error(message, positions, ("assertions", key))
     assertions = UserAssertions(
         locally_irreducible=asserts.get("locally_irreducible"),
         is_sphere_or_rp=asserts.get("is_sphere_or_rp"),
     )
-    recipe_positions = {
-        key: positions[("metric", key)] for key in ("scales", "center_gram") if key in metric
-    }
+    recipe_positions = {key: positions[("metric", key)] for key in METRIC_KEYS[1:] if key in metric}
     return SpaceSpec(
         dim, labels, tuple(entries), tuple(rows), spec, assertions, recipe_positions
     )

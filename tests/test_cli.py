@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench import specfile
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError, WorkbenchError
@@ -94,6 +93,12 @@ def test_parse_space_spec_semantic_errors_have_positions():
     with pytest.raises(SpecFileError) as exc:
         parse_space_spec(json.dumps(long_rat))
     assert "too many digits" in str(exc.value)
+    default_scaled = dict(base, metric={"mode": "negative_killing", "scales": [2]})
+    text = json.dumps(default_scaled)
+    with pytest.raises(SpecFileError) as exc:
+        parse_space_spec(text)
+    assert "scales requires metric mode 'custom'" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == parse_positioned(text)[1][("metric", "scales")]
 
 
 SPHERE_TEXT = (DATA / "so3_sphere.json").read_text()
@@ -193,31 +198,92 @@ def test_cli_float_bracket_index_is_an_input_error(tmp_path, position):
     assert proc.stdout == ""
 
 
+SPEC_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "src/reductive_workbench/schemas/spacespec.schema.json")
+    .read_text()
+)
+
+
 def test_valid_documents_pass_the_schema_walk():
+    import jsonschema
+
     for doc in VALID_DOCS:
-        assert specfile._plainly_valid(doc)
+        assert list(jsonschema.Draft7Validator(SPEC_SCHEMA).iter_errors(doc)) == []
+        assert parse_space_spec(json.dumps(doc)).dim == len(doc["basis"])
 
 
 @settings(max_examples=400, deadline=None)
 @given(mutated_documents())
 def test_schema_walk_accepts_only_what_jsonschema_accepts(doc):
-    # the walk may leave a valid document to jsonschema, never pass an invalid one
+    # jsonschema is the oracle: the walk may be stricter than the schema (a
+    # float index 1.0, a scale given with the default metric), never looser,
+    # and each rejection is one SpecFileError with a line and a column
     import jsonschema
 
-    if specfile._plainly_valid(doc):
-        assert list(jsonschema.Draft7Validator(specfile._schema()).iter_errors(doc)) == []
+    try:
+        parse_space_spec(json.dumps(doc))
+    except SpecFileError as exc:
+        assert exc.line is not None and exc.column is not None
+        return
+    assert list(jsonschema.Draft7Validator(SPEC_SCHEMA).iter_errors(doc)) == []
 
 
-def test_valid_spec_file_never_imports_jsonschema():
-    code = (
-        "import sys\n"
-        "from reductive_workbench.cli import main\n"
-        f"code = main(['--json', {str(DATA / 'so3so3_mod_diag_dense.json')!r}])\n"
-        "print(code, 'jsonschema' in sys.modules, file=sys.stderr)\n"
-    )
-    proc = _run_module("-c", code)
-    assert proc.returncode == 0
-    assert proc.stderr == "0 False\n"
+DELETED = object()
+
+
+@pytest.mark.parametrize(
+    "edit_path, value, at, named",
+    [
+        ((), ["L1"], (), "got ['L1']"),
+        (("metric",), DELETED, (), "missing key 'metric'"),
+        (("extra",), 1, ("extra",), "unexpected key 'extra'"),
+        (("basis",), [], ("basis",), "'basis'"),
+        (("basis", 1), 5, ("basis", 1), "got 5"),
+        (("brackets", 2), [1, 3, 2], ("brackets", 2), "got [1, 3, 2]"),
+        (("metric", "mode"), "x", ("metric", "mode"), "got 'x'"),
+        (("metric", "scales"), {}, ("metric", "scales"), "'scales'"),
+        (("assertions", "is_sphere_or_rp"), None, ("assertions", "is_sphere_or_rp"), "'is_sphere_or_rp'"),
+    ],
+    ids=["not_an_object", "missing_key", "extra_key", "empty_basis", "label_not_a_string",
+         "short_bracket_entry", "unknown_mode", "scales_not_an_array", "assertion_not_a_bool"],
+)
+def test_each_schema_rule_is_one_error_at_the_offending_value(edit_path, value, at, named):
+    # one edit to so3_sphere.json; the error sits at the offending value and names it
+    doc = json.loads(SPHERE_TEXT)
+    if edit_path:
+        parent = doc
+        for key in edit_path[:-1]:
+            parent = parent[key]
+        if value is DELETED:
+            del parent[edit_path[-1]]
+        else:
+            parent[edit_path[-1]] = value
+    else:
+        doc = value
+    text = json.dumps(doc, indent=1)
+    with pytest.raises(SpecFileError) as exc:
+        parse_space_spec(text)
+    assert (exc.value.line, exc.value.column) == parse_positioned(text)[1][at]
+    assert named in str(exc.value)
+
+
+def test_valid_spec_file_never_imports_jsonschema(tmp_path):
+    # a rejected file words its own error, without jsonschema either
+    rejected = tmp_path / "no_metric.json"
+    rejected.write_text('{"basis": ["x"], "brackets": [], "subalgebra": []}')
+    for spec, code, error in (
+        (DATA / "so3so3_mod_diag_dense.json", 0, ""),
+        (rejected, 1, "error: line 1, column 1: missing key 'metric'\n"),
+    ):
+        script = (
+            "import sys\n"
+            "from reductive_workbench.cli import main\n"
+            f"code = main(['--json', {str(spec)!r}])\n"
+            "print(code, 'jsonschema' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = _run_module("-c", script)
+        assert proc.returncode == 0
+        assert proc.stderr == f"{error}{code} False\n"
 
 
 def test_parse_space_spec_roundtrip():
@@ -526,8 +592,9 @@ def test_exact_analysis_does_not_import_numpy():
 
 
 def test_heavy_dependencies_are_imported_inside_functions_only():
-    # sympy, numpy and jsonschema load on first use, so that starting the
-    # command and the runs that never need them pay nothing for them; an
+    # sympy and numpy load on first use, so that starting the command and
+    # the runs that never need them pay nothing for them; jsonschema, a
+    # test-only oracle, must not come back at module level either; an
     # `if TYPE_CHECKING:` block never runs
     heavy = {"sympy", "numpy", "jsonschema"}
     src = Path(__file__).resolve().parent.parent / "src" / "reductive_workbench"
@@ -552,6 +619,29 @@ def test_heavy_dependencies_are_imported_inside_functions_only():
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, False)
     assert found == []
+
+
+def test_declared_dependencies_match_the_imports():
+    # the third-party modules that src/ imports are exactly the declared
+    # runtime dependencies; jsonschema is a test-only oracle
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+
+    imported = set()
+    for path in (root / "src" / "reductive_workbench").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"reductive_workbench"}
+    assert third_party == names(project["dependencies"])
+    extras = project["optional-dependencies"]
+    assert [extra for extra, reqs in extras.items() if "jsonschema" in names(reqs)] == ["test"]
 
 
 def test_golden_report_under_optimize_flag():
