@@ -253,11 +253,23 @@ def make_lie_algebra(
     entries: Iterable[Sequence] = (),
     basis_labels: Sequence[str] | None = None,
 ) -> LieAlgebra:
-    """Validated constructor: antisymmetric completion plus an exhaustive Jacobi check.
+    """Validated constructor: `_lie_algebra` plus an exhaustive Jacobi check.
+
+    Raises JacobiViolation with the first lexicographic failing triple and its
+    defect vector.
+    """
+    algebra = _lie_algebra(dim, entries, basis_labels)
+    _check_jacobi(algebra)
+    return algebra
+
+
+def _lie_algebra(
+    dim: int, entries: Iterable[Sequence], basis_labels: Sequence[str] | None
+) -> LieAlgebra:
+    """The canonical table, for entries whose Jacobi identity holds by construction.
 
     `entries` lists (i, j, k, c) with i < j; duplicates accumulate, zeros drop.
-    Raises IndexError for out-of-range indices and JacobiViolation with the first
-    lexicographic failing triple and its defect vector.
+    Raises IndexError for out-of-range indices.
     """
     if dim < 0:
         raise ValueError("dimension must be non-negative")
@@ -268,19 +280,14 @@ def make_lie_algebra(
         if len(basis_labels) != dim:
             raise ValueError("number of basis labels does not match the dimension")
     acc: dict[tuple[int, int, int], Fraction] = {}
-    for entry in entries:
-        i, j, k, c = entry
+    for i, j, k, c in entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise IndexError(f"structure entry {(i, j, k)} out of range for dim {dim}")
         if i >= j:
             raise ValueError(f"structure entries must have i < j, got {(i, j)}")
         acc[(i, j, k)] = acc.get((i, j, k), ZERO) + rat(c)
-    canonical = tuple(
-        (i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c != 0
-    )
-    algebra = LieAlgebra(dim, basis_labels, canonical)
-    _check_jacobi(algebra)
-    return algebra
+    canonical = tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c)
+    return LieAlgebra(dim, basis_labels, canonical)
 
 
 def _check_jacobi(L: LieAlgebra) -> None:

@@ -3,7 +3,8 @@
 `make_matrix_realization` is the one route from exact antisymmetric basis
 matrices to an algebra: the commutator of each basis pair, formed over the
 nonzero entries of the two matrices and read in the span of the basis, gives
-the structure constants, and `make_lie_algebra` checks Jacobi on them.
+the structure constants. They need no Jacobi sweep, because matrix
+commutators satisfy Jacobi.
 Floats live only in the lab functions below; the exact engine never consumes
 a numeric result, and numpy is imported only when a float function runs.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NonFinite, NotInFixedSubspace, NotInM
-from .liealg import LieAlgebra, make_lie_algebra
+from .liealg import LieAlgebra, _lie_algebra
 from .linalg import Matrix, Vector, ZERO, identity, rref
 
 if TYPE_CHECKING:
@@ -57,10 +58,10 @@ def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
     The matrices must be linearly independent and their span closed under
     the commutator. [B_a, B_b] is formed once per pair a < b, over the
     nonzero entries of the two matrices and on its strict upper triangle
-    only, and its coordinates in the basis are the structure constants;
-    `make_lie_algebra` then checks Jacobi. Raises ValueError for a matrix
-    that is not antisymmetric, for dependent matrices and for a commutator
-    outside the span.
+    only, and its coordinates in the basis are the structure constants.
+    Commutators of matrices satisfy Jacobi, so the table gets no sweep.
+    Raises ValueError for a matrix that is not antisymmetric, for dependent
+    matrices and for a commutator outside the span.
     """
     mats = tuple(tuple(tuple(row) for row in B) for B in basis_matrices)
     dim = len(mats)
@@ -103,11 +104,11 @@ def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
                 if c and (r := pivot_row.get(pos)) is not None:
                     for q, x in support[r]:
                         residual[q] = residual.get(q, ZERO) - c * x
-                    # make_lie_algebra sums the terms of each (a, b, k)
+                    # _lie_algebra sums the terms of each (a, b, k)
                     entries.extend((a, b, k, c * x) for k, x in back[r])
             if any(residual.values()):
                 raise ValueError(f"commutator of basis pair {(a, b)} leaves the span")
-    return MatrixRealization(make_lie_algebra(dim, entries, labels), n, mats)
+    return MatrixRealization(_lie_algebra(dim, entries, labels), n, mats)
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import SpecFileError
 from .homspace import MetricSpec
 from .linalg import Matrix, signature
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")  # matched whole, as the schema's pattern
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # matched whole, as the schema's pattern
 
 Position = tuple[int, int]
 Path = tuple

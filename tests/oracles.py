@@ -345,22 +345,68 @@ def dense_block_metric(L, center_rows, blocks, scales, center_gram):
     return dense_mul(dense_mul(Rt, D), R)
 
 
+def dense_solve(rows, v):
+    """Coordinates of v along linearly independent rows, from one Gauss-Jordan
+    pass on [rows^T | v]; None when v lies outside their span."""
+    s = len(rows)
+    red = dense_rref([[row[t] for row in rows] + [x] for t, x in enumerate(v)], s + 1)
+    # the augmented column is a pivot exactly when v is outside the span
+    return [row[s] for row in red] if len(red) == s else None
+
+
+def dense_bracket(L):
+    """bracket(x, y) -> [x, y] as a coordinate list, summed over the dense
+    basis brackets completed from the entries of L."""
+    basis = bracket_basis(L)
+
+    def bracket(x, y):
+        out = [F0] * L.dim
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if xi and yj:
+                    for t, c in enumerate(basis(i, j)):
+                        out[t] += xi * yj * c
+        return out
+
+    return bracket
+
+
+def dense_m_part(L, h_rows, m_rows):
+    """m_part(x, y) -> the m-part of [x, y] along g = h + m, in ambient
+    coordinates: `dense_bracket` and one Gauss-Jordan solve along h + m."""
+    bracket = dense_bracket(L)
+    basis = list(h_rows) + list(m_rows)
+    s = len(h_rows)
+
+    def m_part(x, y):
+        coords = dense_coords(basis, bracket(x, y))
+        return [
+            sum((coords[s + t] * row[k] for t, row in enumerate(m_rows)), F0) for k in range(L.dim)
+        ]
+
+    return m_part
+
+
+def dense_invariant_field_entries(L, h_rows, m_rows, carrier_rows):
+    """The (a, b, k, c) entries, a < b, of [X_a, X_b]_k = -[X_a, X_b]_m over the
+    carrier rows X_a: the m-part from `dense_m_part` and its carrier
+    coordinates from `dense_solve`."""
+    m_part = dense_m_part(L, h_rows, m_rows)
+    entries = []
+    for a, x in enumerate(carrier_rows):
+        for b in range(a + 1, len(carrier_rows)):
+            coords = dense_solve(carrier_rows, [-v for v in m_part(x, carrier_rows[b])])
+            assert coords is not None, "the carrier is not bracket-closed"
+            entries.extend((a, b, k, c) for k, c in enumerate(coords) if c)
+    return entries
+
+
 def dense_nr_defect(L, h_rows, m_rows, gram):
     """defect[a][b][c] = <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m>, where
-    [., .]_m is the m-part along g = h + m: dense brackets from the entries
-    of L, one Gauss-Jordan solve per bracket and the plain Gram pairing."""
-    n, s, r = L.dim, len(h_rows), len(m_rows)
-    bracket = bracket_basis(L)
-    basis = list(h_rows) + list(m_rows)
-
-    def m_part(u, v):
-        out = [F0] * n
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                if x and y:
-                    out = [o + x * y * c for o, c in zip(out, bracket(i, j))]
-        coords = dense_coords(basis, out)
-        return [sum((coords[s + t] * m_rows[t][k] for t in range(r)), F0) for k in range(n)]
+    [., .]_m is the m-part along g = h + m from `dense_m_part`, paired
+    through the plain Gram matrix."""
+    n, r = L.dim, len(m_rows)
+    m_part = dense_m_part(L, h_rows, m_rows)
 
     def pairing(u, v):
         return sum((u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)), F0)
@@ -429,26 +475,15 @@ def dense_affine_entries(L, k):
     of L and solved along the g1 rows, then the entries of the algebra k follow,
     shifted past g1."""
     n = L.dim
-    bracket = bracket_basis(L)
-    g1 = dense_rref([bracket(i, j) for i in range(n) for j in range(i + 1, n)], n)
+    basis = bracket_basis(L)
+    g1 = dense_rref([basis(i, j) for i in range(n) for j in range(i + 1, n)], n)
     s = len(g1)
-
-    def bracket_vec(x, y):
-        out = [F0] * n
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                if xi and yj:
-                    for t, c in enumerate(bracket(i, j)):
-                        out[t] += xi * yj * c
-        return out
-
+    bracket = dense_bracket(L)
     entries = []
     for a in range(s):
         for b in range(a + 1, s):
-            value = bracket_vec(g1[a], g1[b])
-            # [G^T | v] has rank s exactly when v lies in the span of the g1 rows
-            red = dense_rref([[row[t] for row in g1] + [v] for t, v in enumerate(value)], s + 1)
-            assert len(red) == s, "g1 is not bracket-closed"
-            entries.extend((a, b, t, row[s]) for t, row in enumerate(red) if row[s])
+            coords = dense_solve(g1, bracket(g1[a], g1[b]))
+            assert coords is not None, "g1 is not bracket-closed"
+            entries.extend((a, b, t, c) for t, c in enumerate(coords) if c)
     entries.extend((s + i, s + j, s + t, c) for i, j, t, c in k.entries)
     return g1, entries

@@ -1,3 +1,4 @@
+import random
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,8 @@ from reductive_workbench.errors import ClosureFailure, NotEffective, NotNormal
 from reductive_workbench.liealg import (
     SubspaceBasis,
     TripleWitness,
+    center,
+    centralizer,
     killing_form,
     make_bilinear_form,
     make_lie_algebra,
@@ -33,9 +36,17 @@ from reductive_workbench.homspace import (
 from reductive_workbench.report import run_report
 from reductive_workbench.specfile import load_space_spec_file
 
-from oracles import dense_affine_entries, dense_nr_defect
+from oracles import (
+    dense_affine_entries,
+    dense_bracket,
+    dense_invariant_field_entries,
+    dense_kernel,
+    dense_nr_defect,
+)
+from test_cli import _changed_basis
 from test_homspace import (
     diagonal_pair,
+    heisenberg_center_pair,
     second_factor_pair,
     so4_mod_so2_pair,
     sphere_pair,
@@ -249,23 +260,83 @@ def test_cross_presentation_agreement():
     a1 = affine_algebra(so3_trivial_pair())
     a2 = affine_algebra(diagonal_pair())
     assert a1.total_dim == a2.total_dim == 6
-    from reductive_workbench.liealg import center as algebra_center
-
-    assert algebra_center(a1.assembled).dim == algebra_center(a2.assembled).dim == 0
+    assert center(a1.assembled).dim == center(a2.assembled).dim == 0
     assert killing_form(a1.assembled).inertia == killing_form(a2.assembled).inertia == (0, 6, 0)
 
 
+def _swept(L):
+    """The validating constructor on the entries of L: it must accept them."""
+    return make_lie_algebra(L.dim, L.entries, L.basis_labels)
+
+
 def test_assembled_affine_algebra_passes_the_skipped_jacobi_sweep():
-    # affine_algebra builds g1 + k without a Jacobi sweep; the validating
-    # constructor on the same entries must accept them and agree
-    pairs = [construct(name).pair for name in catalog_names()]
-    pairs = [p for p in pairs if p.flags.normal and p.flags.effective]
-    assert len(pairs) == len(catalog_names()) - 1  # all but so3so3_mod_second_factor
-    for pair in pairs:
+    # g, k and g1 + k are built without a Jacobi sweep, and transvection_algebra
+    # and affine_algebra no longer re-check what the pair's flags imply: every
+    # skipped check is made here, over the catalog and two family members
+    names = catalog_names() + ("so8_mod_so7", "su4_mod_0")
+    assembled = 0
+    for name in names:
+        entry = construct(name)
+        L, pair = entry.algebra, entry.pair
+        assert _swept(L) == L, name
+        k = invariant_field_algebra(pair)
+        assert _swept(k.algebra) == k.algebra, name
+        # tr is an ideal: phi([e_i, w]) = 0 for each row w of tr and each
+        # phi in the dense annihilator of tr
+        tr = transvection_algebra(pair)
+        bracket = dense_bracket(L)
+        units = [[F(int(t == i)) for t in range(L.dim)] for i in range(L.dim)]
+        for phi in dense_kernel(tr.rows, L.dim):
+            for w in tr.rows:
+                for e in units:
+                    assert sum((p * v for p, v in zip(phi, bracket(e, w))), F(0)) == 0, name
+        if not (pair.flags.normal and pair.flags.effective):
+            continue
         aff = affine_algebra(pair)
-        assembled = aff.assembled
-        checked = make_lie_algebra(aff.total_dim, assembled.entries, assembled.basis_labels)
-        assert checked == assembled
+        assert _swept(aff.assembled) == aff.assembled, name
+        assembled += 1
+        # the center of g injects into k through the m-projection
+        images = [pair.project_m(z) for z in center(L).rows]
+        assert all(k.carrier.contains_vector(v) for v in images), name
+        assert SubspaceBasis.from_vectors(L.dim, images).dim == len(images), name
+        # no nonzero carrier vector inside g1 centralizes g1
+        assert k.carrier.intersect(aff.g1).intersect(centralizer(L, aff.g1)).dim == 0, name
+    assert assembled == len(names) - 1  # all but so3so3_mod_second_factor
+
+
+def dense_spec_pair():
+    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
+    L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
+    h = SubspaceBasis.from_vectors(spec.dim, spec.subalgebra_rows)
+    return normal_decomposition(L, h, spec.metric_spec)
+
+
+def dense_so5_mod_so2_pair():
+    # h = so(2) in so(5) in a unimodular basis: k = so(3), and m is not
+    # spanned by unit vectors
+    entry = construct("so5_mod_so2")
+    entries, to_new = _changed_basis(entry.algebra, random.Random(52))
+    L = make_lie_algebra(entry.algebra.dim, entries)
+    return normal_decomposition(L, SubspaceBasis.from_vectors(L.dim, map(to_new, entry.h.rows)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=n: construct(name).pair, id=n) for n in catalog_names()]
+    + [
+        pytest.param(dense_spec_pair, id="so3so3_mod_diag_dense"),
+        pytest.param(dense_so5_mod_so2_pair, id="so5_mod_so2_dense"),
+        pytest.param(heisenberg_center_pair, id="heisenberg_center"),
+    ],
+)
+def test_k_table_matches_the_dense_oracle(make):
+    # k is read in m-coordinates at the pivots of m; the oracle brackets
+    # ambient carrier rows and solves for the m-part and its carrier coordinates
+    pair = make()
+    k = invariant_field_algebra(pair)
+    expected = dense_invariant_field_entries(pair.algebra, pair.h.rows, pair.m.rows, k.carrier.rows)
+    assert list(k.algebra.entries) == expected
+    assert all(type(c) is Fraction for *_, c in k.algebra.entries)
 
 
 @pytest.mark.parametrize("name", ["su3_mod_su2", "so4so4_mod_diag", "so3r1_mod_0", "r2_mod_0"])
@@ -304,6 +375,19 @@ def test_each_structure_of_g_is_built_once_per_algebra(monkeypatch):
     for name in ("_build_killing", "_build_center", "_build_derived"):
         assert any(L is entry.algebra for L in built[name]), name
         assert any(L is g_of_spec[0] for L in built[name]), name
+
+
+def test_only_a_spec_file_algebra_gets_a_jacobi_sweep(monkeypatch):
+    # catalog algebras are matrix commutators and k is the opposite of
+    # n_g(h)/h: only the g of a spec file is swept, once
+    swept = []
+    check = liealg._check_jacobi
+    monkeypatch.setattr(liealg, "_check_jacobi", lambda L: swept.append(L.dim) or check(L))
+    run_report(construct.__wrapped__("su4_mod_0"))
+    assert swept == []
+    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
+    run_report(spec)
+    assert swept == [spec.dim]
 
 
 def test_k_gram_is_the_metric_on_the_carrier():

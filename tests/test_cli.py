@@ -198,6 +198,27 @@ def test_cli_float_bracket_index_is_an_input_error(tmp_path, position):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["\u0663", "\uff11", "1/\u0662"],
+    ids=["arabic_indic_3", "fullwidth_1", "arabic_indic_denominator"],
+)
+def test_cli_non_ascii_digits_are_a_malformed_rational(tmp_path, capsys, value):
+    # Python's \d and Fraction take every Unicode decimal digit; rationals take ASCII only
+    doc = json.loads(SPHERE_TEXT)
+    doc["subalgebra"][0][2] = value
+    text = json.dumps(doc, indent=1, ensure_ascii=False)
+    line, column = parse_positioned(text)[1][("subalgebra", 0, 2)]
+    spec = tmp_path / "digits.json"
+    spec.write_text(text, encoding="utf-8")
+    assert main([str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: line {line}, column {column}: malformed rational {value!r}"
+    ]
+    assert captured.out == ""
+
+
 SPEC_SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src/reductive_workbench/schemas/spacespec.schema.json")
     .read_text()
@@ -321,11 +342,11 @@ def test_golden_report_of_a_dense_custom_metric_spec(capsys):
 
 def test_report_checks_that_h_is_a_subalgebra_once(monkeypatch):
     # normal_decomposition checks h; the pair's constructor, the largest ideal
-    # in h and a transvection span that is all of g need no second sweep
-    from reductive_workbench import affine, homspace, liealg
+    # in h and the transvection span (an ideal by construction) need no second sweep
+    from reductive_workbench import homspace, liealg
 
     checked = []
-    for module in (affine, homspace, liealg):
+    for module in (homspace, liealg):
         check = module.is_subalgebra
         monkeypatch.setattr(
             module, "is_subalgebra", lambda L, sub, check=check: checked.append(sub.dim) or check(L, sub)
