@@ -146,7 +146,7 @@ def test_k_status_for_non_normal_pair():
 
 
 def test_k_bracket_table_closes_and_satisfies_jacobi():
-    # make_lie_algebra re-validates Jacobi; this asserts the table values
+    # the skipped-sweep test below sweeps k; this asserts the table values
     k = invariant_field_algebra(so3_trivial_pair())
     L = cyclic_so3()
     for a in range(3):

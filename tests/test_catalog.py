@@ -33,7 +33,7 @@ def entry(request):
 
 
 def test_every_entry_is_valid_and_embedded(entry):
-    # make_lie_algebra already enforced Jacobi; embeddings must be subalgebras
+    # Jacobi holds for matrix commutators (test_affine sweeps g); embeddings must be subalgebras
     assert is_subalgebra(entry.algebra, entry.h).ok
     assert entry.expected, f"no frozen expectations for {entry.name}"
 
