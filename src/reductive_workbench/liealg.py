@@ -10,20 +10,22 @@ Each algebra caches one integer table: the scale D, the lcm of the
 denominators of its constants, and D c[i][j][k] for both orders of every
 basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
 `bracket_basis`, `killing_form`, `ad_invariance_check`, the Jacobi sweep and
-the mod-p closures) read that table in Python ints, scale their vector or
-Gram arguments to integers the same way, and divide once per result entry.
+the rank of [g, g] mod p) read that table in Python ints, scale their vector
+or Gram arguments to integers the same way, and divide once per result entry.
 Their results are the same Fractions as exact rational arithmetic gives.
 
 An algebra also caches its Killing form, center, derived subalgebra [g, g]
 and simple-ideal split, each built once on first use; `killing_form`,
 `center`, `derived_subalgebra` and `simple_ideal_decomposition` return them.
 
-Subalgebra closures, ideal closures and largest ideals are fixpoints of one
-exact worklist, `_closure`; only the mod-p dimension has its own.
+Subalgebra closures and largest ideals are fixpoints of one exact worklist,
+`_closure`. The simple ideals need no closure: they are read off a Cartan
+subalgebra, from a centroid system with rank^2 unknowns (`_split_semisimple`).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,9 +37,9 @@ from .errors import (
     JacobiViolation,
     NotASubalgebra,
     NotCompactType,
+    WorkbenchError,
 )
 from .linalg import (
-    PRIME,
     EchelonBasis,
     Matrix,
     Vector,
@@ -46,6 +48,8 @@ from .linalg import (
     identity,
     is_scalar_matrix,
     kernel,
+    mat_inverse,
+    krylov_rank,
     coords_in_rref,
     matmul,
     matvec,
@@ -57,7 +61,6 @@ from .linalg import (
     transpose,
     vector,
     _add_row_mod_p,
-    _integer_row,
 )
 
 # rows[i][j] = ((k, D c), ...) for [e_i, e_j] = sum_k c e_k, scaled by D
@@ -171,6 +174,11 @@ class LieAlgebra:
     def ad(self, X: Vector) -> Matrix:
         """Matrix of ad(X) = [X, .] acting on coordinates: the sum of X_i ad(e_i)
         over the nonzero X_i, read from the integer table."""
+        den, acc = self._integer_ad(X)
+        return tuple(_divided(row, den) for row in acc)
+
+    def _integer_ad(self, X: Vector) -> tuple[int, list[list[int]]]:
+        """(d, d ad(X)), the matrix in integers; d = D for an integer X."""
         if len(X) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
         dx, xs = _integer_support(X)
@@ -180,7 +188,7 @@ class LieAlgebra:
             for b, terms in rows[i].items():
                 for a, c in terms:
                     acc[a][b] += x * c
-        return tuple(_divided(row, scale * dx) for row in acc)
+        return scale * dx, acc
 
     def coadjoint(self, phi: Vector) -> Matrix:
         """The rows phi o ad(e_i) of a functional phi: entry (i, b) is
@@ -214,19 +222,6 @@ class LieAlgebra:
     @cached_property
     def _ideals(self) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:
         return _build_ideals(self)
-
-    @cached_property
-    def _ads_mod_p(self) -> tuple[dict[int, dict[int, int]], ...] | None:
-        # ads[i][j] = {k: c mod PRIME} for [e_i, e_j] = sum_k c e_k; None when
-        # PRIME divides the scale of the integer table
-        scale, rows = self._integer_table
-        if scale % PRIME == 0:
-            return None
-        inverse = pow(scale, -1, PRIME)
-        return tuple(
-            {j: {k: r for k, x in terms if (r := x * inverse % PRIME)} for j, terms in row.items()}
-            for row in rows
-        )
 
 
 def _integer_support(v: Vector) -> tuple[int, list[tuple[int, int]]]:
@@ -467,6 +462,13 @@ def derived_subalgebra(L: LieAlgebra) -> SubspaceBasis:
 
 
 def _build_derived(L: LieAlgebra) -> SubspaceBasis:
+    """g once the table's bracket rows reach rank n mod PRIME, else their rref."""
+    _, rows = L._integer_table
+    pivots: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        for j, terms in row.items():
+            if i < j and _add_row_mod_p(pivots, dict(terms)) and len(pivots) == L.dim:
+                return SubspaceBasis.full(L.dim)
     vectors = [
         L.bracket_basis(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)
     ]
@@ -523,70 +525,6 @@ def _closure(seeds: Iterable[Vector], target: int, images: Callable[..., Iterabl
     return basis.rows
 
 
-def _closure_dim_mod_p(L: LieAlgebra, seeds: Sequence[Vector], target: int, ideal: bool) -> int:
-    """Dimension mod PRIME of the ideal (ideal=True) or the subalgebra generated
-    by the seeds, found by a worklist that stops at `target`; 0 when a
-    denominator of L or of a seed is divisible by PRIME.
-
-    Reduction mod PRIME commutes with brackets and can only lower a rank, so
-    the result is a lower bound for the dimension over Q. Each vector that
-    joins is bracketed once with e_1, ..., e_n (an ideal) or with every vector
-    that joined before it (a subalgebra).
-    """
-    ads = L._ads_mod_p
-    rows = [_integer_row(s) for s in seeds]  # a seed's multiple spans its line
-    if ads is None or None in rows:
-        return 0
-    pivots: dict[int, dict[int, int]] = {}
-    queue: list[dict[int, int]] = []
-
-    def offer(v: dict[int, int]) -> None:
-        before = len(pivots)
-        _add_row_mod_p(pivots, v)
-        if len(pivots) > before:
-            queue.append(v)
-
-    for row in rows:
-        offer(row)
-    partners = [{i: 1} for i in range(L.dim)] if ideal else []
-    while queue and len(pivots) < target:
-        v = queue.pop()
-        for u in partners:
-            out: dict[int, int] = {}
-            for i, x in v.items():
-                for j, y in u.items():
-                    for k, c in ads[i].get(j, {}).items():
-                        out[k] = out.get(k, 0) + x * y * c
-            offer(out)
-        if not ideal:
-            partners.append(v)
-    return len(pivots)
-
-
-def _ideal_closure(L: LieAlgebra, seed: Vector, piece: SubspaceBasis) -> SubspaceBasis:
-    """Smallest ideal of L containing the seed, a vector of the ideal `piece`:
-    the whole piece when the closure mod PRIME reaches dim piece, else the
-    exact `_closure` under the rows of ad(v)^T, which stops at dim piece."""
-    if _closure_dim_mod_p(L, [seed], piece.dim, ideal=True) == piece.dim:
-        return piece
-    rows = _closure([seed], piece.dim, lambda v, done: transpose(L.ad(v)))
-    return SubspaceBasis.from_vectors(L.dim, rows)
-
-
-def _generating_rows(L: LieAlgebra, piece: SubspaceBasis) -> Matrix:
-    """Greedy prefix of the piece's basis whose subalgebra closure is the piece
-    (certified mod PRIME, else by the exact `span_closure`)."""
-    chosen: list[Vector] = []
-    for row in piece.rows:
-        chosen.append(row)
-        if _closure_dim_mod_p(L, chosen, piece.dim, ideal=False) == piece.dim:
-            return tuple(chosen)
-        closed = span_closure(L, SubspaceBasis.from_vectors(L.dim, chosen))
-        if closed.dim == piece.dim:
-            return tuple(chosen)
-    return piece.rows
-
-
 def commutant(mats: Sequence[Sequence[Sequence[tuple[int, Fraction]]]], r: int) -> tuple[Matrix, ...]:
     """Basis of {T : T A = A T for every A in mats}, all r x r over Q; each A
     is given by its columns, column b as the nonzero terms (c, A[c][b]).
@@ -626,41 +564,84 @@ def commutant_split(basis: Sequence[Matrix]) -> tuple[Matrix, ...] | None:
     return None
 
 
+CARTAN_DRAWS = 8  # (X, v) pairs tried on one piece before the split gives up
+
+
+def _cartan_draws(piece: SubspaceBasis) -> Iterable[tuple[Vector, Vector]]:
+    """(X, v) pairs: combinations of the piece's rows, coefficients in -9..9."""
+    rng = random.Random(0)
+    for _ in range(CARTAN_DRAWS):
+        yield matmul([[rng.randint(-9, 9) for _ in piece.rows] for _ in range(2)], piece.rows)
+
+
+def _int_matvec(M: Sequence[Sequence], support: Sequence[tuple[int, int]]) -> list:
+    """M v for v given by its nonzero entries (i, v_i)."""
+    return [sum(row[i] * x for i, x in support) for row in M]
+
+
 def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm) -> list[SubspaceBasis]:
+    """The simple ideals of L in `piece`, a semisimple ideal of compact type.
+
+    - t = ker ad(X) on the piece holds a maximal torus through X, so an
+      abelian t is one: a Cartan subalgebra, and no root a vanishes on X.
+    - A centroid element preserves t; its restriction S solves [S X, [h_b, v]]
+      = [X, [S h_b, v]] for a basis h_b of t, which on the root vector v_a of
+      v reads a(S X) a = a(X) (a o S): a o S = c_a a wherever v_a != 0. The
+      Krylov vectors ad(X)^k ad(X) v, k < dim piece - dim t, reach that rank
+      exactly when X separates the roots and v meets every root plane; then
+      c_a is constant on the connected roots of each simple ideal, and the
+      solutions are the centroid restricted to t.
+    - The identity is a solution and the nullity mod PRIME bounds the nullity
+      over Q, so nullity 1 mod PRIME certifies a simple piece with no lift.
+    - Else `commutant_split` splits t into blocks, each the torus of a sum of
+      simple ideals: {Y in piece : [t_j, Y] = 0 and B(t_j, Y) = 0 for every
+      other block t_j}, split again unless each block is one centroid line.
+    """
     if piece.dim == 0:
         return []
-    # Cheap route: the minimal ideal generated by a basis vector, split off its
-    # Killing-orthogonal complement (also an ideal; the form is definite here).
-    for row in piece.rows:
-        ideal = _ideal_closure(L, row, piece)
-        if ideal.dim < piece.dim:
-            comp_system = tuple(matvec(killing.gram, s) for s in ideal.rows)
-            basis_t = transpose(piece.rows)
-            t_kernel = kernel(matmul(comp_system, basis_t), piece.dim)
-            complement = SubspaceBasis.from_vectors(
-                L.dim, [matvec(basis_t, t) for t in t_kernel]
-            )
-            return _split_semisimple(L, ideal, killing) + _split_semisimple(L, complement, killing)
-    # Every basis seed generates the whole piece; certify or split via the
-    # commutant of the adjoint action (the centroid, for a perfect algebra),
-    # with ad(g) in the piece's row coordinates. Commuting with a generating
-    # set suffices because ad is a homomorphism.
-    restricted = [
-        [
-            tuple((c, x) for c, x in enumerate(piece.coords_of(L.bracket(g, row))) if x)
-            for row in piece.rows
-        ]
-        for g in _generating_rows(L, piece)
-    ]
-    kernels = commutant_split(commutant(restricted, piece.dim))
+    n, ann = L.dim, piece.annihilator() if piece.dim < L.dim else ()
+    for X, v in _cartan_draws(piece):
+        A = L.ad(X)
+        t = SubspaceBasis.from_vectors(n, kernel(stack(A, ann), n))
+        r, j = t.dim, next((j for j, p in enumerate(t.pivots) if X[p]), None)  # None iff X = 0
+        if j is None or krylov_rank(A, v, piece.dim - r) < piece.dim - r:
+            continue
+        # a basis of t that starts with X, in integers: H_b = d_b h_b and ads[b] = D ad(H_b)
+        basis = (X,) + t.rows[:j] + t.rows[j + 1 :]
+        H = [_integer_support(h) for h in basis]
+        ads = [L._integer_ad(h)[1] for h in basis]
+        if not any(any(_int_matvec(ads[a], h)) for a in range(r) for _, h in H[a + 1 :]):
+            break
+    else:
+        raise WorkbenchError(f"no Cartan subalgebra certified on an ideal of dim {piece.dim}")
+    # unknown c r + b is the coefficient of H_c in S H_b; w[b][c] = [H_c, [H_b, v]]
+    # up to one scale, so the equation of H_b reads sum_c S_c0 w[b][c] - S_cb w[0][c] = 0
+    us = [_int_matvec(ad, _integer_support(v)[1]) for ad in ads]
+    w = [[_int_matvec(ad, list(enumerate(u))) for ad in ads] for u in us]
+    system = [{**{c * r: w[b][c][k] for c in range(r)}, **{c * r + b: -w[0][c][k] for c in range(r)}}
+              for b in range(1, r) for k in range(n)]
+    pivots: dict[int, dict[int, int]] = {}
+    if any(_add_row_mod_p(pivots, row) and len(pivots) == r * r - 1 for row in system):
+        return [piece]  # nullity 1 mod PRIME
+    # each solution M moved to the rref basis of t, where the blocks have small entries
+    C = transpose([tuple(d * x for x in t.coords_of(h)) for h, (d, _) in zip(basis, H)])
+    C_inv, flat = mat_inverse(C), kernel(system, r * r)
+    mats = [matmul(matmul(C, [f[c * r : (c + 1) * r] for c in range(r)]), C_inv) for f in flat]
+    kernels = commutant_split(mats)
     if kernels is None:  # no rational idempotent: the piece is simple over Q
         return [piece]
-    basis_t = transpose(piece.rows)
-    out: list[SubspaceBasis] = []
-    for ker in kernels:
-        sub = SubspaceBasis.from_vectors(L.dim, [matvec(basis_t, t) for t in ker])
-        out.extend(_split_semisimple(L, sub, killing))
-    return out
+    blocks = [matmul(ker, t.rows) for ker in kernels]
+    ideals = []
+    for i in range(len(blocks)):
+        others = [h for j, blk in enumerate(blocks) if j != i for h in blk]
+        gram_rows = [_int_matvec(killing.gram, _integer_support(h)[1]) for h in others]
+        system = stack(*(L.ad(h) for h in others), gram_rows, ann)
+        ideals.append(SubspaceBasis.from_vectors(n, kernel(system, n)))
+    if sum(ideal.dim for ideal in ideals) != piece.dim:
+        raise WorkbenchError(f"the ideals read off a Cartan subalgebra miss part of an ideal of dim {piece.dim}")
+    if len(ideals) == len(mats):  # one centroid dimension per block: all simple
+        return ideals
+    return [simple for ideal in ideals for simple in _split_semisimple(L, ideal, killing)]
 
 
 def simple_ideal_decomposition(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:

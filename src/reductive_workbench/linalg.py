@@ -19,11 +19,11 @@ to integers and eliminates the residues mod PRIME = 2^61 - 1 with sparse
 rows, lifts one candidate null vector per free column by rational
 reconstruction, and certifies the candidates exactly: every row of A times
 every candidate is zero. The rank over Q is at least the rank mod PRIME, so
-certified candidates span the exact kernel. A denominator divisible by
-PRIME, a residue beyond the reconstruction bound or a failed certificate
-sends the system to the exact eliminator `_exact_kernel` instead. Either way
-the result is the rref of the kernel, which is unique, so both routes return
-the same bytes.
+certified candidates span the exact kernel. Else the rows independent mod
+PRIME (so over Q) go to the exact eliminator `_exact_kernel`, and the whole
+system only if their kernel fails the certificate too, or a denominator is
+divisible by PRIME. Every route returns the rref of the kernel, which is
+unique, so all return the same bytes.
 
 `factor_poly` finds the rational roots mod PRIME as well: gcd(x^p - x, f)
 split by equal-degree steps, each root lifted by rational reconstruction and
@@ -175,23 +175,54 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
+def krylov_rank(A: Matrix, v: Vector, steps: int) -> int:
+    """Rank of A^k A v, k < steps: mod PRIME on A and v scaled to integers (a
+    lower bound for the rank over Q), exactly if PRIME divides a denominator."""
+    scale = lcm(*(x.denominator for row in A for x in row if x))
+    w = _integer_row(v)
+    if scale % PRIME == 0 or w is None:
+        return rank([v := matvec(A, v) for _ in range(steps)], len(v))
+    M = [[int(x * scale) % PRIME for x in row] for row in A]
+    u, pivots = [w.get(c, 0) for c in range(len(v))], {}
+    for _ in range(steps):
+        u = [sum(a * b for a, b in zip(row, u)) % PRIME for row in M]
+        if not _add_row_mod_p(pivots, dict(enumerate(u))):
+            break  # the span is A-invariant from here on
+    return len(pivots)
+
+
 def kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> Matrix:
     """Canonical (rref) basis of the right kernel {x : A x = 0}.
 
-    Rows are dense sequences or sparse {column: value} dicts. The kernel is
+    Rows are dense sequences or sparse {column: value} dicts, whose values
+    may also be ints. The kernel is
     found mod PRIME, lifted by rational reconstruction and certified exactly;
-    if any of the three steps fails, `_exact_kernel` solves the system instead.
+    if that fails, `_exact_kernel` solves the rows independent mod PRIME, and
+    the whole system if their kernel fails the certificate too.
     """
     int_rows: list[dict[int, int]] = []
+    independent = []  # the rows that raised the rank mod p: independent over Q too
     pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row's other entries
     for row in A:
         int_row = _integer_row(row)
         if int_row is None:
             return _exact_kernel(A, ncols)
         int_rows.append(int_row)
-        _add_row_mod_p(pivots, int_row)
-        if len(pivots) == ncols:
-            return ()  # rank over Q is at least the rank mod p
+        if _add_row_mod_p(pivots, int_row):
+            independent.append(row)
+            if len(pivots) == ncols:
+                return ()  # rank over Q is at least the rank mod p
+    candidates = _lifted_null_vectors(pivots, ncols)
+    if candidates is not None and _annihilates(int_rows, candidates):
+        return rref(candidates, ncols)[0]
+    candidates = _exact_kernel(independent, ncols)
+    if _annihilates(int_rows, candidates):
+        return candidates
+    return _exact_kernel(A, ncols)
+
+
+def _lifted_null_vectors(pivots: dict[int, dict[int, int]], ncols: int) -> list[Vector] | None:
+    """A null vector of the rref mod PRIME per free column, lifted, or None."""
     candidates = []
     for f in range(ncols):
         if f in pivots:
@@ -203,12 +234,10 @@ def kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) ->
             if x is not None:
                 value = _reconstruct(PRIME - x)
                 if value is None:
-                    return _exact_kernel(A, ncols)
+                    return None
                 v[p] = value
         candidates.append(tuple(v))
-    if not _annihilates(int_rows, candidates):
-        return _exact_kernel(A, ncols)
-    return rref(candidates, ncols)[0]
+    return candidates
 
 
 def _exact_kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> Matrix:
@@ -218,7 +247,7 @@ def _exact_kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: 
         if isinstance(row, dict):
             full = [ZERO] * ncols
             for c, x in row.items():
-                full[c] = x
+                full[c] = Fraction(x)
             row = full
         dense.append(row)
     red, pivots = rref(dense, ncols)
@@ -250,15 +279,15 @@ def _integer_row(row) -> dict[int, int] | None:
     return {c: x.numerator * (scale // x.denominator) for c, x in entries}
 
 
-def _add_row_mod_p(pivots: dict[int, dict[int, int]], int_row: dict[int, int]) -> None:
+def _add_row_mod_p(pivots: dict[int, dict[int, int]], int_row: dict[int, int]) -> bool:
     """Reduce the row mod PRIME against the pivot rows and keep a nonzero
-    remainder as a new pivot row; every pivot row stays fully reduced, so a
-    row needs one pass over the pivot columns in its support."""
+    remainder as a new pivot row (True); every pivot row stays fully reduced,
+    so a row needs one pass over the pivot columns in its support."""
     row = {c: r for c, x in int_row.items() if (r := x % PRIME)}
     for c in [c for c in row if c in pivots]:
         _axpy_mod_p(row, row.pop(c), pivots[c])
     if not row:
-        return
+        return False
     p = min(row)
     inv = pow(row.pop(p), -1, PRIME)
     row = {c: x * inv % PRIME for c, x in row.items()}
@@ -267,6 +296,7 @@ def _add_row_mod_p(pivots: dict[int, dict[int, int]], int_row: dict[int, int]) -
         if f is not None:
             _axpy_mod_p(prow, f, row)
     pivots[p] = row
+    return True
 
 
 def _axpy_mod_p(row: dict[int, int], f: int, other: dict[int, int]) -> None:
@@ -607,11 +637,38 @@ def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:
 
     The kernels are A-invariant and Q^n is their direct sum; each is the
     generalized eigenspace of f, so a higher exponent gives the same kernel.
+    A diagonalizable A with rational eigenvalues needs no factoring and no sympy.
     """
+    f = charpoly(A)
+    spaces = _rational_eigenspaces(A, f)
+    if spaces is not None:
+        return spaces
     out = []
-    for fac, mult in factor_poly(charpoly(A)):
+    for fac, mult in factor_poly(f):
         power = fac
         for _ in range(mult - 1):
             power = poly_mul(power, fac)
         out.append(kernel(poly_eval_matrix(power, A), len(A)))
     return tuple(out)
+
+
+def _rational_eigenspaces(A: Matrix, f: Sequence[Fraction]) -> tuple[Matrix, ...] | None:
+    """The eigenspaces of A, largest eigenvalue first, or None: the null vectors
+    of A - r mod PRIME, r a root of f, lifted, share one eigenvalue over Q."""
+    scale = lcm(*(x.denominator for row in A for x in row if x))
+    if scale % PRIME == 0:
+        return None
+    rows = [[int(x * scale) for x in row] for row in A]
+    spaces = []
+    for root in _roots_mod_p(_integer_row(f)):
+        pivots: dict[int, dict[int, int]] = {}
+        for a, row in enumerate(rows):
+            _add_row_mod_p(pivots, {**dict(enumerate(row)), a: row[a] - root * scale})
+        vectors = _lifted_null_vectors(pivots, len(A))
+        value = vectors and next(y / x for x, y in zip(vectors[0], matvec(A, vectors[0])) if x)
+        if not vectors or any(matvec(A, v) != smul(value, v) for v in vectors):
+            return None
+        spaces.append((-value, rref(vectors, len(A))[0]))
+    if sum(len(space) for _, space in spaces) != len(A):
+        return None
+    return tuple(space for _, space in sorted(spaces))

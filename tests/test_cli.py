@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reductive_workbench import liealg, linalg
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError, WorkbenchError
@@ -795,8 +796,8 @@ def test_trivial_isotropy_report_does_not_import_sympy():
 
 
 def test_dense_custom_metric_spec_does_not_import_sympy(tmp_path):
-    # the split of so(4) in a dense basis factors characteristic polynomials
-    # whose roots are all rational: they are certified without sympy
+    # the split of so(4) in a dense basis decomposes a centroid element whose
+    # eigenvalues are all rational: its eigenspaces are certified without sympy
     entry = construct("so4_mod_so2")
     entries, to_new = _changed_basis(entry.algebra, random.Random(3))
     spec = tmp_path / "dense_so4.json"
@@ -807,14 +808,56 @@ def test_dense_custom_metric_spec_does_not_import_sympy(tmp_path):
         "from reductive_workbench import linalg\n"
         "from reductive_workbench.cli import main\n"
         "calls = []\n"
-        "factor = linalg.factor_poly\n"
-        "linalg.factor_poly = lambda cs: calls.append(cs) or factor(cs)\n"
+        "charpoly = linalg.charpoly\n"
+        "linalg.charpoly = lambda A: calls.append(A) or charpoly(A)\n"
         f"code = main(['--json', {str(spec)!r}])\n"
         "print(code, len(calls) > 0, 'sympy' in sys.modules, file=sys.stderr)\n"
     )
     proc = _run_module("-c", code)
     assert proc.returncode == 0
     assert proc.stderr == "0 True False\n"
+
+
+def _dense_spec(tmp_path, name, seed, scales):
+    """The catalog entry rewritten in a unimodular basis, with a custom metric."""
+    entry = construct(name)
+    entries, to_new = _changed_basis(entry.algebra, random.Random(seed))
+    return _spec_file(tmp_path / f"{name}.json", entry.algebra, entries,
+                      [to_new(v) for v in entry.h.rows], {"mode": "custom", "scales": scales})
+
+
+def test_dense_split_solves_no_system_wider_than_g(tmp_path, monkeypatch):
+    # the centroid is solved on a Cartan subalgebra (rank^2 unknowns), not on g
+    # (n^2 = 441 unknowns for so(7))
+    spec = _dense_spec(tmp_path, "so7_mod_so6", 7, ["3"])
+    widths = []
+    kernel = linalg.kernel
+
+    def spy(A, ncols):
+        widths.append(ncols)
+        return kernel(A, ncols)
+
+    monkeypatch.setattr(liealg, "kernel", spy)
+    monkeypatch.setattr(linalg, "kernel", spy)
+    L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
+    _, ideals = simple_ideal_decomposition(L)
+    assert [s.dim for s in ideals] == [21]
+    assert widths and max(widths) <= L.dim
+    monkeypatch.undo()
+    assert _report_invariants(run_report(spec).body) == _report_invariants(run_report(construct("so7_mod_so6")).body)
+
+
+def test_a_split_whose_draws_all_fail_ends_in_one_error_line(tmp_path, monkeypatch):
+    _dense_spec(tmp_path, "so3so3_mod_diag", 5, ["1", "2"])
+    spec = tmp_path / "so3so3_mod_diag.json"
+    monkeypatch.setattr(liealg, "krylov_rank", lambda A, v, steps: -1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(spec)])
+    assert code != 0
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Cartan subalgebra" in lines[0]
+    assert "Traceback" not in err.getvalue()
 
 
 def test_so3_mod_so2_stays_inconclusive_through_sympy():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -13,6 +14,7 @@ from reductive_workbench.errors import (
     JacobiViolation,
     NotASubalgebra,
     NotCompactType,
+    WorkbenchError,
 )
 from reductive_workbench.liealg import (
     LieAlgebra,
@@ -551,6 +553,102 @@ def test_simple_ideals_survive_a_unimodular_change_of_basis(name):
     assert sorted(back(s).rows for s in ideals_new) == sorted(s.rows for s in ideals)
 
 
+# --- the Cartan split: dense-basis oracle and its draws -----------------------------
+
+# catalog entries whose g has two or more simple ideals or a center, dim g <= 20;
+# entries with the same g share one rewrite
+SPLIT_ORACLE_ENTRIES = (
+    "so4_mod_so3", "so4_mod_so2", "so4_mod_0", "so3so3_mod_diag", "so3so3_mod_second_factor",
+    "so4so4_mod_diag", "so4so4_mod_second_factor", "so5so5_mod_diag", "so5so5_mod_second_factor",
+    "so3r1_mod_0", "r2_mod_0",
+)
+
+
+def test_split_oracle_covers_the_curated_entries_with_several_ideals():
+    for name in catalog_names():
+        z, ideals = simple_ideal_decomposition(construct(name).algebra)
+        assert (len(ideals) >= 2 or z.dim > 0) == (name in SPLIT_ORACLE_ENTRIES)
+
+
+@lru_cache(maxsize=None)
+def dense_rewrites(L):
+    """L in two unimodular bases f_a = sum_i P[a][i] e_i, with the map P^-T from
+    old coordinates to coordinates along the f_a."""
+    out = []
+    for seed in (41, 43):
+        P, Pinv = unimodular(L.dim, random.Random(seed))
+        M = make_lie_algebra(L.dim, changed_basis_entries(L.dim, L.bracket_basis, P, Pinv))
+        out.append((M, transpose(matrix(Pinv))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", SPLIT_ORACLE_ENTRIES)
+def test_simple_ideals_of_a_dense_basis_are_the_catalog_split_moved(name):
+    L = construct(name).algebra
+    z, ideals = simple_ideal_decomposition(L)
+    assert len(ideals) >= 2 or z.dim > 0
+    for M, to_new in dense_rewrites(L):
+
+        def moved(sub):
+            return SubspaceBasis.from_vectors(L.dim, [matvec(to_new, v) for v in sub.rows])
+
+        z_new, ideals_new = simple_ideal_decomposition(M)
+        assert z_new == moved(z)
+        assert sorted(s.rows for s in ideals_new) == sorted(moved(s).rows for s in ideals)
+
+
+def forced_first_draw(monkeypatch, X, v):
+    draws = liealg._cartan_draws
+    monkeypatch.setattr(liealg, "_cartan_draws", lambda piece: itertools.chain([(X, v)], draws(piece)))
+
+
+@pytest.fixture
+def krylov_ranks(monkeypatch):
+    calls = []
+    krylov_rank = liealg.krylov_rank
+
+    def spy(A, v, steps):
+        calls.append((krylov_rank(A, v, steps), steps))
+        return calls[-1][0]
+
+    monkeypatch.setattr(liealg, "krylov_rank", spy)
+    return calls
+
+
+SO3_FACTORS = (unit_subspace(6, [0, 1, 2]), unit_subspace(6, [3, 4, 5]))
+
+
+def test_equal_root_values_fail_the_krylov_rank_and_the_next_draw_is_taken(monkeypatch, krylov_ranks):
+    # ad(e1) and ad(e4) have eigenvalues 0, +-i on their factors: X = e1 + e4 does
+    # not separate the roots, so its Krylov vectors span 2 of the 4 root dimensions
+    X = tuple(F(c) for c in (1, 0, 0, 1, 0, 0))
+    forced_first_draw(monkeypatch, X, tuple(F(c) for c in (1, 2, 3, 4, 5, 6)))
+    assert simple_ideal_decomposition(so3_plus_so3()) == (SubspaceBasis.zero(6), SO3_FACTORS)
+    assert krylov_ranks[0] == (2, 4)
+    assert len(krylov_ranks) == 2 and krylov_ranks[1] == (4, 4)
+
+
+def test_a_probe_vector_in_t_fails_the_krylov_rank_and_the_next_draw_is_taken(monkeypatch, krylov_ranks):
+    X, _ = next(liealg._cartan_draws(SubspaceBasis.full(6)))
+    forced_first_draw(monkeypatch, X, X)  # v = X lies in t = ker ad(X)
+    assert simple_ideal_decomposition(so3_plus_so3()) == (SubspaceBasis.zero(6), SO3_FACTORS)
+    assert [rank for rank, _ in krylov_ranks] == [0, 4]
+
+
+def test_the_draws_are_bounded(monkeypatch):
+    calls = []
+    monkeypatch.setattr(liealg, "krylov_rank", lambda A, v, steps: calls.append(steps) or -1)
+    with pytest.raises(WorkbenchError, match="no Cartan subalgebra"):
+        simple_ideal_decomposition(so3_plus_so3())
+    assert calls == [4] * liealg.CARTAN_DRAWS
+
+
+def test_the_draws_are_deterministic():
+    piece = SubspaceBasis.from_vectors(6, [(1, 2, 0, 0, 0, 0), (0, 1, 0, 3, 0, 0), (0, 0, 0, 0, 1, F(1, 2))])
+    assert list(liealg._cartan_draws(piece)) == list(liealg._cartan_draws(piece))
+    assert len(list(liealg._cartan_draws(piece))) == liealg.CARTAN_DRAWS
+
+
 # --- zero-skipping bracket and adjoint against the dense oracles -------------------
 
 
@@ -645,15 +743,14 @@ def test_ad_matches_dense_oracle_combination(name, data):
     assert all(type(c) is Fraction for row in got for c in row)
 
 
-# --- closures certified mod p -------------------------------------------------------
+# --- [g, g] certified mod p, span closures by exact rounds --------------------------
 
 
-def exact_closure(L, seeds, ideal):
-    """The ideal (or subalgebra) generated by the seeds, by rref rounds over Q."""
+def exact_closure(L, seeds):
+    """The subalgebra generated by the seeds, by rref rounds over Q."""
     current = SubspaceBasis.from_vectors(L.dim, seeds)
     while True:
-        partners = identity(L.dim) if ideal else current.rows
-        brackets = [L.bracket(u, v) for u in current.rows for v in partners]
+        brackets = [L.bracket(u, v) for u in current.rows for v in current.rows]
         grown = current.sum_with(SubspaceBasis.from_vectors(L.dim, brackets))
         if grown.dim == current.dim:
             return current
@@ -666,46 +763,88 @@ closure_entries = st.sampled_from(
 )
 
 
+def rescaled(L, s):
+    """L in the basis f_a = s_a e_a."""
+    return make_lie_algebra(L.dim, [(i, j, k, c * s[i] * s[j] / s[k]) for i, j, k, c in L.entries])
+
+
+def all_brackets(L):
+    return SubspaceBasis.from_vectors(
+        L.dim, [L.bracket_basis(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
+    )
+
+
+def bracket_rank_mod_p(L):
+    _, rows = L._integer_table
+    pivots = {}
+    for i, row in enumerate(rows):
+        for j, terms in row.items():
+            if i < j:
+                linalg._add_row_mod_p(pivots, dict(terms))
+    return len(pivots)
+
+
 @pytest.mark.parametrize("name", KERNEL_ALGEBRAS + ("so3so3",))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_modular_closure_dimension_is_a_lower_bound(name, data):
-    # multiples of P vanish mod P, so the modular dimension can fall short
-    L = so3_plus_so3() if name == "so3so3" else kernel_algebra(name)
+    # [g, g] is the span of all brackets: its dimension mod P bounds it over Q, and
+    # the derived subalgebra is that span whether or not the rank mod P reaches n.
+    # Scales that are multiples of P vanish mod P, so the rank can fall short.
+    base = so3_plus_so3() if name == "so3so3" else kernel_algebra(name)
+    nonzero = closure_entries.filter(bool)
+    L = rescaled(base, data.draw(st.lists(nonzero, min_size=base.dim, max_size=base.dim)))
+    exact = all_brackets(L)
+    assert bracket_rank_mod_p(L) <= exact.dim
+    assert derived_subalgebra(L) == exact
     vec = st.lists(closure_entries, min_size=L.dim, max_size=L.dim).map(tuple)
     seeds = data.draw(st.lists(vec, min_size=1, max_size=2))
-    ideal = data.draw(st.booleans())
-    exact = exact_closure(L, seeds, ideal)
-    assert liealg._closure_dim_mod_p(L, seeds, L.dim, ideal) <= exact.dim
-    if ideal and len(seeds) == 1:
-        assert liealg._ideal_closure(L, seeds[0], SubspaceBasis.full(L.dim)) == exact
-    if not ideal:
-        assert span_closure(L, SubspaceBasis.from_vectors(L.dim, seeds)) == exact
+    assert span_closure(L, SubspaceBasis.from_vectors(L.dim, seeds)) == exact_closure(L, seeds)
 
 
-def test_modular_closure_short_of_the_piece_runs_the_exact_worklist():
-    # P e1 + e4 is e4 mod P: its ideal is one factor mod P, all of so(3) + so(3) over Q
-    L = so3_plus_so3()
-    seed = (F(P), F(0), F(0), F(1), F(0), F(0))
-    assert liealg._closure_dim_mod_p(L, [seed], 6, ideal=True) == 3
-    assert liealg._ideal_closure(L, seed, SubspaceBasis.full(6)) == SubspaceBasis.full(6)
+@pytest.mark.parametrize(
+    "name, dims",
+    [("so3r1", (1, [3])), ("heisenberg", (1, [])), ("abelian", (2, []))],
+)
+def test_derived_subalgebra_short_of_g_is_the_span_of_all_brackets(name, dims):
+    L = {"so3r1": construct("so3r1_mod_0").algebra, "heisenberg": heisenberg(), "abelian": abelian(2)}[name]
+    assert derived_subalgebra(L) == all_brackets(L)
+    if name != "heisenberg":  # the Heisenberg algebra is not of compact type
+        z, ideals = simple_ideal_decomposition(L)
+        assert (z.dim, [s.dim for s in ideals]) == dims
+
+
+def test_modular_rank_short_of_g_runs_the_exact_rref(monkeypatch):
+    # in the basis (P e1, e2, ..., e6) the table's scale is P: [f1, f2] = P f3 is 0
+    # mod P, so the bracket rows fall short of rank 6 mod P, while [g, g] = g over Q
+    L = rescaled_so3_plus_so3([F(P)] + [F(1)] * 5)
+    assert bracket_rank_mod_p(L) < 6
+    reduced = []
+    exact_rref = liealg.rref
+    monkeypatch.setattr(liealg, "rref", lambda rows, n: reduced.append(len(rows)) or exact_rref(rows, n))
+    assert derived_subalgebra(L) == SubspaceBasis.full(6)
+    assert reduced == [15]  # all 15 brackets, once
+
+
+def test_full_modular_rank_skips_the_exact_rref(monkeypatch):
+    L = rescaled_so3_plus_so3([F(2), F(1, 3), F(1), F(5), F(1), F(7, 2)])
+    monkeypatch.setattr(liealg, "rref", lambda rows, n: pytest.fail("rref ran"))
+    assert derived_subalgebra(L) == SubspaceBasis.full(6)
 
 
 def test_prime_denominator_skips_the_modular_closure(monkeypatch):
-    # so(3) + so(3) in the basis (P e1, e2, ..., e6): [f2, f3] = f1 / P
+    # so(3) + so(3) in the basis (P e1, e2, ..., e6): [f2, f3] = f1 / P, so no
+    # residue exists and both the rank of [g, g] and the kernels are found exactly
     L = rescaled_so3_plus_so3([F(linalg.PRIME)] + [F(1)] * 5)
-    assert L._ads_mod_p is None
-    assert liealg._closure_dim_mod_p(L, [unit_subspace(6, [3]).rows[0]], 6, ideal=True) == 0
-    so3 = cyclic_so3()
-    assert so3._ads_mod_p is not None
-    assert liealg._closure_dim_mod_p(so3, [(F(1, P), F(0), F(0))], 3, ideal=True) == 0
-    exact_rounds = []
-    closure = liealg.span_closure
-    monkeypatch.setattr(liealg, "span_closure", lambda *a: exact_rounds.append(1) or closure(*a))
+    exact_kernels, reduced = [], []
+    exact_kernel, exact_rref = linalg._exact_kernel, liealg.rref
+    monkeypatch.setattr(linalg, "_exact_kernel", lambda A, n: exact_kernels.append(n) or exact_kernel(A, n))
+    monkeypatch.setattr(liealg, "rref", lambda rows, n: reduced.append(len(rows)) or exact_rref(rows, n))
     z, ideals = simple_ideal_decomposition(L)
     assert z.dim == 0
     assert ideals == (unit_subspace(6, [0, 1, 2]), unit_subspace(6, [3, 4, 5]))
-    assert exact_rounds
+    assert 15 in reduced  # _build_derived's rref of all brackets
+    assert exact_kernels
 
 
 # --- largest ideal and coadjoint rows against dense oracles ------------------------
