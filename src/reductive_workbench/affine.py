@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .errors import ClosureFailure, NotEffective, NotNormal, NotReductive
 from .homspace import (
@@ -34,7 +35,7 @@ from .liealg import (
     make_bilinear_form,
     orthogonal_complement,
 )
-from .linalg import Matrix, ZERO, matvec, transpose
+from .linalg import Matrix, ZERO, _divided, matvec, transpose
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
 ALMOST_DIRECT_PRODUCT_NOTE = (
@@ -129,15 +130,20 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     in_m = [tuple((a, x[p]) for a, p in enumerate(pair.m.pivots) if x[p]) for x in carrier.rows]
     lead_of = {x[0][0]: k for k, x in enumerate(in_m)}  # leading m-index -> carrier row
     # the carrier lies in m, so its Gram matrix pairs m-coordinates through the
-    # metric on m: images[a][c] = <carrier row a, m_c>
-    images = [{} for _ in in_m]
-    for image, x in zip(images, in_m):
+    # metric on m, summed in integers: the metric over one denominator G and the
+    # carrier rows over one denominator D, so every entry is over G D^2
+    G = lcm(*(g.denominator for row in pair.table.gram for _, g in row))
+    metric = [[(c, g.numerator * (G // g.denominator)) for c, g in row] for row in pair.table.gram]
+    D = lcm(*(v.denominator for x in in_m for _, v in x))
+    rows = [[(t, v.numerator * (D // v.denominator)) for t, v in x] for x in in_m]
+    gram = []
+    for x in rows:
+        image: dict[int, int] = {}  # image[c] = G D <carrier row, m_c>
         for t, v in x:
-            for c, g in pair.table.gram[t]:
-                image[c] = image.get(c, ZERO) + v * g
-    gram = tuple(
-        tuple(sum((v * image.get(t, ZERO) for t, v in y), ZERO) for y in in_m) for image in images
-    )
+            for c, g in metric[t]:
+                image[c] = image.get(c, 0) + v * g
+        gram.append(_divided([sum(v * image.get(t, 0) for t, v in y) for y in rows], G * D * D))
+    gram = tuple(gram)
     entries = []
     for a in range(carrier.dim):
         for b in range(a + 1, carrier.dim):

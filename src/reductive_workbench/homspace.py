@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -57,6 +58,7 @@ from .linalg import (
     rat,
     transpose,
     vector,
+    _integer_support,
 )
 
 
@@ -208,14 +210,18 @@ class AdaptedTable:
         return None if first is None else TripleWitness((a, *first), defects[first])
 
 
+# (C, rows): rows[k] holds the nonzero (t, C y) with e_k = sum y (h.rows + m.rows)[t]
+CoordinateMap = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+
+
 @dataclass(frozen=True, eq=False)
 class ReductivePair:
     """The decomposition g = h + m with its coordinate map and verified flags.
 
-    `coords[k]` holds the nonzero (t, y) with e_k = sum y (h.rows + m.rows)[t];
-    `table` is the adapted table, None when the pair is not reductive. A pair
-    is equal only to itself and hashes by identity, so the caches keyed by a
-    pair look it up without hashing its fields.
+    `coords` is the coordinate map along the rows of h and then of m, over one
+    denominator C; `table` is the adapted table, None when the pair is not
+    reductive. A pair is equal only to itself and hashes by identity, so the
+    caches keyed by a pair look it up without hashing its fields.
     """
 
     algebra: LieAlgebra
@@ -223,12 +229,12 @@ class ReductivePair:
     m: SubspaceBasis
     metric: BilinearForm
     flags: ReductiveFlags
-    coords: tuple[Terms, ...] = field(repr=False)
+    coords: CoordinateMap = field(repr=False)
     table: AdaptedTable | None = field(repr=False)
 
     def split(self, X: Vector) -> tuple[Terms, Terms]:
         """The nonzero (h-terms, m-terms) of X along g = h + m."""
-        return _split(self.coords, self.h.dim, X)
+        return _split(self.coords, self.h.dim, *_integer_support(X))
 
     def project_m(self, X: Vector) -> Vector:
         return self.from_m_terms(self.split(X)[1])
@@ -255,31 +261,38 @@ def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> V
     return tuple(out)
 
 
-def _split(coords: tuple[Terms, ...], s: int, X: Vector) -> tuple[Terms, Terms]:
-    # `ReductivePair.split` with the pair's coordinate map and dim h
-    out: dict[int, Fraction] = {}
-    for k, x in enumerate(X):
-        if x:
-            for t, y in coords[k]:
-                out[t] = out.get(t, ZERO) + x * y
-    terms = sorted((t, v) for t, v in out.items() if v)
+def _split(coords: CoordinateMap, s: int, d: int, support: Iterable[tuple[int, int]]) -> tuple[Terms, Terms]:
+    """(h-terms, m-terms) of X = sum x e_k / d over the integer support (k, x)
+    of d X, summed in integers and divided once per coordinate; s = dim h."""
+    scale, rows = coords
+    out: dict[int, int] = {}
+    for k, x in support:
+        for t, y in rows[k]:
+            out[t] = out.get(t, 0) + x * y
+    den = d * scale
+    terms = sorted((t, Fraction(v, den)) for t, v in out.items() if v)
     return tuple(tv for tv in terms if tv[0] < s), tuple((t - s, v) for t, v in terms if t >= s)
 
 
 def _adapted_table(
-    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coords: tuple[Terms, ...], gram_m: Matrix
+    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coords: CoordinateMap, gram_m: Matrix
 ) -> AdaptedTable | None:
-    """The adapted table, or None when some [h_i, m_b] leaves m."""
-    r = m.dim
+    """The adapted table, or None when some [h_i, m_b] leaves m. Each row's
+    integer support is taken once; a bracket is summed from the integer table
+    of L and split by the integer coordinate map."""
+    r, scale = m.dim, L._integer_table[0]
+    hs = [_integer_support(u) for u in h.rows]
+    ms = [_integer_support(w) for w in m.rows]
 
-    def split(u: Vector, w: Vector) -> tuple[Terms, Terms]:
-        return _split(coords, h.dim, L.bracket(u, w))
+    def split(u: tuple[int, list], w: tuple[int, list]) -> tuple[Terms, Terms]:
+        acc = L._integer_bracket(u[1], w[1])
+        return _split(coords, h.dim, scale * u[0] * w[0], [(k, x) for k, x in enumerate(acc) if x])
 
-    ad_h = tuple(tuple(split(u, w) for w in m.rows) for u in h.rows)
+    ad_h = tuple(tuple(split(u, w) for w in ms) for u in hs)
     if any(in_h for cols in ad_h for in_h, _ in cols):
         return None
     pairs = tuple(
-        {b: entry for b in range(a + 1, r) if any(entry := split(m.rows[a], m.rows[b]))}
+        {b: entry for b in range(a + 1, r) if any(entry := split(ms[a], ms[b]))}
         for a in range(r)
     )
     gram = tuple(tuple((c, g) for c, g in enumerate(row) if g) for row in gram_m)
@@ -310,7 +323,11 @@ def _reductive_pair(
         coord_rows = mat_inverse(transpose(rows))  # row t = coordinates along rows[t]
     except ValueError:
         raise InvalidDecomposition("h and m have a nonzero intersection") from None
-    coords = tuple(tuple((t, y) for t, y in enumerate(col) if y) for col in transpose(coord_rows))
+    scale = lcm(*(y.denominator for row in coord_rows for y in row if y))
+    coords = (scale, tuple(
+        tuple((t, y.numerator * (scale // y.denominator)) for t, y in enumerate(col) if y)
+        for col in transpose(coord_rows)
+    ))
     images = matmul(m.rows, metric.gram)  # G.m_b, as the metric is symmetric
     table = _adapted_table(L, h, m, coords, matmul(m.rows, transpose(images)))
     reductive = table is not None

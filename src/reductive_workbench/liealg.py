@@ -61,6 +61,8 @@ from .linalg import (
     transpose,
     vector,
     _add_row_mod_p,
+    _divided,
+    _integer_support,
 )
 
 # rows[i][j] = ((k, D c), ...) for [e_i, e_j] = sum_k c e_k, scaled by D
@@ -115,7 +117,14 @@ class SubspaceBasis:
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         # v lies in a row space iff it is annihilated by that space's dot-annihilator
         system = stack(self.annihilator(), other.annihilator())
-        return SubspaceBasis.from_vectors(self.ambient_dim, kernel(system, self.ambient_dim))
+        return _kernel_subspace(system, self.ambient_dim)
+
+
+def _kernel_subspace(system: Sequence, n: int) -> SubspaceBasis:
+    """{x : system x = 0} as a subspace. `kernel` returns the rref rows of the
+    kernel, so each row's pivot is its leading index and no second rref runs."""
+    rows = kernel(system, n)
+    return SubspaceBasis(n, rows, tuple(next(k for k, x in enumerate(row) if x) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,12 @@ class LieAlgebra:
         # X = xs / dx and Y = ys / dy with integer xs, ys over the supports
         dx, xs = _integer_support(X)
         dy, ys = _integer_support(Y)
-        scale, rows = self._integer_table
+        return _divided(self._integer_bracket(xs, ys), self._integer_table[0] * dx * dy)
+
+    def _integer_bracket(self, xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> list[int]:
+        """D [X, Y] as a dense integer list, for integer X and Y given by their
+        nonzero entries (i, x)."""
+        _, rows = self._integer_table
         acc = [0] * self.dim
         for i, x in xs:
             row = rows[i]
@@ -169,7 +183,7 @@ class LieAlgebra:
                     xy = x * y
                     for k, c in terms:
                         acc[k] += xy * c
-        return _divided(acc, scale * dx * dy)
+        return acc
 
     def ad(self, X: Vector) -> Matrix:
         """Matrix of ad(X) = [X, .] acting on coordinates: the sum of X_i ad(e_i)
@@ -222,25 +236,6 @@ class LieAlgebra:
     @cached_property
     def _ideals(self) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:
         return _build_ideals(self)
-
-
-def _integer_support(v: Vector) -> tuple[int, list[tuple[int, int]]]:
-    """(d, [(i, d v_i), ...]) over the nonzero v_i, d the lcm of their denominators."""
-    support = [(i, x) for i, x in enumerate(v) if x]
-    d = lcm(*(x.denominator for _, x in support))
-    if d == 1:
-        return 1, [(i, x.numerator) for i, x in support]
-    return d, [(i, x.numerator * (d // x.denominator)) for i, x in support]
-
-
-def _divided(acc: Sequence[int], den: int) -> Vector:
-    """The integers over one positive denominator, as Fractions. The tuple is
-    built from a list of its exact length: a tuple grown from a generator is
-    shrunk at the end and may keep its larger memory block, which every
-    result kept alive then carries."""
-    if den == 1:
-        return tuple([Fraction(a) if a else ZERO for a in acc])
-    return tuple([Fraction(a, den) if a else ZERO for a in acc])
 
 
 def make_lie_algebra(
@@ -438,7 +433,7 @@ def orthogonal_complement(sub: SubspaceBasis, form: BilinearForm) -> SubspaceBas
     if form.definiteness == "degenerate":
         raise DegenerateForm("orthogonal complement needs a non-degenerate form")
     system = matmul(sub.rows, form.gram)  # G.s for each row s, as G is symmetric
-    return SubspaceBasis.from_vectors(sub.ambient_dim, kernel(system, sub.ambient_dim))
+    return _kernel_subspace(system, sub.ambient_dim)
 
 
 def centralizer(L: LieAlgebra, sub: SubspaceBasis) -> SubspaceBasis:
@@ -446,7 +441,7 @@ def centralizer(L: LieAlgebra, sub: SubspaceBasis) -> SubspaceBasis:
     system = stack(*(L.ad(s) for s in sub.rows)) if sub.dim else ()
     if not system:
         return SubspaceBasis.full(L.dim)
-    return SubspaceBasis.from_vectors(L.dim, kernel(system, L.dim))
+    return _kernel_subspace(system, L.dim)
 
 
 def center(L: LieAlgebra) -> SubspaceBasis:
@@ -483,9 +478,25 @@ def span_closure(L: LieAlgebra, seed: SubspaceBasis) -> SubspaceBasis:
 
 
 def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
-    for a, u in enumerate(sub.rows):
-        for b in range(a + 1, len(sub.rows)):
-            if not sub.contains_vector(L.bracket(u, sub.rows[b])):
+    """Is [sub, sub] inside sub? Each pair a < b of echelon rows is bracketed
+    in integers from the integer table; the rows are zero at each other's
+    pivots, so the bracket lies in sub iff it equals the combination of the
+    rows by its entries at the pivots, an exact integer residual. The witness
+    is the first (a, b) whose bracket leaves."""
+    supports = [_integer_support(u) for u in sub.rows]
+    den = lcm(*(d for d, _ in supports))
+    # den times each echelon row, so den at its pivot
+    reducers = [(p, [(k, x * (den // d)) for k, x in terms]) for p, (d, terms) in zip(sub.pivots, supports)]
+    for a, (_, xs) in enumerate(supports):
+        for b in range(a + 1, len(supports)):
+            acc = L._integer_bracket(xs, supports[b][1])
+            residual = [den * x for x in acc]
+            for p, terms in reducers:
+                c = acc[p]
+                if c:
+                    for k, x in terms:
+                        residual[k] -= c * x
+            if any(residual):
                 return CheckResult(False, TripleWitness((a, b, -1), ZERO))
     return CheckResult(True)
 
@@ -505,7 +516,7 @@ def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
     of the closure of the annihilator of h under those maps.
     """
     dual = _closure(h.annihilator(), L.dim, lambda phi, done: L.coadjoint(phi))
-    return SubspaceBasis.from_vectors(L.dim, kernel(dual, L.dim))
+    return _kernel_subspace(dual, L.dim)
 
 
 def _closure(seeds: Iterable[Vector], target: int, images: Callable[..., Iterable[Vector]]) -> list[Vector]:
@@ -602,7 +613,7 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
     n, ann = L.dim, piece.annihilator() if piece.dim < L.dim else ()
     for X, v in _cartan_draws(piece):
         A = L.ad(X)
-        t = SubspaceBasis.from_vectors(n, kernel(stack(A, ann), n))
+        t = _kernel_subspace(stack(A, ann), n)
         r, j = t.dim, next((j for j, p in enumerate(t.pivots) if X[p]), None)  # None iff X = 0
         if j is None or krylov_rank(A, v, piece.dim - r) < piece.dim - r:
             continue
@@ -636,7 +647,7 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
         others = [h for j, blk in enumerate(blocks) if j != i for h in blk]
         gram_rows = [_int_matvec(killing.gram, _integer_support(h)[1]) for h in others]
         system = stack(*(L.ad(h) for h in others), gram_rows, ann)
-        ideals.append(SubspaceBasis.from_vectors(n, kernel(system, n)))
+        ideals.append(_kernel_subspace(system, n))
     if sum(ideal.dim for ideal in ideals) != piece.dim:
         raise WorkbenchError(f"the ideals read off a Cartan subalgebra miss part of an ideal of dim {piece.dim}")
     if len(ideals) == len(mats):  # one centroid dimension per block: all simple
@@ -660,7 +671,7 @@ def _build_ideals(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ..
     if pos > 0:
         raise NotCompactType("Killing form has a positive direction")
     z = center(L)
-    killing_kernel = SubspaceBasis.from_vectors(L.dim, kernel(B.gram, L.dim))
+    killing_kernel = _kernel_subspace(B.gram, L.dim)
     if killing_kernel.rows != z.rows:
         raise NotCompactType("Killing-form kernel differs from the center")
     g1 = derived_subalgebra(L)

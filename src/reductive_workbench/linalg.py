@@ -97,18 +97,26 @@ def matvec(A: Matrix, v: Vector) -> Vector:
 
 
 def matmul(A: Matrix, B: Matrix) -> Matrix:
-    """A B, each row of A combining the nonzero entries of the rows of B it
-    has a nonzero coefficient for."""
+    """A B in integers: each row of A and of B scaled to integers, a row of A
+    combining the rows of B it has a nonzero coefficient for, over the lcm of
+    their scales, and divided once per entry. ValueError when a row of A does
+    not have one entry per row of B."""
     ncols = len(B[0]) if B else 0
-    supports = [[(k, b) for k, b in enumerate(row) if b] for row in B]
+    scaled = [_integer_support(row) for row in B]
     out = []
     for row in A:
-        acc = [ZERO] * ncols
-        for a, support in zip(row, supports, strict=True):
-            if a:
-                for k, b in support:
-                    acc[k] += a * b
-        out.append(tuple(acc))
+        if len(row) != len(B):
+            raise ValueError(f"row of length {len(row)} times {len(B)} rows")
+        da, support = _integer_support(row)
+        scale = lcm(*(scaled[t][0] for t, _ in support))
+        acc = [0] * ncols
+        for t, a in support:
+            d, terms = scaled[t]
+            if d != scale:
+                a *= scale // d
+            for k, b in terms:
+                acc[k] += a * b
+        out.append(_divided(acc, da * scale))
     return tuple(out)
 
 
@@ -135,40 +143,74 @@ def stack(*mats: Matrix) -> Matrix:
     return tuple(out)
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
+def rref(rows: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form with zero rows dropped; returns (rows, pivot columns).
 
     The result is the canonical representative of the row space: two inputs have
-    equal rref iff they span the same subspace.
+    equal rref iff they span the same subspace. Rows are dense sequences or
+    sparse {column: value} dicts; they are eliminated as integer rows
+    (`_add_row`) and each pivot row is divided by its pivot entry at the end.
     """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        if inv != 1:
-            mat[r] = [x / inv if x else ZERO for x in mat[r]]
-        prow = mat[r]
-        support = [(k, b) for k, b in enumerate(prow) if b]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                row = mat[i]
-                f = row[c]
-                for k, b in support:
-                    row[k] -= f * b
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if _add_row(pivots, dict(_integer_support(row)[1])) and len(pivots) == ncols:
+            break  # full rank: the remaining rows lie in the span
+    order = sorted(pivots)
+    return tuple(_fraction_row(pivots[p], pivots[p][p], ncols) for p in order), tuple(order)
+
+
+def _add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """Reduce the integer row against the pivot rows and keep a nonzero
+    remainder as a new pivot row (True), as `_add_row_mod_p` does mod PRIME:
+    every pivot row is zero at the other pivot columns and positive at its
+    own, so it is a positive multiple of its row of the rref."""
+    for c in [c for c in row if c in pivots]:
+        row = _cross(row, pivots[c], c)
+    if not row:
+        return False
+    p = min(row)
+    if row[p] < 0:
+        row = {k: -x for k, x in row.items()}
+    for q, prow in pivots.items():
+        if p in prow:
+            pivots[q] = _cross(prow, row, p)
+    pivots[p] = row
+    return True
+
+
+def _cross(row: dict[int, int], other: dict[int, int], c: int) -> dict[int, int]:
+    """row times |a| / g minus other times sign(a) row[c] / g, a = other[c] and
+    g = gcd(a, row[c]): a positive multiple of row - (row[c] / a) other, which
+    vanishes at c; divided by its content, zeros dropped."""
+    a, f = other[c], row[c]
+    if a < 0:
+        a, f = -a, -f
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, y in other.items():
+        x = out.get(k, 0) - f * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The integer row divided by its content, the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        return {k: x // content for k, x in row.items()}
+    return row
+
+
+def _fraction_row(row: dict[int, int], den: int, ncols: int) -> Vector:
+    """The dense row of Fractions x / den over the integer entries x."""
+    out = [ZERO] * ncols
+    for k, x in row.items():
+        out[k] = Fraction(x, den)
+    return tuple(out)
 
 
 def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
@@ -242,15 +284,7 @@ def _lifted_null_vectors(pivots: dict[int, dict[int, int]], ncols: int) -> list[
 
 def _exact_kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> Matrix:
     """The exact eliminator behind `kernel`: rref of A, then of the null vectors."""
-    dense = []
-    for row in A:
-        if isinstance(row, dict):
-            full = [ZERO] * ncols
-            for c, x in row.items():
-                full[c] = Fraction(x)
-            row = full
-        dense.append(row)
-    red, pivots = rref(dense, ncols)
+    red, pivots = rref(A, ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -263,20 +297,31 @@ def _exact_kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: 
     return rref(basis, ncols)[0]
 
 
+def _integer_support(v) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(i, d v_i), ...]) over the nonzero v_i of a dense or {index: value}
+    vector, d the lcm of their denominators."""
+    support = [(i, x) for i, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
+    d = lcm(*(x.denominator for _, x in support))
+    if d == 1:
+        return 1, [(i, x.numerator) for i, x in support]
+    return d, [(i, x.numerator * (d // x.denominator)) for i, x in support]
+
+
+def _divided(acc: Sequence[int], den: int) -> Vector:
+    """The integers over one positive denominator, as Fractions. The tuple is
+    built from a list of its exact length: a tuple grown from a generator is
+    shrunk at the end and may keep its larger memory block, which every
+    result kept alive then carries."""
+    if den == 1:
+        return tuple([Fraction(a) if a else ZERO for a in acc])
+    return tuple([Fraction(a, den) if a else ZERO for a in acc])
+
+
 def _integer_row(row) -> dict[int, int] | None:
     """The row's nonzero entries times the lcm of their denominators, or None
     when a denominator is divisible by PRIME."""
-    entries = [(c, x) for c, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
-    scale = 1
-    for _, x in entries:
-        d = x.denominator
-        if d != 1:
-            if d % PRIME == 0:
-                return None
-            scale = lcm(scale, d)
-    if scale == 1:
-        return {c: x.numerator for c, x in entries}
-    return {c: x.numerator * (scale // x.denominator) for c, x in entries}
+    d, support = _integer_support(row)
+    return None if d % PRIME == 0 else dict(support)
 
 
 def _add_row_mod_p(pivots: dict[int, dict[int, int]], int_row: dict[int, int]) -> bool:
@@ -340,11 +385,12 @@ class EchelonBasis:
 
     Each row is scaled to 1 at its pivot and has zeros at the pivots of the
     rows before it, so reducing against the rows in order clears every pivot.
+    The reduction runs on the rows' integer multiples.
     """
 
     def __init__(self):
         self.rows: list[Vector] = []
-        self._reducers: list[tuple[int, list[tuple[int, Fraction]]]] = []  # (pivot, support)
+        self._reducers: list[tuple[int, dict[int, int]]] = []  # (pivot, integer row)
 
     @property
     def dim(self) -> int:
@@ -352,40 +398,43 @@ class EchelonBasis:
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Reduce v against the basis; a nonzero remainder joins it (True)."""
-        residual = list(v)
-        for p, support in self._reducers:
-            c = residual[p]
-            if c:
-                for k, x in support:
-                    residual[k] -= c * x
-        pivot = next((k for k, x in enumerate(residual) if x), None)
-        if pivot is None:
+        residual = dict(_integer_support(v)[1])
+        for p, row in self._reducers:
+            if p in residual:
+                residual = _cross(residual, row, p)
+        if not residual:
             return False
-        inv = residual[pivot]
-        row = tuple(x / inv if x else ZERO for x in residual)
-        self.rows.append(row)
-        self._reducers.append((pivot, [(k, x) for k, x in enumerate(row) if x]))
+        pivot = min(residual)
+        self.rows.append(_fraction_row(residual, residual[pivot], len(v)))
+        self._reducers.append((pivot, residual))
         return True
 
 
 def coords_in_rref(rows: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector | None:
-    """Coordinates of v in the given rref row basis, or None if v is outside."""
-    residual = list(v)
-    coords = []
-    for row, p in zip(rows, pivots):
-        c = residual[p]
-        coords.append(c)
-        if c != 0:
-            for k, x in enumerate(row):
-                if x:
-                    residual[k] -= c * x
-    if any(x != 0 for x in residual):
+    """Coordinates of v in the given rref row basis, or None if v is outside.
+
+    Each row is zero at the other pivots, so the coordinates are v's entries
+    at the pivots; v is inside iff it is their combination of the rows,
+    checked on the integer multiples of v and of those rows."""
+    coords = tuple(v[p] for p in pivots)
+    dv, support = _integer_support(v)
+    used = [(_integer_support(row), v[p]) for row, p in zip(rows, pivots) if v[p]]
+    scale = lcm(*(d for (d, _), _ in used))
+    residual = {k: scale * x for k, x in support}  # scale dv v
+    for (d, terms), c in used:
+        # c = n / dv with n the integer entry of dv v at the pivot
+        f = c.numerator * (dv // c.denominator) * (scale // d)
+        for k, x in terms:
+            residual[k] = residual.get(k, 0) - f * x
+    if any(residual.values()):
         return None
-    return tuple(coords)
+    return coords
 
 
 def mat_inverse(A: Matrix) -> Matrix:
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
     aug = [list(A[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     red, pivots = rref(aug, 2 * n)
     if len(red) != n or pivots != tuple(range(n)):
@@ -396,50 +445,44 @@ def mat_inverse(A: Matrix) -> Matrix:
 def signature(gram: Matrix) -> tuple[int, int, int]:
     """Inertia (n_pos, n_neg, n_zero) of a symmetric matrix, by rational congruence.
 
-    Symmetric Gaussian steps, with the standard row+column trick when the active
-    diagonal is entirely zero; Sylvester's law makes the counts well-defined.
+    Symmetric Gaussian steps on the rows of the active block, each kept as an
+    integer row times a positive factor of its own: a Schur step replaces a
+    row by |a| times itself minus sign(a) times its entry times the pivot
+    row, never by a times itself, so no sign flips. When the active diagonal
+    is entirely zero, the row+column trick adds a row j to a row i (scaled by
+    the two off-diagonal entries, which fix the factors' ratio) and column j
+    to column i. Sylvester's law makes the counts well-defined.
     """
     n = len(gram)
-    M = [list(row) for row in gram]
+    # rows[i] = c_i times row i of the active block, c_i > 0, active columns only
+    rows = {i: dict(_integer_support(row)[1]) for i, row in enumerate(gram)}
     pos = neg = 0
-    active = list(range(n))
-    while active:
-        d = None
-        for i in active:
-            if M[i][i] != 0:
-                d = i
-                break
+    while rows:
+        d = next((i for i, row in rows.items() if row.get(i)), None)
         if d is None:
-            offdiag = None
-            for ai in range(len(active)):
-                for aj in range(ai + 1, len(active)):
-                    i, j = active[ai], active[aj]
-                    if M[i][j] != 0:
-                        offdiag = (i, j)
-                        break
-                if offdiag:
-                    break
-            if offdiag is None:
+            i, j = next(((i, j) for i, row in rows.items() for j in row), (None, None))
+            if i is None:
                 break  # remaining block is zero
-            i, j = offdiag
-            for k in range(n):
-                M[i][k] += M[j][k]
-            for k in range(n):
-                M[k][i] += M[k][j]
+            # c_i / c_j = rows[i][j] / rows[j][i]: a positive multiple of S_i + S_j
+            ri, rj = rows[i], rows[j]
+            sign = 1 if ri[j] > 0 else -1
+            merged = {k: sign * rj[i] * x for k, x in ri.items()}
+            for k, x in rj.items():
+                merged[k] = merged.get(k, 0) + sign * ri[j] * x
+            rows[i] = merged
+            for row in rows.values():  # column i += column j
+                if j in row:
+                    row[i] = row.get(i, 0) + row[j]
+            rows = {k: _primitive({c: x for c, x in row.items() if x}) for k, row in rows.items()}
             continue
-        a = M[d][d]
-        if a > 0:
+        pivot = rows.pop(d)
+        if pivot[d] > 0:
             pos += 1
         else:
             neg += 1
-        active.remove(d)
-        for i in active:
-            if M[i][d] != 0:
-                f = M[i][d] / a
-                for k in range(n):
-                    M[i][k] -= f * M[d][k]
-                for k in range(n):
-                    M[k][i] -= f * M[k][d]
+        for i, row in rows.items():
+            if d in row:
+                rows[i] = _cross(row, pivot, d)
     return pos, neg, n - pos - neg
 
 

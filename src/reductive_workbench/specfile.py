@@ -15,11 +15,13 @@ is rejected at `basis` before any analysis starts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import py_make_scanner
 
@@ -43,32 +45,63 @@ METRIC_KEYS = ("mode", "scales", "center_gram")
 ASSERTION_KEYS = ("locally_irreducible", "is_sphere_or_rp")
 
 
-def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
-    """Parse JSON, returning the value and a map from path tuples to positions."""
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-    offsets: list[int] = []  # start of every value, in document pre-order
-    children: list[list[int]] = [[]]  # value starts in each open container
+class Positions:
+    """Path tuple -> (line, column) of the value there, resolved on demand.
+
+    The parse keeps only the start offset of every value and the index just
+    past its subtree, both in document pre-order; a path is resolved by
+    walking the document from the root and skipping the subtrees of the
+    siblings before each step, so no map over all values is ever built."""
+
+    def __init__(self, value, offsets: array, ends: array, where: Callable[[int], Position]):
+        self._value, self._offsets, self._ends, self._where = value, offsets, ends, where
+
+    def __getitem__(self, path: Path) -> Position:
+        item, index = self._value, 0
+        for key in path:
+            if isinstance(item, dict) and key in item:
+                siblings = itertools.takewhile(lambda k: k != key, item)
+            elif isinstance(item, list) and type(key) is int and 0 <= key < len(item):
+                siblings = range(key)
+            else:
+                raise KeyError(path)
+            index += 1  # the first child
+            for _ in siblings:
+                index = self._ends[index]
+            item = item[key]
+        return self._where(self._offsets[index])
+
+
+def parse_positioned(text: str) -> tuple[object, Positions]:
+    """Parse JSON, returning the value and its positions by path tuple."""
+    offsets = array("q")  # start of every value, in document pre-order
+    ends = array("q")  # pre-order index just past each value's subtree
+    keys: list[list[int] | None] = [None]  # key starts of each open object, None for an array
 
     def where(offset: int) -> Position:
-        line = bisect_right(line_starts, offset)
-        return line, offset - line_starts[line - 1] + 1
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
     def record(s: str, idx: int):
+        index = len(offsets)
         offsets.append(idx)
-        children[-1].append(idx)
-        return scan(s, idx)
+        ends.append(0)
+        if keys[-1] is not None:
+            keys[-1].append(idx)
+        result = scan(s, idx)
+        ends[index] = len(offsets)
+        return result
 
-    def nested(parse, s_and_end, *args):
-        if len(children) > MAX_NESTING:
+    def nested(parse, starts, s_and_end, *args):
+        if len(keys) > MAX_NESTING:
             raise SpecFileError(f"nesting deeper than {MAX_NESTING}", *where(s_and_end[1] - 1))
-        children.append([])
+        keys.append(starts)
         result = parse(s_and_end, *args)
-        children.pop()
+        keys.pop()
         return result
 
     def unique_keys(pairs):
         out = {}
-        for (key, value), offset in zip(pairs, children[-1]):
+        for (key, value), offset in zip(pairs, keys[-1]):
             if key in out:
                 raise SpecFileError(f"duplicate key {key!r}", *where(offset))
             out[key] = value
@@ -80,9 +113,9 @@ def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
     decoder = json.JSONDecoder(object_pairs_hook=unique_keys, parse_constant=no_constant)
     # the stdlib container parsers, scanning each value through record
     decoder.parse_object = lambda at, strict, _, *hooks: nested(
-        JSONObject, at, strict, record, *hooks
+        JSONObject, [], at, strict, record, *hooks
     )
-    decoder.parse_array = lambda at, _: nested(JSONArray, at, record)
+    decoder.parse_array = lambda at, _: nested(JSONArray, None, at, record)
     scan = py_make_scanner(decoder)
     try:
         value, end = record(text, WHITESPACE.match(text).end())
@@ -96,17 +129,7 @@ def parse_positioned(text: str) -> tuple[object, dict[Path, Position]]:
     end = WHITESPACE.match(text, end).end()
     if end != len(text):
         raise SpecFileError("trailing content after the document", *where(end))
-    # one iterative pre-order walk pairs each offset with its path
-    positions: dict[Path, Position] = {}
-    starts, stack = iter(offsets), [((), value)]
-    while stack:
-        path, item = stack.pop()
-        positions[path] = where(next(starts))
-        items = item.items() if isinstance(item, dict) else ()
-        if isinstance(item, list):
-            items = enumerate(item)
-        stack.extend(reversed([(path + (key,), child) for key, child in items]))
-    return value, positions
+    return value, Positions(value, offsets, ends, where)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +152,7 @@ class SpaceSpec:
     recipe_positions: dict[str, Position] = field(default_factory=dict, compare=False)
 
 
-def _error(message: str, positions: dict[Path, Position], path: Path) -> SpecFileError:
+def _error(message: str, positions: Positions, path: Path) -> SpecFileError:
     return SpecFileError(message, *positions[path])
 
 

@@ -487,3 +487,142 @@ def dense_affine_entries(L, k):
             entries.extend((a, b, t, c) for t, c in enumerate(coords) if c)
     entries.extend((s + i, s + j, s + t, c) for i, j, t, c in k.entries)
     return g1, entries
+
+
+# --- the Fraction kernels that the package's integer kernels replaced --------
+# Kept verbatim in behaviour: the same Fraction values, pivots, row order and
+# errors are what the integer rows must reproduce.
+
+ZERO = F0
+
+
+def fraction_matmul(A, B):
+    """A B, each row of A combining the nonzero entries of the rows of B it
+    has a nonzero coefficient for (ValueError on a shape mismatch)."""
+    ncols = len(B[0]) if B else 0
+    supports = [[(k, b) for k, b in enumerate(row) if b] for row in B]
+    out = []
+    for row in A:
+        acc = [ZERO] * ncols
+        for a, support in zip(row, supports, strict=True):
+            if a:
+                for k, b in support:
+                    acc[k] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row-echelon form with zero rows dropped; (rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        if inv != 1:
+            mat[r] = [x / inv if x else ZERO for x in mat[r]]
+        prow = mat[r]
+        support = [(k, b) for k, b in enumerate(prow) if b]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                row = mat[i]
+                f = row[c]
+                for k, b in support:
+                    row[k] -= f * b
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def fraction_mat_inverse(A):
+    n = len(A)
+    aug = [list(A[i]) + [F1 if i == j else ZERO for j in range(n)] for i in range(n)]
+    red, pivots = fraction_rref(aug, 2 * n)
+    if len(red) != n or pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def fraction_coords_in_rref(rows, pivots, v):
+    """Coordinates of v in the given rref row basis, or None if v is outside."""
+    residual = list(v)
+    coords = []
+    for row, p in zip(rows, pivots):
+        c = residual[p]
+        coords.append(c)
+        if c != 0:
+            for k, x in enumerate(row):
+                if x:
+                    residual[k] -= c * x
+    if any(x != 0 for x in residual):
+        return None
+    return tuple(coords)
+
+
+def fraction_signature(gram):
+    """Inertia (n_pos, n_neg, n_zero) by symmetric Gaussian steps over Q, with
+    the row+column trick when the active diagonal is entirely zero."""
+    n = len(gram)
+    M = [list(row) for row in gram]
+    pos = neg = 0
+    active = list(range(n))
+    while active:
+        d = None
+        for i in active:
+            if M[i][i] != 0:
+                d = i
+                break
+        if d is None:
+            offdiag = None
+            for ai in range(len(active)):
+                for aj in range(ai + 1, len(active)):
+                    i, j = active[ai], active[aj]
+                    if M[i][j] != 0:
+                        offdiag = (i, j)
+                        break
+                if offdiag:
+                    break
+            if offdiag is None:
+                break
+            i, j = offdiag
+            for k in range(n):
+                M[i][k] += M[j][k]
+            for k in range(n):
+                M[k][i] += M[k][j]
+            continue
+        a = M[d][d]
+        if a > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(d)
+        for i in active:
+            if M[i][d] != 0:
+                f = M[i][d] / a
+                for k in range(n):
+                    M[i][k] -= f * M[d][k]
+                for k in range(n):
+                    M[k][i] -= f * M[k][d]
+    return pos, neg, n - pos - neg
+
+
+def fraction_is_subalgebra(L, rows, pivots):
+    """The first (a, b), a < b, whose bracket of rref rows leaves their span,
+    or None; brackets from the entries of L, membership by
+    `fraction_coords_in_rref`."""
+    bracket = dense_bracket(L)
+    for a, u in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            if fraction_coords_in_rref(rows, pivots, bracket(u, rows[b])) is None:
+                return (a, b)
+    return None

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reductive_workbench import liealg, linalg
-from reductive_workbench.catalog import catalog_names, construct
+from reductive_workbench.catalog import CURATED_NAMES, catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError, WorkbenchError
 from reductive_workbench.liealg import SubspaceBasis, make_lie_algebra, simple_ideal_decomposition
@@ -818,12 +818,47 @@ def test_dense_custom_metric_spec_does_not_import_sympy(tmp_path):
     assert proc.stderr == "0 True False\n"
 
 
-def _dense_spec(tmp_path, name, seed, scales):
-    """The catalog entry rewritten in a unimodular basis, with a custom metric."""
+def _dense_spec(tmp_path, name, seed, scales=None):
+    """The catalog entry rewritten in a unimodular basis. `scales` (one per
+    simple ideal, in the entry's split order) follow their ideals into the new
+    basis, whose split may order them differently; None keeps the default
+    metric."""
     entry = construct(name)
-    entries, to_new = _changed_basis(entry.algebra, random.Random(seed))
-    return _spec_file(tmp_path / f"{name}.json", entry.algebra, entries,
-                      [to_new(v) for v in entry.h.rows], {"mode": "custom", "scales": scales})
+    L = entry.algebra
+    entries, to_new = _changed_basis(L, random.Random(seed))
+    metric = {"mode": "negative_killing"}
+    if scales is not None:
+        _, ideals = simple_ideal_decomposition(L)
+        moved = [SubspaceBasis.from_vectors(L.dim, map(to_new, s.rows)) for s in ideals]
+        order = sorted(range(len(moved)), key=lambda t: (moved[t].dim, moved[t].pivots, moved[t].rows))
+        metric = {"mode": "custom", "scales": [scales[t] for t in order]}
+    return _spec_file(tmp_path / f"{name}.json", L, entries, [to_new(v) for v in entry.h.rows], metric)
+
+
+def _original_report(tmp_path, name, scales=None):
+    """The catalog entry's report body, with the scales in its own basis."""
+    entry = construct(name)
+    if scales is None:
+        return run_report(entry).body
+    spec = _spec_file(tmp_path / "original.json", entry.algebra, entry.algebra.entries, entry.h.rows,
+                      {"mode": "custom", "scales": list(scales)})
+    return run_report(spec).body
+
+
+SMALL_CURATED = [name for name in CURATED_NAMES if construct(name).algebra.dim <= 15]
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["default_metric", "scales"])
+@pytest.mark.parametrize("name", SMALL_CURATED)
+def test_dense_spec_of_a_small_curated_entry_gives_its_report(name, scaled, tmp_path):
+    # every layer on dense constants: the spec file, the split (with scales),
+    # the pair, the adapted table and k
+    scales = None
+    if scaled:
+        _, ideals = simple_ideal_decomposition(construct(name).algebra)
+        scales = [str(t + 2) for t in range(len(ideals))]
+    spec = _dense_spec(tmp_path, name, 11, scales)
+    assert _report_invariants(run_report(spec).body) == _report_invariants(_original_report(tmp_path, name, scales))
 
 
 def test_dense_split_solves_no_system_wider_than_g(tmp_path, monkeypatch):
@@ -1049,22 +1084,5 @@ def _spec_file(path, L, entries, h_rows, metric):
 def test_report_survives_a_unimodular_change_of_basis(name, scales, tmp_path):
     # the pair rewritten in the basis f_a = sum_i P[a][i] e_i and read back as
     # a spec file must give the original run's dims, flags, verdicts and torus
-    entry = construct(name)
-    L, dim = entry.algebra, entry.algebra.dim
-    entries, to_new = _changed_basis(L, random.Random(sum(map(ord, name))))
-    h_rows = [to_new(v) for v in entry.h.rows]
-    if scales is None:
-        metric = {"mode": "negative_killing"}
-        original = run_report(entry).body
-    else:
-        # scales go to the simple ideals in the split's order, which the new
-        # basis may change: each ideal keeps its scale
-        _, ideals = simple_ideal_decomposition(L)
-        moved = [SubspaceBasis.from_vectors(dim, map(to_new, s.rows)) for s in ideals]
-        order = sorted(range(len(moved)), key=lambda t: (moved[t].dim, moved[t].pivots, moved[t].rows))
-        metric = {"mode": "custom", "scales": [scales[t] for t in order]}
-        spec = _spec_file(tmp_path / "original.json", L, L.entries, entry.h.rows,
-                          {"mode": "custom", "scales": list(scales)})
-        original = run_report(spec).body
-    changed = _spec_file(tmp_path / f"{name}.json", L, entries, h_rows, metric)
-    assert _report_invariants(run_report(changed).body) == _report_invariants(original)
+    changed = _dense_spec(tmp_path, name, sum(map(ord, name)), scales)
+    assert _report_invariants(run_report(changed).body) == _report_invariants(_original_report(tmp_path, name, scales))

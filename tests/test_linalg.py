@@ -28,7 +28,19 @@ from reductive_workbench.linalg import (
 from reductive_workbench.report import run_report
 from reductive_workbench.specfile import SpaceSpec
 
-from oracles import changed_basis_entries, dense_kernel, dense_mul, gauss_rank, unimodular
+from oracles import (
+    changed_basis_entries,
+    dense_kernel,
+    dense_mul,
+    fraction_coords_in_rref,
+    fraction_is_subalgebra,
+    fraction_mat_inverse,
+    fraction_matmul,
+    fraction_rref,
+    fraction_signature,
+    gauss_rank,
+    unimodular,
+)
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -364,3 +376,126 @@ def test_report_never_needs_the_exact_kernel(monkeypatch):
         assert run_report(spec).exit_code == 0
     homspace.isotropy_fixed_subspace.cache_clear()
     affine.invariant_field_algebra.cache_clear()
+
+
+# --- the integer kernels against the Fraction references --------------------------
+
+# zeros, small and large numerators, and denominators divisible by 2^61 - 1
+reference_entries = st.one_of(
+    sparse_fractions,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-(2**90), 2**90).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**70), 2**70).filter(bool), st.sampled_from((P, 3 * P, P * P))),
+)
+
+
+def reference_matrix(data, rows=None, cols=None):
+    """Rows over one entry strategy, with zero and repeated rows mixed in."""
+    rows = data.draw(st.integers(0, 6)) if rows is None else rows
+    cols = data.draw(st.integers(1, 7)) if cols is None else cols
+    entries = data.draw(st.sampled_from((sparse_fractions, small_fractions, reference_entries)))
+    out = [tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols))) for _ in range(rows)]
+    for _ in range(data.draw(st.integers(0, 2)) if out else 0):
+        extra = data.draw(st.sampled_from(out + [(Fraction(0),) * cols]))
+        out.insert(data.draw(st.integers(0, len(out))), extra)
+    return tuple(out), cols
+
+
+def raised(fn, *args):
+    """fn(*args), or the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_integer_rref_matches_the_fraction_rref(data):
+    rows, cols = reference_matrix(data)
+    red, pivots = rref(rows, cols)
+    assert (red, pivots) == fraction_rref(rows, cols)
+    assert all_fractions(red)
+    assert rref(as_dicts(rows, False), cols) == (red, pivots)
+    v = tuple(data.draw(st.lists(reference_entries, min_size=cols, max_size=cols)))
+    assert coords_in_rref(red, pivots, v) == fraction_coords_in_rref(red, pivots, v)
+    if red:
+        mix = tuple(data.draw(st.lists(reference_entries, min_size=len(red), max_size=len(red))))
+        inside = matmul((mix,), red)[0]
+        coords = coords_in_rref(red, pivots, inside)
+        assert coords is not None and coords == fraction_coords_in_rref(red, pivots, inside)
+        assert all_fractions([coords])
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_integer_matmul_and_inverse_match_the_fraction_kernels(data):
+    A, inner = reference_matrix(data)
+    # the zero and repeated rows mixed into B may leave it with more rows
+    # than A has columns: a shape mismatch, a ValueError in both
+    B, _ = reference_matrix(data, rows=inner)
+    product, expected = raised(matmul, A, B), raised(fraction_matmul, A, B)
+    if isinstance(expected, ValueError):
+        assert isinstance(product, ValueError)
+    else:
+        assert product == expected and all_fractions(product)
+    n = data.draw(st.integers(1, 5))
+    square, _ = reference_matrix(data, rows=n, cols=n)
+    if len(square) == n:
+        inverse, expected = raised(mat_inverse, square), raised(fraction_mat_inverse, square)
+        if isinstance(expected, ValueError):
+            assert isinstance(inverse, ValueError) and str(inverse) == str(expected) == "matrix is singular"
+        else:
+            assert inverse == expected and all_fractions(inverse)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_integer_signature_matches_the_fraction_signature(data):
+    n = data.draw(st.integers(0, 7))
+    entries = data.draw(st.sampled_from((sparse_fractions, small_fractions, reference_entries)))
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = data.draw(entries)
+    # an all-zero diagonal takes the row+column step first
+    if data.draw(st.booleans()):
+        for i in range(n):
+            gram[i][i] = data.draw(entries)
+    gram = linalg.matrix(gram)
+    assert signature(gram) == fraction_signature(gram)
+    assert signature(tuple(tuple(-x for x in row) for row in gram)) == fraction_signature(
+        tuple(tuple(-x for x in row) for row in gram)
+    )
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_integer_signature_of_a_congruent_diagonal_form(data):
+    # P^T D P with P unit upper triangular: the inertia is read off D, also
+    # for negative and degenerate forms
+    n = data.draw(st.integers(1, 7))
+    diag = data.draw(st.lists(st.sampled_from((-3, -1, 0, 0, 1, 2)), min_size=n, max_size=n))
+    P = [[Fraction(int(i == j)) if j <= i else data.draw(reference_entries) for i in range(n)] for j in range(n)]
+    D = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    gram = matmul(transpose(P), matmul(D, P))
+    expected = (sum(d > 0 for d in diag), sum(d < 0 for d in diag), diag.count(0))
+    assert signature(gram) == fraction_signature(gram) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_is_subalgebra_matches_the_fraction_check(data):
+    from reductive_workbench.liealg import SubspaceBasis, is_subalgebra
+
+    entry = catalog.construct(data.draw(st.sampled_from(("so4_mod_so2", "su3_mod_su2", "so3r1_mod_0"))))
+    L = entry.algebra
+    rows = [v for v in entry.h.rows if data.draw(st.booleans())]
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.append(tuple(data.draw(st.lists(small_fractions, min_size=L.dim, max_size=L.dim))))
+    sub = SubspaceBasis.from_vectors(L.dim, rows)
+    check = is_subalgebra(L, sub)
+    expected = fraction_is_subalgebra(L, sub.rows, sub.pivots)
+    assert check.ok == (expected is None)
+    if expected is not None:
+        assert check.witness.indices == (*expected, -1)
