@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 from .errors import ClosureFailure, NotEffective, NotNormal, NotReductive
 from .homspace import (
@@ -35,7 +34,7 @@ from .liealg import (
     make_bilinear_form,
     orthogonal_complement,
 )
-from .linalg import Matrix, ZERO, _divided, matvec, transpose
+from .linalg import Matrix, ZERO, _divided, _integer_rows, matvec, transpose
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
 ALMOST_DIRECT_PRODUCT_NOTE = (
@@ -132,10 +131,8 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     # the carrier lies in m, so its Gram matrix pairs m-coordinates through the
     # metric on m, summed in integers: the metric over one denominator G and the
     # carrier rows over one denominator D, so every entry is over G D^2
-    G = lcm(*(g.denominator for row in pair.table.gram for _, g in row))
-    metric = [[(c, g.numerator * (G // g.denominator)) for c, g in row] for row in pair.table.gram]
-    D = lcm(*(v.denominator for x in in_m for _, v in x))
-    rows = [[(t, v.numerator * (D // v.denominator)) for t, v in x] for x in in_m]
+    G, metric = _integer_rows(map(dict, pair.table.gram))
+    D, rows = _integer_rows(map(dict, in_m))
     gram = []
     for x in rows:
         image: dict[int, int] = {}  # image[c] = G D <carrier row, m_c>

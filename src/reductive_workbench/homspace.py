@@ -6,8 +6,11 @@ the isotropy representation on m for fixed vectors and invariant subspaces.
 
 The default metric is -B, minus the Killing form; a recipe adds only its
 center Gram matrix and rescaled simple ideals to it. A pair keeps one
-coordinate map along the rows of h and then of m, which `ReductivePair.split`
-reads.
+coordinate map along the rows of h and then of m, in integers over one
+denominator, which `ReductivePair.split` reads. The adapted table takes the
+integer support of each row of h and m once, brackets them from the integer
+table of g and splits each bracket through that map, dividing once per
+coordinate.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -58,6 +60,7 @@ from .linalg import (
     rat,
     transpose,
     vector,
+    _integer_rows,
     _integer_support,
 )
 
@@ -323,11 +326,8 @@ def _reductive_pair(
         coord_rows = mat_inverse(transpose(rows))  # row t = coordinates along rows[t]
     except ValueError:
         raise InvalidDecomposition("h and m have a nonzero intersection") from None
-    scale = lcm(*(y.denominator for row in coord_rows for y in row if y))
-    coords = (scale, tuple(
-        tuple((t, y.numerator * (scale // y.denominator)) for t, y in enumerate(col) if y)
-        for col in transpose(coord_rows)
-    ))
+    scale, cols = _integer_rows(transpose(coord_rows))
+    coords = (scale, tuple(map(tuple, cols)))
     images = matmul(m.rows, metric.gram)  # G.m_b, as the metric is symmetric
     table = _adapted_table(L, h, m, coords, matmul(m.rows, transpose(images)))
     reductive = table is not None

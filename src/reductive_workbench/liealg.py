@@ -9,8 +9,8 @@ subspace equality is structural equality.
 Each algebra caches one integer table: the scale D, the lcm of the
 denominators of its constants, and D c[i][j][k] for both orders of every
 basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
-`bracket_basis`, `killing_form`, `ad_invariance_check`, the Jacobi sweep and
-the rank of [g, g] mod p) read that table in Python ints, scale their vector
+`bracket_basis`, `killing_form`, `ad_invariance_check`, `is_subalgebra`, the
+Jacobi sweep and the rank of [g, g] mod p) read that table in Python ints, scale their vector
 or Gram arguments to integers the same way, and divide once per result entry.
 Their results are the same Fractions as exact rational arithmetic gives.
 
@@ -62,6 +62,7 @@ from .linalg import (
     vector,
     _add_row_mod_p,
     _divided,
+    _integer_rows,
     _integer_support,
 )
 
@@ -483,15 +484,13 @@ def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
     pivots, so the bracket lies in sub iff it equals the combination of the
     rows by its entries at the pivots, an exact integer residual. The witness
     is the first (a, b) whose bracket leaves."""
-    supports = [_integer_support(u) for u in sub.rows]
-    den = lcm(*(d for d, _ in supports))
-    # den times each echelon row, so den at its pivot
-    reducers = [(p, [(k, x * (den // d)) for k, x in terms]) for p, (d, terms) in zip(sub.pivots, supports)]
-    for a, (_, xs) in enumerate(supports):
-        for b in range(a + 1, len(supports)):
-            acc = L._integer_bracket(xs, supports[b][1])
+    # den times each echelon row: den at its pivot, zero at the other pivots
+    den, rows = _integer_rows(sub.rows)
+    for a, xs in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            acc = L._integer_bracket(xs, rows[b])
             residual = [den * x for x in acc]
-            for p, terms in reducers:
+            for p, terms in zip(sub.pivots, rows):
                 c = acc[p]
                 if c:
                     for k, x in terms:

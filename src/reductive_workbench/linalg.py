@@ -2,17 +2,21 @@
 
 Every scalar that goes in or comes out is a `fractions.Fraction`; nothing
 here rounds or approximates. Vectors are tuples of Fractions, matrices are
-tuples of row vectors. Inside, the heavy kernels work on integers: a row
-times the lcm of its denominators (`_integer_row`), reduced mod PRIME where
-a rank or a kernel is all that is needed, and divided back once per result.
-The structure-constant kernels of `liealg` follow the same rule with one
-integer table per algebra.
+tuples of row vectors. Inside, the kernels work on integers: a row times
+the lcm of its denominators (`_integer_support`), reduced mod PRIME where a
+rank or a kernel is all that is needed, and divided back once per result
+entry. The structure-constant kernels of `liealg` follow the same rule with
+one integer table per algebra.
 
-The kernels skip zeros: `dot`, `matvec`, `matmul` and the bilinear forms
-multiply only pairs of nonzero entries, and `rref` and `coords_in_rref` touch
-only the support (nonzero columns) of the row being subtracted. They return
-the same Fraction values in the same row order as the dense loops they
-replace, every entry still a Fraction.
+`rref`, `EchelonBasis.add` and `signature` eliminate integer rows by
+cross-multiplication (`_cross`): a row becomes a positive multiple of the
+rational row it stands for, and is divided by the gcd of its entries. The
+rref is unique, so dividing each pivot row by its pivot entry at the end
+gives the Fraction rows of rational elimination; `signature` scales only by
+positive factors, so the signs of its pivots are the rational ones.
+`matmul` and `coords_in_rref` sum integer rows over one denominator per
+result row. All of them skip zeros and return the same Fraction values,
+pivots and row order as the Fraction loops they replace.
 
 `kernel` takes dense rows or sparse {column: value} rows. It scales each row
 to integers and eliminates the residues mod PRIME = 2^61 - 1 with sparse
@@ -156,7 +160,7 @@ def rref(rows: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -
         if _add_row(pivots, dict(_integer_support(row)[1])) and len(pivots) == ncols:
             break  # full rank: the remaining rows lie in the span
     order = sorted(pivots)
-    return tuple(_fraction_row(pivots[p], pivots[p][p], ncols) for p in order), tuple(order)
+    return tuple(_dense(pivots[p], pivots[p][p], ncols) for p in order), tuple(order)
 
 
 def _add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
@@ -203,14 +207,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     if content > 1:
         return {k: x // content for k, x in row.items()}
     return row
-
-
-def _fraction_row(row: dict[int, int], den: int, ncols: int) -> Vector:
-    """The dense row of Fractions x / den over the integer entries x."""
-    out = [ZERO] * ncols
-    for k, x in row.items():
-        out[k] = Fraction(x, den)
-    return tuple(out)
 
 
 def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
@@ -307,8 +303,21 @@ def _integer_support(v) -> tuple[int, list[tuple[int, int]]]:
     return d, [(i, x.numerator * (d // x.denominator)) for i, x in support]
 
 
+def _integer_rows(rows: Iterable) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, supports): the integer support of each row over one denominator D,
+    the lcm of all their denominators."""
+    scaled = [_integer_support(row) for row in rows]
+    den = lcm(*(d for d, _ in scaled))
+    return den, [terms if d == den else [(k, x * (den // d)) for k, x in terms] for d, terms in scaled]
+
+
+def _dense(row: dict[int, int], den: int, ncols: int) -> Vector:
+    """The sparse integer row over den, as a dense row of Fractions."""
+    return _divided([row.get(k, 0) for k in range(ncols)], den)
+
+
 def _divided(acc: Sequence[int], den: int) -> Vector:
-    """The integers over one positive denominator, as Fractions. The tuple is
+    """The integers over one nonzero denominator, as Fractions. The tuple is
     built from a list of its exact length: a tuple grown from a generator is
     shrunk at the end and may keep its larger memory block, which every
     result kept alive then carries."""
@@ -405,7 +414,7 @@ class EchelonBasis:
         if not residual:
             return False
         pivot = min(residual)
-        self.rows.append(_fraction_row(residual, residual[pivot], len(v)))
+        self.rows.append(_dense(residual, residual[pivot], len(v)))
         self._reducers.append((pivot, residual))
         return True
 
@@ -414,16 +423,17 @@ def coords_in_rref(rows: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector |
     """Coordinates of v in the given rref row basis, or None if v is outside.
 
     Each row is zero at the other pivots, so the coordinates are v's entries
-    at the pivots; v is inside iff it is their combination of the rows,
-    checked on the integer multiples of v and of those rows."""
+    at the pivots, and v is inside iff it is the combination of the rows with
+    them: checked on the integer multiples of v and of those rows."""
     coords = tuple(v[p] for p in pivots)
     dv, support = _integer_support(v)
-    used = [(_integer_support(row), v[p]) for row, p in zip(rows, pivots) if v[p]]
+    ints = dict(support)
+    used = [(_integer_support(row), ints[p]) for row, p in zip(rows, pivots) if p in ints]
     scale = lcm(*(d for (d, _), _ in used))
-    residual = {k: scale * x for k, x in support}  # scale dv v
-    for (d, terms), c in used:
-        # c = n / dv with n the integer entry of dv v at the pivot
-        f = c.numerator * (dv // c.denominator) * (scale // d)
+    # scale dv v minus its combination of the rows, each row as d times itself
+    residual = {k: scale * x for k, x in support}
+    for (d, terms), n in used:
+        f = n * (scale // d)
         for k, x in terms:
             residual[k] = residual.get(k, 0) - f * x
     if any(residual.values()):
@@ -433,8 +443,6 @@ def coords_in_rref(rows: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector |
 
 def mat_inverse(A: Matrix) -> Matrix:
     n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix is not square")
     aug = [list(A[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     red, pivots = rref(aug, 2 * n)
     if len(red) != n or pivots != tuple(range(n)):
@@ -463,7 +471,8 @@ def signature(gram: Matrix) -> tuple[int, int, int]:
             i, j = next(((i, j) for i, row in rows.items() for j in row), (None, None))
             if i is None:
                 break  # remaining block is zero
-            # c_i / c_j = rows[i][j] / rows[j][i]: a positive multiple of S_i + S_j
+            # c_i / c_j = rows[i][j] / rows[j][i], so merged is a positive
+            # multiple of the sum of the block's rows i and j
             ri, rj = rows[i], rows[j]
             sign = 1 if ri[j] > 0 else -1
             merged = {k: sign * rj[i] * x for k, x in ri.items()}

@@ -2,9 +2,10 @@
 
 The input format is strict JSON (RFC 8259; see schemas/spacespec.schema.json).
 The stdlib decoder parses it, with hooks on its containers that record where
-every value starts and cap the nesting, so that syntax errors, schema
-violations and semantic errors (bad indices, malformed rationals) all carry a
-line and column. One walk over the fields, in the order basis, brackets,
+every value starts and where its subtree ends, in document pre-order, and cap
+the nesting, so that syntax errors, schema violations and semantic errors (bad
+indices, malformed rationals) all carry a line and column. A path is resolved
+to its position only when a message or a metric recipe asks for it. One walk over the fields, in the order basis, brackets,
 subalgebra, metric, assertions, enforces the schema's rules and the semantic
 ones together and stops at the first value that breaks one; the tests check
 it against the schema with jsonschema, which the package itself never loads.
