@@ -10,8 +10,9 @@ Each algebra caches one integer table: the scale D, the lcm of the
 denominators of its constants, and D c[i][j][k] for both orders of every
 basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
 `bracket_basis`, `killing_form`, `ad_invariance_check`, `is_subalgebra`, the
-Jacobi sweep and the rank of [g, g] mod p) read that table in Python ints, scale their vector
-or Gram arguments to integers the same way, and divide once per result entry.
+Jacobi sweep and the rank of [g, g] mod p) read that table in Python ints,
+scale their vector or Gram arguments to integers the same way, and divide
+once per result entry.
 Their results are the same Fractions as exact rational arithmetic gives.
 
 An algebra also caches its Killing form, center, derived subalgebra [g, g]

@@ -5,10 +5,11 @@ The stdlib decoder parses it, with hooks on its containers that record where
 every value starts and where its subtree ends, in document pre-order, and cap
 the nesting, so that syntax errors, schema violations and semantic errors (bad
 indices, malformed rationals) all carry a line and column. A path is resolved
-to its position only when a message or a metric recipe asks for it. One walk over the fields, in the order basis, brackets,
-subalgebra, metric, assertions, enforces the schema's rules and the semantic
-ones together and stops at the first value that breaks one; the tests check
-it against the schema with jsonschema, which the package itself never loads.
+to its position only when a message or a metric recipe asks for it. One walk
+over the fields, in the order basis, brackets, subalgebra, metric, assertions,
+enforces the schema's rules and the semantic ones together and stops at the
+first value that breaks one; the tests check it against the schema with
+jsonschema, which the package itself never loads.
 Bracket indices in files are 1-based, matching the basis listing; the Python
 API stays 0-based. A basis longer than MAX_DIM (63, the dimension of su(8))
 is rejected at `basis` before any analysis starts.
@@ -22,9 +23,9 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import py_make_scanner
+from typing import Callable
 
 from .affine import UserAssertions
 from .errors import SpecFileError

@@ -490,10 +490,8 @@ def dense_affine_entries(L, k):
 
 
 # --- the Fraction kernels that the package's integer kernels replaced --------
-# Kept verbatim in behaviour: the same Fraction values, pivots, row order and
-# errors are what the integer rows must reproduce.
-
-ZERO = F0
+# The same Fraction values, pivots, row order and errors are what the
+# package's integer rows must reproduce.
 
 
 def fraction_matmul(A, B):
@@ -503,7 +501,7 @@ def fraction_matmul(A, B):
     supports = [[(k, b) for k, b in enumerate(row) if b] for row in B]
     out = []
     for row in A:
-        acc = [ZERO] * ncols
+        acc = [F0] * ncols
         for a, support in zip(row, supports, strict=True):
             if a:
                 for k, b in support:
@@ -528,7 +526,7 @@ def fraction_rref(rows, ncols):
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = mat[r][c]
         if inv != 1:
-            mat[r] = [x / inv if x else ZERO for x in mat[r]]
+            mat[r] = [x / inv if x else F0 for x in mat[r]]
         prow = mat[r]
         support = [(k, b) for k, b in enumerate(prow) if b]
         for i in range(len(mat)):
@@ -546,7 +544,7 @@ def fraction_rref(rows, ncols):
 
 def fraction_mat_inverse(A):
     n = len(A)
-    aug = [list(A[i]) + [F1 if i == j else ZERO for j in range(n)] for i in range(n)]
+    aug = [list(A[i]) + [F1 if i == j else F0 for j in range(n)] for i in range(n)]
     red, pivots = fraction_rref(aug, 2 * n)
     if len(red) != n or pivots != tuple(range(n)):
         raise ValueError("matrix is singular")

@@ -55,6 +55,36 @@ def test_positioned_parser_tracks_paths():
     assert positions[(1, 1)] == (2, 7)
 
 
+json_documents = st.recursive(
+    st.one_of(st.integers(), st.text(max_size=3), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+def _paths(value, path=()):
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=100)
+@given(json_documents, st.sampled_from([None, 0, 1]))
+def test_positioned_parser_resolves_every_path_to_its_value(doc, indent):
+    # each position, turned back into an offset, starts the JSON text of the
+    # value at that path, also after the subtrees of its earlier siblings
+    text = json.dumps(doc, indent=indent)
+    value, positions = parse_positioned(text)
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    for path, item in _paths(value):
+        line, column = positions[path]
+        offset = line_starts[line - 1] + column - 1
+        assert json.JSONDecoder().raw_decode(text, offset)[0] == item
+    with pytest.raises(KeyError):
+        positions[("no such key", 0)]
+
+
 def test_positioned_parser_syntax_errors():
     with pytest.raises(SpecFileError) as exc:
         parse_positioned('{"a": [1, 2')

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reductive_workbench import affine, catalog, homspace, linalg
 from reductive_workbench.affine import UserAssertions
 from reductive_workbench.homspace import MetricSpec
+from reductive_workbench.liealg import SubspaceBasis, is_subalgebra, make_lie_algebra
 from reductive_workbench.linalg import (
     charpoly,
     coords_in_rref,
@@ -486,16 +487,20 @@ def test_integer_signature_of_a_congruent_diagonal_form(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_integer_is_subalgebra_matches_the_fraction_check(data):
-    from reductive_workbench.liealg import SubspaceBasis, is_subalgebra
-
+    # the pair in a random unimodular basis, so that the echelon rows of h
+    # have denominators, then h thinned out or widened by random vectors
     entry = catalog.construct(data.draw(st.sampled_from(("so4_mod_so2", "su3_mod_su2", "so3r1_mod_0"))))
-    L = entry.algebra
-    rows = [v for v in entry.h.rows if data.draw(st.booleans())]
+    n = entry.algebra.dim
+    Pm, Pinv = unimodular(n, random.Random(data.draw(st.integers(0, 2**16))))
+    L = make_lie_algebra(n, changed_basis_entries(n, entry.algebra.bracket_basis, Pm, Pinv))
+    h_rows = [matvec(transpose(linalg.matrix(Pinv)), v) for v in entry.h.rows]  # v P^-1
+    rows = [v for v in h_rows if data.draw(st.booleans())]
     for _ in range(data.draw(st.integers(0, 2))):
-        rows.append(tuple(data.draw(st.lists(small_fractions, min_size=L.dim, max_size=L.dim))))
-    sub = SubspaceBasis.from_vectors(L.dim, rows)
+        rows.append(tuple(data.draw(st.lists(small_fractions, min_size=n, max_size=n))))
+    sub = SubspaceBasis.from_vectors(n, rows)
     check = is_subalgebra(L, sub)
     expected = fraction_is_subalgebra(L, sub.rows, sub.pivots)
     assert check.ok == (expected is None)
     if expected is not None:
         assert check.witness.indices == (*expected, -1)
+    assert is_subalgebra(L, SubspaceBasis.from_vectors(n, h_rows)).ok
