@@ -410,11 +410,7 @@ def ad_invariance_check(L: LieAlgebra, form: BilinearForm) -> CheckResult:
     if len(form.gram) != L.dim:
         raise ValueError("form dimension does not match the algebra")
     scale, rows = L._integer_table
-    gram_scale = lcm(*(g.denominator for row in form.gram for g in row if g))
-    gram_rows = [
-        [(k, g.numerator * (gram_scale // g.denominator)) for k, g in enumerate(row) if g]
-        for row in form.gram
-    ]
+    gram_scale, gram_rows = _integer_rows(form.gram)
     for i, row in enumerate(rows):
         defect: dict[tuple[int, int], int] = {}
         for j, terms in row.items():

@@ -380,8 +380,7 @@ def _annihilates(int_rows: list[dict[int, int]], candidates: list[Vector]) -> bo
     """Exact certificate: every row times every candidate is zero, each row
     walked over its support (candidates scaled to integers first)."""
     for v in candidates:
-        scale = lcm(*(x.denominator for x in v if x))
-        w = {c: x.numerator * (scale // x.denominator) for c, x in enumerate(v) if x}
+        w = dict(_integer_support(v)[1])
         for row in int_rows:
             small, big = (row, w) if len(row) <= len(w) else (w, row)
             if sum(x * big.get(c, 0) for c, x in small.items()):
