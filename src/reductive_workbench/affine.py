@@ -27,6 +27,7 @@ from .liealg import (
     LieAlgebra,
     SubspaceBasis,
     TripleWitness,
+    _canonical,
     ad_invariance_check,
     center,
     derived_subalgebra,
@@ -161,9 +162,8 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     metric_invariant = ad_invariance_check(algebra, form).ok
     posdef = form.definiteness == "positive-definite"
     basis_t = transpose(carrier.rows)
-    center_ambient = SubspaceBasis.from_vectors(
-        pair.algebra.dim, [matvec(basis_t, t) for t in center(algebra).rows]
-    )
+    # rref k-coordinates through the rref carrier rows are the rref of the center
+    center_ambient = _canonical(pair.algebra.dim, [matvec(basis_t, t) for t in center(algebra).rows])
     return InvariantFieldAlgebra(
         carrier, algebra, gram, metric_invariant,
         posdef and metric_invariant, center_ambient, status,

@@ -29,7 +29,7 @@ from .homspace import (
     isotropy_fixed_subspace,
     normal_decomposition,
 )
-from .liealg import LieAlgebra, SubspaceBasis
+from .liealg import LieAlgebra, SubspaceBasis, _canonical
 from .linalg import Matrix, ONE, ZERO
 from .numlab import MatrixRealization, make_matrix_realization
 
@@ -196,7 +196,8 @@ def su_corner_indices(n: int, k: int) -> list[int]:
 
 
 def _unit_rows(ambient, indices):
-    return SubspaceBasis.from_vectors(
+    # the indices are sorted, so the unit rows are their own rref
+    return _canonical(
         ambient,
         [tuple(ONE if c == i else ZERO for c in range(ambient)) for i in indices],
     )
@@ -209,7 +210,8 @@ def _diagonal_subspace(factor_dim: int) -> SubspaceBasis:
         row[i] = ONE
         row[factor_dim + i] = ONE
         rows.append(row)
-    return SubspaceBasis.from_vectors(2 * factor_dim, rows)
+    # e_i + e_{n+i}: pivot i, and no row meets another's pivot
+    return _canonical(2 * factor_dim, rows)
 
 
 # ---------------------------------------------------------------------------

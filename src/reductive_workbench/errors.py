@@ -13,7 +13,8 @@ class JacobiViolation(WorkbenchError):
     def __init__(self, i: int, j: int, k: int, defect):
         self.triple = (i, j, k)
         self.defect = defect
-        super().__init__(f"Jacobi identity fails on basis triple {self.triple}: defect {defect}")
+        rendered = ", ".join(map(str, defect))  # Fractions as p/q, not their reprs
+        super().__init__(f"Jacobi identity fails on basis triple {self.triple}: defect ({rendered})")
 
 
 class DegenerateForm(WorkbenchError):

@@ -35,6 +35,7 @@ from .liealg import (
     LieAlgebra,
     SubspaceBasis,
     TripleWitness,
+    _canonical,
     _largest_ideal_in,
     ad_invariance_check,
     center,
@@ -419,10 +420,8 @@ def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
         for cols in pair.table.ad_h
         for c in range(r)
     ]
-    t_kernel = kernel(system, r)
-    return SubspaceBasis.from_vectors(
-        pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in t_kernel]
-    )
+    # rref m-coordinates through the rref rows of m are the rref of m^h
+    return _canonical(pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernel(system, r)])
 
 
 @dataclass(frozen=True)
@@ -453,7 +452,7 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     if 0 < fixed.dim < m.dim:
         return ProbeResult("reducible", fixed, None)
     if fixed.dim == m.dim >= 2:
-        line = SubspaceBasis.from_vectors(pair.algebra.dim, [m.rows[0]])
+        line = _canonical(pair.algebra.dim, [m.rows[0]])  # one rref row of m
         return ProbeResult("reducible", line, None)
     basis = commutant(pair.table.ad_h, m.dim)
     if len(basis) == 1:
@@ -461,7 +460,6 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
     kernels = commutant_split(basis)
     if kernels is None:
         return ProbeResult("inconclusive", None, len(basis))
-    witness = SubspaceBasis.from_vectors(
-        pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernels[0]]
-    )
+    # a primary kernel is rref in m-coordinates, taken through the rref rows of m
+    witness = _canonical(pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernels[0]])
     return ProbeResult("reducible", witness, len(basis))

@@ -19,9 +19,11 @@ An algebra also caches its Killing form, center, derived subalgebra [g, g]
 and simple-ideal split, each built once on first use; `killing_form`,
 `center`, `derived_subalgebra` and `simple_ideal_decomposition` return them.
 
-Subalgebra closures and largest ideals are fixpoints of one exact worklist,
-`_closure`. The simple ideals need no closure: they are read off a Cartan
-subalgebra, from a centroid system with rank^2 unknowns (`_split_semisimple`).
+Each subspace is reduced once: `kernel` returns rref rows, and `_canonical`
+wraps rows that are the rref by construction. The largest ideal inside h is
+a worklist over `linalg._add_row` pivots. The simple ideals need no closure:
+they are read off a Cartan subalgebra, from a centroid system with rank^2
+unknowns (`_split_semisimple`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateForm,
@@ -41,7 +43,6 @@ from .errors import (
     WorkbenchError,
 )
 from .linalg import (
-    EchelonBasis,
     Matrix,
     Vector,
     ZERO,
@@ -61,6 +62,7 @@ from .linalg import (
     stack,
     transpose,
     vector,
+    _add_row,
     _add_row_mod_p,
     _divided,
     _integer_rows,
@@ -123,9 +125,14 @@ class SubspaceBasis:
 
 
 def _kernel_subspace(system: Sequence, n: int) -> SubspaceBasis:
-    """{x : system x = 0} as a subspace. `kernel` returns the rref rows of the
-    kernel, so each row's pivot is its leading index and no second rref runs."""
-    rows = kernel(system, n)
+    """{x : system x = 0} as a subspace: `kernel` returns its rref rows."""
+    return _canonical(n, kernel(system, n))
+
+
+def _canonical(n: int, rows: Sequence[Vector]) -> SubspaceBasis:
+    """The subspace of Q^n whose rref is `rows`, wrapped without another
+    rref: each row's pivot is its leading index."""
+    rows = tuple(map(tuple, rows))
     return SubspaceBasis(n, rows, tuple(next(k for k, x in enumerate(row) if x) for row in rows))
 
 
@@ -364,6 +371,9 @@ class TripleWitness:
     indices: tuple[int, int, int]
     defect: Fraction
 
+    def __str__(self) -> str:  # as error messages print it: the defect as p/q
+        return f"{self.indices}, defect {self.defect}"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -468,13 +478,6 @@ def _build_derived(L: LieAlgebra) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(L.dim, vectors)
 
 
-def span_closure(L: LieAlgebra, seed: SubspaceBasis) -> SubspaceBasis:
-    """Smallest subalgebra containing the seed: each vector that joins is
-    bracketed once with every vector that joined before it."""
-    rows = _closure(seed.rows, L.dim, lambda v, done: [L.bracket(u, v) for u in done])
-    return SubspaceBasis.from_vectors(L.dim, rows)
-
-
 def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
     """Is [sub, sub] inside sub? Each pair a < b of echelon rows is bracketed
     in integers from the integer table; the rows are zero at each other's
@@ -509,27 +512,16 @@ def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
 
     A subspace I of h is an ideal iff its annihilator contains that of h and
     is closed under phi -> phi o ad(e_i), so the largest ideal is the kernel
-    of the closure of the annihilator of h under those maps.
+    of the closure of the annihilator of h under those maps: each functional
+    that joins the integer pivot rows is mapped once, by `coadjoint`.
     """
-    dual = _closure(h.annihilator(), L.dim, lambda phi, done: L.coadjoint(phi))
-    return _kernel_subspace(dual, L.dim)
-
-
-def _closure(seeds: Iterable[Vector], target: int, images: Callable[..., Iterable[Vector]]) -> list[Vector]:
-    """Echelon rows of the smallest subspace that contains the seeds and is
-    closed under `images`; the search stops at dimension `target`. Each vector
-    that joins is mapped once, by images(v, done), `done` being the vectors
-    mapped before it."""
-    basis = EchelonBasis()
-    queue = [v for v in seeds if basis.add(v)]
-    done: list[Vector] = []
-    while queue and basis.dim < target:
-        v = queue.pop()
-        for w in images(v, done):
-            if basis.add(w):
-                queue.append(w)
-        done.append(v)
-    return basis.rows
+    pivots: dict[int, dict[int, int]] = {}
+    queue = [phi for phi in h.annihilator() if _add_row(pivots, dict(_integer_support(phi)[1]))]
+    while queue and len(pivots) < L.dim:
+        for psi in L.coadjoint(queue.pop()):
+            if _add_row(pivots, dict(_integer_support(psi)[1])):
+                queue.append(psi)
+    return _kernel_subspace(list(pivots.values()), L.dim)
 
 
 def commutant(mats: Sequence[Sequence[Sequence[tuple[int, Fraction]]]], r: int) -> tuple[Matrix, ...]:

@@ -8,7 +8,7 @@ rank or a kernel is all that is needed, and divided back once per result
 entry. The structure-constant kernels of `liealg` follow the same rule with
 one integer table per algebra.
 
-`rref`, `EchelonBasis.add` and `signature` eliminate integer rows by
+`rref` and `signature` eliminate integer rows by
 cross-multiplication (`_cross`): a row becomes a positive multiple of the
 rational row it stands for, and is divided by the gcd of its entries. The
 rref is unique, so dividing each pivot row by its pivot entry at the end
@@ -26,8 +26,9 @@ every candidate is zero. The rank over Q is at least the rank mod PRIME, so
 certified candidates span the exact kernel. Else the rows independent mod
 PRIME (so over Q) go to the exact eliminator `_exact_kernel`, and the whole
 system only if their kernel fails the certificate too, or a denominator is
-divisible by PRIME. Every route returns the rref of the kernel, which is
-unique, so all return the same bytes.
+divisible by PRIME. Kernels pivot on the last column, so their null vectors
+are the rref: the one of a free column f is 1 at f and nonzero elsewhere only
+at later pivots. All routes return that unique rref, with no second rref.
 
 `factor_poly` finds the rational roots mod PRIME as well: gcd(x^p - x, f)
 split by equal-degree steps, each root lifted by rational reconstruction and
@@ -165,7 +166,7 @@ def rref(rows: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -
 
 def _add_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
     """Reduce the integer row against the pivot rows and keep a nonzero
-    remainder as a new pivot row (True), as `_add_row_mod_p` does mod PRIME:
+    remainder as a new pivot row (True), pivoting on its first column:
     every pivot row is zero at the other pivot columns and positive at its
     own, so it is a positive multiple of its row of the rref."""
     for c in [c for c in row if c in pivots]:
@@ -252,15 +253,16 @@ def kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) ->
                 return ()  # rank over Q is at least the rank mod p
     candidates = _lifted_null_vectors(pivots, ncols)
     if candidates is not None and _annihilates(int_rows, candidates):
-        return rref(candidates, ncols)[0]
+        return candidates
     candidates = _exact_kernel(independent, ncols)
     if _annihilates(int_rows, candidates):
         return candidates
     return _exact_kernel(A, ncols)
 
 
-def _lifted_null_vectors(pivots: dict[int, dict[int, int]], ncols: int) -> list[Vector] | None:
-    """A null vector of the rref mod PRIME per free column, lifted, or None."""
+def _lifted_null_vectors(pivots: dict[int, dict[int, int]], ncols: int) -> Matrix | None:
+    """The rref of the kernel mod PRIME, one null vector per free column,
+    lifted, or None."""
     candidates = []
     for f in range(ncols):
         if f in pivots:
@@ -275,22 +277,21 @@ def _lifted_null_vectors(pivots: dict[int, dict[int, int]], ncols: int) -> list[
                     return None
                 v[p] = value
         candidates.append(tuple(v))
-    return candidates
+    return tuple(candidates)
 
 
 def _exact_kernel(A: Sequence[Sequence[Fraction] | dict[int, Fraction]], ncols: int) -> Matrix:
-    """The exact eliminator behind `kernel`: rref of A, then of the null vectors."""
-    red, pivots = rref(A, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return rref(basis, ncols)[0]
+    """The exact eliminator behind `kernel`: the rref of A with its columns
+    reversed, whose rows are zero after their pivots in A's order, so the null
+    vectors read from it are the rref of the kernel."""
+    last = ncols - 1
+    items = (row.items() if isinstance(row, dict) else enumerate(row) for row in A)
+    red, pivots = rref([{last - c: x for c, x in row} for row in items], ncols)
+    rows = {last - p: row for row, p in zip(red, pivots)}
+    return tuple(
+        tuple(ONE if c == f else -rows[c][last - f] if c in rows else ZERO for c in range(ncols))
+        for f in range(ncols) if f not in rows
+    )
 
 
 def _integer_support(v) -> tuple[int, list[tuple[int, int]]]:
@@ -342,7 +343,7 @@ def _add_row_mod_p(pivots: dict[int, dict[int, int]], int_row: dict[int, int]) -
         _axpy_mod_p(row, row.pop(c), pivots[c])
     if not row:
         return False
-    p = min(row)
+    p = max(row)  # pivot rows absorb only earlier pivots, so stay zero after theirs
     inv = pow(row.pop(p), -1, PRIME)
     row = {c: x * inv % PRIME for c, x in row.items()}
     for prow in pivots.values():
@@ -386,36 +387,6 @@ def _annihilates(int_rows: list[dict[int, int]], candidates: list[Vector]) -> bo
             if sum(x * big.get(c, 0) for c, x in small.items()):
                 return False
     return True
-
-
-class EchelonBasis:
-    """A growing echelon basis of a subspace of Q^n.
-
-    Each row is scaled to 1 at its pivot and has zeros at the pivots of the
-    rows before it, so reducing against the rows in order clears every pivot.
-    The reduction runs on the rows' integer multiples.
-    """
-
-    def __init__(self):
-        self.rows: list[Vector] = []
-        self._reducers: list[tuple[int, dict[int, int]]] = []  # (pivot, integer row)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Reduce v against the basis; a nonzero remainder joins it (True)."""
-        residual = dict(_integer_support(v)[1])
-        for p, row in self._reducers:
-            if p in residual:
-                residual = _cross(residual, row, p)
-        if not residual:
-            return False
-        pivot = min(residual)
-        self.rows.append(_dense(residual, residual[pivot], len(v)))
-        self._reducers.append((pivot, residual))
-        return True
 
 
 def coords_in_rref(rows: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector | None:
@@ -704,8 +675,8 @@ def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:
 
 
 def _rational_eigenspaces(A: Matrix, f: Sequence[Fraction]) -> tuple[Matrix, ...] | None:
-    """The eigenspaces of A, largest eigenvalue first, or None: the null vectors
-    of A - r mod PRIME, r a root of f, lifted, share one eigenvalue over Q."""
+    """The rref eigenspaces of A, largest eigenvalue first, or None: the null
+    vectors of A - r mod PRIME, r a root of f, lifted, share one eigenvalue."""
     scale = lcm(*(x.denominator for row in A for x in row if x))
     if scale % PRIME == 0:
         return None
@@ -719,7 +690,7 @@ def _rational_eigenspaces(A: Matrix, f: Sequence[Fraction]) -> tuple[Matrix, ...
         value = vectors and next(y / x for x, y in zip(vectors[0], matvec(A, vectors[0])) if x)
         if not vectors or any(matvec(A, v) != smul(value, v) for v in vectors):
             return None
-        spaces.append((-value, rref(vectors, len(A))[0]))
+        spaces.append((-value, vectors))
     if sum(len(space) for _, space in spaces) != len(A):
         return None
     return tuple(space for _, space in sorted(spaces))

@@ -29,6 +29,7 @@ from reductive_workbench.liealg import (
 )
 from reductive_workbench.homspace import (
     isotropy_fixed_subspace,
+    isotropy_irreducibility_probe,
     make_reductive_pair,
     normal_decomposition,
 )
@@ -162,6 +163,7 @@ def test_unclosed_invariant_field_carrier_raises_a_triple_witness(monkeypatch):
     with pytest.raises(ClosureFailure) as info:
         invariant_field_algebra.__wrapped__(pair)
     assert info.value.witness == TripleWitness((0, 1, -1), F(0))
+    assert str(info.value) == "invariant-field carrier is not bracket-closed: witness (0, 1, -1), defect 0"
 
 
 # --- Killing check ----------------------------------------------------------------
@@ -337,6 +339,25 @@ def test_k_table_matches_the_dense_oracle(make):
     expected = dense_invariant_field_entries(pair.algebra, pair.h.rows, pair.m.rows, k.carrier.rows)
     assert list(k.algebra.entries) == expected
     assert all(type(c) is Fraction for *_, c in k.algebra.entries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=n: construct(name).pair, id=n) for n in catalog_names()]
+    + [
+        pytest.param(dense_spec_pair, id="so3so3_mod_diag_dense"),
+        pytest.param(dense_so5_mod_so2_pair, id="so5_mod_so2_dense"),
+    ],
+)
+def test_subspaces_wrapped_without_an_rref_are_their_own_rref(make):
+    # m^h, the probe's invariant subspace, the center of k and the catalog h are
+    # built from rows that are the rref by construction and wrapped as they are;
+    # each must equal the rref of its own rows
+    pair = make()
+    probe = isotropy_irreducibility_probe(pair).invariant_subspace
+    wrapped = [isotropy_fixed_subspace(pair), invariant_field_algebra(pair).center, pair.h]
+    for sub in wrapped + ([] if probe is None else [probe]):
+        assert sub == SubspaceBasis.from_vectors(sub.ambient_dim, sub.rows)
 
 
 @pytest.mark.parametrize("name", ["su3_mod_su2", "so4so4_mod_diag", "so3r1_mod_0", "r2_mod_0"])

@@ -250,6 +250,32 @@ def test_cli_non_ascii_digits_are_a_malformed_rational(tmp_path, capsys, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "name, edit, expected",
+    [
+        (
+            "not_a_subalgebra",
+            {"subalgebra": [["1", "0", "0"], ["0", "1", "0"]]},
+            "error: normal_decomposition: subspace is not closed under the bracket: witness (0, 1, -1), defect 0",
+        ),
+        (
+            "jacobi",
+            {"brackets": [[1, 2, 3, "1"], [1, 3, 1, "1"]], "subalgebra": []},
+            "error: make_lie_algebra: Jacobi identity fails on basis triple (0, 1, 2): defect (0, 0, -1)",
+        ),
+    ],
+)
+def test_cli_engine_errors_print_rationals_and_witnesses_plainly(tmp_path, capsys, name, edit, expected):
+    # a witness prints as its index triple and defect, a rational as p/q
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps({**json.loads(SPHERE_TEXT), **edit}))
+    assert main([str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [expected]
+    assert "Fraction(" not in captured.err and "TripleWitness(" not in captured.err
+    assert captured.out == ""
+
+
 SPEC_SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src/reductive_workbench/schemas/spacespec.schema.json")
     .read_text()

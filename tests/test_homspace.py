@@ -124,6 +124,9 @@ def test_normal_decomposition_rejects_bad_explicit_metrics():
     L = cyclic_so3()
     with pytest.raises(MetricNotAdInvariant):
         normal_decomposition(L, unit_subspace(3, [2]), make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    with pytest.raises(MetricNotAdInvariant) as exc:
+        normal_decomposition(L, unit_subspace(3, [2]), make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]]))
+    assert str(exc.value) == "witness (0, 1, 2), defect -1/2"  # the rational as p/q, not its repr
     with pytest.raises(MetricNotPositiveDefinite):
         normal_decomposition(L, unit_subspace(3, [2]), make_bilinear_form([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 

@@ -311,14 +311,17 @@ def test_kernel_matches_dense_oracle_on_dense_and_dict_rows(data):
 @settings(max_examples=100)
 @given(st.data())
 def test_echelon_basis_grows_by_independent_rows(data):
+    # linalg._add_row keeps integer pivot rows, each a positive multiple of its row of the rref
     rows, cols = sparse_matrix(data)
-    basis = linalg.EchelonBasis()
+    pivots = {}
     for t, v in enumerate(rows):
-        grows = gauss_rank(rows[: t + 1], cols) > basis.dim
-        assert basis.add(v) == grows
-    assert basis.dim == gauss_rank(rows, cols)
-    assert rref(basis.rows, cols) == rref(rows, cols)
-    assert all_fractions(basis.rows)
+        grows = gauss_rank(rows[: t + 1], cols) > len(pivots)
+        assert linalg._add_row(pivots, dict(linalg._integer_support(v)[1])) == grows
+    assert len(pivots) == gauss_rank(rows, cols)
+    assert all(row[p] > 0 for p, row in pivots.items())
+    reduced = tuple(linalg._dense(row, row[p], cols) for p, row in sorted(pivots.items()))
+    assert reduced == rref(rows, cols)[0]
+    assert all_fractions(reduced)
 
 
 @pytest.fixture

@@ -1,0 +1,41 @@
+"""Smoke tests for the scripts under scripts/: each runs as a user would run it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from reductive_workbench.catalog import catalog_names, construct
+from reductive_workbench.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args):
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / args[0]), *args[1:]],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+    )
+
+
+def test_survey_catalog_prints_one_row_per_curated_entry():
+    proc = run_script("survey_catalog.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:6] for line in proc.stdout.splitlines()[2:]}
+    assert list(rows) == list(catalog_names())
+    for name, row in rows.items():
+        expected = construct(name).expected
+        dims = expected["dims"]
+        assert row == [str(x) for x in (dims["g"], dims["h"], dims["m"], dims["k"], expected["torus_dim"])], name
+
+
+def test_dense_spec_of_so4so4_mod_diag_keeps_the_catalog_dims(tmp_path, capsys):
+    proc = run_script("write_dense_spec.py", "so4so4_mod_diag", "--draw", "1", "--seed", "11", "--scales")
+    assert proc.returncode == 0, proc.stderr
+    spec = tmp_path / "so4so4_mod_diag.json"
+    spec.write_text(proc.stdout)
+    assert main(["--json", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == construct("so4so4_mod_diag").expected["dims"]
