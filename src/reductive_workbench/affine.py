@@ -12,6 +12,7 @@ through isomorphism invariants (dimension, center dimension, Killing inertia).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ClosureFailure, NotEffective, NotNormal, NotReductive
@@ -28,6 +29,7 @@ from .liealg import (
     SubspaceBasis,
     TripleWitness,
     _canonical,
+    _invariance_witness,
     ad_invariance_check,
     center,
     derived_subalgebra,
@@ -127,13 +129,13 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
         raise NotReductive("invariant-field algebra needs a reductive pair")
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
-    in_m = [tuple((a, x[p]) for a, p in enumerate(pair.m.pivots) if x[p]) for x in carrier.rows]
-    lead_of = {x[0][0]: k for k, x in enumerate(in_m)}  # leading m-index -> carrier row
-    # the carrier lies in m, so its Gram matrix pairs m-coordinates through the
-    # metric on m, summed in integers: the metric over one denominator G and the
-    # carrier rows over one denominator D, so every entry is over G D^2
-    G, metric = _integer_rows(map(dict, pair.table.gram))
-    D, rows = _integer_rows(map(dict, in_m))
+    table = pair.table
+    # the carrier's m-coordinates over one denominator D are rref: row k is D at
+    # its leading m-index and zero at the others'. The carrier lies in m, so its
+    # Gram matrix pairs them through the metric on m, over G: each entry is over G D^2
+    D, rows = _integer_rows({a: x[p] for a, p in enumerate(pair.m.pivots) if x[p]} for x in carrier.rows)
+    lead_of = {x[0][0]: k for k, x in enumerate(rows)}  # leading m-index -> carrier row
+    G, metric = table.gram_scale, table.gram
     gram = []
     for x in rows:
         image: dict[int, int] = {}  # image[c] = G D <carrier row, m_c>
@@ -145,17 +147,18 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     entries = []
     for a in range(carrier.dim):
         for b in range(a + 1, carrier.dim):
-            # [X_a, X_b]_k = sum c_k X_k iff [X_a, X_b]_m + sum c_k X_k = 0
-            residual = pair.table.bracket(in_m[a], in_m[b])[1]
-            coords = sorted((lead_of[t], -v) for t, v in residual.items() if v and t in lead_of)
+            # [X_a, X_b]_k = sum c_k X_k iff [X_a, X_b]_m + sum c_k X_k = 0; bracket is over scale D^2
+            bracket = table.bracket(rows[a], rows[b])[1]
+            coords = sorted((lead_of[t], -v) for t, v in bracket.items() if v and t in lead_of)
+            residual = {t: D * v for t, v in bracket.items()}
             for k, c in coords:
-                for t, v in in_m[k]:
-                    residual[t] = residual.get(t, ZERO) + c * v
+                for t, v in rows[k]:
+                    residual[t] = residual.get(t, 0) + c * v
             if any(residual.values()):
                 raise ClosureFailure(
                     TripleWitness((a, b, -1), ZERO), "invariant-field carrier is not bracket-closed"
                 )
-            entries.extend((a, b, k, c) for k, c in coords)
+            entries.extend((a, b, k, Fraction(c, table.scale * D * D)) for k, c in coords)
     labels = tuple(f"k{a + 1}" for a in range(carrier.dim))
     algebra = LieAlgebra(carrier.dim, labels, tuple(entries))
     form = make_bilinear_form(gram)
@@ -181,9 +184,9 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
         raise NotReductive("Killing check needs a reductive pair")
     if pair.table.nr_witness is None:
         return CheckResult(True)
-    rows = isotropy_fixed_subspace(pair).rows
-    witnesses = (pair.table.nr_defect_witness(pair.split(x)[1], a) for a, x in enumerate(rows))
-    witness = next(filter(None, witnesses), None)
+    table = pair.table
+    D, rows = _integer_rows(dict(pair.split(x)[1]) for x in isotropy_fixed_subspace(pair).rows)
+    witness = _invariance_witness(map(table.m_operator, rows), table.gram, D * table.scale * table.gram_scale)
     return CheckResult(witness is None, witness)
 
 

@@ -11,8 +11,9 @@ The torsion follows from T(X,Y) = D_X Y - D_Y X - [X,Y] applied to the induced
 Killing fields, whose Lie bracket at the basepoint is -[X,Y]_m.
 
 The consistency sweep (torsion antisymmetry, canonical = 2 LC, first Bianchi
-identity) that the report runs under `checks="all"` reads the pair's adapted
-table in m-coordinates; the tables of ambient vectors are views of it.
+identity) that the report runs under `checks="all"` sums the integer terms of
+the pair's adapted table in m-coordinates; the tables of ambient vectors are
+views of it, divided once per entry.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 from .errors import NotNaturallyReductive, NotReductive
 from .homspace import AdaptedTable, ReductivePair, Terms
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, Vector
 
 HALF = Fraction(1, 2)
 
@@ -51,6 +52,7 @@ class ConnectionTensors:
 
     def _view(self, scale: Fraction) -> Table2:
         table, r = self.pair.table, self.pair.m.dim
+        scale /= table.scale
         return tuple(
             tuple(self.pair.from_m_terms(_m_part(table, a, b, scale).items()) for b in range(r))
             for a in range(r)
@@ -96,19 +98,19 @@ def connection_tensors_at_basepoint(pair: ReductivePair) -> ConnectionTensors:
 
 
 def _m_part(table: AdaptedTable, a: int, b: int, scale: Fraction) -> dict[int, Fraction]:
-    """m-coordinates of scale [m_a, m_b]_m: C = T at scale -1, LC at -1/2."""
+    """m-coordinates of scale [m_a, m_b]_m, over the table's scale: C = T at scale -1, LC at -1/2."""
     sign, _, in_m = table.entry(a, b)
     return {t: sign * scale * x for t, x in in_m}
 
 
 def _curvature(table: AdaptedTable, a: int, b: int, c: int) -> dict[int, Fraction]:
-    """m-coordinates of R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c]."""
+    """m-coordinates of R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c], summed in integers and divided once."""
     sign, in_h, _ = table.entry(a, b)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for i, y in in_h:
         for t, v in table.ad_h[i][c]:
-            out[t] = out.get(t, ZERO) - sign * y * v
-    return out
+            out[t] = out.get(t, 0) - sign * y * v
+    return {t: Fraction(v, table.scale**2) for t, v in out.items()}
 
 
 def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
@@ -129,22 +131,19 @@ def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
     )
 
     def bianchi_holds(a: int, b: int, c: int) -> bool:
-        # R(m_x, m_y)m_z - T(T(m_x, m_y), m_z) = -[[m_x, m_y]_h, m_z] - [[m_x, m_y]_m, m_z]_m;
-        # each product is formed once, its sign folded into the outer coefficient
-        total: dict[int, Fraction] = {}
-
-        def add(coef: Fraction, terms: Terms) -> None:
-            for t, q in terms:
-                p = coef * q
-                total[t] = total[t] + p if t in total else p
-
+        # R(m_x, m_y)m_z - T(T(m_x, m_y), m_z) = -[[m_x, m_y]_h, m_z] - [[m_x, m_y]_m, m_z]_m,
+        # summed in integers over the square of the table's scale
+        products: list[tuple[int, Terms]] = []
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             sign, in_h, in_m = table.entry(x, y)
-            for i, coef in in_h:
-                add(coef if sign < 0 else -coef, table.ad_h[i][z])
+            products.extend((-sign * coef, table.ad_h[i][z]) for i, coef in in_h)
             for s, coef in in_m:
                 sign2, _, m2 = table.entry(s, z)
-                add(coef if sign * sign2 < 0 else -coef, m2)
+                products.append((-sign * sign2 * coef, m2))
+        total: dict[int, int] = {}
+        for coef, terms in products:
+            for t, q in terms:
+                total[t] = total.get(t, 0) + coef * q
         return not any(total.values())
 
     bianchi = all(

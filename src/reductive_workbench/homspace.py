@@ -7,10 +7,10 @@ the isotropy representation on m for fixed vectors and invariant subspaces.
 The default metric is -B, minus the Killing form; a recipe adds only its
 center Gram matrix and rescaled simple ideals to it. A pair keeps one
 coordinate map along the rows of h and then of m, in integers over one
-denominator, which `ReductivePair.split` reads. The adapted table takes the
-integer support of each row of h and m once, brackets them from the integer
-table of g and splits each bracket through that map, dividing once per
-coordinate.
+denominator, which `ReductivePair.split` reads. The adapted table brackets
+the rows of h and m, scaled to integers together, and splits each bracket
+through that map; it keeps integer terms over one scale, which its readers
+divide once per result entry, and `liealg._invariance_witness` reads it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .liealg import (
     SubspaceBasis,
     TripleWitness,
     _canonical,
+    _invariance_witness,
     _largest_ideal_in,
     ad_invariance_check,
     center,
@@ -72,17 +73,8 @@ class MetricSpec:
     optional positive rational scales, and a user Gram matrix on the center
     (identity by default)."""
 
-    mode: str = "negative_killing"  # "negative_killing" (all defaults) or "custom"
     scale_factors: tuple[Fraction, ...] | None = None
     center_gram: Matrix | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("negative_killing", "custom"):
-            raise ValueError(f"unknown metric mode {self.mode!r}")
-        if self.mode == "negative_killing" and (
-            self.scale_factors is not None or self.center_gram is not None
-        ):
-            raise ValueError("negative_killing mode takes no parameters; use mode='custom'")
 
     @staticmethod
     def custom(scale_factors=None, center_gram=None) -> "MetricSpec":
@@ -92,7 +84,7 @@ class MetricSpec:
         gram = None
         if center_gram is not None:
             gram = tuple(vector(row) for row in center_gram)
-        return MetricSpec("custom", scales, gram)
+        return MetricSpec(scales, gram)
 
 
 def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
@@ -158,13 +150,13 @@ class ReductiveFlags:
 
 
 # ((index, coefficient), ...) over the nonzero coordinates of one vector
-Terms = tuple[tuple[int, Fraction], ...]
+Terms = tuple[tuple[int, int | Fraction], ...]
 
 
 @dataclass(frozen=True)
 class AdaptedTable:
-    """The brackets of a reductive pair in its adapted basis, the echelon rows
-    h_i of h and m_a of m, as nonzero terms along those rows:
+    """The brackets in the adapted basis, the echelon rows h_i of h and m_a of m,
+    as nonzero integer terms over `scale`, and the metric over `gram_scale`:
 
         ad_h[i][b]    m-terms of [h_i, m_b], i.e. column b of ad(h_i)|_m
         pairs[a][b]   (h-terms, m-terms) of [m_a, m_b] for a < b, when nonzero;
@@ -172,20 +164,22 @@ class AdaptedTable:
         gram[a]       the nonzero <m_a, m_c> of the metric on m
         nr_witness    first (a, b, c) with <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m> != 0"""
 
+    scale: int
     ad_h: tuple[tuple[Terms, ...], ...]
     pairs: tuple[dict[int, tuple[Terms, Terms]], ...]
+    gram_scale: int
     gram: tuple[Terms, ...]
     nr_witness: TripleWitness | None
 
     def entry(self, a: int, b: int) -> tuple[int, Terms, Terms]:
-        """(sign, h-terms, m-terms) with [m_a, m_b] = sign times the terms."""
+        """(sign, h-terms, m-terms) with scale [m_a, m_b] = sign times the terms."""
         if a < b:
             return (1, *self.pairs[a].get(b, ((), ())))
         return (-1, *self.pairs[b].get(a, ((), ())))
 
-    def bracket(self, x: Terms, y: Terms) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-        """h- and m-coordinates of [X, Y] for X, Y in m given by their nonzero
-        m-coordinates; a coordinate that cancels stays as a zero."""
+    def bracket(self, x: Terms, y: Terms) -> tuple[dict[int, int], dict[int, int]]:
+        """h- and m-coordinates of scale [X, Y] for X, Y in m given by their
+        nonzero m-coordinates; a coordinate that cancels stays as a zero."""
         in_h, in_m = {}, {}
         for a, xa in x:
             for b, yb in y:
@@ -194,24 +188,14 @@ class AdaptedTable:
                     continue
                 coef = sign * xa * yb
                 for i, v in h_terms:
-                    in_h[i] = in_h.get(i, ZERO) + coef * v
+                    in_h[i] = in_h.get(i, 0) + coef * v
                 for t, v in m_terms:
-                    in_m[t] = in_m.get(t, ZERO) + coef * v
+                    in_m[t] = in_m.get(t, 0) + coef * v
         return in_h, in_m
 
-    def nr_defect_witness(self, x: Terms, a: int) -> TripleWitness | None:
-        """(a, b, c) for the lexicographically first (b, c) with a nonzero
-        defect <[X, m_b]_m, m_c> + <m_b, [X, m_c]_m>, with that defect, for X
-        in m given by its nonzero m-coordinates; None when there is none."""
-        pairing: dict[tuple[int, int], Fraction] = {}
-        for b in range(len(self.pairs)):
-            for t, v in self.bracket(x, ((b, ONE),))[1].items():
-                for c, g in self.gram[t]:
-                    pairing[b, c] = pairing.get((b, c), ZERO) + v * g
-        # the defect is symmetric in b and c, so the first one has b <= c
-        defects = {(min(bc), max(bc)): p + pairing.get(bc[::-1], ZERO) for bc, p in pairing.items()}
-        first = min((bc for bc, d in defects.items() if d), default=None)
-        return None if first is None else TripleWitness((a, *first), defects[first])
+    def m_operator(self, x: Terms) -> list:
+        """The columns (b, m-terms of scale [X, m_b]) of [X, .]_m on m."""
+        return [(b, self.bracket(x, ((b, 1),))[1].items()) for b in range(len(self.pairs))]
 
 
 # (C, rows): rows[k] holds the nonzero (t, C y) with e_k = sum y (h.rows + m.rows)[t]
@@ -238,7 +222,9 @@ class ReductivePair:
 
     def split(self, X: Vector) -> tuple[Terms, Terms]:
         """The nonzero (h-terms, m-terms) of X along g = h + m."""
-        return _split(self.coords, self.h.dim, *_integer_support(X))
+        d, support = _integer_support(X)
+        parts = _split(self.coords, self.h.dim, support)
+        return tuple(tuple((t, Fraction(v, d * self.coords[0])) for t, v in part) for part in parts)
 
     def project_m(self, X: Vector) -> Vector:
         return self.from_m_terms(self.split(X)[1])
@@ -265,45 +251,43 @@ def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> V
     return tuple(out)
 
 
-def _split(coords: CoordinateMap, s: int, d: int, support: Iterable[tuple[int, int]]) -> tuple[Terms, Terms]:
-    """(h-terms, m-terms) of X = sum x e_k / d over the integer support (k, x)
-    of d X, summed in integers and divided once per coordinate; s = dim h."""
-    scale, rows = coords
+def _split(coords: CoordinateMap, s: int, support: Iterable[tuple[int, int]]) -> tuple[Terms, Terms]:
+    """The integer (h-terms, m-terms) of C X, for the integer support (k, x)
+    of X and the coordinate map over C; s = dim h."""
     out: dict[int, int] = {}
     for k, x in support:
-        for t, y in rows[k]:
+        for t, y in coords[1][k]:
             out[t] = out.get(t, 0) + x * y
-    den = d * scale
-    terms = sorted((t, Fraction(v, den)) for t, v in out.items() if v)
+    terms = sorted((t, v) for t, v in out.items() if v)
     return tuple(tv for tv in terms if tv[0] < s), tuple((t - s, v) for t, v in terms if t >= s)
 
 
 def _adapted_table(
     L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coords: CoordinateMap, gram_m: Matrix
 ) -> AdaptedTable | None:
-    """The adapted table, or None when some [h_i, m_b] leaves m. Each row's
-    integer support is taken once; a bracket is summed from the integer table
-    of L and split by the integer coordinate map."""
-    r, scale = m.dim, L._integer_table[0]
-    hs = [_integer_support(u) for u in h.rows]
-    ms = [_integer_support(w) for w in m.rows]
+    """The adapted table, or None when some [h_i, m_b] leaves m. The rows of h
+    and m are scaled to integers together, over E, so every bracket is summed
+    from the integer table of L, over D, and split by the coordinate map, over
+    C: each term is over the one scale C D E^2."""
+    s, r = h.dim, m.dim
+    E, rows = _integer_rows(h.rows + m.rows)
 
-    def split(u: tuple[int, list], w: tuple[int, list]) -> tuple[Terms, Terms]:
-        acc = L._integer_bracket(u[1], w[1])
-        return _split(coords, h.dim, scale * u[0] * w[0], [(k, x) for k, x in enumerate(acc) if x])
+    def split(u: list, w: list) -> tuple[Terms, Terms]:
+        return _split(coords, s, [(k, x) for k, x in enumerate(L._integer_bracket(u, w)) if x])
 
-    ad_h = tuple(tuple(split(u, w) for w in ms) for u in hs)
+    ad_h = tuple(tuple(split(u, w) for w in rows[s:]) for u in rows[:s])
     if any(in_h for cols in ad_h for in_h, _ in cols):
         return None
     pairs = tuple(
-        {b: entry for b in range(a + 1, r) if any(entry := split(ms[a], ms[b]))}
+        {b: entry for b in range(a + 1, r) if any(entry := split(rows[s + a], rows[s + b]))}
         for a in range(r)
     )
-    gram = tuple(tuple((c, g) for c, g in enumerate(row) if g) for row in gram_m)
-    table = AdaptedTable(tuple(tuple(in_m for _, in_m in cols) for cols in ad_h), pairs, gram, None)
-    # the defect is walked one a at a time, in the order of the triples
-    witnesses = (table.nr_defect_witness(((a, ONE),), a) for a in range(r))
-    return replace(table, nr_witness=next(filter(None, witnesses), None))
+    G, gram = _integer_rows(gram_m)
+    m_cols = tuple(tuple(in_m for _, in_m in cols) for cols in ad_h)
+    scale = coords[0] * L._integer_table[0] * E * E
+    table = AdaptedTable(scale, m_cols, pairs, G, tuple(map(tuple, gram)), None)
+    operators = (table.m_operator(((a, 1),)) for a in range(r))  # walked one a at a time
+    return replace(table, nr_witness=_invariance_witness(operators, table.gram, scale * G))
 
 
 def make_reductive_pair(

@@ -409,31 +409,35 @@ def _build_killing(L: LieAlgebra) -> BilinearForm:
 
 
 def ad_invariance_check(L: LieAlgebra, form: BilinearForm) -> CheckResult:
-    """<[e_i,e_j], e_k> + <e_j, [e_i,e_k]> = 0 over all ordered basis triples.
-
-    The Gram matrix is symmetric, so the defect of (i, j, k) is
-    P_i[j][k] + P_i[k][j] with P_i[j][k] = <[e_i, e_j], e_k>; each P_i is summed
-    in integers, over the nonzero entries of the scaled ad(e_i) and of the Gram
-    matrix scaled by the lcm G of its denominators. The witness is the
-    lexicographically first triple with a nonzero defect, divided by D G.
-    """
+    """<[e_i,e_j], e_k> + <e_j, [e_i,e_k]> = 0 over all ordered basis triples:
+    `_invariance_witness` on the integer ad(e_i), over D, and the Gram matrix
+    scaled by the lcm G of its denominators, so the defect is over D G."""
     if len(form.gram) != L.dim:
         raise ValueError("form dimension does not match the algebra")
     scale, rows = L._integer_table
     gram_scale, gram_rows = _integer_rows(form.gram)
-    for i, row in enumerate(rows):
+    witness = _invariance_witness((row.items() for row in rows), gram_rows, scale * gram_scale)
+    return CheckResult(witness is None, witness)
+
+
+def _invariance_witness(ops: Iterable, gram: Sequence, den: int) -> TripleWitness | None:
+    """The first (i, j, k) with <A_i e_j, e_k> + <e_j, A_i e_k> != 0 and its
+    defect over den, or None. Each A_i comes as its columns (j, the nonzero
+    (a, A_i[a][j])) and the symmetric Gram matrix as the nonzero (k, G[a][k])
+    of each row a, in integers; the operators are read one at a time."""
+    for i, cols in enumerate(ops):
         defect: dict[tuple[int, int], int] = {}
-        for j, terms in row.items():
+        for j, terms in cols:
             for a, c in terms:
-                for k, g in gram_rows[a]:
+                for k, g in gram[a]:
                     cg = c * g
                     defect[j, k] = defect.get((j, k), 0) + cg
                     defect[k, j] = defect.get((k, j), 0) + cg
         failing = [jk for jk, d in defect.items() if d]
         if failing:
             j, k = min(failing)
-            return CheckResult(False, TripleWitness((i, j, k), Fraction(defect[j, k], scale * gram_scale)))
-    return CheckResult(True)
+            return TripleWitness((i, j, k), Fraction(defect[j, k], den))
+    return None
 
 
 def orthogonal_complement(sub: SubspaceBasis, form: BilinearForm) -> SubspaceBasis:

@@ -185,15 +185,9 @@ def run_report(
     witnesses: list[dict] = []
 
     def record_witness(check: str, witness) -> None:
-        if witness is None:
-            return
-        entry_dict = {"check": check, "indices": list(witness.indices)}
-        defect = witness.defect
-        if isinstance(defect, (tuple, list)):
-            entry_dict["defect"] = _fmt_vector(defect)
-        else:
-            entry_dict["defect"] = _fmt(defect)
-        witnesses.append(entry_dict)
+        if witness is not None:
+            indices = list(witness.indices)
+            witnesses.append({"check": check, "indices": indices, "defect": _fmt(witness.defect)})
 
     nr = _step("naturally_reductive_check", naturally_reductive_check, pair)
     record_witness("naturally_reductive_identity", nr.witness)

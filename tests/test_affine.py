@@ -46,6 +46,7 @@ from oracles import (
 )
 from test_cli import _changed_basis
 from test_homspace import (
+    dense_spec_pair,
     diagonal_pair,
     heisenberg_center_pair,
     second_factor_pair,
@@ -304,13 +305,6 @@ def test_assembled_affine_algebra_passes_the_skipped_jacobi_sweep():
         # no nonzero carrier vector inside g1 centralizes g1
         assert k.carrier.intersect(aff.g1).intersect(centralizer(L, aff.g1)).dim == 0, name
     assert assembled == len(names) - 1  # all but so3so3_mod_second_factor
-
-
-def dense_spec_pair():
-    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
-    L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
-    h = SubspaceBasis.from_vectors(spec.dim, spec.subalgebra_rows)
-    return normal_decomposition(L, h, spec.metric_spec)
 
 
 def dense_so5_mod_so2_pair():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductive_workbench.affine import invariant_field_killing_check
+from reductive_workbench.catalog import CURATED_NAMES, construct
 from reductive_workbench.errors import (
     InvalidMetricSpec,
     MetricNotAdInvariant,
@@ -34,7 +35,7 @@ from reductive_workbench.liealg import (
 )
 from reductive_workbench.linalg import mat_inverse, matrix, rat
 
-from oracles import dense_block_metric, dense_normalizer, dense_nr_defect
+from oracles import dense_block_metric, dense_bracket, dense_m_part, dense_normalizer, dense_nr_defect
 
 from test_liealg import (
     CYCLIC_SO3,
@@ -145,8 +146,6 @@ def test_metric_spec_validation():
         build_metric(L, MetricSpec.custom(scale_factors=[1, -1]))
     with pytest.raises(InvalidMetricSpec):
         build_metric(L, MetricSpec.custom(center_gram=[[1]]))  # centerless
-    with pytest.raises(ValueError):
-        MetricSpec("negative_killing", (rat(2),), None)
 
 
 def test_center_gram_metric_on_so3_plus_r():
@@ -306,6 +305,49 @@ def test_killing_check_fails_with_the_naturally_reductive_witness():
     assert killing.witness == nr.witness
     assert killing.witness.indices == (1, 2, 3)
     assert killing.witness.defect == F(1, 2)
+
+
+def dense_spec_pair():
+    from reductive_workbench.specfile import load_space_spec_file
+
+    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
+    L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
+    h = SubspaceBasis.from_vectors(spec.dim, spec.subalgebra_rows)
+    return normal_decomposition(L, h, spec.metric_spec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=name: construct(name).pair, id=name) for name in CURATED_NAMES]
+    + [pytest.param(dense_spec_pair, id="so3so3_mod_diag_dense")],
+)
+def test_adapted_table_is_integer_over_its_two_scales(make):
+    # the stored terms are ints; over `scale` they are the oracle's brackets,
+    # m-part and h-part as the remainder, and over `gram_scale` the metric on m
+    pair = make()
+    table, r = pair.table, pair.m.dim
+    terms = [x for cols in table.ad_h for col in cols for x in col]
+    terms += [x for row in table.pairs for parts in row.values() for part in parts for x in part]
+    terms += [x for row in table.gram for x in row]
+    assert all(type(t) is int and type(v) is int for t, v in terms)
+
+    def divided(terms, sign=1):
+        return [(t, F(sign * v, table.scale)) for t, v in terms]
+
+    bracket = dense_bracket(pair.algebra)
+    m_part = dense_m_part(pair.algebra, pair.h.rows, pair.m.rows)
+    for a, x in enumerate(pair.m.rows):
+        for b, y in enumerate(pair.m.rows):
+            sign, in_h, in_m = table.entry(a, b)
+            expected = m_part(x, y)
+            assert list(pair.from_m_terms(divided(in_m, sign))) == expected
+            h_part = [u - v for u, v in zip(bracket(x, y), expected)]
+            assert list(pair.from_h_terms(divided(in_h, sign))) == h_part
+    for i, u in enumerate(pair.h.rows):
+        for b, y in enumerate(pair.m.rows):
+            assert list(pair.from_m_terms(divided(table.ad_h[i][b]))) == bracket(u, y)
+    gram = [[F(dict(row).get(c, 0), table.gram_scale) for c in range(r)] for row in table.gram]
+    assert gram == [list(row) for row in pair.metric.restrict(pair.m)]
 
 
 @pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3_mod_0"])

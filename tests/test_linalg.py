@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+# primary_kernels imports sympy at the first irreducible factor of degree >= 2;
+# loading it here keeps that one-time import (350-390 ms) out of the examples
+# that hypothesis times against its 200 ms deadline
+import sympy  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
