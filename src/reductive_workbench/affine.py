@@ -64,10 +64,10 @@ def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
     (in [m, m]) minus [h_i, [X, Y]_m] (in m)."""
     if not pair.flags.reductive:
         raise NotReductive("transvection algebra needs a reductive pair")
-    vectors = list(pair.m.rows)
-    for row in pair.table.pairs:
-        vectors.extend(pair.from_h_terms(in_h) for in_h, _ in row.values() if in_h)
-    return SubspaceBasis.from_vectors(pair.algebra.dim, vectors)
+    h_parts = [pair.from_h_terms(in_h) for row in pair.table.pairs for in_h, _ in row.values() if in_h]
+    if not h_parts:  # [m, m] lies in m, and m is reduced already
+        return pair.m
+    return SubspaceBasis.from_vectors(pair.algebra.dim, [*pair.m.rows, *h_parts])
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Sign conventions, fixed once and echoed in every report header:
 The torsion follows from T(X,Y) = D_X Y - D_Y X - [X,Y] applied to the induced
 Killing fields, whose Lie bracket at the basepoint is -[X,Y]_m.
 
-The consistency sweep (torsion antisymmetry, canonical = 2 LC, first Bianchi
-identity) that the report runs under `checks="all"` sums the integer terms of
-the pair's adapted table in m-coordinates; the tables of ambient vectors are
-views of it, divided once per entry.
+The consistency sweep that the report runs under `checks="all"` reads the
+integer terms of the pair's adapted table, the Bianchi identity through the
+Jacobi check's cyclic routine; the tables of ambient vectors are views of the
+adapted table, divided once per entry.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from functools import cached_property
 
 from .errors import NotNaturallyReductive, NotReductive
 from .homspace import AdaptedTable, ReductivePair, Terms
+from .liealg import _cyclic_witness
 from .linalg import ONE, Vector
 
 HALF = Fraction(1, 2)
@@ -118,11 +119,13 @@ def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
     Bianchi identity sum_cyc R(X,Y)Z = sum_cyc T(T(X,Y), Z) over basis triples
     of m, all exact and in m-coordinates.
 
-    The table stores each [m_a, m_b] once, so the Bianchi defect alternates
-    in its three slots: it vanishes on a repeated index and changes sign
-    under a swap, and the triples a < b < c decide it."""
+    The Bianchi defect is minus the m-part of the Jacobi sum of m_x, m_y, m_z,
+    so the Jacobi check's cyclic routine decides it, in adapted indices (h_i
+    is i, m_a is s + a): rows are the integer terms of [m_a, m_b], images the
+    m-parts of [h_i, m_c] and [m_a, m_c]. The defect alternates in its slots,
+    so the triples a < b < c decide it."""
     table = tensors.pair.table
-    r = tensors.pair.m.dim
+    s, r = tensors.pair.h.dim, tensors.pair.m.dim
     pairs = [(a, b) for a in range(r) for b in range(r)]
     antisym = all(_m_part(table, a, b, -ONE) == _m_part(table, b, a, ONE) for a, b in pairs)
     doubling = (not tensors.has_lc) or all(
@@ -130,30 +133,16 @@ def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
         for a, b in pairs
     )
 
-    def bianchi_holds(a: int, b: int, c: int) -> bool:
-        # R(m_x, m_y)m_z - T(T(m_x, m_y), m_z) = -[[m_x, m_y]_h, m_z] - [[m_x, m_y]_m, m_z]_m,
-        # summed in integers over the square of the table's scale
-        products: list[tuple[int, Terms]] = []
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            sign, in_h, in_m = table.entry(x, y)
-            products.extend((-sign * coef, table.ad_h[i][z]) for i, coef in in_h)
-            for s, coef in in_m:
-                sign2, _, m2 = table.entry(s, z)
-                products.append((-sign * sign2 * coef, m2))
-        total: dict[int, int] = {}
-        for coef, terms in products:
-            for t, q in terms:
-                total[t] = total.get(t, 0) + coef * q
-        return not any(total.values())
+    def terms(a: int, b: int) -> Terms:
+        sign, in_h, in_m = table.entry(a, b)
+        return tuple((i, sign * v) for i, v in in_h) + tuple((s + t, sign * v) for t, v in in_m)
 
-    bianchi = all(
-        bianchi_holds(a, b, c)
-        for a in range(r)
-        for b in range(a + 1, r)
-        for c in range(b + 1, r)
-    )
+    rows = {s + a: {s + b: terms(a, b) for b in range(r)} for a in range(r)}
+    images = [dict(zip(rows, cols)) for cols in table.ad_h] + [
+        {z: tuple((l - s, c) for l, c in lc if l >= s) for z, lc in row.items()} for row in rows.values()
+    ]
     return {
         "torsion_antisymmetric": antisym,
         "canonical_equals_twice_lc": doubling,
-        "bianchi_cyclic_identity": bianchi,
+        "bianchi_cyclic_identity": _cyclic_witness(rows, images, range(s, s + r)) is None,
     }

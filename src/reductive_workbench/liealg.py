@@ -12,8 +12,10 @@ basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
 `bracket_basis`, `killing_form`, `ad_invariance_check`, `is_subalgebra`, the
 Jacobi sweep and the rank of [g, g] mod p) read that table in Python ints,
 scale their vector or Gram arguments to integers the same way, and divide
-once per result entry.
-Their results are the same Fractions as exact rational arithmetic gives.
+once per result entry: the same Fractions as exact rational arithmetic. One
+cyclic routine, `_cyclic_witness`, packs integer terms and finds the first
+triple with a nonzero cyclic sum; the Jacobi sweep and the connection's
+first Bianchi check both call it.
 
 An algebra also caches its Killing form, center, derived subalgebra [g, g]
 and simple-ideal split, each built once on first use; `killing_form`,
@@ -112,6 +114,8 @@ class SubspaceBasis:
         return all(self.contains_vector(r) for r in other.rows)
 
     def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
+        if not (self.rows and other.rows):  # a zero summand leaves the other, reduced already
+            return self if self.rows else other
         return SubspaceBasis.from_vectors(self.ambient_dim, self.rows + other.rows)
 
     def annihilator(self) -> Matrix:
@@ -290,26 +294,32 @@ def _lie_algebra(
 
 
 def _check_jacobi(L: LieAlgebra) -> None:
-    # Triples with a repeated index vanish identically by antisymmetry. The
-    # sweep reads the integer table (the constants times D), and each vector
-    # D [e_x, e_y] is packed into one integer, entry t at bits w t..w (t + 1)
-    # in balanced digits; a defect is D^2 times the rational one and its
-    # entries stay below 2^(w-1) in size, so it packs to zero iff it is zero.
-    # Only the first failing triple gets its Fraction defect.
-    n = L.dim
     _, rows = L._integer_table
-    bound = max((abs(c) for row in rows for terms in row.values() for _, c in terms), default=0)
-    w = (3 * n * bound * bound).bit_length() + 2
-    packed = [{j: sum(c << (w * k) for k, c in terms) for j, terms in row.items()} for row in rows]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
+    if witness := _cyclic_witness(rows, rows, range(L.dim)):
+        raise JacobiViolation(*witness, _jacobi_defect(L, *witness))
+
+
+def _cyclic_witness(rows: Sequence | dict, images: Sequence, indices: range) -> tuple[int, int, int] | None:
+    """The first i < j < k in `indices` whose cyclic sum over (x, y, z) of
+    sum_l c images[l][z], over the terms (l, c) of rows[x][y], is nonzero, or
+    None. Both tables hold nonzero integer terms (index, coefficient); rows
+    are read at `indices` only. Each image packs into one integer, entry t at
+    bits w t..w (t + 1) in balanced digits; every entry of a cyclic sum stays
+    below 2^(w-1) in size, so the sum packs to zero iff it is zero."""
+    table = (*images, *(rows[x] for x in indices))
+    bound = max((abs(c) for row in table for terms in row.values() for _, c in terms), default=0)
+    w = (3 * len(images) * bound * bound).bit_length() + 2
+    packed = [{z: sum(c << (w * t) for t, c in terms) for z, terms in row.items()} for row in images]
+    for i in indices:
+        for j in range(i + 1, indices.stop):
+            for k in range(j + 1, indices.stop):
                 defect = 0
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                     for l, c in rows[x].get(y, ()):
                         defect += c * packed[l].get(z, 0)
                 if defect:
-                    raise JacobiViolation(i, j, k, _jacobi_defect(L, i, j, k))
+                    return i, j, k
+    return None
 
 
 def _jacobi_defect(L: LieAlgebra, i: int, j: int, k: int) -> Vector:

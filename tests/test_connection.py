@@ -14,6 +14,7 @@ from reductive_workbench.linalg import smul, rat, vadd, vector, vneg, zero_vecto
 
 from oracles import dense_bianchi_holds
 from test_homspace import (
+    dense_spec_pair,
     diagonal_pair,
     second_factor_pair,
     so4_mod_so2_pair,
@@ -182,12 +183,13 @@ def test_lc_table_refused_for_non_naturally_reductive_pair():
 
 
 def with_pair_entry(pair, a, b, part, index, delta):
-    """The pair with delta added to coordinate `index` of the h-part (part 0)
-    or the m-part (part 1) of the stored entry [m_a, m_b], a < b; the mirrored
+    """The pair with the integer delta added to the stored integer term at
+    coordinate `index` of the h-part (part 0) or the m-part (part 1) of the
+    entry [m_a, m_b], a < b, which is over the table's scale; the mirrored
     entry [m_b, m_a] changes with it."""
     table = pair.table
     entry = [dict(terms) for terms in table.pairs[a].get(b, ((), ()))]
-    entry[part][index] = entry[part].get(index, F(0)) + delta
+    entry[part][index] = entry[part].get(index, 0) + delta
     terms = tuple(tuple(sorted((t, x) for t, x in part.items() if x)) for part in entry)
     pairs = list(table.pairs)
     pairs[a] = {**pairs[a], b: terms}
@@ -199,25 +201,36 @@ def test_sweep_catches_one_corrupted_m_bracket(name):
     # the sweep reads only nonzero table entries; a wrong entry must still show
     pair = construct(name).pair
     assert all(consistency_sweep(connection_tensors_at_basepoint(pair)).values())
-    bad_pair = with_pair_entry(pair, 0, 1, 1, 0, F(1))  # [m_0, m_1] += m_0
+    bad_pair = with_pair_entry(pair, 0, 1, 1, 0, pair.table.scale)  # [m_0, m_1] += m_0
     result = consistency_sweep(connection_tensors_at_basepoint(bad_pair))
     assert result["bianchi_cyclic_identity"] is False
 
 
-@pytest.mark.parametrize("name", ["so3_mod_so2", "so4_mod_so2", "su3_mod_su2", "so3so3_mod_diag", "so4_mod_0"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda name=name: construct(name).pair, id=name)
+        for name in ["so3_mod_so2", "so4_mod_so2", "su3_mod_su2", "so3so3_mod_diag", "so4_mod_0"]
+    ]
+    + [pytest.param(dense_spec_pair, id="so3so3_mod_diag_dense")],
+)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_sweep_bianchi_flag_matches_all_ordered_triples(name, data):
+def test_sweep_bianchi_flag_matches_all_ordered_triples(make, data):
     # the sweep decides Bianchi on a < b < c only; one corrupted stored entry
-    # must get the same flag as the dense oracle over every ordered triple
-    pair = construct(name).pair
-    s, r = pair.h.dim, pair.m.dim
+    # must get the same flag as the dense oracle over every ordered triple;
+    # the dense file's table has scale 4032 and large terms, which the packed
+    # sweep's slot width must hold
+    pair = make()
+    s, r, scale = pair.h.dim, pair.m.dim, pair.table.scale
     a = data.draw(st.integers(0, r - 2))
     b = data.draw(st.integers(a + 1, r - 1))
     part = data.draw(st.sampled_from([0, 1] if s else [1]))
     index = data.draw(st.integers(0, (s, r)[part] - 1))
+    # integer deltas over the table's scale: whole multiples of it, and any integer up to twice it
     delta = data.draw(
-        st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(lambda x: x != 0)
+        st.one_of(st.integers(-2, 2).map(lambda k: k * scale), st.integers(-2 * scale - 1, 2 * scale + 1))
+        .filter(lambda x: x != 0)
     )
     bad = with_pair_entry(pair, a, b, part, index, delta)
     flag = consistency_sweep(connection_tensors_at_basepoint(bad))["bianchi_cyclic_identity"]
