@@ -7,6 +7,10 @@ Bracket convention on the invariant-field algebra k (carrier m^h):
 
 The opposite sign gives the anti-isomorphic algebra; comparisons are made only
 through isomorphism invariants (dimension, center dimension, Killing inertia).
+
+Each structure is built from what the pair already proves and is not
+re-checked: m^h is bracket-closed on a reductive pair, g1 = [g, g] is an
+ideal, and on a normal pair g's metric restricts to an invariant one on k.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ClosureFailure, NotEffective, NotNormal, NotReductive
+from .errors import NotEffective, NotNormal, NotReductive
 from .homspace import (
     ProbeResult,
     ReductivePair,
@@ -27,17 +31,14 @@ from .liealg import (
     CheckResult,
     LieAlgebra,
     SubspaceBasis,
-    TripleWitness,
     _canonical,
     _invariance_witness,
-    ad_invariance_check,
     center,
     derived_subalgebra,
     killing_form,
-    make_bilinear_form,
     orthogonal_complement,
 )
-from .linalg import Matrix, ZERO, _divided, _integer_rows, matvec, transpose
+from .linalg import _integer_rows, matvec, transpose
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
 ALMOST_DIRECT_PRODUCT_NOTE = (
@@ -100,9 +101,6 @@ class InvariantFieldAlgebra:
 
     carrier: SubspaceBasis  # m^h, in ambient coordinates
     algebra: LieAlgebra  # bracket table on the carrier basis (a Lie algebra by construction)
-    gram: Matrix  # ambient metric restricted to the carrier
-    metric_invariant: bool
-    compact_type: bool
     center: SubspaceBasis  # ambient coordinates
     status: str  # "invariant-fields" (normal pair) or "upper-bound-candidate"
 
@@ -121,56 +119,31 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
 
     The carrier rows lie in m, whose rows are reduced echelon, so their
     m-coordinates are their entries at the pivots of m and are reduced echelon
-    themselves. The carrier coordinates of a bracket are thus its values at
-    the carrier's leading m-indices; a nonzero residual raises ClosureFailure.
-    k gets no Jacobi sweep: it is the opposite of n_g(h)/h, as n_g(h) = h + m^h
-    is a subalgebra with h as an ideal."""
+    themselves. m^h is closed under [., .]_m ([h, [X, Y]_m] = -[h, [X, Y]_h]
+    lies in h and in m), so the carrier coordinates of a bracket are its
+    values at the carrier's leading m-indices. k gets no Jacobi sweep, as it
+    is the opposite of n_g(h)/h, and no metric check (module docstring)."""
     if not pair.flags.reductive:
         raise NotReductive("invariant-field algebra needs a reductive pair")
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
-    table = pair.table
     # the carrier's m-coordinates over one denominator D are rref: row k is D at
-    # its leading m-index and zero at the others'. The carrier lies in m, so its
-    # Gram matrix pairs them through the metric on m, over G: each entry is over G D^2
+    # its leading m-index and zero at the others'
     D, rows = _integer_rows({a: x[p] for a, p in enumerate(pair.m.pivots) if x[p]} for x in carrier.rows)
     lead_of = {x[0][0]: k for k, x in enumerate(rows)}  # leading m-index -> carrier row
-    G, metric = table.gram_scale, table.gram
-    gram = []
-    for x in rows:
-        image: dict[int, int] = {}  # image[c] = G D <carrier row, m_c>
-        for t, v in x:
-            for c, g in metric[t]:
-                image[c] = image.get(c, 0) + v * g
-        gram.append(_divided([sum(v * image.get(t, 0) for t, v in y) for y in rows], G * D * D))
-    gram = tuple(gram)
     entries = []
     for a in range(carrier.dim):
         for b in range(a + 1, carrier.dim):
             # [X_a, X_b]_k = sum c_k X_k iff [X_a, X_b]_m + sum c_k X_k = 0; bracket is over scale D^2
-            bracket = table.bracket(rows[a], rows[b])[1]
+            bracket = pair.table.bracket(rows[a], rows[b])[1]
             coords = sorted((lead_of[t], -v) for t, v in bracket.items() if v and t in lead_of)
-            residual = {t: D * v for t, v in bracket.items()}
-            for k, c in coords:
-                for t, v in rows[k]:
-                    residual[t] = residual.get(t, 0) + c * v
-            if any(residual.values()):
-                raise ClosureFailure(
-                    TripleWitness((a, b, -1), ZERO), "invariant-field carrier is not bracket-closed"
-                )
-            entries.extend((a, b, k, Fraction(c, table.scale * D * D)) for k, c in coords)
+            entries.extend((a, b, k, Fraction(c, pair.table.scale * D * D)) for k, c in coords)
     labels = tuple(f"k{a + 1}" for a in range(carrier.dim))
     algebra = LieAlgebra(carrier.dim, labels, tuple(entries))
-    form = make_bilinear_form(gram)
-    metric_invariant = ad_invariance_check(algebra, form).ok
-    posdef = form.definiteness == "positive-definite"
     basis_t = transpose(carrier.rows)
     # rref k-coordinates through the rref carrier rows are the rref of the center
     center_ambient = _canonical(pair.algebra.dim, [matvec(basis_t, t) for t in center(algebra).rows])
-    return InvariantFieldAlgebra(
-        carrier, algebra, gram, metric_invariant,
-        posdef and metric_invariant, center_ambient, status,
-    )
+    return InvariantFieldAlgebra(carrier, algebra, center_ambient, status)
 
 
 def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
@@ -226,20 +199,15 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
         entries = []
         for a in range(g1.dim):
             for b in range(a + 1, g1.dim):
+                # g1 is an ideal with rref rows: the bracket's coordinates are its pivot entries
                 value = L.bracket(g1.rows[a], g1.rows[b])
-                coords = g1.coords_of(value)
-                if coords is None:
-                    raise ClosureFailure(
-                        TripleWitness((a, b, -1), ZERO),
-                        "derived subalgebra is not bracket-closed",
-                    )
-                entries.extend((a, b, t, c) for t, c in enumerate(coords) if c)
+                entries.extend((a, b, t, value[p]) for t, p in enumerate(g1.pivots) if value[p])
     s = g1.dim
     entries.extend((s + i, s + j, s + t, c) for i, j, t, c in k.algebra.entries)
     labels = [f"g1_{a + 1}" for a in range(g1.dim)] + [f"k{a + 1}" for a in range(k.dim)]
-    # No Jacobi sweep: g1 is g or a closed subalgebra of the checked g (coords_of
-    # above) and k is a Lie algebra by construction. The entries are already
-    # sorted, nonzero and have i < j.
+    # No Jacobi sweep: g1 is g or an ideal of the checked g, and k is a Lie
+    # algebra by construction. The entries are already sorted, nonzero and
+    # have i < j.
     assembled = LieAlgebra(total, tuple(labels), tuple(entries))
     return AffineAlgebra(g1, k, total, assembled)
 

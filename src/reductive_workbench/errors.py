@@ -76,14 +76,6 @@ class NotEffective(WorkbenchError):
     """Operation requires the largest ideal inside h to vanish."""
 
 
-class ClosureFailure(WorkbenchError):
-    """Bracket leaves the carrier subspace; carries the offending pair."""
-
-    def __init__(self, witness, message="carrier is not bracket-closed"):
-        self.witness = witness
-        super().__init__(f"{message}: witness {witness}")
-
-
 class NonFinite(WorkbenchError):
     """Numeric input contains NaN or infinity."""
 

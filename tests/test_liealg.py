@@ -276,6 +276,12 @@ def test_jacobi_defect_is_found_whatever_its_entries_would_cancel_to():
             make_lie_algebra(3, [(0, 1, 0, 1), (0, 2, 1, 1), (1, 2, 1, b)])
         assert exc.value.triple == (0, 1, 2)
         assert exc.value.defect == (-b, F(1), F(0))
+    # entries bounded by 4, defect (0, -16, 1): in slots of 4 bits (the bound's
+    # bit length plus one, too narrow) the -16 borrows the next slot's 1
+    with pytest.raises(JacobiViolation) as exc:
+        make_lie_algebra(3, [(0, 1, 0, 1), (0, 1, 1, -4), (0, 2, 0, -4), (0, 2, 2, 1)])
+    assert exc.value.triple == (0, 1, 2)
+    assert exc.value.defect == (F(0), F(-16), F(1))
 
 
 # --- killing form / ad invariance -------------------------------------------
