@@ -459,8 +459,9 @@ def orthogonal_complement(sub: SubspaceBasis, form: BilinearForm) -> SubspaceBas
 
 
 def centralizer(L: LieAlgebra, sub: SubspaceBasis) -> SubspaceBasis:
-    """{X : [s, X] = 0 for all s in sub}, as the kernel of stacked adjoints."""
-    system = stack(*(L.ad(s) for s in sub.rows)) if sub.dim else ()
+    """{X : [s, X] = 0 for all s in sub}, as the kernel of the stacked
+    integer adjoints d ad(s)."""
+    system = [row for s in sub.rows for row in L._integer_ad(s)[1]]
     if not system:
         return SubspaceBasis.full(L.dim)
     return _kernel_subspace(system, L.dim)

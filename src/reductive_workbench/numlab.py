@@ -33,23 +33,13 @@ class MatrixRealization:
     matrix_dim: int
     basis_matrices: tuple[Matrix, ...]
 
-    def to_matrix(self, X: Vector) -> Matrix:
-        """Exact rational matrix of a coordinate vector."""
-        n = self.matrix_dim
-        out = [[ZERO] * n for _ in range(n)]
-        for c, B in zip(X, self.basis_matrices, strict=True):
-            if c:
-                for i in range(n):
-                    row = B[i]
-                    for j in range(n):
-                        if row[j]:
-                            out[i][j] += c * row[j]
-        return tuple(tuple(r) for r in out)
-
-    def to_float(self, X: Vector) -> np.ndarray:
+    def to_float(self, rows) -> np.ndarray:
+        """The float matrices of coordinate rows, as one (len(rows), n, n) stack."""
         import numpy as np
 
-        return np.array([[float(x) for x in row] for row in self.to_matrix(X)])
+        dim, n = len(self.basis_matrices), self.matrix_dim
+        basis = np.array(self.basis_matrices, dtype=float).reshape(dim, n, n)
+        return np.tensordot(np.array(rows, dtype=float).reshape(len(rows), dim), basis, axes=1)
 
 
 def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
@@ -112,38 +102,43 @@ def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-18 Taylor core.
+    """Matrix exponential by scaling-and-squaring with a degree-18 Taylor core,
+    of one (n, n) matrix or of each matrix of a stack (..., n, n).
 
-    The argument is scaled by 2^-s until its infinity norm is at most 1/2,
-    the truncated series is evaluated by Horner, and the result is squared s
-    times. For skew-symmetric input the result is orthogonal to well below
-    the lab tolerance at desk scale.
+    Each matrix is scaled by 2^-s, s from its own infinity norm, until that
+    norm is at most 1/2; the truncated series is evaluated by Horner on the
+    whole stack, and each result is squared s times. For skew-symmetric input
+    the result is orthogonal to well below the lab tolerance at desk scale.
     """
     import numpy as np
 
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("square matrix required")
     if not np.all(np.isfinite(A)):
         raise NonFinite("matrix exponential of a non-finite matrix")
-    n = A.shape[0]
-    norm = np.abs(A).sum(axis=1).max() if n else 0.0
-    s = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    scaled = A / (2.0**s)
+    n = A.shape[-1]
+    stack = A.reshape((math.prod(A.shape[:-2]), n, n))
+    norms = np.abs(stack).sum(axis=2).max(axis=1, initial=0.0).tolist()
+    s = np.array([max(0, math.ceil(math.log2(x / 0.5))) if x > 0.5 else 0 for x in norms], dtype=int)
+    scaled = stack / (2.0**s)[:, None, None]
     eye = np.eye(n)
-    out = eye
+    out = np.broadcast_to(eye, stack.shape)
     for k in range(18, 0, -1):
-        out = eye + scaled @ out / k
-    for _ in range(s):
-        out = out @ out
-    return out
+        out = scaled @ out
+        out /= k
+        out += eye
+    for step in range(int(s.max(initial=0))):
+        part = out[s > step]
+        out[s > step] = part @ part
+    return out.reshape(A.shape)
 
 
 def orthogonality_residual(R: np.ndarray) -> float:
+    """max |R^T R - I| over one matrix or a stack of them."""
     import numpy as np
 
-    n = R.shape[0]
-    return float(np.abs(R.T @ R - np.eye(n)).max())
+    return float(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(R.shape[-1])).max(initial=0.0))
 
 
 def flow_commutation_check(entry, X: Vector, Y: Vector, t: float, s: float) -> float:
@@ -154,60 +149,49 @@ def flow_commutation_check(entry, X: Vector, Y: Vector, t: float, s: float) -> f
     is exact in exact arithmetic, so the residual measures realization plumbing
     and exponential quality only.
     """
-    if abs(t) > 2 or abs(s) > 2:
-        raise ValueError("step parameters are capped at |t|, |s| <= 2")
-    Xf, flow = _fixed_flow(entry, X, t)
-    return _flow_residual(Xf, flow, _moved_basepoint(entry, Y, s), t)
+    return _flow_residuals(entry, [X], [Y], t, s)[0]
 
 
 def flow_commutation_residuals(entry, t: float, s: float) -> list[float]:
     """`flow_commutation_check` over every pair (X, Y) of a row of m^h and a
-    row of m, X-major: Exp(tX) and Exp(sY) are formed once per row."""
+    row of m, X-major."""
+    return _flow_residuals(entry, entry.fixed_subspace.rows, entry.pair.m.rows, t, s)
+
+
+def _flow_residuals(entry, xs, ys, t: float, s: float) -> list[float]:
+    """max |g Exp(tX) - Exp(t Ad(g)X) g| with g = Exp(sY), for each X of xs
+    and Y of ys, X-major. Exp(tX) and Exp(sY) are formed as one stack each,
+    and the conjugates g X g^T as one stack per X, over all g."""
     if abs(t) > 2 or abs(s) > 2:
         raise ValueError("step parameters are capped at |t|, |s| <= 2")
-    moved = [_moved_basepoint(entry, Y, s) for Y in entry.pair.m.rows]
-    out = []
-    for X in entry.fixed_subspace.rows:
-        Xf, flow = _fixed_flow(entry, X, t)
-        out.extend(_flow_residual(Xf, flow, g, t) for g in moved)
-    return out
-
-
-def _fixed_flow(entry, X: Vector, t: float):
-    """X as a float matrix and Exp(tX), for an isotropy-fixed direction X."""
-    if not entry.fixed_subspace.contains_vector(tuple(X)):
+    if not all(entry.fixed_subspace.contains_vector(tuple(X)) for X in xs):
         raise NotInFixedSubspace("X must be an isotropy-fixed direction of m")
-    Xf = entry.realization.to_float(X)
-    return Xf, matrix_exp(t * Xf)
-
-
-def _moved_basepoint(entry, Y: Vector, s: float):
-    """g = Exp(sY) for a direction Y of m."""
-    if not entry.pair.m.contains_vector(tuple(Y)):
+    if not all(entry.pair.m.contains_vector(tuple(Y)) for Y in ys):
         raise NotInM("Y must lie in m")
-    return matrix_exp(s * entry.realization.to_float(Y))
-
-
-def _flow_residual(Xf, flow, g, t: float) -> float:
-    """max |g Exp(tX) - Exp(t Ad(g)X) g|, the one residual of the flow identity."""
     import numpy as np
 
-    route_one = g @ flow
-    route_two = matrix_exp(t * (g @ Xf @ g.T)) @ g
-    return float(np.abs(route_one - route_two).max())
+    floats = entry.realization.to_float([*xs, *ys])
+    Xf = floats[: len(xs)]
+    flows = matrix_exp(t * Xf)
+    g = matrix_exp(s * floats[len(xs) :])
+    gT = np.swapaxes(g, 1, 2)
+    out = []
+    for X, flow in zip(Xf, flows):
+        route_two = matrix_exp(t * (g @ X @ gT)) @ g
+        out.extend(np.abs(g @ flow - route_two).max(axis=(1, 2)).tolist())
+    return out
 
 
 def isotropy_commutation_residual(entry, X: Vector, u: float = 1.0) -> float:
     """Conjugating Exp(X) by isotropy exponentials must fix it: a numeric echo
-    of [h, X] = 0 for carrier directions."""
+    of [h, X] = 0 for carrier directions. Exp(X) and every Exp(u h_i) come
+    from one stack."""
     if not entry.fixed_subspace.contains_vector(tuple(X)):
         raise NotInFixedSubspace("X must be an isotropy-fixed direction of m")
     import numpy as np
 
-    real = entry.realization
-    base = matrix_exp(real.to_float(X))
-    worst = 0.0
-    for r in entry.pair.h.rows:
-        h = matrix_exp(u * real.to_float(r))
-        worst = max(worst, float(np.abs(h @ base @ h.T - base).max()))
-    return worst
+    floats = entry.realization.to_float([X, *entry.pair.h.rows])
+    floats[1:] *= u
+    exps = matrix_exp(floats)
+    base, hs = exps[0], exps[1:]
+    return float(np.abs(hs @ base @ np.swapaxes(hs, 1, 2) - base).max(initial=0.0))

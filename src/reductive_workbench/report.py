@@ -323,16 +323,20 @@ def run_report(
 def _numeric_section(entry) -> dict:
     if entry is None:
         return {"status": "skipped: no matrix realization for file inputs"}
+    import random
+
     import numpy as np
 
     from .numlab import TOLERANCE, flow_commutation_residuals, matrix_exp, orthogonality_residual
 
-    rng = np.random.default_rng(13)
-    worst_orth = 0.0
+    # 25 random skew matrices of sizes 3..6, exponentiated as one stack per size
+    rng = random.Random(13)
+    samples: dict[int, list] = {}
     for _ in range(25):
-        n = int(rng.integers(3, 7))
-        A = rng.normal(size=(n, n))
-        worst_orth = max(worst_orth, orthogonality_residual(matrix_exp(A - A.T)))
+        n = rng.randint(3, 6)
+        A = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)])
+        samples.setdefault(n, []).append(A - A.T)
+    worst_orth = max(orthogonality_residual(matrix_exp(np.array(stack))) for stack in samples.values())
     residuals = flow_commutation_residuals(entry, 1.0, 1.0)
     worst_flow = max([0.0, *residuals])
     flows = len(residuals)

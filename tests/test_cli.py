@@ -570,6 +570,22 @@ def _run_module(*args, timeout=None):
     )
 
 
+def test_cli_numeric_checks_leave_numpy_random_unloaded():
+    # the lab draws its self-test samples from the stdlib generator, so an
+    # analyze run imports numpy but not numpy.random
+    code = (
+        "import sys\n"
+        "from reductive_workbench.cli import main\n"
+        "status = main(['--catalog', 'so5_mod_0', '--numeric-checks', '--json'])\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    proc = _run_module("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["numeric"]["all_below_tolerance"] is True
+    assert proc.stderr.split() == ["True", "False"]
+
+
 def test_cli_directory_input_is_an_input_error(tmp_path):
     proc = _run_module("-m", "reductive_workbench", str(tmp_path))
     assert proc.returncode == 1

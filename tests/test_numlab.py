@@ -52,6 +52,31 @@ def test_exp_rejects_non_finite():
         matrix_exp(np.array([[0.0, np.inf], [0.0, 0.0]]))
     with pytest.raises(NonFinite):
         matrix_exp(np.array([[np.nan]]))
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(NonFinite):
+        matrix_exp(stack)
+
+
+def test_exp_of_a_stack_matches_each_slice():
+    # infinity norms 0, 0.6, 0.9 and 40 need 0, 1, 1 and 7 squarings
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(4, 5, 5))
+    A /= np.abs(A).sum(axis=2).max(axis=1)[:, None, None]
+    A *= np.array([0.0, 0.6, 0.9, 40.0])[:, None, None]
+    stacked = matrix_exp(A)
+    assert stacked.shape == A.shape
+    for slice_, R in zip(A, stacked):
+        assert np.array_equal(R, matrix_exp(slice_))
+    assert np.array_equal(matrix_exp(A.reshape(2, 2, 5, 5)), stacked.reshape(2, 2, 5, 5))
+    assert matrix_exp(np.zeros((0, 5, 5))).shape == (0, 5, 5)
+
+
+def test_exp_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        matrix_exp(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        matrix_exp(np.zeros(3))
 
 
 def test_realization_rejects_wrong_commutators():
@@ -114,6 +139,14 @@ def test_flow_commutation_all_fixed_generators_all_entries():
         for X in entry.fixed_subspace.rows:
             for Y in entry.pair.m.rows:
                 assert flow_commutation_check(entry, X, Y, 1.0, 1.0) < TOLERANCE, (name, X, Y)
+
+
+def test_numeric_section_without_fixed_directions():
+    from reductive_workbench.report import run_report
+
+    numeric = run_report(construct("so6_mod_so5"), checks="fast", numeric=True).body["numeric"]
+    assert numeric["flow_commutation_checks"] == 0
+    assert numeric["all_below_tolerance"] is True
 
 
 def test_isotropy_commutation_residuals():

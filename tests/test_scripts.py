@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/: each runs as a user would run it."""
 
+import ast
 import json
 import os
 import subprocess
@@ -30,6 +31,19 @@ def test_survey_catalog_prints_one_row_per_curated_entry():
         expected = construct(name).expected
         dims = expected["dims"]
         assert row == [str(x) for x in (dims["g"], dims["h"], dims["m"], dims["k"], expected["torus_dim"])], name
+
+
+def test_survey_catalog_numeric_rows_are_below_tolerance():
+    proc = run_script("survey_catalog.py", "--numeric")
+    assert proc.returncode == 0, proc.stderr
+    rows = {}
+    for line in proc.stdout.splitlines():
+        name, sep, section = line.partition(" numeric: ")
+        if sep:
+            rows[name.strip()] = ast.literal_eval(section)
+    assert list(rows) == list(catalog_names())
+    for name, section in rows.items():
+        assert section["all_below_tolerance"] is True, name
 
 
 def test_dense_spec_of_so4so4_mod_diag_keeps_the_catalog_dims(tmp_path, capsys):
