@@ -15,7 +15,6 @@ ideal, and on a normal pair g's metric restricts to an invariant one on k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +38,7 @@ from .liealg import (
     orthogonal_complement,
 )
 from .linalg import _integer_rows, matvec, transpose
+from .record import Record
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
 ALMOST_DIRECT_PRODUCT_NOTE = (
@@ -71,8 +71,7 @@ def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(pair.algebra.dim, [*pair.m.rows, *h_parts])
 
 
-@dataclass(frozen=True)
-class TransvectionCheck:
+class TransvectionCheck(Record):
     equals_g: bool
     transvection: SubspaceBasis
     complement: SubspaceBasis  # orthogonal complement; zero when equals_g
@@ -95,8 +94,7 @@ def transvection_equals_g_check(pair: ReductivePair) -> TransvectionCheck:
     return TransvectionCheck(False, tr, comp, pair.h.contains(comp))
 
 
-@dataclass(frozen=True)
-class InvariantFieldAlgebra:
+class InvariantFieldAlgebra(Record):
     """The algebra k of isotropy-fixed directions with bracket -[.,.]_m."""
 
     carrier: SubspaceBasis  # m^h, in ambient coordinates
@@ -163,8 +161,7 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     return CheckResult(witness is None, witness)
 
 
-@dataclass(frozen=True)
-class AffineAlgebra:
+class AffineAlgebra(Record):
     """Direct sum of the semisimple part of g with the invariant-field algebra."""
 
     g1: SubspaceBasis
@@ -212,8 +209,7 @@ def affine_algebra(pair: ReductivePair) -> AffineAlgebra:
     return AffineAlgebra(g1, k, total, assembled)
 
 
-@dataclass(frozen=True)
-class TorusResult:
+class TorusResult(Record):
     dimension: int
     basis: SubspaceBasis  # ambient coordinates, inside the carrier of k
     abelian: bool  # [u, w]_m = 0 for all basis rows u, w, checked exactly
@@ -229,16 +225,14 @@ def fixed_torus(pair: ReductivePair) -> TorusResult:
     return TorusResult(basis.dim, basis, abelian)
 
 
-@dataclass(frozen=True)
-class UserAssertions:
+class UserAssertions(Record):
     """Global Riemannian facts the engine cannot compute; None means unasserted."""
 
     locally_irreducible: bool | None = None
     is_sphere_or_rp: bool | None = None
 
 
-@dataclass(frozen=True)
-class IsometryFragment:
+class IsometryFragment(Record):
     certified: bool
     group_dim: int | None
     semisimple: bool | None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
 
@@ -32,6 +31,7 @@ from .homspace import (
 from .liealg import LieAlgebra, SubspaceBasis, _canonical
 from .linalg import Matrix, ONE, ZERO
 from .numlab import MatrixRealization, make_matrix_realization
+from .record import Record
 
 DESK_CAP = 8
 # a family parameter: ASCII digits in canonical form, so each entry has one name
@@ -54,16 +54,15 @@ CURATED_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record, uncompared=("expected", "realization")):
     """A named space presentation with frozen regression expectations."""
 
     name: str
     algebra: LieAlgebra
     h: SubspaceBasis
     metric_spec: MetricSpec
-    expected: dict = field(compare=False)
-    realization: MatrixRealization = field(compare=False)
+    expected: dict
+    realization: MatrixRealization
 
     @cached_property
     def pair(self) -> ReductivePair:
@@ -79,8 +78,7 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Factor:
+class _Factor(Record):
     labels: tuple[str, ...]
     basis_mats: tuple[Matrix, ...]
 

@@ -18,7 +18,6 @@ adapted table, divided once per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,6 +25,7 @@ from .errors import NotNaturallyReductive, NotReductive
 from .homspace import AdaptedTable, ReductivePair, Terms
 from .liealg import _cyclic_witness
 from .linalg import ONE, Vector
+from .record import Record
 
 HALF = Fraction(1, 2)
 
@@ -41,8 +41,7 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ConnectionTensors:
+class ConnectionTensors(Record):
     """Connection data at the basepoint, indexed over the echelon basis of m.
 
     The tables hold ambient vectors lying in m. Each is a view of the pair's

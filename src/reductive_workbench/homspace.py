@@ -15,7 +15,6 @@ divide once per result entry, and `liealg._invariance_witness` reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -65,10 +64,10 @@ from .linalg import (
     _integer_rows,
     _integer_support,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Record):
     """Recipe for an invariant inner product: -Killing per simple ideal, with
     optional positive rational scales, and a user Gram matrix on the center
     (identity by default)."""
@@ -141,8 +140,7 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
     return form
 
 
-@dataclass(frozen=True)
-class ReductiveFlags:
+class ReductiveFlags(Record):
     reductive: bool
     normal: bool
     naturally_reductive: bool
@@ -153,8 +151,7 @@ class ReductiveFlags:
 Terms = tuple[tuple[int, int | Fraction], ...]
 
 
-@dataclass(frozen=True)
-class AdaptedTable:
+class AdaptedTable(Record):
     """The brackets in the adapted basis, the echelon rows h_i of h and m_a of m,
     as nonzero integer terms over `scale`, and the metric over `gram_scale`:
 
@@ -202,8 +199,7 @@ class AdaptedTable:
 CoordinateMap = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
-@dataclass(frozen=True, eq=False)
-class ReductivePair:
+class ReductivePair(Record, eq=False, uncompared=("coords", "table")):
     """The decomposition g = h + m with its coordinate map and verified flags.
 
     `coords` is the coordinate map along the rows of h and then of m, over one
@@ -217,8 +213,8 @@ class ReductivePair:
     m: SubspaceBasis
     metric: BilinearForm
     flags: ReductiveFlags
-    coords: CoordinateMap = field(repr=False)
-    table: AdaptedTable | None = field(repr=False)
+    coords: CoordinateMap
+    table: AdaptedTable | None
 
     def split(self, X: Vector) -> tuple[Terms, Terms]:
         """The nonzero (h-terms, m-terms) of X along g = h + m."""
@@ -287,7 +283,7 @@ def _adapted_table(
     scale = coords[0] * L._integer_table[0] * E * E
     table = AdaptedTable(scale, m_cols, pairs, G, tuple(map(tuple, gram)), None)
     operators = (table.m_operator(((a, 1),)) for a in range(r))  # walked one a at a time
-    return replace(table, nr_witness=_invariance_witness(operators, table.gram, scale * G))
+    return table.replace(nr_witness=_invariance_witness(operators, table.gram, scale * G))
 
 
 def make_reductive_pair(
@@ -365,8 +361,7 @@ def naturally_reductive_check(pair: ReductivePair) -> CheckResult:
     return CheckResult(witness is None, witness)
 
 
-@dataclass(frozen=True)
-class NormalizerCheck:
+class NormalizerCheck(Record):
     ok: bool
     normalizer: SubspaceBasis
     witness: TripleWitness | None = None
@@ -408,8 +403,7 @@ def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
     return _canonical(pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernel(system, r)])
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     """Outcome of the isotropy-irreducibility probe."""
 
     verdict: str  # "irreducible" | "reducible" | "inconclusive"

@@ -31,7 +31,6 @@ unknowns (`_split_semisimple`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -70,13 +69,13 @@ from .linalg import (
     _integer_rows,
     _integer_support,
 )
+from .record import Record
 
 # rows[i][j] = ((k, D c), ...) for [e_i, e_j] = sum_k c e_k, scaled by D
 IntegerTable = tuple[dict[int, tuple[tuple[int, int], ...]], ...]
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """A subspace of Q^n in canonical reduced row-echelon basis form."""
 
     ambient_dim: int
@@ -140,8 +139,7 @@ def _canonical(n: int, rows: Sequence[Vector]) -> SubspaceBasis:
     return SubspaceBasis(n, rows, tuple(next(k for k, x in enumerate(row) if x) for row in rows))
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """Finite-dimensional Lie algebra with exact rational structure constants."""
 
     dim: int
@@ -333,8 +331,7 @@ def _jacobi_defect(L: LieAlgebra, i: int, j: int, k: int) -> Vector:
     return tuple(defect)
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Record):
     """Symmetric bilinear form with its rational inertia precomputed."""
 
     gram: Matrix
@@ -374,8 +371,7 @@ def make_bilinear_form(gram: Iterable[Iterable]) -> BilinearForm:
     return BilinearForm(G, signature(G))
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class TripleWitness(Record):
     """First basis triple violating a three-slot identity, with its defect."""
 
     indices: tuple[int, int, int]
@@ -385,8 +381,7 @@ class TripleWitness:
         return f"{self.indices}, defect {self.defect}"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     ok: bool
     witness: TripleWitness | None = None
 

@@ -576,8 +576,8 @@ def _roots_mod_p(int_coeffs: dict[int, int] | None) -> list[int]:
     if degree == 0 or int_coeffs[degree] % PRIME == 0:
         return []  # constant, or the degree drops mod PRIME and a root's denominator may vanish
     f = _monic_mod_p([int_coeffs.get(d, 0) % PRIME for d in range(degree + 1)])
-    x = [0, 1]
-    pending = [_gcd_mod_p(f, _sub_mod_p(_pow_mod_p(x, PRIME, f), x))]
+    g = _gcd_mod_p(f, _sub_mod_p(_pow_linear_mod_p(0, PRIME, f), [0, 1]))
+    pending = [g] if len(g) > 1 else []  # no root mod PRIME: nothing to split
     roots = []
     while pending:
         g = pending.pop()
@@ -585,7 +585,7 @@ def _roots_mod_p(int_coeffs: dict[int, int] | None) -> list[int]:
             roots.append(-g[0] % PRIME)
             continue
         for a in range(SPLIT_SHIFTS):
-            h = _gcd_mod_p(g, _sub_mod_p(_pow_mod_p([a, 1], (PRIME - 1) // 2, g), [1]))
+            h = _gcd_mod_p(g, _sub_mod_p(_pow_linear_mod_p(a, (PRIME - 1) // 2, g), [1]))
             if 1 < len(h) < len(g):
                 pending += [h, _divmod_mod_p(g, h)[0]]
                 break
@@ -634,14 +634,21 @@ def _mulmod_mod_p(a: list[int], b: list[int], m: list[int]) -> list[int]:
     return _divmod_mod_p([c % PRIME for c in out], m)[1]
 
 
-def _pow_mod_p(a: list[int], n: int, m: list[int]) -> list[int]:
-    """a^n mod (m, PRIME), m monic, by binary powering."""
-    result, base = [1], _divmod_mod_p(a, m)[1]
-    while n:
-        if n & 1:
-            result = _mulmod_mod_p(result, base, m)
-        base = _mulmod_mod_p(base, base, m)
-        n >>= 1
+def _pow_linear_mod_p(c: int, n: int, m: list[int]) -> list[int]:
+    """(x + c)^n mod (m, PRIME), m monic, by left-to-right powering: each
+    multiplication by x + c is a shift and one reduction step, not a product."""
+    result, dm = [1], len(m) - 1
+    for bit in f"{n:b}":
+        result = _mulmod_mod_p(result, result, m)
+        if bit == "1":
+            out = [0, *result]
+            for d, y in enumerate(result):
+                out[d] = (out[d] + c * y) % PRIME
+            if len(out) > dm:
+                q = out.pop()
+                for e in range(dm):
+                    out[e] = (out[e] - q * m[e]) % PRIME
+            result = _trim(out)
     return result
 
 

@@ -12,12 +12,13 @@ a numeric result, and numpy is imported only when a float function runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import NonFinite, NotInFixedSubspace, NotInM
 from .liealg import LieAlgebra, _lie_algebra
 from .linalg import Matrix, Vector, ZERO, identity, rref
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,21 +26,27 @@ if TYPE_CHECKING:
 TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class MatrixRealization:
+class MatrixRealization(Record):
     """Exact antisymmetric matrix model of an algebra's basis."""
 
     algebra: LieAlgebra
     matrix_dim: int
     basis_matrices: tuple[Matrix, ...]
 
+    @cached_property
+    def float_basis(self) -> np.ndarray:
+        """The basis matrices as one (dim, n, n) float stack, converted once."""
+        import numpy as np
+
+        dim, n = len(self.basis_matrices), self.matrix_dim
+        return np.array(self.basis_matrices, dtype=float).reshape(dim, n, n)
+
     def to_float(self, rows) -> np.ndarray:
         """The float matrices of coordinate rows, as one (len(rows), n, n) stack."""
         import numpy as np
 
-        dim, n = len(self.basis_matrices), self.matrix_dim
-        basis = np.array(self.basis_matrices, dtype=float).reshape(dim, n, n)
-        return np.tensordot(np.array(rows, dtype=float).reshape(len(rows), dim), basis, axes=1)
+        basis = self.float_basis
+        return np.tensordot(np.array(rows, dtype=float).reshape(len(rows), len(basis)), basis, axes=1)
 
 
 def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:

@@ -8,7 +8,6 @@ optional numeric-lab section, which is excluded from golden comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -34,6 +33,7 @@ from .homspace import (
     normalizer_invariance_check,
 )
 from .liealg import make_lie_algebra, SubspaceBasis
+from .record import Record
 
 METRIC_CONVENTION = (
     "minus Killing form on each simple ideal (optional positive rational scales), "
@@ -65,8 +65,7 @@ def _fmt_vector(vec) -> list[str]:
     return [_fmt(c) for c in vec]
 
 
-@dataclass(frozen=True)
-class SpaceReport:
+class SpaceReport(Record):
     body: dict
 
     def to_json(self) -> str:

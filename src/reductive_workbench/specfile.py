@@ -21,16 +21,17 @@ import itertools
 import json
 import re
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import py_make_scanner
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .affine import UserAssertions
 from .errors import SpecFileError
 from .homspace import MetricSpec
 from .linalg import Matrix, signature
+from .record import Record
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # matched whole, as the schema's pattern
 
@@ -139,8 +140,7 @@ def parse_positioned(text: str) -> tuple[object, Positions]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(Record, uncompared=("recipe_positions",)):
     """Validated raw contents, ready for the analysis pipeline."""
 
     dim: int
@@ -151,7 +151,7 @@ class SpaceSpec:
     assertions: UserAssertions
     # where each metric-recipe field ("scales", "center_gram") starts in the
     # file, for the recipe errors that only the algebra can reveal
-    recipe_positions: dict[str, Position] = field(default_factory=dict, compare=False)
+    recipe_positions: Mapping[str, Position] = MappingProxyType({})
 
 
 def _error(message: str, positions: Positions, path: Path) -> SpecFileError:

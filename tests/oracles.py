@@ -624,3 +624,35 @@ def fraction_is_subalgebra(L, rows, pivots):
             if fraction_coords_in_rref(rows, pivots, bracket(u, rows[b])) is None:
                 return (a, b)
     return None
+
+
+def poly_pow_mod(a, n, m, p):
+    """a^n mod (m, p) for a monic m, by right-to-left square-and-multiply on
+    dense coefficient lists (lowest degree first), trimmed of zero leading
+    coefficients."""
+
+    def reduce(c):
+        c = [x % p for x in c]
+        for d in range(len(c) - 1, len(m) - 2, -1):
+            q = c[d]
+            for e, y in enumerate(m):
+                c[d - len(m) + 1 + e] = (c[d - len(m) + 1 + e] - q * y) % p
+        c = c[: len(m) - 1]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    def mulmod(u, v):
+        out = [0] * max(len(u) + len(v) - 1, 0)
+        for d, x in enumerate(u):
+            for e, y in enumerate(v):
+                out[d + e] += x * y
+        return reduce(out)
+
+    result, base = reduce([1]), reduce(a)
+    while n:
+        if n & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        n >>= 1
+    return result

@@ -678,19 +678,21 @@ def test_exact_analysis_does_not_import_numpy():
         "import sys\n"
         "from reductive_workbench.cli import main\n"
         "main(['--catalog', 'so4_mod_so2', '--json'])\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules, file=sys.stderr)\n"
     )
     proc = _run_module("-c", code)
     assert proc.returncode == 0
-    assert proc.stderr == "False\n"
+    assert proc.stderr == "False False\n"
 
 
 def test_heavy_dependencies_are_imported_inside_functions_only():
     # sympy and numpy load on first use, so that starting the command and
     # the runs that never need them pay nothing for them; jsonschema, a
-    # test-only oracle, must not come back at module level either; an
-    # `if TYPE_CHECKING:` block never runs
-    heavy = {"sympy", "numpy", "jsonschema"}
+    # test-only oracle, must not come back at module level either, nor
+    # dataclasses, whose import and per-class code generation cost a cold
+    # command more than the rest of its start (records derive from
+    # `record.Record` instead); an `if TYPE_CHECKING:` block never runs
+    heavy = {"sympy", "numpy", "jsonschema", "dataclasses"}
     src = Path(__file__).resolve().parent.parent / "src" / "reductive_workbench"
     found = []
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -193,7 +192,7 @@ def with_pair_entry(pair, a, b, part, index, delta):
     terms = tuple(tuple(sorted((t, x) for t, x in part.items() if x)) for part in entry)
     pairs = list(table.pairs)
     pairs[a] = {**pairs[a], b: terms}
-    return dataclasses.replace(pair, table=dataclasses.replace(table, pairs=tuple(pairs)))
+    return pair.replace(table=table.replace(pairs=tuple(pairs)))
 
 
 @pytest.mark.parametrize("name", ["su3_mod_su2", "so4_mod_0"])

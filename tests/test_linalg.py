@@ -44,6 +44,7 @@ from oracles import (
     fraction_rref,
     fraction_signature,
     gauss_rank,
+    poly_pow_mod,
     unimodular,
 )
 
@@ -199,6 +200,16 @@ def test_factor_poly_leaves_only_the_nonlinear_part_to_sympy(monkeypatch):
     f = linalg.poly_mul((rat(-2), rat(1)), (rat(1), rat(0), rat(1)))
     assert factor_poly(f) == (((rat(-2), rat(1)), 1), ((rat(1), rat(0), rat(1)), 1))
     assert seen == [[rat(1), rat(0), rat(1)]]
+
+
+@pytest.mark.parametrize("degree", range(1, 16))
+def test_linear_power_matches_square_and_multiply(degree):
+    # `_roots_mod_p` raises x + c to these powers mod a monic factor of its polynomial
+    rng = random.Random(degree)
+    m = [rng.randrange(P) for _ in range(degree)] + [1]
+    for c in (0, 63, rng.randrange(P)):
+        for n in (P, (P - 1) // 2, *range(1, 2 * degree + 3)):
+            assert linalg._pow_linear_mod_p(c, n, m) == poly_pow_mod([c, 1], n, m, P), (c, n)
 
 
 @settings(max_examples=30)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ def test_realization_rejects_unmatched_off_diagonal_entries(B):
     # one matrix, so no commutator and no dependence can reject it instead
     with pytest.raises(ValueError, match="antisymmetric"):
         make_matrix_realization([[[rat(x) for x in row] for row in B]])
+
+
+def test_to_float_converts_the_basis_once_and_matches_a_fresh_conversion():
+    realization = construct("su3_mod_su2").realization
+    dim, n = realization.algebra.dim, realization.matrix_dim
+    rows = [vector([Fraction(k - i, 3) for k in range(dim)]) for i in range(3)]
+    fresh = np.array(realization.basis_matrices, dtype=float).reshape(dim, n, n)
+    expected = np.tensordot(np.array(rows, dtype=float).reshape(3, dim), fresh, axes=1)
+    assert np.array_equal(realization.to_float(rows), expected)
+    basis = realization.float_basis
+    assert realization.to_float(rows[:1]).shape == (1, n, n)
+    assert realization.float_basis is basis and np.array_equal(basis, fresh)
 
 
 def test_flow_commutation_on_so4_mod_so2():
