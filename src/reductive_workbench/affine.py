@@ -23,7 +23,6 @@ from .homspace import (
     ProbeResult,
     ReductivePair,
     isotropy_fixed_subspace,
-    isotropy_irreducibility_probe,
 )
 from .liealg import (
     BilinearForm,
@@ -242,31 +241,30 @@ class IsometryFragment(Record):
 
 def isometry_report(
     pair: ReductivePair,
-    assertions: UserAssertions | None = None,
-    probe: ProbeResult | None = None,
-    affine: AffineAlgebra | None = None,
+    assertions: UserAssertions | None,
+    probe: ProbeResult,
+    affine: AffineAlgebra | None,
 ) -> IsometryFragment:
     """Emit the isometry identification when the gates pass.
 
     Gate 1: the isotropy probe certifies irreducibility, or the user asserts
     local irreducibility. Gate 2: the user asserts the space is not a sphere or
     a real projective space. Otherwise only the affine algebra is certified.
-    Precomputed probe/affine results may be passed to avoid recomputation.
+    `affine` is the pair's affine algebra, None exactly when the pair is not
+    normal and effective.
     """
     assertions = assertions or UserAssertions()
     caveats = [ALMOST_DIRECT_PRODUCT_NOTE]
     if not (pair.flags.normal and pair.flags.effective):
         caveats.append("identification requires an effective normal pair")
         return IsometryFragment(False, None, None, None, tuple(caveats))
-    probe = probe or isotropy_irreducibility_probe(pair)
-    aff = affine or affine_algebra(pair)
     irreducibility_ok = probe.verdict == "irreducible" or assertions.locally_irreducible is True
     sphere_ok = assertions.is_sphere_or_rp is False
     caveats.append(LOCAL_IRREDUCIBILITY_CAVEAT)
     if irreducibility_ok and sphere_ok:
-        semisimple = aff.k.center.dim == 0
+        semisimple = affine.k.center.dim == 0
         caveats.append(SPHERE_GATE_CAVEAT)
-        return IsometryFragment(True, aff.total_dim, semisimple, probe, tuple(caveats))
+        return IsometryFragment(True, affine.total_dim, semisimple, probe, tuple(caveats))
     if not irreducibility_ok:
         caveats.append(
             f"local irreducibility not established (probe: {probe.verdict}; no user assertion)"
@@ -274,4 +272,4 @@ def isometry_report(
     if not sphere_ok:
         caveats.append("sphere / real projective space not excluded by the user")
     caveats.append("isometry identification not certified; only the affine algebra is")
-    return IsometryFragment(False, aff.total_dim, None, probe, tuple(caveats))
+    return IsometryFragment(False, affine.total_dim, None, probe, tuple(caveats))

@@ -8,7 +8,9 @@ only its basis labels and exact antisymmetric basis matrices;
 `numlab.make_matrix_realization` derives the structure constants from their
 commutators, formed over nonzero entries only (a family matrix has at most
 four, and a cross-block pair of a direct sum meets none), so every entry's
-algebra comes with its matrix realization.
+algebra comes with its matrix realization. A corner, or the second summand of
+a direct sum, is read off the basis matrices as those supported in its block,
+so only a family's builder knows its basis order.
 
 Regression expectations for the curated entries are loaded from packaged data
 produced by scripts/compute_expected_catalog.py, never typed by hand.
@@ -167,30 +169,14 @@ def _direct_sum(parts: list[_Factor]) -> _Factor:
 # ---------------------------------------------------------------------------
 
 
-def so_corner_indices(n: int, k: int) -> list[int]:
-    """Positions of E_ij with j <= k: the top-left so(k) block."""
-    out = []
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j + 1 <= k:
-                out.append(idx)
-            idx += 1
-    return out
-
-
-def su_corner_indices(n: int, k: int) -> list[int]:
-    npairs = n * (n - 1) // 2
-    out = []
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j + 1 <= k:
-                out.append(idx)
-                out.append(npairs + idx)
-            idx += 1
-    out.extend(2 * npairs + t for t in range(k - 1))
-    return sorted(out)
+def _block_indices(factor: _Factor, lo: int, hi: int) -> list[int]:
+    """Positions of the basis matrices whose nonzero entries all lie in rows
+    and columns lo..hi-1: the subalgebra of the block, in any family's order."""
+    return [
+        idx
+        for idx, M in enumerate(factor.basis_mats)
+        if all(lo <= i < hi and lo <= j < hi for i, row in enumerate(M) for j, x in enumerate(row) if x)
+    ]
 
 
 def _unit_rows(ambient, indices):
@@ -239,7 +225,7 @@ def construct(name: str) -> CatalogEntry:
         if not 2 <= k < n:
             raise ParamOutOfRange(f"corner so({k}) needs 2 <= k < {n}")
         factor = _build_so(n)
-        h_indices = so_corner_indices(n, k)
+        h_indices = _block_indices(factor, 0, k)
     elif m := re.fullmatch(f"so{_NUM}_mod_0", name):
         n = int(m.group(1))
         _check_range(n)
@@ -251,7 +237,7 @@ def construct(name: str) -> CatalogEntry:
         if not 2 <= k < n:
             raise ParamOutOfRange(f"corner su({k}) needs 2 <= k < {n}")
         factor = _build_su(n)
-        h_indices = su_corner_indices(n, k)
+        h_indices = _block_indices(factor, 0, 2 * k)
     elif m := re.fullmatch(f"su{_NUM}_mod_0", name):
         n = int(m.group(1))
         _check_range(n)
@@ -271,7 +257,7 @@ def construct(name: str) -> CatalogEntry:
         _check_range(n, low=3)
         part = _build_so(n)
         factor = _direct_sum([part, part])
-        h_indices = list(range(len(part.labels), 2 * len(part.labels)))
+        h_indices = _block_indices(factor, n, 2 * n)
     elif m := re.fullmatch(f"r{_NUM}_mod_0", name):
         d = int(m.group(1))
         _check_range(d, low=1)

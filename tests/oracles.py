@@ -419,6 +419,47 @@ def dense_nr_defect(L, h_rows, m_rows, gram):
     ]
 
 
+def dense_koszul_defect(L, h_rows, m_rows, gram):
+    """U[a][b] = the m-coordinates of U(m_a, m_b), where the Levi-Civita
+    Nomizu map is 1/2 [X, Y]_m + U(X, Y) and, by Koszul,
+    2 <U(X, Y), Z> = <[Z, X]_m, Y> + <X, [Z, Y]_m>: the m-part from
+    `dense_m_part`, paired through the plain Gram matrix and solved against
+    the Gram matrix of m by `dense_solve`."""
+    n, r = L.dim, len(m_rows)
+    m_part = dense_m_part(L, h_rows, m_rows)
+
+    def pairing(u, v):
+        return sum((u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)), F0)
+
+    gram_m = [[pairing(x, y) for y in m_rows] for x in m_rows]
+    brackets = [[m_part(z, x) for x in m_rows] for z in m_rows]  # [m_c, m_a]_m
+    return [
+        [
+            dense_solve(
+                gram_m,
+                [
+                    (pairing(brackets[c][a], m_rows[b]) + pairing(m_rows[a], brackets[c][b])) / 2
+                    for c in range(r)
+                ],
+            )
+            for b in range(r)
+        ]
+        for a in range(r)
+    ]
+
+
+def stored_torsion_antisymmetric(table, r):
+    """Torsion antisymmetry read pair by pair from an adapted table: the
+    m-terms of -[m_a, m_b] against those of [m_b, m_a], both through
+    `table.entry`, over all r^2 ordered pairs."""
+
+    def m_part(a, b, scale):
+        sign, _, in_m = table.entry(a, b)
+        return {t: sign * scale * x for t, x in in_m}
+
+    return all(m_part(a, b, -1) == m_part(b, a, 1) for a in range(r) for b in range(r))
+
+
 def dense_bianchi_holds(pairs, ad_h, s, r):
     """The first Bianchi identity with torsion over every ordered triple of m:
     sum_cyc ([[m_x, m_y]_h, m_z] + [[m_x, m_y]_m, m_z]_m) = 0, with dense

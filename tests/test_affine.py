@@ -476,14 +476,17 @@ def test_torus_is_abelian_and_inside_carrier():
 # --- isometry gate ----------------------------------------------------------------------
 
 
+def gate(pair, assertions):
+    """The isometry gate of an effective normal pair, on its own probe and affine algebra."""
+    return isometry_report(pair, assertions, isotropy_irreducibility_probe(pair), affine_algebra(pair))
+
+
 def test_isometry_report_gated_by_user_assertions():
     pair = so4_mod_so2_pair()
-    unasserted = isometry_report(pair)
+    unasserted = gate(pair, None)
     assert not unasserted.certified
     assert unasserted.group_dim == 7  # affine algebra still reported
-    asserted = isometry_report(
-        pair, UserAssertions(locally_irreducible=True, is_sphere_or_rp=False)
-    )
+    asserted = gate(pair, UserAssertions(locally_irreducible=True, is_sphere_or_rp=False))
     assert asserted.certified
     assert asserted.group_dim == 7
     assert asserted.semisimple is False  # k is a nonzero abelian line
@@ -492,7 +495,7 @@ def test_isometry_report_gated_by_user_assertions():
 
 def test_isometry_report_sphere_gate_blocks():
     pair = sphere_pair()
-    frag = isometry_report(pair, UserAssertions(locally_irreducible=True, is_sphere_or_rp=True))
+    frag = gate(pair, UserAssertions(locally_irreducible=True, is_sphere_or_rp=True))
     assert not frag.certified
     assert any("sphere" in c for c in frag.caveats)
 
@@ -501,14 +504,16 @@ def test_isometry_report_probe_certifies_irreducible_case():
     from test_liealg import so_algebra
 
     pair = normal_decomposition(so_algebra(4), unit_subspace(6, [0, 1, 3]))
-    frag = isometry_report(pair, UserAssertions(is_sphere_or_rp=False))
+    frag = gate(pair, UserAssertions(is_sphere_or_rp=False))
     assert frag.certified  # probe alone certifies irreducibility
     assert frag.group_dim == 6
     assert frag.semisimple is True
 
 
 def test_isometry_report_on_ineffective_pair():
-    frag = isometry_report(second_factor_pair())
+    pair = second_factor_pair()
+    assert not pair.flags.effective
+    frag = isometry_report(pair, None, isotropy_irreducibility_probe(pair), None)
     assert not frag.certified
     assert frag.group_dim is None
     assert any("effective" in c for c in frag.caveats)

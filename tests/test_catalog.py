@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from reductive_workbench.affine import (
@@ -10,9 +13,11 @@ from reductive_workbench.affine import (
 from reductive_workbench.catalog import (
     CURATED_NAMES,
     catalog_names,
+    _block_indices,
+    _build_so,
+    _build_su,
+    _direct_sum,
     construct,
-    so_corner_indices,
-    su_corner_indices,
 )
 from reductive_workbench.errors import ParamOutOfRange, UnknownName
 from reductive_workbench.homspace import (
@@ -89,10 +94,26 @@ def test_killing_form_closed_trace_forms():
     assert B.definiteness == "negative-definite"
 
 
-def test_corner_index_helpers():
-    assert so_corner_indices(4, 3) == [0, 1, 3]
-    assert so_corner_indices(4, 2) == [0]
-    assert su_corner_indices(3, 2) == [0, 3, 6]
+def _catalog_oracle():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compute_expected_catalog.py"
+    spec = importlib.util.spec_from_file_location("compute_expected_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_block_indices_match_the_oracle_index_formulas():
+    # h is read off the basis matrices supported in its block; the oracle
+    # script states the same positions by closed formulas over each family's order
+    oracle = _catalog_oracle()
+    for n in range(3, 9):
+        so, su = _build_so(n), _build_su(n)
+        for k in range(2, n):
+            assert _block_indices(so, 0, k) == oracle.so_corner_indices(n, k)
+            assert _block_indices(su, 0, 2 * k) == oracle.su_corner_indices(n, k)
+        d = n * (n - 1) // 2
+        assert _block_indices(_direct_sum([so, so]), n, 2 * n) == list(range(d, 2 * d))
+    assert _block_indices(_direct_sum([_build_so(3)] * 2), 3, 6) == [3, 4, 5]  # the oracle's entry
 
 
 def test_su3_su2_corner_is_subalgebra_with_fixed_line():

@@ -744,9 +744,11 @@ def test_golden_report_under_optimize_flag():
     # python -O strips asserts; every verdict must come from explicit checks.
     # The spec file also runs both callers of the packed cyclic sweep: the
     # Jacobi check of its table and the Bianchi check of its pair. so3r1_mod_0
-    # has a center: g1 != g and the fixed torus is nonzero.
+    # has a center: g1 != g and the fixed torus is nonzero. The h of
+    # so4_mod_so2 and su3_mod_su2 is read off the so and su corner blocks.
     for args, golden in (
         (["--catalog", "so4_mod_so2"], "so4_mod_so2.json"),
+        (["--catalog", "su3_mod_su2"], "su3_mod_su2.json"),
         (["--catalog", "so3r1_mod_0"], "so3r1_mod_0.json"),
         ([str(DATA / "so3so3_mod_diag_dense.json")], "so3so3_mod_diag_dense.json"),
     ):

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench.catalog import construct
+from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.connection import connection_tensors_at_basepoint, consistency_sweep
 from reductive_workbench.errors import NotNaturallyReductive
 from reductive_workbench.homspace import make_reductive_pair
 from reductive_workbench.liealg import make_bilinear_form
 from reductive_workbench.linalg import smul, rat, vadd, vector, vneg, zero_vector
 
-from oracles import dense_bianchi_holds
+from oracles import dense_bianchi_holds, dense_koszul_defect, stored_torsion_antisymmetric
 from test_homspace import (
     dense_spec_pair,
     diagonal_pair,
@@ -159,7 +159,9 @@ def test_metric_compatibility_on_naturally_reductive_pairs():
                     assert lhs == 0
 
 
-def test_lc_table_refused_for_non_naturally_reductive_pair():
+def tilted_gram_pair():
+    # so(3) + R^2 with h = 0 and a positive-definite metric tilted between
+    # the two summands: reductive, not naturally reductive
     from reductive_workbench.liealg import SubspaceBasis, make_lie_algebra
     from test_liealg import CYCLIC_SO3
 
@@ -170,9 +172,13 @@ def test_lc_table_refused_for_non_naturally_reductive_pair():
     for d in range(3, 5):
         gram[d][d] = 1
     gram[0][3] = gram[3][0] = F(1, 2)
-    bad = make_reductive_pair(
+    return make_reductive_pair(
         Lc, SubspaceBasis.zero(5), SubspaceBasis.full(5), make_bilinear_form(gram)
     )
+
+
+def test_lc_table_refused_for_non_naturally_reductive_pair():
+    bad = tilted_gram_pair()
     assert not bad.flags.naturally_reductive
     t = connection_tensors_at_basepoint(bad)
     assert not t.has_lc
@@ -181,11 +187,31 @@ def test_lc_table_refused_for_non_naturally_reductive_pair():
         _ = t.lc_table
 
 
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=n: construct(name).pair, id=n) for n in catalog_names()]
+    + [
+        pytest.param(dense_spec_pair, id="so3so3_mod_diag_dense"),
+        pytest.param(tilted_gram_pair, id="tilted_gram"),
+    ],
+)
+def test_twice_lc_flag_is_the_koszul_identity(make):
+    # the Levi-Civita Nomizu map is 1/2 [X,Y]_m + U(X,Y), so C = 2 LC iff the
+    # Koszul term U vanishes; the tilted pair is the one where it does not
+    pair = make()
+    U = dense_koszul_defect(pair.algebra, pair.h.rows, pair.m.rows, pair.metric.gram)
+    flag = consistency_sweep(connection_tensors_at_basepoint(pair))["canonical_equals_twice_lc"]
+    assert flag == (not any(any(u) for row in U for u in row))
+    assert flag == pair.flags.naturally_reductive
+    assert flag is (make is not tilted_gram_pair)
+
+
 def with_pair_entry(pair, a, b, part, index, delta):
     """The pair with the integer delta added to the stored integer term at
     coordinate `index` of the h-part (part 0) or the m-part (part 1) of the
-    entry [m_a, m_b], a < b, which is over the table's scale; the mirrored
-    entry [m_b, m_a] changes with it."""
+    entry stored at (a, b), which is over the table's scale. For a < b that is
+    [m_a, m_b], and the mirrored entry [m_b, m_a] changes with it; the table
+    reads no entry stored at a > b."""
     table = pair.table
     entry = [dict(terms) for terms in table.pairs[a].get(b, ((), ()))]
     entry[part][index] = entry[part].get(index, 0) + delta
@@ -193,6 +219,24 @@ def with_pair_entry(pair, a, b, part, index, delta):
     pairs = list(table.pairs)
     pairs[a] = {**pairs[a], b: terms}
     return pair.replace(table=table.replace(pairs=tuple(pairs)))
+
+
+@pytest.mark.parametrize(
+    "a, b, part, holds",
+    [
+        pytest.param(1, 1, 1, False, id="diagonal_m_part"),
+        pytest.param(1, 1, 0, True, id="diagonal_h_part"),
+        pytest.param(2, 1, 1, True, id="below_the_diagonal"),
+    ],
+)
+def test_torsion_flag_reads_the_stored_diagonal(a, b, part, holds):
+    # T is antisymmetric iff no stored [m_a, m_a] has an m-part: an h-part is
+    # not in T, and an entry stored at a > b is never read
+    pair = construct("su3_mod_su2").pair
+    bad = with_pair_entry(pair, a, b, part, 0, pair.table.scale)
+    flag = consistency_sweep(connection_tensors_at_basepoint(bad))["torsion_antisymmetric"]
+    assert flag is holds
+    assert flag == stored_torsion_antisymmetric(bad.table, bad.m.dim)
 
 
 @pytest.mark.parametrize("name", ["su3_mod_su2", "so4_mod_0"])
@@ -232,5 +276,6 @@ def test_sweep_bianchi_flag_matches_all_ordered_triples(make, data):
         .filter(lambda x: x != 0)
     )
     bad = with_pair_entry(pair, a, b, part, index, delta)
-    flag = consistency_sweep(connection_tensors_at_basepoint(bad))["bianchi_cyclic_identity"]
-    assert flag == dense_bianchi_holds(bad.table.pairs, bad.table.ad_h, s, r)
+    result = consistency_sweep(connection_tensors_at_basepoint(bad))
+    assert result["bianchi_cyclic_identity"] == dense_bianchi_holds(bad.table.pairs, bad.table.ad_h, s, r)
+    assert result["torsion_antisymmetric"] == stored_torsion_antisymmetric(bad.table, r)
