@@ -25,7 +25,6 @@ from .homspace import (
     isotropy_fixed_subspace,
 )
 from .liealg import (
-    BilinearForm,
     CheckResult,
     LieAlgebra,
     SubspaceBasis,
@@ -33,7 +32,6 @@ from .liealg import (
     _invariance_witness,
     center,
     derived_subalgebra,
-    killing_form,
     orthogonal_complement,
 )
 from .linalg import _integer_rows, matvec, transpose
@@ -104,10 +102,6 @@ class InvariantFieldAlgebra(Record):
     @property
     def dim(self) -> int:
         return self.carrier.dim
-
-    @property
-    def killing(self) -> BilinearForm:
-        return killing_form(self.algebra)
 
 
 @lru_cache(maxsize=None)

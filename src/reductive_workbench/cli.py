@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checks",
         choices=["all", "fast"],
         default="all",
-        help="fast skips the exhaustive connection-tensor consistency sweep",
+        help="fast skips the exhaustive connection consistency sweep",
     )
     parser.add_argument(
         "--numeric-checks",
@@ -83,14 +83,23 @@ def main(argv=None) -> int:
         return 1
 
     exit_code = 0
-    for (kind, value), report in zip(inputs, reports):
-        if report.body["input"] == "file":
-            report.body["input"] = f"file:{os.path.basename(value)}"
-        if args.json:
-            sys.stdout.write(report.to_json())
-        else:
-            sys.stdout.write(report.to_text())
-        exit_code = max(exit_code, report.exit_code)
+    try:
+        for (kind, value), report in zip(inputs, reports):
+            if report.body["input"] == "file":
+                report.body["input"] = f"file:{os.path.basename(value)}"
+            if args.json:
+                sys.stdout.write(report.to_json())
+            else:
+                sys.stdout.write(report.to_text())
+            exit_code = max(exit_code, report.exit_code)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return exit_code
 
 

@@ -1,4 +1,4 @@
-"""Basepoint tensors of the canonical and Levi-Civita connections.
+"""Consistency of the canonical connection at the basepoint.
 
 Sign conventions, fixed once and echoed in every report header:
 
@@ -10,30 +10,18 @@ Sign conventions, fixed once and echoed in every report header:
 The torsion follows from T(X,Y) = D_X Y - D_Y X - [X,Y] applied to the induced
 Killing fields, whose Lie bracket at the basepoint is -[X,Y]_m.
 
-The consistency sweep that the report runs under `checks="all"` reads the
-pair's adapted table: torsion antisymmetry from its diagonal, C = 2 LC from the
-naturally reductive witness (LC differs from -1/2 [X,Y]_m by the Koszul term
-U(X,Y), and U = 0 is that identity) and the Bianchi identity through the
-Jacobi check's cyclic routine; the tables of ambient vectors are views of the
-adapted table, divided once per entry.
+Each tensor is a reading of the bracket, so the consistency sweep that the
+report runs under `checks="all"` reads the pair's adapted table alone: torsion
+antisymmetry from its diagonal, C = 2 LC from the naturally reductive witness
+(LC differs from -1/2 [X,Y]_m by the Koszul term U(X,Y), and U = 0 is that
+identity) and the Bianchi identity through the Jacobi check's cyclic routine.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
-
-from .errors import NotNaturallyReductive, NotReductive
+from .errors import NotReductive
 from .homspace import AdaptedTable, ReductivePair, Terms
 from .liealg import _cyclic_witness
-from .linalg import ONE, Vector
-from .record import Record
-
-HALF = Fraction(1, 2)
-
-
-Table2 = tuple[tuple[Vector, ...], ...]
-Table3 = tuple[tuple[tuple[Vector, ...], ...], ...]
 
 CONVENTIONS = {
     "levi_civita": "LC(X,Y) = -1/2 [X,Y]_m",
@@ -43,76 +31,14 @@ CONVENTIONS = {
 }
 
 
-class ConnectionTensors(Record):
-    """Connection data at the basepoint, indexed over the echelon basis of m.
-
-    The tables hold ambient vectors lying in m. Each is a view of the pair's
-    adapted table, built on first use; the consistency sweep reads none.
-    """
-
-    pair: ReductivePair
-
-    def _view(self, scale: Fraction) -> Table2:
-        table, r = self.pair.table, self.pair.m.dim
-        scale /= table.scale
-        return tuple(
-            tuple(
-                self.pair.from_m_terms((t, sign * scale * x) for t, x in in_m)
-                for sign, _, in_m in (table.entry(a, b) for b in range(r))
-            )
-            for a in range(r)
-        )
-
-    @cached_property
-    def canonical_table(self) -> Table2:
-        return self._view(-ONE)
-
-    @property
-    def torsion_table(self) -> Table2:
-        return self.canonical_table
-
-    @cached_property
-    def lc_table(self) -> Table2:
-        if not self.has_lc:
-            raise NotNaturallyReductive(
-                "Levi-Civita basepoint table needs a naturally reductive pair"
-            )
-        return self._view(-HALF)
-
-    @cached_property
-    def curvature_table(self) -> Table3:
-        table, r = self.pair.table, self.pair.m.dim
-        return tuple(
-            tuple(
-                tuple(self.pair.from_m_terms(_curvature(table, a, b, c).items()) for c in range(r))
-                for b in range(r)
-            )
-            for a in range(r)
-        )
-
-    @property
-    def has_lc(self) -> bool:
-        return self.pair.flags.naturally_reductive
-
-
-def connection_tensors_at_basepoint(pair: ReductivePair) -> ConnectionTensors:
-    """The basepoint tensors over the basis of m; their tables are views."""
+def connection_tensors_at_basepoint(pair: ReductivePair) -> AdaptedTable:
+    """The adapted table, from which every basepoint tensor above is read."""
     if not pair.flags.reductive:
         raise NotReductive("connection tensors need a reductive pair")
-    return ConnectionTensors(pair)
+    return pair.table
 
 
-def _curvature(table: AdaptedTable, a: int, b: int, c: int) -> dict[int, Fraction]:
-    """m-coordinates of R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c], summed in integers and divided once."""
-    sign, in_h, _ = table.entry(a, b)
-    out: dict[int, int] = {}
-    for i, y in in_h:
-        for t, v in table.ad_h[i][c]:
-            out[t] = out.get(t, 0) - sign * y * v
-    return {t: Fraction(v, table.scale**2) for t, v in out.items()}
-
-
-def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
+def consistency_sweep(table: AdaptedTable) -> dict[str, bool]:
     """Torsion antisymmetry, canonical = 2 LC and the first Bianchi identity
     sum_cyc R(X,Y)Z = sum_cyc T(T(X,Y), Z) over basis triples of m, all exact.
 
@@ -127,8 +53,7 @@ def consistency_sweep(tensors: ConnectionTensors) -> dict[str, bool]:
     is i, m_a is s + a): rows are the integer terms of [m_a, m_b], images the
     m-parts of [h_i, m_c] and [m_a, m_c]. The defect alternates in its slots,
     so the triples a < b < c decide it."""
-    table = tensors.pair.table
-    s, r = tensors.pair.h.dim, tensors.pair.m.dim
+    s, r = len(table.ad_h), len(table.pairs)
 
     def terms(a: int, b: int) -> Terms:
         sign, in_h, in_m = table.entry(a, b)

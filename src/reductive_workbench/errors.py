@@ -60,10 +60,6 @@ class NotReductive(WorkbenchError):
     """Operation requires [h, m] inside m."""
 
 
-class NotNaturallyReductive(WorkbenchError):
-    """Operation requires the naturally-reductive identity to hold."""
-
-
 class NotInM(WorkbenchError):
     """Vector has a nonzero component outside the chosen complement."""
 

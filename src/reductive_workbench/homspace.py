@@ -222,12 +222,6 @@ class ReductivePair(Record, eq=False, uncompared=("coords", "table")):
         parts = _split(self.coords, self.h.dim, support)
         return tuple(tuple((t, Fraction(v, d * self.coords[0])) for t, v in part) for part in parts)
 
-    def project_m(self, X: Vector) -> Vector:
-        return self.from_m_terms(self.split(X)[1])
-
-    def bracket_m(self, X: Vector, Y: Vector) -> Vector:
-        return self.project_m(self.algebra.bracket(X, Y))
-
     def from_h_terms(self, terms: Iterable[tuple[int, Fraction]]) -> Vector:
         """The vector sum c h_i over the (i, c) terms, in ambient coordinates."""
         return _combine(terms, self.h.rows, self.algebra.dim)

@@ -47,7 +47,6 @@ from .linalg import (
     Matrix,
     Vector,
     ZERO,
-    dot,
     identity,
     is_scalar_matrix,
     kernel,
@@ -55,7 +54,6 @@ from .linalg import (
     krylov_rank,
     coords_in_rref,
     matmul,
-    matvec,
     primary_kernels,
     rat,
     rref,
@@ -348,14 +346,6 @@ class BilinearForm(Record):
         if neg == n:
             return "negative-definite"
         return "indefinite"
-
-    def apply(self, u: Vector, v: Vector) -> Fraction:
-        return dot(u, matvec(self.gram, v))
-
-    def restrict(self, sub: SubspaceBasis) -> Matrix:
-        """Gram matrix on the rows of `sub`: the images G.s are the rows of S G,
-        as G is symmetric, and each pairing runs over the support of its row."""
-        return matmul(sub.rows, transpose(matmul(sub.rows, self.gram)))
 
 
 def make_bilinear_form(gram: Iterable[Iterable]) -> BilinearForm:

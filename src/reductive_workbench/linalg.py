@@ -69,24 +69,12 @@ def vector(coords: Iterable) -> Vector:
     return tuple(rat(c) for c in coords)
 
 
-def matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vector(r) for r in rows)
-
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
 
 
 def smul(c: Fraction, u: Vector) -> Vector:

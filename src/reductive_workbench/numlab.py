@@ -187,18 +187,3 @@ def _flow_residuals(entry, xs, ys, t: float, s: float) -> list[float]:
         route_two = matrix_exp(t * (g @ X @ gT)) @ g
         out.extend(np.abs(g @ flow - route_two).max(axis=(1, 2)).tolist())
     return out
-
-
-def isotropy_commutation_residual(entry, X: Vector, u: float = 1.0) -> float:
-    """Conjugating Exp(X) by isotropy exponentials must fix it: a numeric echo
-    of [h, X] = 0 for carrier directions. Exp(X) and every Exp(u h_i) come
-    from one stack."""
-    if not entry.fixed_subspace.contains_vector(tuple(X)):
-        raise NotInFixedSubspace("X must be an isotropy-fixed direction of m")
-    import numpy as np
-
-    floats = entry.realization.to_float([X, *entry.pair.h.rows])
-    floats[1:] *= u
-    exps = matrix_exp(floats)
-    base, hs = exps[0], exps[1:]
-    return float(np.abs(hs @ base @ np.swapaxes(hs, 1, 2) - base).max(initial=0.0))

@@ -14,6 +14,11 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def fraction_matrix(rows):
+    """The rows as tuples of Fractions, from ints, Fractions or "p/q" strings."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
 def dense_zero(n, m=None):
     m = n if m is None else m
     return [[F0] * m for _ in range(n)]
@@ -371,20 +376,29 @@ def dense_bracket(L):
     return bracket
 
 
+def dense_project_m(h_rows, m_rows, v):
+    """The m-part of v along g = h + m, in ambient coordinates, from one
+    Gauss-Jordan solve along h + m."""
+    coords = dense_coords(list(h_rows) + list(m_rows), v)
+    s = len(h_rows)
+    return [sum((coords[s + t] * row[k] for t, row in enumerate(m_rows)), F0) for k in range(len(v))]
+
+
+def dense_pairings(us, vs, gram):
+    """P[a][b] = <us[a], vs[b]> through the plain Gram matrix."""
+    n = len(gram)
+
+    def pairing(u, v):
+        return sum((u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n) if u[i] and v[j]), F0)
+
+    return [[pairing(u, v) for v in vs] for u in us]
+
+
 def dense_m_part(L, h_rows, m_rows):
     """m_part(x, y) -> the m-part of [x, y] along g = h + m, in ambient
-    coordinates: `dense_bracket` and one Gauss-Jordan solve along h + m."""
+    coordinates: `dense_bracket` and `dense_project_m`."""
     bracket = dense_bracket(L)
-    basis = list(h_rows) + list(m_rows)
-    s = len(h_rows)
-
-    def m_part(x, y):
-        coords = dense_coords(basis, bracket(x, y))
-        return [
-            sum((coords[s + t] * row[k] for t, row in enumerate(m_rows)), F0) for k in range(L.dim)
-        ]
-
-    return m_part
+    return lambda x, y: dense_project_m(h_rows, m_rows, bracket(x, y))
 
 
 def dense_invariant_field_entries(L, h_rows, m_rows, carrier_rows):
@@ -458,6 +472,32 @@ def stored_torsion_antisymmetric(table, r):
         return {t: sign * scale * x for t, x in in_m}
 
     return all(m_part(a, b, -1) == m_part(b, a, 1) for a in range(r) for b in range(r))
+
+
+def dense_bianchi_by_brackets(L, h_rows, m_rows):
+    """The first Bianchi identity with torsion, sum_cyc R(X,Y)Z =
+    sum_cyc T(T(X,Y), Z) for R(X,Y)Z = -[[X,Y]_h, Z] and T(X,Y) = -[X,Y]_m,
+    over every ordered triple of m rows: sum_cyc ([[x,y]_h, z] + [[x,y]_m, z]_m)
+    = 0, with [x,y]_h = [x,y] - [x,y]_m, from `dense_bracket` and
+    `dense_m_part` in ambient coordinates."""
+    bracket = dense_bracket(L)
+    m_part = dense_m_part(L, h_rows, m_rows)
+    r = len(m_rows)
+    in_m = [[m_part(x, y) for y in m_rows] for x in m_rows]
+    in_h = [
+        [[p - q for p, q in zip(bracket(x, y), in_m[a][b])] for b, y in enumerate(m_rows)]
+        for a, x in enumerate(m_rows)
+    ]
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                total = [F0] * L.dim
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for term in (bracket(in_h[x][y], m_rows[z]), m_part(in_m[x][y], m_rows[z])):
+                        total = [p + q for p, q in zip(total, term)]
+                if any(total):
+                    return False
+    return True
 
 
 def dense_bianchi_holds(pairs, ad_h, s, r):

@@ -16,14 +16,13 @@ from reductive_workbench.affine import (
     transvection_equals_g_check,
 )
 from reductive_workbench.catalog import catalog_names, construct
-from reductive_workbench.connection import connection_tensors_at_basepoint
+from reductive_workbench.connection import connection_tensors_at_basepoint, consistency_sweep
 from reductive_workbench.errors import JacobiViolation
 from reductive_workbench.homspace import (
     naturally_reductive_check,
     normalizer_invariance_check,
 )
 from reductive_workbench.liealg import center, make_lie_algebra
-from reductive_workbench.linalg import rat, smul, vneg, zero_vector
 from reductive_workbench.numlab import (
     TOLERANCE,
     flow_commutation_check,
@@ -31,6 +30,8 @@ from reductive_workbench.numlab import (
     orthogonality_residual,
 )
 from reductive_workbench.report import run_report
+
+from oracles import dense_bianchi_by_brackets, dense_koszul_defect, dense_m_part, dense_project_m
 
 F = Fraction
 
@@ -96,13 +97,13 @@ def test_criterion_4_affine_structure_suite():
         aff = affine_algebra(pair)  # construction re-validates Jacobi exactly
         k = aff.k
         ok = ok and aff.total_dim == aff.g1.dim + entry.fixed_subspace.dim
-        zero = zero_vector(aff.total_dim)
+        zero = (F(0),) * aff.total_dim
         for a in range(aff.g1.dim):
             for b in range(k.dim):
                 ok = ok and aff.assembled.bracket_basis(a, aff.g1.dim + b) == zero
         zg = center(pair.algebra)
         for z in zg.rows:
-            ok = ok and k.carrier.contains_vector(pair.project_m(z))
+            ok = ok and k.carrier.contains_vector(tuple(dense_project_m(pair.h.rows, pair.m.rows, z)))
         ok = ok and entry.expected["dims"]["affine"] == aff.total_dim
     expected_dims = {"so3_mod_0": 6, "so3so3_mod_diag": 6, "so4_mod_so2": 7}
     for name, want in expected_dims.items():
@@ -126,9 +127,10 @@ def test_criterion_6_fixed_torus():
     ok = True
     for entry in all_entries():
         res = fixed_torus(entry.pair)
+        m_part = dense_m_part(entry.algebra, entry.pair.h.rows, entry.pair.m.rows)
         for u in res.basis.rows:
             for w in res.basis.rows:
-                ok = ok and entry.pair.bracket_m(u, w) == zero_vector(entry.algebra.dim)
+                ok = ok and not any(m_part(u, w))
         ok = ok and res.dimension == entry.expected["torus_dim"]
     for name, want in (("so4_mod_so2", 1), ("so3_mod_0", 0), ("so3_mod_so2", 0)):
         ok = ok and fixed_torus(construct(name).pair).dimension == want
@@ -136,27 +138,19 @@ def test_criterion_6_fixed_torus():
 
 
 def test_criterion_7_connection_tensor_consistency():
+    # the sweep's flags against dense oracles that never read the adapted
+    # table: C = 2 LC iff the Koszul term U vanishes, Bianchi from brackets
     ok = True
     for entry in all_entries():
         pair = entry.pair
-        t = connection_tensors_at_basepoint(pair)
-        rows = pair.m.rows
-        n_m = len(rows)
-        for a in range(n_m):
-            for b in range(n_m):
-                ok = ok and t.canonical_table[a][b] == smul(rat(2), t.lc_table[a][b])
-                ok = ok and t.torsion_table[a][b] == vneg(t.torsion_table[b][a])
-        for a in range(n_m):
-            for b in range(a + 1, n_m):
-                for c in range(n_m):
-                    total = zero_vector(entry.algebra.dim)
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        total = tuple(
-                            p + q for p, q in zip(total, t.curvature_table[x][y][z])
-                        )
-                        tt = vneg(pair.bracket_m(t.torsion_table[x][y], rows[z]))
-                        total = tuple(p - q for p, q in zip(total, tt))
-                    ok = ok and total == zero_vector(entry.algebra.dim)
+        h_rows, m_rows = pair.h.rows, pair.m.rows
+        flags = consistency_sweep(connection_tensors_at_basepoint(pair))
+        U = dense_koszul_defect(pair.algebra, h_rows, m_rows, pair.metric.gram)
+        ok = ok and all(flags.values())
+        ok = ok and flags["canonical_equals_twice_lc"] == (not any(any(u) for row in U for u in row))
+        ok = ok and flags["bianchi_cyclic_identity"] == dense_bianchi_by_brackets(
+            pair.algebra, h_rows, m_rows
+        )
     _report(7, "canonical = 2 * Levi-Civita, antisymmetry, Bianchi with torsion", ok)
 
 

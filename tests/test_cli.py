@@ -8,7 +8,6 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -770,24 +769,41 @@ def test_source_has_no_assert_statements():
 
 
 def test_every_source_function_is_referenced():
-    # a def whose name appears nowhere but on its own line is dead code
+    # a def that no engine, script or benchmark code reaches is dead code, even
+    # if tests call it; a module function is reached through a name, an
+    # attribute or an import alias, a method or property only through an
+    # attribute, and a dotted span name in benchmarks/spans.py reaches its last part
     root = Path(__file__).resolve().parent.parent
-    words = Counter(
-        word
-        for tree in ("src", "tests", "scripts", "benchmarks")
-        for path in sorted((root / tree).rglob("*.py"))
-        for word in re.findall(r"\w+", path.read_text())
-    )
+    names, attributes = set(), set()
+    trees = {}
+    for top in ("src", "scripts", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            trees[path] = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(trees[path]):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif path.name == "spans.py" and isinstance(node, ast.Constant):
+                    if isinstance(node.value, str) and re.fullmatch(r"\w+(\.\w+)+", node.value):
+                        attributes.add(node.value.rsplit(".", 1)[1])
     unreferenced = []
-    for path in sorted((root / "src" / "reductive_workbench").rglob("*.py")):
-        lines = path.read_text().splitlines()
-        for node in ast.walk(ast.parse("\n".join(lines), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                node.name.startswith("__") and node.name.endswith("__")
-            ):
-                own = re.findall(r"\w+", lines[node.lineno - 1]).count(node.name)
-                if words[node.name] <= own:
-                    unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    for path, tree in trees.items():
+        if path.relative_to(root).parts[0] != "src":
+            continue
+        methods = {
+            id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            used = attributes if id(node) in methods else names | attributes
+            if node.name not in used:
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
 
 
@@ -808,6 +824,25 @@ def test_console_entry_point_subprocess():
         "g": 2, "h": 0, "m": 2, "m_fixed": 2, "k": 2, "k_center": 2,
         "transvection": 2, "affine": 2,
     }
+
+
+def test_closed_stdout_pipe_exits_one_without_a_traceback():
+    # the reader is gone before the report is written, as in `analyze ... | head -c 10`
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reductive_workbench", "--catalog", "su3_mod_su2", "--json"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    os.close(read_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 SO3_TEXT = '"basis": ["L1", "L2", "L3"], "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [1, 3, 2, "-1"]]'

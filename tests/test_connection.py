@@ -6,12 +6,16 @@ from hypothesis import strategies as st
 
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.connection import connection_tensors_at_basepoint, consistency_sweep
-from reductive_workbench.errors import NotNaturallyReductive
 from reductive_workbench.homspace import make_reductive_pair
 from reductive_workbench.liealg import make_bilinear_form
-from reductive_workbench.linalg import smul, rat, vadd, vector, vneg, zero_vector
 
-from oracles import dense_bianchi_holds, dense_koszul_defect, stored_torsion_antisymmetric
+from oracles import (
+    dense_bianchi_by_brackets,
+    dense_bianchi_holds,
+    dense_koszul_defect,
+    dense_nr_defect,
+    stored_torsion_antisymmetric,
+)
 from test_homspace import (
     dense_spec_pair,
     diagonal_pair,
@@ -28,135 +32,80 @@ F = Fraction
 ALL_PAIRS = [sphere_pair, diagonal_pair, second_factor_pair, so4_mod_so2_pair]
 
 
+# The tensors are readings of the adapted table: T(m_a, m_b) = -[m_a, m_b]_m
+# is the m-part of entry (a, b), and R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c]
+# pairs its h-part with the columns ad_h[i][c]; entries are over `scale`.
+
+
 def test_sphere_pair_tensors():
-    # m = span(L1, L2); [L1, L2] = L3 falls in h, so torsion vanishes
+    # m = span(L1, L2); [L1, L2] = L3 falls in h, so torsion vanishes, and
+    # [L3, L1] = L2, so R(L1, L2)L1 = -[L3, L1] = -L2
     t = connection_tensors_at_basepoint(sphere_pair())
-    assert t.torsion_table[0][1] == zero_vector(3)
-    # R(L1, L2)L1 = -[[L1,L2]_h, L1] = -[L3, L1] = -L2
-    assert t.curvature_table[0][1][0] == vector([0, -1, 0])
+    assert t.entry(0, 1) == (1, ((0, t.scale),), ())
+    assert t.ad_h[0][0] == ((1, t.scale),)
 
 
 def test_trivial_isotropy_pair_is_flat_with_torsion():
-    pair = trivial_isotropy_pair(cyclic_so3())
-    t = connection_tensors_at_basepoint(pair)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                assert t.curvature_table[a][b][c] == zero_vector(3)
-    # torsion = -[X,Y] is the full bracket here
-    assert t.torsion_table[0][1] == vector([0, 0, -1])
+    # h = 0 leaves no h-part, so R = 0; torsion -[X,Y] is the full bracket:
+    # T(L1, L2) = -L3
+    t = connection_tensors_at_basepoint(trivial_isotropy_pair(cyclic_so3()))
+    assert t.ad_h == ()
+    assert not any(in_h for row in t.pairs for in_h, _ in row.values())
+    assert t.entry(0, 1) == (1, (), ((2, t.scale),))
 
 
 def test_diagonal_pair_has_symmetric_space_tensors():
     # [m, m] lands in the diagonal h: torsion zero, curvature nonzero
     t = connection_tensors_at_basepoint(diagonal_pair())
-    dim_m = len(t.pair.m.rows)
-    assert all(
-        t.torsion_table[a][b] == zero_vector(6) for a in range(dim_m) for b in range(dim_m)
-    )
-    assert any(
-        t.curvature_table[a][b][c] != zero_vector(6)
-        for a in range(dim_m)
-        for b in range(dim_m)
-        for c in range(dim_m)
-    )
-    # pinned value: X1 = (L1,-L1), X2 = (L2,-L2): R(X1,X2)X1 = -(L2,-L2) = -X2
-    assert t.curvature_table[0][1][0] == vneg(t.pair.m.rows[1])
+    entries = [t.entry(a, b) for a in range(3) for b in range(3)]
+    assert not any(in_m for _, _, in_m in entries)
+    assert any(in_h for _, in_h, _ in entries)
+    # pinned value: X1 = (L1,-L1), X2 = (L2,-L2): [X1, X2] = (L3, L3) = h_2
+    # and [h_2, X1] = X2, so R(X1,X2)X1 = -X2
+    assert t.entry(0, 1) == (1, ((2, t.scale),), ())
+    assert t.ad_h[2][0] == ((1, t.scale),)
 
 
 def test_abelian_pair_all_tables_vanish():
     t = connection_tensors_at_basepoint(trivial_isotropy_pair(abelian(2)))
-    for a in range(2):
-        for b in range(2):
-            assert t.canonical_table[a][b] == zero_vector(2)
-            for c in range(2):
-                assert t.curvature_table[a][b][c] == zero_vector(2)
+    assert t.ad_h == ()
+    assert t.pairs == ({}, {})
 
 
 def test_canonical_is_twice_levi_civita():
     for make in ALL_PAIRS:
-        t = connection_tensors_at_basepoint(make())
-        dim_m = len(t.pair.m.rows)
-        for a in range(dim_m):
-            for b in range(dim_m):
-                assert t.canonical_table[a][b] == smul(rat(2), t.lc_table[a][b])
-                assert t.lc_table[a][a] == zero_vector(t.pair.algebra.dim)
+        pair = make()
+        U = dense_koszul_defect(pair.algebra, pair.h.rows, pair.m.rows, pair.metric.gram)
+        assert not any(any(u) for row in U for u in row)
+        assert consistency_sweep(connection_tensors_at_basepoint(pair))["canonical_equals_twice_lc"]
 
 
 def test_torsion_and_curvature_antisymmetry():
+    # no [m_a, m_a] is stored, so T and R vanish on (m_a, m_a), and the table
+    # reads [m_b, m_a] as -[m_a, m_b] for both
     for make in ALL_PAIRS:
         t = connection_tensors_at_basepoint(make())
-        dim_m = len(t.pair.m.rows)
-        for a in range(dim_m):
-            for b in range(dim_m):
-                assert t.torsion_table[a][b] == vneg(t.torsion_table[b][a])
-                for c in range(dim_m):
-                    assert t.curvature_table[a][b][c] == vneg(t.curvature_table[b][a][c])
-
-
-def test_torsion_consistency_with_connection_difference():
-    # T(X,Y) = C(X,Y) - C(Y,X) - (Killing-field bracket at p) and the field
-    # bracket at p is -[X,Y]_m, hence T = C(X,Y) - C(Y,X) + [X,Y]_m.
-    for make in ALL_PAIRS:
-        pair = make()
-        t = connection_tensors_at_basepoint(pair)
-        rows = pair.m.rows
-        for a in range(len(rows)):
-            for b in range(len(rows)):
-                expected = vadd(
-                    vadd(t.canonical_table[a][b], vneg(t.canonical_table[b][a])),
-                    pair.bracket_m(rows[a], rows[b]),
-                )
-                assert t.torsion_table[a][b] == expected
-
-
-def test_curvature_values_stay_in_m():
-    for make in ALL_PAIRS:
-        pair = make()
-        t = connection_tensors_at_basepoint(pair)
-        dim_m = len(pair.m.rows)
-        for a in range(dim_m):
-            for b in range(dim_m):
-                for c in range(dim_m):
-                    assert pair.m.contains_vector(t.curvature_table[a][b][c])
-
-
-def bianchi_defect(pair, t, a, b, c):
-    """cyclic sum of R(X,Y)Z minus cyclic sum of T(T(X,Y), Z)."""
-    rows = pair.m.rows
-    n = pair.algebra.dim
-    total = zero_vector(n)
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        total = vadd(total, t.curvature_table[x][y][z])
-        inner = t.torsion_table[x][y]
-        t_of_t = vneg(pair.bracket_m(inner, rows[z]))
-        total = vadd(total, vneg(t_of_t))
-    return total
+        r = len(t.pairs)
+        assert all(t.entry(a, a) == (-1, (), ()) for a in range(r))
+        assert stored_torsion_antisymmetric(t, r)
+        assert consistency_sweep(t)["torsion_antisymmetric"]
 
 
 def test_first_bianchi_with_torsion():
     for make in ALL_PAIRS:
         pair = make()
         t = connection_tensors_at_basepoint(pair)
-        dim_m = len(pair.m.rows)
-        for a in range(dim_m):
-            for b in range(a + 1, dim_m):
-                for c in range(dim_m):
-                    assert bianchi_defect(pair, t, a, b, c) == zero_vector(pair.algebra.dim)
+        assert dense_bianchi_by_brackets(pair.algebra, pair.h.rows, pair.m.rows)
+        assert dense_bianchi_holds(t.pairs, t.ad_h, pair.h.dim, pair.m.dim)
+        assert consistency_sweep(t)["bianchi_cyclic_identity"]
 
 
 def test_metric_compatibility_on_naturally_reductive_pairs():
+    # the canonical connection is metric iff <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0
     for make in ALL_PAIRS:
         pair = make()
-        rows = pair.m.rows
-        G = pair.metric
-        for x in rows:
-            for y in rows:
-                for z in rows:
-                    lhs = G.apply(vneg(pair.bracket_m(x, y)), z) + G.apply(
-                        y, vneg(pair.bracket_m(x, z))
-                    )
-                    assert lhs == 0
+        defect = dense_nr_defect(pair.algebra, pair.h.rows, pair.m.rows, pair.metric.gram)
+        assert not any(x for plane in defect for row in plane for x in row)
 
 
 def tilted_gram_pair():
@@ -175,16 +124,6 @@ def tilted_gram_pair():
     return make_reductive_pair(
         Lc, SubspaceBasis.zero(5), SubspaceBasis.full(5), make_bilinear_form(gram)
     )
-
-
-def test_lc_table_refused_for_non_naturally_reductive_pair():
-    bad = tilted_gram_pair()
-    assert not bad.flags.naturally_reductive
-    t = connection_tensors_at_basepoint(bad)
-    assert not t.has_lc
-    assert t.canonical_table[0][1] == vector([0, 0, -1, 0, 0])
-    with pytest.raises(NotNaturallyReductive):
-        _ = t.lc_table
 
 
 @pytest.mark.parametrize(

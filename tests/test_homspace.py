@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench.affine import invariant_field_killing_check
+from reductive_workbench.affine import (
+    invariant_field_algebra,
+    invariant_field_killing_check,
+    transvection_algebra,
+)
 from reductive_workbench.catalog import CURATED_NAMES, construct
+from reductive_workbench.connection import connection_tensors_at_basepoint
 from reductive_workbench.errors import (
+    InvalidDecomposition,
     InvalidMetricSpec,
     MetricNotAdInvariant,
     MetricNotPositiveDefinite,
     NotASubalgebra,
+    NotReductive,
 )
 from reductive_workbench.homspace import (
     MetricSpec,
@@ -33,9 +40,17 @@ from reductive_workbench.liealg import (
     make_lie_algebra,
     simple_ideal_decomposition,
 )
-from reductive_workbench.linalg import mat_inverse, matrix, rat
+from reductive_workbench.linalg import mat_inverse, rat
 
-from oracles import dense_block_metric, dense_bracket, dense_m_part, dense_normalizer, dense_nr_defect
+from oracles import (
+    dense_block_metric,
+    dense_bracket,
+    dense_m_part,
+    dense_normalizer,
+    dense_nr_defect,
+    dense_pairings,
+    fraction_matrix,
+)
 
 from test_liealg import (
     CYCLIC_SO3,
@@ -109,7 +124,7 @@ def test_projections_identities():
         for e in identity(pair.algebra.dim):
             in_h, in_m = pair.split(e)
             assert vadd(pair.from_h_terms(in_h), pair.from_m_terms(in_m)) == e
-            assert pair.project_m(pair.project_m(e)) == pair.project_m(e)
+            assert pair.split(pair.from_m_terms(in_m)) == ((), in_m)
         for i, row in enumerate(pair.h.rows):
             assert pair.split(row) == (((i, 1),), ())
         for a, row in enumerate(pair.m.rows):
@@ -132,6 +147,41 @@ def test_normal_decomposition_rejects_bad_explicit_metrics():
         normal_decomposition(L, unit_subspace(3, [2]), make_bilinear_form([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
+def so3_pair(m_rows):
+    # so(3) with h = span(L3) and the identity metric, m as given
+    m = SubspaceBasis.from_vectors(3, m_rows)
+    metric = make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return make_reductive_pair(cyclic_so3(), unit_subspace(3, [2]), m, metric)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        naturally_reductive_check,
+        normalizer_invariance_check,
+        isotropy_fixed_subspace,
+        isotropy_irreducibility_probe,
+        transvection_algebra,
+        invariant_field_algebra,
+        invariant_field_killing_check,
+        connection_tensors_at_basepoint,
+    ],
+)
+def test_guarded_entry_points_refuse_a_non_reductive_pair(check):
+    # m = span(L1, L2 + L3): [L3, L1] = L2 = (L2 + L3) - L3 leaves m; the pair
+    # has no adapted table, and each guard must say why
+    pair = so3_pair([[1, 0, 0], [0, 1, 1]])
+    assert not pair.flags.reductive and pair.table is None
+    with pytest.raises(NotReductive):
+        check(pair)
+
+
+@pytest.mark.parametrize("m_rows", [[[1, 0, 0]], [[1, 0, 0], [0, 0, 1]]], ids=["short_m", "m_meets_h"])
+def test_make_reductive_pair_refuses_an_invalid_decomposition(m_rows):
+    with pytest.raises(InvalidDecomposition):
+        so3_pair(m_rows)
+
+
 def test_build_metric_rejects_noncompact():
     sl2 = make_lie_algebra(3, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)])
     with pytest.raises(MetricNotPositiveDefinite):
@@ -151,7 +201,7 @@ def test_metric_spec_validation():
 def test_center_gram_metric_on_so3_plus_r():
     L = make_lie_algebra(4, CYCLIC_SO3)
     form = build_metric(L, MetricSpec.custom(center_gram=[[3]]))
-    assert form.gram == matrix([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    assert form.gram == fraction_matrix([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     pair = normal_decomposition(L, SubspaceBasis.zero(4), MetricSpec.custom(center_gram=[[3]]))
     assert pair.flags.normal and pair.flags.naturally_reductive
 
@@ -197,7 +247,7 @@ def test_build_metric_matches_the_block_recipe(make):
         blocks, scales = [derived_subalgebra(L).rows], [F(1)]
     else:
         blocks, scales = [ideal.rows for ideal in simple_ideal_decomposition(L)[1]], spec.scale_factors
-    cg = spec.center_gram if spec.center_gram is not None else matrix(
+    cg = spec.center_gram if spec.center_gram is not None else fraction_matrix(
         [[int(i == j) for j in range(z.dim)] for i in range(z.dim)]
     )
     expected = dense_block_metric(L, z.rows, blocks, scales, cg)
@@ -347,7 +397,7 @@ def test_adapted_table_is_integer_over_its_two_scales(make):
         for b, y in enumerate(pair.m.rows):
             assert list(pair.from_m_terms(divided(table.ad_h[i][b]))) == bracket(u, y)
     gram = [[F(dict(row).get(c, 0), table.gram_scale) for c in range(r)] for row in table.gram]
-    assert gram == [list(row) for row in pair.metric.restrict(pair.m)]
+    assert gram == dense_pairings(pair.m.rows, pair.m.rows, pair.metric.gram)
 
 
 @pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3_mod_0"])
@@ -452,12 +502,13 @@ def test_fixed_subspace_examples():
 def test_fixed_subspace_is_bracket_closed_in_m():
     for pair in (sphere_pair(), diagonal_pair(), so4_mod_so2_pair(), second_factor_pair()):
         fixed = isotropy_fixed_subspace(pair)
+        m_part = dense_m_part(pair.algebra, pair.h.rows, pair.m.rows)
         assert pair.m.contains(fixed)
         for u in fixed.rows:
             for r in pair.h.rows:
                 assert pair.algebra.bracket(r, u) == (rat(0),) * pair.algebra.dim
             for w in fixed.rows:
-                assert fixed.contains_vector(pair.bracket_m(u, w))
+                assert fixed.contains_vector(tuple(m_part(u, w)))
 
 
 # --- irreducibility probe ---------------------------------------------------------

@@ -41,6 +41,7 @@ from oracles import (
     fraction_is_subalgebra,
     fraction_mat_inverse,
     fraction_matmul,
+    fraction_matrix,
     fraction_rref,
     fraction_signature,
     gauss_rank,
@@ -77,7 +78,7 @@ def test_rat_coercions():
 
 @given(small_matrix(3, 4))
 def test_rref_idempotent_and_rank(rows):
-    mat = linalg.matrix(rows)
+    mat = fraction_matrix(rows)
     red, pivots = rref(mat, 4)
     again, pivots2 = rref(red, 4)
     assert red == again
@@ -87,18 +88,18 @@ def test_rref_idempotent_and_rank(rows):
 
 @given(small_matrix(3, 4))
 def test_rref_canonical_under_row_mixing(rows):
-    mat = linalg.matrix(rows)
+    mat = fraction_matrix(rows)
     red, _ = rref(mat, 4)
     # same span, different presentation: add the first row into the others
     if len(mat) >= 2:
         mixed = [mat[0]] + [linalg.vadd(r, mat[0]) for r in mat[1:]]
-        red2, _ = rref(linalg.matrix(mixed), 4)
+        red2, _ = rref(fraction_matrix(mixed), 4)
         assert red == red2
 
 
 @given(small_matrix(3, 5))
 def test_kernel_annihilates_and_has_complementary_dim(rows):
-    mat = linalg.matrix(rows)
+    mat = fraction_matrix(rows)
     ker = kernel(mat, 5)
     for v in ker:
         assert all(x == 0 for x in matvec(mat, v))
@@ -106,11 +107,11 @@ def test_kernel_annihilates_and_has_complementary_dim(rows):
 
 
 def test_mat_inverse_roundtrip():
-    A = linalg.matrix([[1, 2], ["1/3", 1]])
+    A = fraction_matrix([[1, 2], ["1/3", 1]])
     Ainv = mat_inverse(A)
     assert matmul(A, Ainv) == identity(2)
     with pytest.raises(ValueError):
-        mat_inverse(linalg.matrix([[1, 2], [2, 4]]))
+        mat_inverse(fraction_matrix([[1, 2], [2, 4]]))
 
 
 @pytest.mark.parametrize(
@@ -125,20 +126,20 @@ def test_mat_inverse_roundtrip():
     ],
 )
 def test_signature_known_cases(gram, expected):
-    assert signature(linalg.matrix(gram)) == expected
+    assert signature(fraction_matrix(gram)) == expected
 
 
 def test_charpoly_known():
-    J = linalg.matrix([[0, -1], [1, 0]])  # rotation generator: x^2 + 1
+    J = fraction_matrix([[0, -1], [1, 0]])  # rotation generator: x^2 + 1
     assert charpoly(J) == (rat(1), rat(0), rat(1))
-    N = linalg.matrix([[0, 1], [0, 0]])  # nilpotent: x^2
+    N = fraction_matrix([[0, 1], [0, 0]])  # nilpotent: x^2
     assert charpoly(N) == (rat(0), rat(0), rat(1))
-    D = linalg.matrix([[2, 0], [0, 2]])
+    D = fraction_matrix([[2, 0], [0, 2]])
     assert charpoly(D) == (rat(4), rat(-4), rat(1))
 
 
 def test_poly_eval_matrix_cayley_hamilton():
-    A = linalg.matrix([[1, 2], [3, "1/2"]])
+    A = fraction_matrix([[1, 2], [3, "1/2"]])
     p = charpoly(A)
     assert poly_eval_matrix(p, A) == ((rat(0), rat(0)), (rat(0), rat(0)))
 
@@ -216,7 +217,7 @@ def test_linear_power_matches_square_and_multiply(degree):
 @given(small_matrix(3, 3))
 def test_primary_kernels_split_invariantly(rows):
     # the primary kernels are A-invariant and Q^n is their direct sum
-    A = linalg.matrix(rows)
+    A = fraction_matrix(rows)
     kernels = primary_kernels(A)
     assert sum(len(K) for K in kernels) == len(A)
     assert len(rref([v for K in kernels for v in K], len(A))[0]) == len(A)
@@ -365,7 +366,7 @@ def exact_calls(monkeypatch):
     ids=["pivot_is_p", "denominator_is_p", "beyond_reconstruction_bound"],
 )
 def test_unlucky_prime_falls_back_to_the_exact_kernel(rows, exact_calls):
-    rows = linalg.matrix(rows)
+    rows = fraction_matrix(rows)
     ncols = len(rows[0])
     expected = tuple(tuple(v) for v in dense_kernel(rows, ncols))
     assert expected  # a nonzero kernel, so a wrong candidate would show
@@ -390,7 +391,7 @@ def test_report_never_needs_the_exact_kernel(monkeypatch):
         L, n = entry.algebra, entry.algebra.dim
         Pm, Pinv = unimodular(n, rng)
         entries = changed_basis_entries(n, L.bracket_basis, Pm, Pinv)
-        h_rows = tuple(matvec(transpose(linalg.matrix(Pinv)), v) for v in entry.h.rows)  # v P^-1
+        h_rows = tuple(matvec(transpose(fraction_matrix(Pinv)), v) for v in entry.h.rows)  # v P^-1
         spec = SpaceSpec(n, L.basis_labels, tuple(entries), h_rows, MetricSpec(), UserAssertions())
         assert run_report(spec).exit_code == 0
     homspace.isotropy_fixed_subspace.cache_clear()
@@ -481,7 +482,7 @@ def test_integer_signature_matches_the_fraction_signature(data):
     if data.draw(st.booleans()):
         for i in range(n):
             gram[i][i] = data.draw(entries)
-    gram = linalg.matrix(gram)
+    gram = fraction_matrix(gram)
     assert signature(gram) == fraction_signature(gram)
     assert signature(tuple(tuple(-x for x in row) for row in gram)) == fraction_signature(
         tuple(tuple(-x for x in row) for row in gram)
@@ -511,7 +512,7 @@ def test_integer_is_subalgebra_matches_the_fraction_check(data):
     n = entry.algebra.dim
     Pm, Pinv = unimodular(n, random.Random(data.draw(st.integers(0, 2**16))))
     L = make_lie_algebra(n, changed_basis_entries(n, entry.algebra.bracket_basis, Pm, Pinv))
-    h_rows = [matvec(transpose(linalg.matrix(Pinv)), v) for v in entry.h.rows]  # v P^-1
+    h_rows = [matvec(transpose(fraction_matrix(Pinv)), v) for v in entry.h.rows]  # v P^-1
     rows = [v for v in h_rows if data.draw(st.booleans())]
     for _ in range(data.draw(st.integers(0, 2))):
         rows.append(tuple(data.draw(st.lists(small_fractions, min_size=n, max_size=n))))

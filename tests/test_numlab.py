@@ -11,7 +11,6 @@ from reductive_workbench.numlab import (
     TOLERANCE,
     flow_commutation_check,
     flow_commutation_residuals,
-    isotropy_commutation_residual,
     make_matrix_realization,
     matrix_exp,
     orthogonality_residual,
@@ -160,13 +159,6 @@ def test_numeric_section_without_fixed_directions():
     numeric = run_report(construct("so6_mod_so5"), checks="fast", numeric=True).body["numeric"]
     assert numeric["flow_commutation_checks"] == 0
     assert numeric["all_below_tolerance"] is True
-
-
-def test_isotropy_commutation_residuals():
-    for name in ("so4_mod_so2", "su3_mod_su2"):
-        entry = construct(name)
-        for X in entry.fixed_subspace.rows:
-            assert isotropy_commutation_residual(entry, X) < TOLERANCE
 
 
 @pytest.mark.parametrize("name", ["so5_mod_0", "su4_mod_0"])
