@@ -487,77 +487,17 @@ class Oracle:
                         row[c * m_dim + b] -= A[a][c]
                     system.append(row)
         flat = nullspace(system, m_dim * m_dim)
-        if len(flat) == 1:
-            return "irreducible"
+        # irreducible over R iff every self-adjoint T + T* of the commutant,
+        # T* = G^-1 T^T G, is a scalar: G T + (G T)^T a multiple of G
+        G = [[self.inner(u, v) for v in self.m] for u in self.m]
         for f in flat:
             T = [[f[p * m_dim + q] for q in range(m_dim)] for p in range(m_dim)]
-            lam = T[0][0]
-            if all(T[i][j] == (lam if i == j else 0) for i in range(m_dim) for j in range(m_dim)):
-                continue
-            for root in rational_eigenvalues(T):
-                shifted = [[T[i][j] - (root if i == j else 0) for j in range(m_dim)] for i in range(m_dim)]
-                ker = nullspace(shifted, m_dim)
-                if 0 < len(ker) < m_dim:
-                    return "reducible"
-        return "inconclusive"
-
-
-def rational_eigenvalues(T):
-    """Rational roots of the minimal polynomial, by first power dependence."""
-    n = len(T)
-    powers = [[[F1 if i == j else F0 for j in range(n)] for i in range(n)]]
-    while True:
-        last = powers[-1]
-        nxt = [[sum((T[i][k] * last[k][j] for k in range(n)), F0) for j in range(n)] for i in range(n)]
-        powers.append(nxt)
-        cols = len(powers)
-        system = [
-            [powers[c][i][j] for c in range(cols)] for i in range(n) for j in range(n)
-        ]
-        dep = nullspace(system, cols)
-        if dep:
-            coeffs = dep[0]
-            lead = coeffs[-1]
-            coeffs = [c / lead for c in coeffs]
-            break
-    # rational root theorem on the integer-cleared polynomial
-    from math import gcd
-
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        roots = {Fraction(0)}
-        while ints and ints[0] == 0:
-            ints.pop(0)
-        a0 = ints[0]
-    else:
-        roots = set()
-
-    def divisors(x):
-        x = abs(x)
-        out = {1}
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out.add(d)
-                out.add(x // d)
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = F0
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.add(cand)
-    return sorted(roots)
+            GT = [[sum((G[i][k] * T[k][j] for k in range(m_dim)), F0) for j in range(m_dim)] for i in range(m_dim)]
+            S = [[GT[i][j] + GT[j][i] for j in range(m_dim)] for i in range(m_dim)]
+            lam = S[0][0] / G[0][0]
+            if any(S[i][j] != lam * G[i][j] for i in range(m_dim) for j in range(m_dim)):
+                return "reducible"
+        return "irreducible"
 
 
 # ----------------------------------------------------------------------------

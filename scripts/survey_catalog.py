@@ -27,7 +27,7 @@ def main() -> int:
         pair = entry.pair
         torus = fixed_torus(pair).dimension
         tr = transvection_equals_g_check(pair).equals_g
-        probe = isotropy_irreducibility_probe(pair).verdict
+        probe = isotropy_irreducibility_probe(pair)
         affine = entry.expected["dims"]["affine"]
         print(
             f"{name:26s} {pair.algebra.dim:3d} {pair.h.dim:3d} {pair.m.dim:3d} "

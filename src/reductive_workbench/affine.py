@@ -19,11 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotEffective, NotNormal, NotReductive
-from .homspace import (
-    ProbeResult,
-    ReductivePair,
-    isotropy_fixed_subspace,
-)
+from .homspace import ReductivePair, isotropy_fixed_subspace
 from .liealg import (
     CheckResult,
     LieAlgebra,
@@ -229,19 +225,18 @@ class IsometryFragment(Record):
     certified: bool
     group_dim: int | None
     semisimple: bool | None
-    probe: ProbeResult | None
     caveats: tuple[str, ...]
 
 
 def isometry_report(
     pair: ReductivePair,
     assertions: UserAssertions | None,
-    probe: ProbeResult,
+    probe: str,
     affine: AffineAlgebra | None,
 ) -> IsometryFragment:
     """Emit the isometry identification when the gates pass.
 
-    Gate 1: the isotropy probe certifies irreducibility, or the user asserts
+    Gate 1: the isotropy probe's verdict is "irreducible", or the user asserts
     local irreducibility. Gate 2: the user asserts the space is not a sphere or
     a real projective space. Otherwise only the affine algebra is certified.
     `affine` is the pair's affine algebra, None exactly when the pair is not
@@ -251,19 +246,19 @@ def isometry_report(
     caveats = [ALMOST_DIRECT_PRODUCT_NOTE]
     if not (pair.flags.normal and pair.flags.effective):
         caveats.append("identification requires an effective normal pair")
-        return IsometryFragment(False, None, None, None, tuple(caveats))
-    irreducibility_ok = probe.verdict == "irreducible" or assertions.locally_irreducible is True
+        return IsometryFragment(False, None, None, tuple(caveats))
+    irreducibility_ok = probe == "irreducible" or assertions.locally_irreducible is True
     sphere_ok = assertions.is_sphere_or_rp is False
     caveats.append(LOCAL_IRREDUCIBILITY_CAVEAT)
     if irreducibility_ok and sphere_ok:
         semisimple = affine.k.center.dim == 0
         caveats.append(SPHERE_GATE_CAVEAT)
-        return IsometryFragment(True, affine.total_dim, semisimple, probe, tuple(caveats))
+        return IsometryFragment(True, affine.total_dim, semisimple, tuple(caveats))
     if not irreducibility_ok:
         caveats.append(
-            f"local irreducibility not established (probe: {probe.verdict}; no user assertion)"
+            f"local irreducibility not established (probe: {probe}; no user assertion)"
         )
     if not sphere_ok:
         caveats.append("sphere / real projective space not excluded by the user")
     caveats.append("isometry identification not certified; only the affine algebra is")
-    return IsometryFragment(False, affine.total_dim, None, probe, tuple(caveats))
+    return IsometryFragment(False, affine.total_dim, None, tuple(caveats))

@@ -1,8 +1,10 @@
 """Reductive decompositions g = h + m and their classification.
 
 Builds normal decompositions (m = orthogonal complement of h with respect to
-an invariant positive-definite metric), verifies all flags exactly, and probes
-the isotropy representation on m for fixed vectors and invariant subspaces.
+an invariant positive-definite metric), verifies all flags exactly, finds the
+fixed set of the isotropy representation on m and decides whether it is
+irreducible over R, both by one sparse kernel each: no characteristic
+polynomial is formed, so nothing here loads sympy.
 
 The default metric is -B, minus the Killing form; a recipe adds only its
 center Gram matrix and rescaled simple ideals to it. A pair keeps one
@@ -26,6 +28,7 @@ from .errors import (
     MetricNotPositiveDefinite,
     NotASubalgebra,
     NotCompactType,
+    NotNormal,
     NotReductive,
 )
 from .liealg import (
@@ -39,8 +42,6 @@ from .liealg import (
     _largest_ideal_in,
     ad_invariance_check,
     center,
-    commutant,
-    commutant_split,
     derived_subalgebra,
     is_subalgebra,
     killing_form,
@@ -355,16 +356,7 @@ def naturally_reductive_check(pair: ReductivePair) -> CheckResult:
     return CheckResult(witness is None, witness)
 
 
-class NormalizerCheck(Record):
-    ok: bool
-    normalizer: SubspaceBasis
-    witness: TripleWitness | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def normalizer_invariance_check(pair: ReductivePair) -> NormalizerCheck:
+def normalizer_invariance_check(pair: ReductivePair) -> CheckResult:
     """Does the normalizer algebra of h keep m invariant: [n_g(h), m] in m?"""
     if not pair.flags.reductive:
         raise NotReductive("normalizer invariance check needs a reductive pair")
@@ -375,8 +367,8 @@ def normalizer_invariance_check(pair: ReductivePair) -> NormalizerCheck:
         x = pair.split(u)[1]
         for b in range(pair.m.dim):
             if any(pair.table.bracket(x, ((b, ONE),))[0].values()):
-                return NormalizerCheck(False, normalizer, TripleWitness((a, b, -1), ZERO))
-    return NormalizerCheck(True, normalizer)
+                return CheckResult(False, TripleWitness((a, b, -1), ZERO))
+    return CheckResult(True)
 
 
 @lru_cache(maxsize=None)
@@ -397,41 +389,42 @@ def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
     return _canonical(pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernel(system, r)])
 
 
-class ProbeResult(Record):
-    """Outcome of the isotropy-irreducibility probe."""
+def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
+    """Does h act irreducibly on m over R: "irreducible" or "reducible".
 
-    verdict: str  # "irreducible" | "reducible" | "inconclusive"
-    invariant_subspace: SubspaceBasis | None = None
-    commutant_dim: int | None = 0  # None when the fixed set decided without it
-
-
-def isotropy_irreducibility_probe(pair: ReductivePair) -> ProbeResult:
-    """Search for a proper invariant subspace of the isotropy action on m.
-
-    A proper nonzero fixed set m^h is invariant and decides "reducible" before
-    any commutant is solved (`commutant_dim` is then None); so does m^h = m
-    with dim m >= 2, where the action is trivial and the line of m_1 is
-    invariant. Otherwise a trivial commutant certifies irreducibility, and a
-    proper primary component of a commutant element over Q is a reducibility
-    witness; failing both the probe stays honest and reports inconclusive.
+    h acts on m by maps skew for the metric, so an invariant subspace U gives
+    a second invariant form <P ., .>, P the orthogonal projection onto U, and
+    an invariant symmetric form that is not a multiple of the metric has
+    invariant eigenspaces. The action is therefore irreducible iff the
+    h-invariant symmetric forms on m are the line of the metric: one sparse
+    system in the unknowns Q[a][b], a <= b, with a row per h_i and a <= b for
+    the entry (A^T Q + Q A)[a][b] of A = ad(h_i)|_m. A nonzero fixed set m^h
+    with dim m >= 2 is invariant and decides "reducible" without the system.
     """
     if not pair.flags.reductive:
         raise NotReductive("irreducibility probe needs a reductive pair")
-    m = pair.m
-    if m.dim == 0:
-        return ProbeResult("irreducible", None, 0)
-    fixed = isotropy_fixed_subspace(pair)
-    if 0 < fixed.dim < m.dim:
-        return ProbeResult("reducible", fixed, None)
-    if fixed.dim == m.dim >= 2:
-        line = _canonical(pair.algebra.dim, [m.rows[0]])  # one rref row of m
-        return ProbeResult("reducible", line, None)
-    basis = commutant(pair.table.ad_h, m.dim)
-    if len(basis) == 1:
-        return ProbeResult("irreducible", None, 1)
-    kernels = commutant_split(basis)
-    if kernels is None:
-        return ProbeResult("inconclusive", None, len(basis))
-    # a primary kernel is rref in m-coordinates, taken through the rref rows of m
-    witness = _canonical(pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernels[0]])
-    return ProbeResult("reducible", witness, len(basis))
+    if not pair.flags.normal:
+        raise NotNormal("irreducibility probe needs a normal pair")
+    r = pair.m.dim
+    if r == 0:
+        return "irreducible"
+    if r >= 2 and isotropy_fixed_subspace(pair).dim:
+        return "reducible"
+
+    def unknown(a: int, b: int) -> int:  # Q[a][b] = Q[b][a], rows of the upper triangle
+        a, b = min(a, b), max(a, b)
+        return a * (2 * r - a - 1) // 2 + b
+
+    system = []
+    for cols in pair.table.ad_h:  # column b of A as the terms (c, A[c][b])
+        for a in range(r):
+            for b in range(a, r):
+                row: dict[int, int] = {}
+                for c, x in cols[a]:  # A[c][a] Q[c][b]
+                    k = unknown(c, b)
+                    row[k] = row.get(k, 0) + x
+                for c, x in cols[b]:  # Q[a][c] A[c][b]
+                    k = unknown(a, c)
+                    row[k] = row.get(k, 0) + x
+                system.append(row)
+    return "irreducible" if len(kernel(system, r * (r + 1) // 2)) == 1 else "reducible"

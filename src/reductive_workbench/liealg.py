@@ -524,30 +524,6 @@ def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
     return _kernel_subspace(list(pivots.values()), L.dim)
 
 
-def commutant(mats: Sequence[Sequence[Sequence[tuple[int, Fraction]]]], r: int) -> tuple[Matrix, ...]:
-    """Basis of {T : T A = A T for every A in mats}, all r x r over Q; each A
-    is given by its columns, column b as the nonzero terms (c, A[c][b]).
-
-    Unknowns T[p][q] are flattened row-major; the linear system lists the
-    entries (T A - A T)[a][b] matrix by matrix, row-major, each as a sparse
-    {unknown: coefficient} row with at most 2r entries.
-    """
-    system_rows = []
-    for cols in mats:
-        rows = [[(b, x) for b, col in enumerate(cols) for c, x in col if c == a] for a in range(r)]
-        for a in range(r):
-            for b in range(r):
-                coeffs = {a * r + c: x for c, x in cols[b]}
-                for c, x in rows[a]:
-                    coeffs[c * r + b] = coeffs.get(c * r + b, ZERO) - x
-                system_rows.append(coeffs)
-    flat_basis = kernel(system_rows, r * r) if mats else identity(r * r)
-    return tuple(
-        tuple(tuple(flat[p * r + q] for q in range(r)) for p in range(r))
-        for flat in flat_basis
-    )
-
-
 def commutant_split(basis: Sequence[Matrix]) -> tuple[Matrix, ...] | None:
     """The primary kernels of the first non-scalar element of a commutant
     basis that has two or more, or None when no basis element splits.

@@ -33,7 +33,8 @@ at later pivots. All routes return that unique rref, with no second rref.
 `factor_poly` finds the rational roots mod PRIME as well: gcd(x^p - x, f)
 split by equal-degree steps, each root lifted by rational reconstruction and
 certified by exact division. sympy loads only for an irreducible factor of
-degree >= 2 that is left over, such as x^2 + 1 on so3_mod_so2.
+degree >= 2 that is left over; the only caller that can reach one is the
+simple-ideal split (`liealg._split_semisimple`, through `primary_kernels`).
 """
 
 from __future__ import annotations

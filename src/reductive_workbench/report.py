@@ -230,7 +230,7 @@ def run_report(
         "effective": pair.flags.effective,
         "normalizer_invariant": norm_inv.ok,
         "transvection_equals_g": tr_check.equals_g,
-        "isotropy_probe": probe.verdict,
+        "isotropy_probe": probe,
     }
 
     verdicts = []

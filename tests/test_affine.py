@@ -339,13 +339,11 @@ def test_k_table_matches_the_dense_oracle(make):
     ],
 )
 def test_subspaces_wrapped_without_an_rref_are_their_own_rref(make):
-    # m^h, the probe's invariant subspace, the center of k and the catalog h are
-    # built from rows that are the rref by construction and wrapped as they are;
-    # each must equal the rref of its own rows
+    # m^h, the center of k and the catalog h are built from rows that are the
+    # rref by construction and wrapped as they are; each must equal the rref
+    # of its own rows
     pair = make()
-    probe = isotropy_irreducibility_probe(pair).invariant_subspace
-    wrapped = [isotropy_fixed_subspace(pair), invariant_field_algebra(pair).center, pair.h]
-    for sub in wrapped + ([] if probe is None else [probe]):
+    for sub in (isotropy_fixed_subspace(pair), invariant_field_algebra(pair).center, pair.h):
         assert sub == SubspaceBasis.from_vectors(sub.ambient_dim, sub.rows)
 
 
@@ -495,7 +493,7 @@ def test_isometry_report_gated_by_user_assertions():
     assert asserted.certified
     assert asserted.group_dim == 7
     assert asserted.semisimple is False  # k is a nonzero abelian line
-    assert asserted.probe.verdict == "reducible"
+    assert isotropy_irreducibility_probe(pair) == "reducible"
 
 
 def test_isometry_report_sphere_gate_blocks():

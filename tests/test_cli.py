@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reductive_workbench import liealg, linalg
+from reductive_workbench.affine import UserAssertions
 from reductive_workbench.catalog import CURATED_NAMES, catalog_names, construct
 from reductive_workbench.cli import main
 from reductive_workbench.errors import SpecFileError, WorkbenchError
@@ -772,9 +773,10 @@ def test_every_source_function_is_referenced():
     # a def that no engine, script or benchmark code reaches is dead code, even
     # if tests call it; a module function is reached through a name, an
     # attribute or an import alias, a method or property only through an
-    # attribute, and a dotted span name in benchmarks/spans.py reaches its last part
+    # attribute, and a dotted span name in benchmarks/spans.py reaches its last
+    # part; a field of a Record subclass is dead unless some attribute load reads it
     root = Path(__file__).resolve().parent.parent
-    names, attributes = set(), set()
+    names, attributes, loads = set(), set(), set()
     trees = {}
     for top in ("src", "scripts", "benchmarks"):
         for path in sorted((root / top).rglob("*.py")):
@@ -784,6 +786,8 @@ def test_every_source_function_is_referenced():
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        loads.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
                 elif path.name == "spans.py" and isinstance(node, ast.Constant):
@@ -804,6 +808,11 @@ def test_every_source_function_is_referenced():
             used = attributes if id(node) in methods else names | attributes
             if node.name not in used:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(getattr(b, "id", None) == "Record" for b in cls.bases):
+                for field in cls.body:
+                    if isinstance(field, ast.AnnAssign) and field.target.id not in loads:
+                        unreferenced.append(f"{path.name}:{field.lineno} {cls.name}.{field.target.id}")
     assert unreferenced == []
 
 
@@ -1014,19 +1023,32 @@ def test_a_split_whose_draws_all_fail_ends_in_one_error_line(tmp_path, monkeypat
     assert "Traceback" not in err.getvalue()
 
 
-def test_so3_mod_so2_stays_inconclusive_through_sympy():
-    # the isotropy of the 2-sphere rotates m: characteristic polynomial
-    # x^2 + 1, irreducible over Q, which only the sympy fallback can factor
+def test_curated_reports_decide_the_probe_over_r_without_sympy():
+    # the isotropy of the 2-sphere rotates m, which no rational eigenvector
+    # splits; the invariant symmetric forms decide it, and no curated report
+    # forms a characteristic polynomial that sympy would have to factor
     code = (
-        "import json, sys\n"
-        "from reductive_workbench.catalog import construct\n"
+        "import sys\n"
+        "from reductive_workbench.catalog import CURATED_NAMES, construct\n"
         "from reductive_workbench.report import run_report\n"
-        "body = run_report(construct('so3_mod_so2')).body\n"
-        "print(body['flags']['isotropy_probe'], 'sympy' in sys.modules, file=sys.stderr)\n"
+        "probes = {n: run_report(construct(n)).body['flags']['isotropy_probe'] for n in CURATED_NAMES}\n"
+        "print(len(probes), probes['so3_mod_so2'], 'sympy' in sys.modules, file=sys.stderr)\n"
     )
     proc = _run_module("-c", code)
     assert proc.returncode == 0
-    assert proc.stderr == "inconclusive True\n"
+    assert proc.stderr == "13 irreducible False\n"
+
+
+def test_grassmannian_gr2_r5_isometry_is_certified(tmp_path):
+    # so(5)/(so(2) + so(3)) with h at E12, E34, E35, E45: the probe certifies
+    # irreducibility, so the asserted non-sphere gate alone is left
+    L = construct("so5_mod_0").algebra
+    h_rows = [[1 if k == i else 0 for k in range(L.dim)] for i in (0, 7, 8, 9)]
+    spec = _spec_file(tmp_path / "gr2_r5.json", L, L.entries, h_rows, {"mode": "negative_killing"})
+    body = run_report(spec, assertions=UserAssertions(is_sphere_or_rp=False)).body
+    assert body["flags"]["isotropy_probe"] == "irreducible"
+    iso = body["isometry"]
+    assert (iso["certified"], iso["group_dim"], iso["semisimple"]) == (True, 10, True)
 
 
 # --- fuzzing main() -----------------------------------------------------------------
@@ -1187,6 +1209,7 @@ def _spec_file(path, L, entries, h_rows, metric):
 @pytest.mark.parametrize(
     "name, scales",
     [
+        pytest.param("so3_mod_so2", None, id="so3_mod_so2"),
         pytest.param("so4_mod_so2", None, id="so4_mod_so2"),
         pytest.param("su3_mod_su2", None, id="su3_mod_su2"),
         pytest.param("so3so3_mod_diag", None, id="so3so3_mod_diag"),

@@ -18,6 +18,7 @@ from reductive_workbench.errors import (
     MetricNotAdInvariant,
     MetricNotPositiveDefinite,
     NotASubalgebra,
+    NotNormal,
     NotReductive,
 )
 from reductive_workbench.homspace import (
@@ -56,6 +57,7 @@ from test_liealg import (
     CYCLIC_SO3,
     abelian,
     cyclic_so3,
+    direct_sum_entries,
     heisenberg,
     so3_plus_so3,
     so_algebra,
@@ -441,9 +443,8 @@ def test_abelian_pair_trivially_naturally_reductive():
 
 def test_normalizer_of_cartan_line_in_so3():
     pair = sphere_pair()
-    res = normalizer_invariance_check(pair)
-    assert res.ok
-    assert res.normalizer == unit_subspace(3, [2])
+    assert normalizer_invariance_check(pair).ok
+    assert pair.h.sum_with(isotropy_fixed_subspace(pair)) == unit_subspace(3, [2])
 
 
 def test_normalizer_invariance_on_normal_pairs():
@@ -457,7 +458,7 @@ def test_normalizer_moves_complement_in_heisenberg_pair():
     assert not pair.flags.normal
     res = normalizer_invariance_check(pair)
     assert not res.ok
-    assert res.normalizer == SubspaceBasis.full(3)
+    assert pair.h.sum_with(isotropy_fixed_subspace(pair)) == SubspaceBasis.full(3)
     assert res.witness.indices[:2] == (0, 1)  # [x, y] = z leaves m
 
 
@@ -486,7 +487,7 @@ def test_normalizer_matches_the_dense_oracle(make):
     # the check reads the normalizer as h + m^h; the oracle solves [X, h] in h
     pair = make()
     expected = dense_normalizer(pair.algebra, pair.h.rows)
-    assert [list(row) for row in normalizer_invariance_check(pair).normalizer.rows] == expected
+    assert [list(row) for row in pair.h.sum_with(isotropy_fixed_subspace(pair)).rows] == expected
 
 
 # --- isotropy fixed subspace -----------------------------------------------------
@@ -515,49 +516,73 @@ def test_fixed_subspace_is_bracket_closed_in_m():
 
 
 def test_probe_sphere_pair_never_reports_reducible():
-    res = isotropy_irreducibility_probe(sphere_pair())
-    assert res.verdict == "inconclusive"  # rotation commutant has no rational split
-    assert res.commutant_dim == 2
-    assert res.invariant_subspace is None
+    # h = so(2) rotates m = R^2: irreducible over R, though not over C
+    assert isotropy_irreducibility_probe(sphere_pair()) == "irreducible"
 
 
 def test_probe_so4_mod_so2_reducible_via_fixed_line():
-    res = isotropy_irreducibility_probe(so4_mod_so2_pair())
-    assert res.verdict == "reducible"
-    assert res.invariant_subspace == unit_subspace(6, [5])
-    assert res.commutant_dim is None  # the fixed line decides; no commutant is solved
+    assert isotropy_irreducibility_probe(so4_mod_so2_pair()) == "reducible"
 
 
 def test_probe_trivial_isotropy_reducible():
-    res = isotropy_irreducibility_probe(trivial_isotropy_pair(cyclic_so3()))
-    assert res.verdict == "reducible"
-    assert res.invariant_subspace.dim < 3
+    assert isotropy_irreducibility_probe(trivial_isotropy_pair(cyclic_so3())) == "reducible"
 
 
 @pytest.mark.parametrize("make", [cyclic_so3, so3_plus_so3, lambda: abelian(2)])
 def test_probe_trivial_action_takes_the_first_line_of_m(make):
-    # m^h = m: every line is invariant; no commutant is solved
+    # m^h = m with dim m >= 2: the line of m_1 is fixed, so invariant and proper
     pair = trivial_isotropy_pair(make())
-    res = isotropy_irreducibility_probe(pair)
-    assert res.verdict == "reducible"
-    assert res.invariant_subspace == SubspaceBasis.from_vectors(pair.algebra.dim, [pair.m.rows[0]])
-    assert res.commutant_dim is None
+    assert isotropy_fixed_subspace(pair).contains_vector(pair.m.rows[0])
+    assert isotropy_irreducibility_probe(pair) == "reducible"
 
 
 def test_probe_round_sphere_s3_irreducible():
     pair = normal_decomposition(so_algebra(4), unit_subspace(6, [0, 1, 3]))
-    res = isotropy_irreducibility_probe(pair)
-    assert res.verdict == "irreducible"
-    assert res.commutant_dim == 1
+    assert isotropy_irreducibility_probe(pair) == "irreducible"
 
 
-def test_probe_witness_is_invariant_when_reducible():
-    for pair in (so4_mod_so2_pair(), second_factor_pair()):
-        res = isotropy_irreducibility_probe(pair)
-        if res.verdict != "reducible":
-            continue
-        W = res.invariant_subspace
-        assert 0 < W.dim < pair.m.dim
-        for r in pair.h.rows:
-            for w in W.rows:
-                assert W.contains_vector(pair.algebra.bracket(r, w))
+def so3_cubed_mod_diag_pair():
+    # m is two copies of the adjoint representation of the diagonal so(3)
+    L = make_lie_algebra(9, direct_sum_entries(direct_sum_entries(CYCLIC_SO3, 3, CYCLIC_SO3), 6, CYCLIC_SO3))
+    diag = SubspaceBasis.from_vectors(9, [[1 if k % 3 == a else 0 for k in range(9)] for a in range(3)])
+    return normal_decomposition(L, diag)
+
+
+def catalog_algebra_pair(name, h_indices):
+    def make():
+        L = construct(name).algebra
+        return normal_decomposition(L, unit_subspace(L.dim, h_indices))
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, verdict",
+    [
+        # h at positions in the catalog bases: so(5) E12, E34, E35, E45; su(3) A12, S12, D1, D2
+        pytest.param(catalog_algebra_pair("so5_mod_0", [0, 7, 8, 9]), "irreducible", id="gr2_r5"),
+        pytest.param(catalog_algebra_pair("su3_mod_0", [0, 3, 6, 7]), "irreducible", id="cp2"),
+        pytest.param(catalog_algebra_pair("su3_mod_0", [0, 1, 2]), "irreducible", id="su3_mod_so3"),
+        pytest.param(lambda: trivial_isotropy_pair(abelian(1)), "irreducible", id="abelian_line"),
+        pytest.param(catalog_algebra_pair("so3_mod_0", [0, 1, 2]), "irreducible", id="m_zero"),
+        pytest.param(catalog_algebra_pair("su3_mod_0", [6, 7]), "reducible", id="su3_mod_torus"),
+        pytest.param(catalog_algebra_pair("so4_mod_0", [0, 5]), "reducible", id="so4_mod_so2so2"),
+        pytest.param(so3_cubed_mod_diag_pair, "reducible", id="so3_cubed_mod_diag"),
+    ],
+)
+def test_probe_known_answers_over_r(make, verdict):
+    # Gr2(R^5) and CP^2 are isotropy irreducible of complex type: their
+    # commutant is C, yet the only invariant symmetric form is the metric
+    pair = make()
+    assert isotropy_irreducibility_probe(pair) == verdict
+
+
+def test_probe_refuses_a_reductive_pair_that_is_not_normal():
+    # sl(2) with h = span(H) and m = span(E, F): [h, m] lies in m, but the
+    # identity metric is not invariant, so no rule over R applies
+    sl2 = make_lie_algebra(3, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)], ["H", "E", "F"])
+    metric = make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    pair = make_reductive_pair(sl2, unit_subspace(3, [0]), unit_subspace(3, [1, 2]), metric)
+    assert pair.flags.reductive and not pair.flags.normal
+    with pytest.raises(NotNormal):
+        isotropy_irreducibility_probe(pair)
