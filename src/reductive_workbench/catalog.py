@@ -12,16 +12,16 @@ algebra comes with its matrix realization. A corner, or the second summand of
 a direct sum, is read off the basis matrices as those supported in its block,
 so only a family's builder knows its basis order.
 
-Regression expectations for the curated entries are loaded from packaged data
-produced by scripts/compute_expected_catalog.py, never typed by hand.
+Regression expectations for the curated entries are packaged data produced
+by scripts/compute_expected_catalog.py, never typed by hand. No report reads
+them: `CatalogEntry.expected` loads them on first use, for the tests and
+scripts/survey_catalog.py.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from functools import cache, cached_property
-from importlib import resources
 
 from .errors import ParamOutOfRange, UnknownName
 from .homspace import (
@@ -56,15 +56,18 @@ CURATED_NAMES = (
 )
 
 
-class CatalogEntry(Record, uncompared=("expected", "realization")):
+class CatalogEntry(Record, uncompared=("realization",)):
     """A named space presentation with frozen regression expectations."""
 
     name: str
     algebra: LieAlgebra
     h: SubspaceBasis
     metric_spec: MetricSpec
-    expected: dict
     realization: MatrixRealization
+
+    @cached_property
+    def expected(self) -> dict:
+        return _expected_table().get(self.name, {})
 
     @cached_property
     def pair(self) -> ReductivePair:
@@ -204,6 +207,9 @@ def _diagonal_subspace(factor_dim: int) -> SubspaceBasis:
 
 
 def _expected_table() -> dict:
+    import json
+    from importlib import resources
+
     data = resources.files("reductive_workbench").joinpath("data/catalog_expected.json")
     return json.loads(data.read_text(encoding="utf-8"))
 
@@ -273,8 +279,7 @@ def construct(name: str) -> CatalogEntry:
 
 def _finish(name: str, factor: _Factor, h: SubspaceBasis) -> CatalogEntry:
     realization = make_matrix_realization(factor.basis_mats, factor.labels)
-    expected = _expected_table().get(name, {})
-    return CatalogEntry(name, realization.algebra, h, MetricSpec(), expected, realization)
+    return CatalogEntry(name, realization.algebra, h, MetricSpec(), realization)
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -4,9 +4,12 @@
     analyze --catalog so4_mod_so2      analyze a named catalog entry
     analyze --list-catalog             list curated catalog names
 
-Inputs are analyzed one after another and reported in input order. Exit
-codes: 0 on success, 1 on input errors (including unreadable paths), 2 when a
-theorem verdict that should hold fails (for CI gating).
+Inputs are analyzed one after another, in input order, and each report is
+written and flushed as soon as its input is analyzed. An input error stops
+the batch at that input: the reports written before it stay on stdout, and
+one `error:` line goes to stderr. Exit codes: 0 on success, 1 on input errors
+(including unreadable paths) or a closed stdout, 2 when a theorem verdict
+that should hold fails (for CI gating).
 """
 
 from __future__ import annotations
@@ -73,32 +76,28 @@ def main(argv=None) -> int:
         print("nothing to analyze: give files or --catalog NAME", file=sys.stderr)
         return 1
 
-    try:
-        reports = [
-            run_report(_load_source(kind, value), checks=args.checks, numeric=args.numeric_checks)
-            for kind, value in inputs
-        ]
-    except (OSError, WorkbenchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.numeric_checks:
+        # the lab's matrices are at most 8x8: a second BLAS thread only spins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     exit_code = 0
     try:
-        for (kind, value), report in zip(inputs, reports):
+        for kind, value in inputs:
+            report = run_report(_load_source(kind, value), checks=args.checks, numeric=args.numeric_checks)
             if report.body["input"] == "file":
                 report.body["input"] = f"file:{os.path.basename(value)}"
-            if args.json:
-                sys.stdout.write(report.to_json())
-            else:
-                sys.stdout.write(report.to_text())
+            sys.stdout.write(report.to_json() if args.json else report.to_text())
+            sys.stdout.flush()
             exit_code = max(exit_code, report.exit_code)
-        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe: point stdout at devnull so the
         # interpreter's flush at exit does not raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except (OSError, WorkbenchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return exit_code
 

@@ -277,7 +277,7 @@ def _adapted_table(
     m_cols = tuple(tuple(in_m for _, in_m in cols) for cols in ad_h)
     scale = coords[0] * L._integer_table[0] * E * E
     table = AdaptedTable(scale, m_cols, pairs, G, tuple(map(tuple, gram)), None)
-    operators = (table.m_operator(((a, 1),)) for a in range(r))  # walked one a at a time
+    operators = [table.m_operator(((a, 1),)) for a in range(r)]
     return table.replace(nr_witness=_invariance_witness(operators, table.gram, scale * G))
 
 

@@ -15,7 +15,9 @@ scale their vector or Gram arguments to integers the same way, and divide
 once per result entry: the same Fractions as exact rational arithmetic. One
 cyclic routine, `_cyclic_witness`, packs integer terms and finds the first
 triple with a nonzero cyclic sum; the Jacobi sweep and the connection's
-first Bianchi check both call it.
+first Bianchi check both call it. One invariance routine,
+`_invariance_witness`, packs every operator into one integer matrix the same
+way and tests them all with one product against the Gram matrix.
 
 An algebra also caches its Killing form, center, derived subalgebra [g, g]
 and simple-ideal split, each built once on first use; `killing_form`,
@@ -419,7 +421,33 @@ def _invariance_witness(ops: Iterable, gram: Sequence, den: int) -> TripleWitnes
     """The first (i, j, k) with <A_i e_j, e_k> + <e_j, A_i e_k> != 0 and its
     defect over den, or None. Each A_i comes as its columns (j, the nonzero
     (a, A_i[a][j])) and the symmetric Gram matrix as the nonzero (k, G[a][k])
-    of each row a, in integers; the operators are read one at a time."""
+    of each row a, in integers.
+
+    All operators are tested at once: P[j][a] = sum_i A_i[a][j] 2^(w i)
+    packs them into one matrix, and (M + M^T)[j][k], for M = P^T G, packs the
+    defect of every A_i at (j, k) into slot i. A defect is at most
+    X = 2 r max|A| max|G| in size, below 2^w for w = bitlen(X), so the slots
+    under the top nonzero one sum to less than one unit of it: the packed
+    defect is zero iff every defect is. Only a nonzero packed defect runs the
+    loop over the operators, which finds the first witness."""
+    ops = [list(cols) for cols in ops]
+    max_a = max((abs(c) for cols in ops for _, terms in cols for _, c in terms), default=0)
+    max_g = max((abs(g) for row in gram for _, g in row), default=0)
+    w = (2 * len(gram) * max_a * max_g).bit_length()
+    packed: dict[int, dict[int, int]] = {}
+    for i, cols in enumerate(ops):
+        for j, terms in cols:
+            row = packed.setdefault(j, {})
+            for a, c in terms:
+                row[a] = row.get(a, 0) + (c << (w * i))
+    M: dict[int, dict[int, int]] = {}
+    for j, row in packed.items():
+        acc = M[j] = {}
+        for a, p in row.items():
+            for k, g in gram[a]:
+                acc[k] = acc.get(k, 0) + p * g
+    if not any(v + M.get(k, {}).get(j, 0) for j, acc in M.items() for k, v in acc.items()):
+        return None
     for i, cols in enumerate(ops):
         defect: dict[tuple[int, int], int] = {}
         for j, terms in cols:

@@ -153,14 +153,17 @@ def run_report(
 ) -> SpaceReport:
     """Execute the full pipeline on a catalog entry or a parsed SpaceSpec."""
     from .catalog import CatalogEntry
-    from .specfile import SpaceSpec
 
     if isinstance(source, CatalogEntry):
         input_desc = f"catalog:{source.name}"
         algebra = source.algebra
         pair = _step("normal_decomposition", lambda: source.pair)
         entry = source
-    elif isinstance(source, SpaceSpec):
+    else:
+        from .specfile import SpaceSpec  # a catalog-only run never loads the parser
+
+        if not isinstance(source, SpaceSpec):
+            raise TypeError(f"cannot analyze {type(source).__name__}")
         input_desc = "file"
         algebra = _step(
             "make_lie_algebra",
@@ -178,8 +181,6 @@ def run_report(
             raise PipelineError("normal_decomposition", exc) from exc
         assertions = assertions or source.assertions
         entry = None
-    else:
-        raise TypeError(f"cannot analyze {type(source).__name__}")
 
     witnesses: list[dict] = []
 

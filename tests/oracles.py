@@ -281,6 +281,20 @@ def dense_ad_invariance(dim, bracket_fn, gram):
     return None
 
 
+def dense_invariance_witness(ops, gram):
+    """First (i, j, k) with <A_i e_j, e_k> + <e_j, A_i e_k> != 0 and its
+    integer defect, or None: the plain loop over dense integer operators
+    A_i[a][j] and a dense symmetric integer Gram matrix."""
+    r = len(gram)
+    for i, A in enumerate(ops):
+        for j in range(r):
+            for k in range(r):
+                defect = sum(A[a][j] * gram[a][k] + A[a][k] * gram[a][j] for a in range(r))
+                if defect:
+                    return (i, j, k), defect
+    return None
+
+
 def largest_ideal_by_descent(L, h_rows):
     """Rref basis of the largest ideal of L inside the span of h_rows, as the
     fixpoint of the descending chain h_{k+1} = {X in h_k : [e_i, X] in h_k for

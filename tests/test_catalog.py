@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from reductive_workbench import catalog
 from reductive_workbench.affine import (
     affine_algebra,
     fixed_torus,
@@ -36,6 +37,17 @@ from test_liealg import so_algebra
 def entry(request):
     return construct(request.param)
 
+
+
+def test_reports_never_read_the_frozen_expectations(monkeypatch):
+    # the expectations are packaged data for tests and the survey script:
+    # building and analyzing an entry never loads them
+    def unreadable():
+        raise AssertionError("the report path read the catalog expectations")
+
+    monkeypatch.setattr(catalog, "_expected_table", unreadable)
+    report = run_report(construct.__wrapped__("so6_mod_so5"))
+    assert report.body["input"] == "catalog:so6_mod_so5"
 
 def test_every_entry_is_valid_and_embedded(entry):
     # Jacobi holds for matrix commutators (test_affine sweeps g); embeddings must be subalgebras

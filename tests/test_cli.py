@@ -562,28 +562,45 @@ def test_cli_numeric_checks_skipped_for_files(capsys):
     assert body["numeric"]["status"].startswith("skipped")
 
 
-def _run_module(*args, timeout=None):
+def _run_module(*args, timeout=None, env_changes=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for key, value in (env_changes or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
-def test_cli_numeric_checks_leave_numpy_random_unloaded():
-    # the lab draws its self-test samples from the stdlib generator, so an
-    # analyze run imports numpy but not numpy.random
+def _numeric_run(blas_threads):
+    """stderr of a `--numeric-checks` run: numpy loaded, numpy.random loaded,
+    and the OpenBLAS thread count in the environment after the run."""
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from reductive_workbench.cli import main\n"
         "status = main(['--catalog', 'so5_mod_0', '--numeric-checks', '--json'])\n"
         "print('numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
-    proc = _run_module("-c", code)
+    proc = _run_module("-c", code, env_changes={"OPENBLAS_NUM_THREADS": blas_threads})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["numeric"]["all_below_tolerance"] is True
-    assert proc.stderr.split() == ["True", "False"]
+    return proc.stderr.split()
+
+
+def test_cli_numeric_checks_leave_numpy_random_unloaded():
+    # the lab draws its self-test samples from the stdlib generator, so an
+    # analyze run imports numpy but not numpy.random; its matrices are at most
+    # 8x8, so the command asks for one BLAS thread
+    assert _numeric_run(None) == ["True", "False", "1"]
+
+
+def test_cli_numeric_checks_keep_the_blas_thread_count_of_the_caller():
+    assert _numeric_run("2") == ["True", "False", "2"]
 
 
 def test_cli_directory_input_is_an_input_error(tmp_path):
@@ -678,11 +695,12 @@ def test_exact_analysis_does_not_import_numpy():
         "import sys\n"
         "from reductive_workbench.cli import main\n"
         "main(['--catalog', 'so4_mod_so2', '--json'])\n"
-        "print('numpy' in sys.modules, 'dataclasses' in sys.modules, file=sys.stderr)\n"
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules,\n"
+        "      'reductive_workbench.specfile' in sys.modules, file=sys.stderr)\n"
     )
     proc = _run_module("-c", code)
     assert proc.returncode == 0
-    assert proc.stderr == "False False\n"
+    assert proc.stderr == "False False False\n"
 
 
 def test_heavy_dependencies_are_imported_inside_functions_only():
@@ -836,12 +854,24 @@ def test_console_entry_point_subprocess():
 
 
 def test_closed_stdout_pipe_exits_one_without_a_traceback():
-    # the reader is gone before the report is written, as in `analyze ... | head -c 10`
+    # the reader is gone before the first report is written, as in
+    # `analyze ... | head -c 10`: the batch stops at that write, so the
+    # second input is never analyzed
+    code = (
+        "import sys\n"
+        "from reductive_workbench import cli\n"
+        "calls = []\n"
+        "analyze = cli.run_report\n"
+        "cli.run_report = lambda *args, **kwargs: calls.append(1) or analyze(*args, **kwargs)\n"
+        "status = cli.main(['--catalog', 'su3_mod_su2', '--catalog', 'so4_mod_so2', '--json'])\n"
+        "print('run_report calls:', len(calls), file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     read_end, write_end = os.pipe()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "reductive_workbench", "--catalog", "su3_mod_su2", "--json"],
+        [sys.executable, "-c", code],
         stdout=write_end,
         stderr=subprocess.PIPE,
         text=True,
@@ -852,6 +882,67 @@ def test_closed_stdout_pipe_exits_one_without_a_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "run_report calls: 1\n"
+
+
+class _RecordingStdout(io.StringIO):
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def write(self, text):
+        self.events.append("write")
+        return super().write(text)
+
+    def flush(self):
+        self.events.append("flush")
+
+
+def test_each_report_is_flushed_before_the_next_input_is_loaded(monkeypatch):
+    from reductive_workbench import cli
+
+    events = []
+    load, analyze = cli._load_source, cli.run_report
+
+    def recorded_load(kind, value):
+        events.append(f"load {value}")
+        return load(kind, value)
+
+    def recorded_run(source, **kwargs):
+        events.append(f"analyze {source.name}")
+        return analyze(source, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_source", recorded_load)
+    monkeypatch.setattr(cli, "run_report", recorded_run)
+    monkeypatch.setattr(sys, "stdout", _RecordingStdout(events))
+    assert main(["--catalog", "r2_mod_0", "--catalog", "so3_mod_so2", "--json"]) == 0
+    assert events == [
+        "load r2_mod_0", "analyze r2_mod_0", "write", "flush",
+        "load so3_mod_so2", "analyze so3_mod_so2", "write", "flush",
+    ]
+
+
+def test_reports_before_an_input_error_stay_on_stdout(tmp_path, capsys):
+    sphere = str(DATA / "so3_sphere.json")
+    assert main([sphere, "--json"]) == 0
+    single = capsys.readouterr().out
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"basis": ["a"\n')
+    assert main([sphere, str(bad), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == single
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_batch_stdout_is_the_concatenation_of_single_runs(flags, capsys):
+    inputs = [[str(DATA / "so3_sphere.json")], ["--catalog", "so3_mod_so2"], ["--catalog", "so4_mod_so2"]]
+    singles = []
+    for argv in inputs:
+        assert main(argv + flags) == 0
+        singles.append(capsys.readouterr().out)
+    assert main([arg for argv in inputs for arg in argv] + flags) == 0
+    assert capsys.readouterr().out == "".join(singles)
 
 
 SO3_TEXT = '"basis": ["L1", "L2", "L3"], "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [1, 3, 2, "-1"]]'

@@ -39,6 +39,7 @@ from oracles import (
     cyclic_so3_matrices,
     dense_ad_invariance,
     dense_ad_matrices,
+    dense_invariance_witness,
     express_in_basis,
     fraction_matrix,
     gauss_rank,
@@ -926,3 +927,69 @@ def test_ad_invariance_matches_dense_triple_loop(name, data):
     assert res.ok == (expected is None)
     if expected is not None:
         assert (res.witness.indices, res.witness.defect) == expected
+
+
+# --- packed invariance routine against the plain loop ------------------------
+
+
+def sparse_operator(A):
+    """The columns (j, nonzero (a, A[a][j])) that `_invariance_witness` reads."""
+    r = len(A)
+    return [(j, [(a, A[a][j]) for a in range(r) if A[a][j]]) for j in range(r)]
+
+
+def sparse_rows(G):
+    return [[(k, x) for k, x in enumerate(row) if x] for row in G]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_invariance_witness_matches_the_loop(data):
+    # G = U^T diag(d) U with U unimodular; A = U^-1 diag(p / d) U^-T K, with
+    # p = prod d and K skew, has A^T G = p K^T skew, so it is invariant. Each
+    # operator is scaled (up to 2^80, so defects cross many slot widths) and
+    # a few entries are perturbed, which breaks invariance almost always
+    r = data.draw(st.integers(2, 4))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    U, Uinv = unimodular(r, rng)
+    U, Uinv = [[int(x) for x in row] for row in U], [[int(x) for x in row] for row in Uinv]
+    d = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=r, max_size=r))
+    p = 1
+    for x in d:
+        p *= x
+    G = [[sum(U[a][i] * d[a] * U[a][j] for a in range(r)) for j in range(r)] for i in range(r)]
+    W = [[sum(Uinv[i][a] * (p // d[a]) * Uinv[j][a] for a in range(r)) for j in range(r)] for i in range(r)]
+    small = st.integers(-3, 3)
+    ops = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        K = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                K[i][j] = data.draw(small)
+                K[j][i] = -K[i][j]
+        s = data.draw(st.one_of(small, st.integers(1, 2**80)))
+        ops.append([[s * sum(W[a][b] * K[b][j] for b in range(r)) for j in range(r)] for a in range(r)])
+    index = st.integers(0, r - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        A = ops[data.draw(st.integers(0, len(ops) - 1))]
+        A[data.draw(index)][data.draw(index)] += data.draw(st.one_of(small, st.integers(-(2**70), 2**70)))
+    den = data.draw(st.integers(1, 9))
+    got = liealg._invariance_witness(map(sparse_operator, ops), sparse_rows(G), den)
+    expected = dense_invariance_witness(ops, G)
+    if expected is None:
+        assert got is None
+    else:
+        assert (got.indices, got.defect) == (expected[0], F(expected[1], den))
+
+
+def test_packed_invariance_witness_keeps_a_defect_at_its_slot_width():
+    # entries and Gram bounded by 1 on r = 3: defects are at most 2 r = 6, so
+    # the slots have 3 bits. A_0's defect is -4 at (1, 2) and A_1's is 1: in
+    # slots one bit narrower, -4 is minus one unit of the next slot, which
+    # A_1's 1 cancels, and the packed defect would read zero
+    G = [[-1, -1, -1], [-1, 0, -1], [-1, -1, 1]]
+    ops = [[[-1, 1, 1], [0, 0, 0], [1, -1, 1]], [[-1, -1, 0], [0, 0, 1], [1, 1, 1]]]
+    assert dense_invariance_witness(ops, G) == ((0, 1, 2), -4)
+    witness = liealg._invariance_witness(map(sparse_operator, ops), sparse_rows(G), 3)
+    assert (witness.indices, witness.defect) == ((0, 1, 2), F(-4, 3))
+    assert liealg._invariance_witness(map(sparse_operator, ops[1:]), sparse_rows(G), 1).indices == (0, 1, 2)
