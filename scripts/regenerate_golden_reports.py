@@ -18,8 +18,9 @@ from reductive_workbench.report import run_report
 from reductive_workbench.specfile import load_space_spec_file
 
 # so3so3_mod_diag in a fixed unimodular basis with one metric scale per
-# simple ideal: the custom-metric path on dense constants
-SPEC_FILES = ("so3so3_mod_diag_dense",)
+# simple ideal: the custom-metric path on dense constants; so4_mod_so2 in the
+# same way, a dense pair with h != 0 and m^h != 0
+SPEC_FILES = ("so3so3_mod_diag_dense", "so4_mod_so2_dense")
 # family members at the desk cap that stress the pair's adapted table: trivial
 # isotropy at full size, a diagonal pair and a corner with a large h
 DESK_CAP_NAMES = ("su8_mod_0", "su7_mod_0", "so8so8_mod_diag", "su8_mod_su7")

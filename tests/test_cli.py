@@ -397,6 +397,16 @@ def test_golden_report_of_a_dense_custom_metric_spec(capsys):
         assert capsys.readouterr().out == (GOLDEN / f"so3so3_mod_diag_dense.{suffix}").read_text()
 
 
+def test_golden_report_of_a_dense_pair_with_a_fixed_direction(capsys):
+    # so4_mod_so2 in a fixed unimodular basis: h = 1, m = 5, m^h = 1 and a
+    # torus of dim 1, so the normalizer check, the Killing-field check and the
+    # torus read m-coordinates of dense vectors of m^h
+    spec = str(DATA / "so4_mod_so2_dense.json")
+    for flags, suffix in ((["--json"], "json"), ([], "txt")):
+        assert main([spec, *flags]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"so4_mod_so2_dense.{suffix}").read_text()
+
+
 def test_report_checks_that_h_is_a_subalgebra_once(monkeypatch):
     # normal_decomposition checks h; the pair's constructor, the largest ideal
     # in h and the transvection span (an ideal by construction) need no second sweep
@@ -769,6 +779,7 @@ def test_golden_report_under_optimize_flag():
         (["--catalog", "su3_mod_su2"], "su3_mod_su2.json"),
         (["--catalog", "so3r1_mod_0"], "so3r1_mod_0.json"),
         ([str(DATA / "so3so3_mod_diag_dense.json")], "so3so3_mod_diag_dense.json"),
+        ([str(DATA / "so4_mod_so2_dense.json")], "so4_mod_so2_dense.json"),
     ):
         proc = _run_module("-O", "-m", "reductive_workbench", *args, "--json")
         assert proc.returncode == 0
