@@ -50,15 +50,21 @@ SPHERE_GATE_CAVEAT = (
 
 
 def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
-    """span([m, m]) + m inside g: m plus the h-parts of the [m_a, m_b], read
-    from the adapted table.
+    """span([m, m]) + m inside g: m plus the h-parts of the [m_a, m_b], a < b,
+    read from the adapted table.
 
     It is an ideal of g for every reductive pair, so it gets no sweep: [h, m]
     and [m, h] lie in m, and for h_i in h, [h_i, [X, Y]_h] is [h_i, [X, Y]]
     (in [m, m]) minus [h_i, [X, Y]_m] (in m)."""
     if not pair.flags.reductive:
         raise NotReductive("transvection algebra needs a reductive pair")
-    h_parts = [pair.from_h_terms(in_h) for row in pair.table.pairs for in_h, _ in row.values() if in_h]
+    s = pair.h.dim
+    h_parts = [  # sorted terms: [m_a, m_b] has an h-part iff its first term is one
+        pair.from_h_terms((t, v) for t, v in terms if t < s)
+        for x, row in enumerate(pair.table.rows[s:], s)
+        for z, terms in row.items()
+        if z > x and terms[0][0] < s
+    ]
     if not h_parts:  # [m, m] lies in m, and m is reduced already
         return pair.m
     return SubspaceBasis.from_vectors(pair.algebra.dim, [*pair.m.rows, *h_parts])
@@ -116,13 +122,13 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
     # the carrier's m-coordinates over one denominator D are rref: row k is D at
     # its leading m-index and zero at the others'
-    D, rows = _integer_rows({a: x[p] for a, p in enumerate(pair.m.pivots) if x[p]} for x in carrier.rows)
-    lead_of = {x[0][0]: k for k, x in enumerate(rows)}  # leading m-index -> carrier row
+    D, rows = _integer_rows(dict(pair.m_terms(x)) for x in carrier.rows)
+    lead_of = {x[0][0]: k for k, x in enumerate(rows)}  # leading adapted m-index -> carrier row
     entries = []
     for a in range(carrier.dim):
         for b in range(a + 1, carrier.dim):
             # [X_a, X_b]_k = sum c_k X_k iff [X_a, X_b]_m + sum c_k X_k = 0; bracket is over scale D^2
-            bracket = pair.table.bracket(rows[a], rows[b])[1]
+            bracket = pair.table.bracket(rows[a], rows[b])
             coords = sorted((lead_of[t], -v) for t, v in bracket.items() if v and t in lead_of)
             entries.extend((a, b, k, Fraction(c, pair.table.scale * D * D)) for k, c in coords)
     labels = tuple(f"k{a + 1}" for a in range(carrier.dim))
@@ -145,7 +151,7 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     if pair.table.nr_witness is None:
         return CheckResult(True)
     table = pair.table
-    D, rows = _integer_rows(dict(pair.split(x)[1]) for x in isotropy_fixed_subspace(pair).rows)
+    D, rows = _integer_rows(dict(pair.m_terms(x)) for x in isotropy_fixed_subspace(pair).rows)
     witness = _invariance_witness(map(table.m_operator, rows), table.gram, D * table.scale * table.gram_scale)
     return CheckResult(witness is None, witness)
 
@@ -209,8 +215,10 @@ def fixed_torus(pair: ReductivePair) -> TorusResult:
     if not pair.flags.normal:
         raise NotNormal("the fixed-point torus is stated for normal pairs")
     basis = invariant_field_algebra(pair).center
-    coords = [pair.split(u)[1] for u in basis.rows]
-    abelian = all(not any(pair.table.bracket(x, y)[1].values()) for x in coords for y in coords)
+    s = pair.h.dim
+    coords = [pair.m_terms(u) for u in basis.rows]
+    brackets = (pair.table.bracket(x, y).items() for x in coords for y in coords)
+    abelian = not any(v for bracket in brackets for t, v in bracket if t >= s)
     return TorusResult(basis.dim, basis, abelian)
 
 

@@ -7,12 +7,14 @@ irreducible over R, both by one sparse kernel each: no characteristic
 polynomial is formed, so nothing here loads sympy.
 
 The default metric is -B, minus the Killing form; a recipe adds only its
-center Gram matrix and rescaled simple ideals to it. A pair keeps one
-coordinate map along the rows of h and then of m, in integers over one
-denominator, which `ReductivePair.split` reads. The adapted table brackets
-the rows of h and m, scaled to integers together, and splits each bracket
-through that map; it keeps integer terms over one scale, which its readers
-divide once per result entry, and `liealg._invariance_witness` reads it.
+center Gram matrix and rescaled simple ideals to it. The adapted table
+brackets the rows of h and m, scaled to integers together, and reads each
+bracket in the adapted basis through the integer inverse of that basis,
+which is dropped once the table is built. It keeps integer terms over one
+scale, in the layout of g's integer table, so `liealg._table_bracket`,
+`liealg._cyclic_witness` and `liealg._invariance_witness` read it as they
+read g's; its readers divide once per result entry. A vector of m is read
+in the table's indices by its entries at the pivots of m.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from .errors import (
 from .liealg import (
     BilinearForm,
     CheckResult,
+    IntegerTable,
     LieAlgebra,
     SubspaceBasis,
     TripleWitness,
     _canonical,
     _invariance_witness,
     _largest_ideal_in,
+    _table_bracket,
     ad_invariance_check,
     center,
     derived_subalgebra,
@@ -63,7 +67,6 @@ from .linalg import (
     transpose,
     vector,
     _integer_rows,
-    _integer_support,
 )
 from .record import Record
 
@@ -153,60 +156,45 @@ Terms = tuple[tuple[int, int | Fraction], ...]
 
 
 class AdaptedTable(Record):
-    """The brackets in the adapted basis, the echelon rows h_i of h and m_a of m,
-    as nonzero integer terms over `scale`, and the metric over `gram_scale`:
+    """The brackets in the adapted basis, h_i at index i and m_a at index
+    s + a for the echelon rows of h and then of m, as nonzero integer terms
+    over `scale` in the layout of g's integer table, and the metric on m over
+    `gram_scale`:
 
-        ad_h[i][b]    m-terms of [h_i, m_b], i.e. column b of ad(h_i)|_m
-        pairs[a][b]   (h-terms, m-terms) of [m_a, m_b] for a < b, when nonzero;
-                      [m_b, m_a] is read as its negative
-        gram[a]       the nonzero <m_a, m_c> of the metric on m
-        nr_witness    first (a, b, c) with <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m> != 0"""
+        rows[x][s + b]  adapted terms of [e_x, m_b], for every x; [m_b, m_a]
+                        is stored as the negative of [m_a, m_b], and no
+                        [m_a, m_a] is stored
+        gram[a]         the nonzero (c, <m_a, m_c>) of the metric on m
+        nr_witness      first (a, b, c) with <[m_a, m_b]_m, m_c> + <m_b, [m_a, m_c]_m> != 0"""
 
     scale: int
-    ad_h: tuple[tuple[Terms, ...], ...]
-    pairs: tuple[dict[int, tuple[Terms, Terms]], ...]
+    rows: IntegerTable
     gram_scale: int
     gram: tuple[Terms, ...]
     nr_witness: TripleWitness | None
 
-    def entry(self, a: int, b: int) -> tuple[int, Terms, Terms]:
-        """(sign, h-terms, m-terms) with scale [m_a, m_b] = sign times the terms."""
-        if a < b:
-            return (1, *self.pairs[a].get(b, ((), ())))
-        return (-1, *self.pairs[b].get(a, ((), ())))
+    @property
+    def h_dim(self) -> int:
+        return len(self.rows) - len(self.gram)
 
-    def bracket(self, x: Terms, y: Terms) -> tuple[dict[int, int], dict[int, int]]:
-        """h- and m-coordinates of scale [X, Y] for X, Y in m given by their
-        nonzero m-coordinates; a coordinate that cancels stays as a zero."""
-        in_h, in_m = {}, {}
-        for a, xa in x:
-            for b, yb in y:
-                sign, h_terms, m_terms = self.entry(a, b)
-                if not (h_terms or m_terms):
-                    continue
-                coef = sign * xa * yb
-                for i, v in h_terms:
-                    in_h[i] = in_h.get(i, 0) + coef * v
-                for t, v in m_terms:
-                    in_m[t] = in_m.get(t, 0) + coef * v
-        return in_h, in_m
+    def bracket(self, x: Terms, y: Terms) -> dict[int, int]:
+        """The adapted coordinates of scale [X, Y] for X in g and Y in m given
+        by their adapted terms; a coordinate that cancels stays as a zero."""
+        return _table_bracket(self.rows, x, y)
 
     def m_operator(self, x: Terms) -> list:
-        """The columns (b, m-terms of scale [X, m_b]) of [X, .]_m on m."""
-        return [(b, self.bracket(x, ((b, 1),))[1].items()) for b in range(len(self.pairs))]
+        """The columns (b, m-terms (c, v) of scale [X, m_b]) of [X, .]_m on m."""
+        s = self.h_dim
+        return [(b, [(t - s, v) for t, v in self.bracket(x, ((s + b, 1),)).items() if t >= s])
+                for b in range(len(self.gram))]
 
 
-# (C, rows): rows[k] holds the nonzero (t, C y) with e_k = sum y (h.rows + m.rows)[t]
-CoordinateMap = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+class ReductivePair(Record, eq=False, uncompared=("table",)):
+    """The decomposition g = h + m with its verified flags.
 
-
-class ReductivePair(Record, eq=False, uncompared=("coords", "table")):
-    """The decomposition g = h + m with its coordinate map and verified flags.
-
-    `coords` is the coordinate map along the rows of h and then of m, over one
-    denominator C; `table` is the adapted table, None when the pair is not
-    reductive. A pair is equal only to itself and hashes by identity, so the
-    caches keyed by a pair look it up without hashing its fields.
+    `table` is the adapted table, None when the pair is not reductive. A pair
+    is equal only to itself and hashes by identity, so the caches keyed by a
+    pair look it up without hashing its fields.
     """
 
     algebra: LieAlgebra
@@ -214,14 +202,13 @@ class ReductivePair(Record, eq=False, uncompared=("coords", "table")):
     m: SubspaceBasis
     metric: BilinearForm
     flags: ReductiveFlags
-    coords: CoordinateMap
     table: AdaptedTable | None
 
-    def split(self, X: Vector) -> tuple[Terms, Terms]:
-        """The nonzero (h-terms, m-terms) of X along g = h + m."""
-        d, support = _integer_support(X)
-        parts = _split(self.coords, self.h.dim, support)
-        return tuple(tuple((t, Fraction(v, d * self.coords[0])) for t, v in part) for part in parts)
+    def m_terms(self, X: Vector) -> Terms:
+        """The nonzero adapted terms (s + a, c) of X = sum c m_a in m: m's rows
+        are reduced echelon, so c is the entry of X at the pivot of m_a."""
+        s = self.h.dim
+        return tuple((s + a, X[p]) for a, p in enumerate(self.m.pivots) if X[p])
 
     def from_h_terms(self, terms: Iterable[tuple[int, Fraction]]) -> Vector:
         """The vector sum c h_i over the (i, c) terms, in ambient coordinates."""
@@ -242,42 +229,47 @@ def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> V
     return tuple(out)
 
 
-def _split(coords: CoordinateMap, s: int, support: Iterable[tuple[int, int]]) -> tuple[Terms, Terms]:
-    """The integer (h-terms, m-terms) of C X, for the integer support (k, x)
-    of X and the coordinate map over C; s = dim h."""
-    out: dict[int, int] = {}
-    for k, x in support:
-        for t, y in coords[1][k]:
-            out[t] = out.get(t, 0) + x * y
-    terms = sorted((t, v) for t, v in out.items() if v)
-    return tuple(tv for tv in terms if tv[0] < s), tuple((t - s, v) for t, v in terms if t >= s)
-
-
-def _adapted_table(
-    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, coords: CoordinateMap, gram_m: Matrix
-) -> AdaptedTable | None:
+def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Matrix) -> AdaptedTable | None:
     """The adapted table, or None when some [h_i, m_b] leaves m. The rows of h
     and m are scaled to integers together, over E, so every bracket is summed
-    from the integer table of L, over D, and split by the coordinate map, over
-    C: each term is over the one scale C D E^2."""
+    from the integer table of L, over D, and read in the adapted basis by the
+    integer inverse of that basis, over C: each term is over the one scale
+    C D E^2. Raises InvalidDecomposition when h and m meet."""
     s, r = h.dim, m.dim
-    E, rows = _integer_rows(h.rows + m.rows)
+    basis = h.rows + m.rows
+    try:
+        inverse = mat_inverse(transpose(basis))  # row t = coordinates along basis[t]
+    except ValueError:
+        raise InvalidDecomposition("h and m have a nonzero intersection") from None
+    C, coords = _integer_rows(transpose(inverse))  # coords[k]: the nonzero (t, C y), e_k = sum y basis[t]
+    D, g_rows = L._integer_table
+    E, scaled = _integer_rows(basis)
 
-    def split(u: list, w: list) -> tuple[Terms, Terms]:
-        return _split(coords, s, [(k, x) for k, x in enumerate(L._integer_bracket(u, w)) if x])
+    def split(x: int, b: int) -> Terms:
+        """The adapted terms of C D E^2 [basis[x], m_b]."""
+        out: dict[int, int] = {}
+        for k, v in _table_bracket(g_rows, scaled[x], scaled[s + b]).items():
+            if v:
+                for t, y in coords[k]:
+                    out[t] = out.get(t, 0) + v * y
+        return tuple(sorted(tv for tv in out.items() if tv[1]))
 
-    ad_h = tuple(tuple(split(u, w) for w in rows[s:]) for u in rows[:s])
-    if any(in_h for cols in ad_h for in_h, _ in cols):
-        return None
-    pairs = tuple(
-        {b: entry for b in range(a + 1, r) if any(entry := split(rows[s + a], rows[s + b]))}
-        for a in range(r)
-    )
+    rows: list[dict[int, Terms]] = [{} for _ in range(s + r)]
+    for i in range(s):
+        for b in range(r):
+            if terms := split(i, b):
+                if terms[0][0] < s:  # sorted terms: an h-part comes first
+                    return None
+                rows[i][s + b] = terms
+    for a in range(r):
+        for b in range(a + 1, r):
+            if terms := split(s + a, b):
+                rows[s + a][s + b] = terms
+                rows[s + b][s + a] = tuple((t, -v) for t, v in terms)
     G, gram = _integer_rows(gram_m)
-    m_cols = tuple(tuple(in_m for _, in_m in cols) for cols in ad_h)
-    scale = coords[0] * L._integer_table[0] * E * E
-    table = AdaptedTable(scale, m_cols, pairs, G, tuple(map(tuple, gram)), None)
-    operators = [table.m_operator(((a, 1),)) for a in range(r)]
+    scale = C * D * E * E
+    table = AdaptedTable(scale, tuple(rows), G, tuple(map(tuple, gram)), None)
+    operators = [table.m_operator(((s + a, 1),)) for a in range(r)]
     return table.replace(nr_witness=_invariance_witness(operators, table.gram, scale * G))
 
 
@@ -295,17 +287,10 @@ def _reductive_pair(
     L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, metric: BilinearForm
 ) -> ReductivePair:
     """`make_reductive_pair` for an h already checked to be a subalgebra."""
-    rows = h.rows + m.rows
-    if len(rows) != L.dim:
-        raise InvalidDecomposition(f"dim h + dim m = {len(rows)} != {L.dim}")
-    try:
-        coord_rows = mat_inverse(transpose(rows))  # row t = coordinates along rows[t]
-    except ValueError:
-        raise InvalidDecomposition("h and m have a nonzero intersection") from None
-    scale, cols = _integer_rows(transpose(coord_rows))
-    coords = (scale, tuple(map(tuple, cols)))
+    if h.dim + m.dim != L.dim:
+        raise InvalidDecomposition(f"dim h + dim m = {h.dim + m.dim} != {L.dim}")
     images = matmul(m.rows, metric.gram)  # G.m_b, as the metric is symmetric
-    table = _adapted_table(L, h, m, coords, matmul(m.rows, transpose(images)))
+    table = _adapted_table(L, h, m, matmul(m.rows, transpose(images)))
     reductive = table is not None
     nr = reductive and table.nr_witness is None
     # h + m = g, so for a positive-definite metric m = h-perp iff every <h_i, m_b> = 0
@@ -316,7 +301,7 @@ def _reductive_pair(
     )
     effective = _largest_ideal_in(L, h).dim == 0
     flags = ReductiveFlags(reductive, normal, nr, effective)
-    return ReductivePair(L, h, m, metric, flags, coords, table)
+    return ReductivePair(L, h, m, metric, flags, table)
 
 
 def normal_decomposition(
@@ -361,12 +346,13 @@ def normalizer_invariance_check(pair: ReductivePair) -> CheckResult:
     if not pair.flags.reductive:
         raise NotReductive("normalizer invariance check needs a reductive pair")
     # write u = u_h + X along h + m: [u_h, h] lies in h and [X, h] in m, so u
-    # normalizes h iff X lies in m^h, and u keeps m invariant iff [X, m_b]_h = 0
-    normalizer = pair.h.sum_with(isotropy_fixed_subspace(pair))
-    for a, u in enumerate(normalizer.rows):
-        x = pair.split(u)[1]
+    # normalizes h iff X lies in m^h; [u_h, m] lies in m, so u keeps m
+    # invariant iff [X, m_b]_h = 0 for every b: the rows of m^h decide it
+    s = pair.h.dim
+    for a, u in enumerate(isotropy_fixed_subspace(pair).rows):
+        x = pair.m_terms(u)
         for b in range(pair.m.dim):
-            if any(pair.table.bracket(x, ((b, ONE),))[0].values()):
+            if any(v for t, v in pair.table.bracket(x, ((s + b, 1),)).items() if t < s):
                 return CheckResult(False, TripleWitness((a, b, -1), ZERO))
     return CheckResult(True)
 
@@ -379,10 +365,10 @@ def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
     if pair.h.dim == 0 or pair.m.dim == 0:
         return pair.m
     # one equation per (i, c): the coefficient of m_c in [h_i, X] vanishes
-    r = pair.m.dim
+    s, r = pair.h.dim, pair.m.dim
     system = [
-        {b: x for b, col in enumerate(cols) for t, x in col if t == c}
-        for cols in pair.table.ad_h
+        {z - s: x for z, terms in row.items() for t, x in terms if t == s + c}
+        for row in pair.table.rows[:s]
         for c in range(r)
     ]
     # rref m-coordinates through the rref rows of m are the rref of m^h
@@ -415,16 +401,17 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
         a, b = min(a, b), max(a, b)
         return a * (2 * r - a - 1) // 2 + b
 
+    s = pair.h.dim
     system = []
-    for cols in pair.table.ad_h:  # column b of A as the terms (c, A[c][b])
+    for cols in pair.table.rows[:s]:  # column s + b of A as the terms (s + c, A[c][b])
         for a in range(r):
             for b in range(a, r):
                 row: dict[int, int] = {}
-                for c, x in cols[a]:  # A[c][a] Q[c][b]
-                    k = unknown(c, b)
+                for c, x in cols.get(s + a, ()):  # A[c][a] Q[c][b]
+                    k = unknown(c - s, b)
                     row[k] = row.get(k, 0) + x
-                for c, x in cols[b]:  # Q[a][c] A[c][b]
-                    k = unknown(a, c)
+                for c, x in cols.get(s + b, ()):  # Q[a][c] A[c][b]
+                    k = unknown(a, c - s)
                     row[k] = row.get(k, 0) + x
                 system.append(row)
     return "irreducible" if len(kernel(system, r * (r + 1) // 2)) == 1 else "reducible"

@@ -12,10 +12,12 @@ basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
 `bracket_basis`, `killing_form`, `ad_invariance_check`, `is_subalgebra`, the
 Jacobi sweep and the rank of [g, g] mod p) read that table in Python ints,
 scale their vector or Gram arguments to integers the same way, and divide
-once per result entry: the same Fractions as exact rational arithmetic. One
-cyclic routine, `_cyclic_witness`, packs integer terms and finds the first
-triple with a nonzero cyclic sum; the Jacobi sweep and the connection's
-first Bianchi check both call it. One invariance routine,
+once per result entry: the same Fractions as exact rational arithmetic. A
+pair's adapted table has the same layout, so one bracket loop,
+`_table_bracket`, brackets over either table, and one cyclic routine,
+`_cyclic_witness`, packs integer terms and finds the first triple with a
+nonzero cyclic sum; the Jacobi sweep and the connection's first Bianchi
+check both call it. One invariance routine,
 `_invariance_witness`, packs every operator into one integer matrix the same
 way and tests them all with one product against the Gram matrix.
 
@@ -65,6 +67,7 @@ from .linalg import (
     vector,
     _add_row,
     _add_row_mod_p,
+    _dense,
     _divided,
     _integer_rows,
     _integer_support,
@@ -111,11 +114,6 @@ class SubspaceBasis(Record):
 
     def contains(self, other: "SubspaceBasis") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
-
-    def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        if not (self.rows and other.rows):  # a zero summand leaves the other, reduced already
-            return self if self.rows else other
-        return SubspaceBasis.from_vectors(self.ambient_dim, self.rows + other.rows)
 
     def annihilator(self) -> Matrix:
         """Rows spanning {w : w . v = 0 for all v in the subspace} (standard dot)."""
@@ -179,22 +177,8 @@ class LieAlgebra(Record):
         # X = xs / dx and Y = ys / dy with integer xs, ys over the supports
         dx, xs = _integer_support(X)
         dy, ys = _integer_support(Y)
-        return _divided(self._integer_bracket(xs, ys), self._integer_table[0] * dx * dy)
-
-    def _integer_bracket(self, xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> list[int]:
-        """D [X, Y] as a dense integer list, for integer X and Y given by their
-        nonzero entries (i, x)."""
-        _, rows = self._integer_table
-        acc = [0] * self.dim
-        for i, x in xs:
-            row = rows[i]
-            for j, y in ys:
-                terms = row.get(j)
-                if terms:
-                    xy = x * y
-                    for k, c in terms:
-                        acc[k] += xy * c
-        return acc
+        scale, rows = self._integer_table
+        return _dense(_table_bracket(rows, xs, ys), scale * dx * dy, self.dim)
 
     def ad(self, X: Vector) -> Matrix:
         """Matrix of ad(X) = [X, .] acting on coordinates: the sum of X_i ad(e_i)
@@ -291,26 +275,47 @@ def _lie_algebra(
     return LieAlgebra(dim, basis_labels, canonical)
 
 
+def _table_bracket(rows: Sequence, xs: Iterable[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> dict:
+    """The coordinates of [X, Y] = sum x y [e_i, e_j] over the terms (i, x)
+    of X and (j, y) of Y, read from a table whose rows[i][j] holds the
+    nonzero terms (k, c) of [e_i, e_j]: g's integer table or a pair's adapted
+    table. A coordinate that cancels stays as a zero."""
+    acc: dict[int, int] = {}
+    for i, x in xs:
+        row = rows[i]
+        for j, y in ys:
+            terms = row.get(j)
+            if terms:
+                xy = x * y
+                for k, c in terms:
+                    acc[k] = acc.get(k, 0) + xy * c
+    return acc
+
+
 def _check_jacobi(L: LieAlgebra) -> None:
     _, rows = L._integer_table
-    if witness := _cyclic_witness(rows, rows, range(L.dim)):
+    if witness := _cyclic_witness(rows):
         raise JacobiViolation(*witness, _jacobi_defect(L, *witness))
 
 
-def _cyclic_witness(rows: Sequence | dict, images: Sequence, indices: range) -> tuple[int, int, int] | None:
-    """The first i < j < k in `indices` whose cyclic sum over (x, y, z) of
-    sum_l c images[l][z], over the terms (l, c) of rows[x][y], is nonzero, or
-    None. Both tables hold nonzero integer terms (index, coefficient); rows
-    are read at `indices` only. Each image packs into one integer, entry t at
-    bits w t..w (t + 1) in balanced digits; every entry of a cyclic sum stays
-    below 2^(w-1) in size, so the sum packs to zero iff it is zero."""
-    table = (*images, *(rows[x] for x in indices))
-    bound = max((abs(c) for row in table for terms in row.values() for _, c in terms), default=0)
-    w = (3 * len(images) * bound * bound).bit_length() + 2
-    packed = [{z: sum(c << (w * t) for t, c in terms) for z, terms in row.items()} for row in images]
-    for i in indices:
-        for j in range(i + 1, indices.stop):
-            for k in range(j + 1, indices.stop):
+def _cyclic_witness(rows: Sequence, start: int = 0) -> tuple[int, int, int] | None:
+    """The first start <= i < j < k whose cyclic sum over (x, y, z) of
+    [[e_x, e_y], e_z] has a nonzero coordinate t >= start, or None, for a
+    table whose rows[x][y] holds the nonzero integer terms (index,
+    coefficient) of [e_x, e_y]. Each stored [e_l, e_z] packs into one
+    integer, coordinate t at bits w (t - start)..w (t - start + 1) in
+    balanced digits; every coordinate of a cyclic sum stays below 2^(w-1) in
+    size, so the sum packs to zero iff it is zero."""
+    n = len(rows)
+    bound = max((abs(c) for row in rows for terms in row.values() for _, c in terms), default=0)
+    w = (3 * n * bound * bound).bit_length() + 2
+    packed = [
+        {z: sum(c << (w * (t - start)) for t, c in terms if t >= start) for z, terms in row.items()}
+        for row in rows
+    ]
+    for i in range(start, n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
                 defect = 0
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                     for l, c in rows[x].get(y, ()):
@@ -514,16 +519,17 @@ def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
     is the first (a, b) whose bracket leaves."""
     # den times each echelon row: den at its pivot, zero at the other pivots
     den, rows = _integer_rows(sub.rows)
+    _, table = L._integer_table
     for a, xs in enumerate(rows):
         for b in range(a + 1, len(rows)):
-            acc = L._integer_bracket(xs, rows[b])
-            residual = [den * x for x in acc]
+            acc = _table_bracket(table, xs, rows[b])
+            residual = {k: den * x for k, x in acc.items()}
             for p, terms in zip(sub.pivots, rows):
-                c = acc[p]
+                c = acc.get(p)
                 if c:
                     for k, x in terms:
-                        residual[k] -= c * x
-            if any(residual):
+                        residual[k] = residual.get(k, 0) - c * x
+            if any(residual.values()):
                 return CheckResult(False, TripleWitness((a, b, -1), ZERO))
     return CheckResult(True)
 

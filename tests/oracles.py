@@ -4,6 +4,8 @@ Deliberately different code paths from the package: dense Fraction matrices out
 of explicit matrix realizations, naive Gaussian elimination, closed-form trace
 identities. Nothing here imports the package under test, and an algebra is
 read only through its `dim` and `entries` fields, never through its methods.
+`nomizu_affine_dim` takes its kernel solver as an argument, so the package's
+`linalg.kernel` solves a system that the oracle alone has built.
 """
 
 from __future__ import annotations
@@ -478,12 +480,13 @@ def dense_koszul_defect(L, h_rows, m_rows, gram):
 
 def stored_torsion_antisymmetric(table, r):
     """Torsion antisymmetry read pair by pair from an adapted table: the
-    m-terms of -[m_a, m_b] against those of [m_b, m_a], both through
-    `table.entry`, over all r^2 ordered pairs."""
+    m-terms of -[m_a, m_b] against those of [m_b, m_a], each as stored at
+    `table.rows[s + a][s + b]` (s = dim h, m-terms at indices s and up), over
+    all r^2 ordered pairs."""
+    s = len(table.rows) - r
 
-    def m_part(a, b, scale):
-        sign, _, in_m = table.entry(a, b)
-        return {t: sign * scale * x for t, x in in_m}
+    def m_part(a, b, sign):
+        return {t: sign * x for t, x in table.rows[s + a].get(s + b, ()) if t >= s}
 
     return all(m_part(a, b, -1) == m_part(b, a, 1) for a in range(r) for b in range(r))
 
@@ -514,27 +517,26 @@ def dense_bianchi_by_brackets(L, h_rows, m_rows):
     return True
 
 
-def dense_bianchi_holds(pairs, ad_h, s, r):
+def dense_bianchi_holds(rows, s, r):
     """The first Bianchi identity with torsion over every ordered triple of m:
     sum_cyc ([[m_x, m_y]_h, m_z] + [[m_x, m_y]_m, m_z]_m) = 0, with dense
-    brackets completed by antisymmetry from `pairs[a][b]` (a < b), each an
-    (h-terms, m-terms) couple of (index, coefficient) lists, and [h_i, m_z]
-    from the terms `ad_h[i][z]`."""
+    brackets read as stored in an adapted table, h_i at index i and m_t at
+    index s + t: rows[s + a][s + b] holds the terms (index, coefficient) of
+    [m_a, m_b], and rows[i][s + z] those of [h_i, m_z]."""
     h_part = [[[F0] * s for _ in range(r)] for _ in range(r)]
     m_part = [[[F0] * r for _ in range(r)] for _ in range(r)]
-    for a, row in enumerate(pairs):
-        for b, (h_terms, m_terms) in row.items():
-            for i, x in h_terms:
-                h_part[a][b][i] += x
-                h_part[b][a][i] -= x
-            for t, x in m_terms:
-                m_part[a][b][t] += x
-                m_part[b][a][t] -= x
+    for a in range(r):
+        for z, terms in rows[s + a].items():
+            for t, x in terms:
+                if t < s:
+                    h_part[a][z - s][t] += x
+                else:
+                    m_part[a][z - s][t - s] += x
     ad = [[[F0] * r for _ in range(r)] for _ in range(s)]
     for i in range(s):
-        for z in range(r):
-            for t, x in ad_h[i][z]:
-                ad[i][z][t] += x
+        for z, terms in rows[i].items():
+            for t, x in terms:
+                ad[i][z - s][t - s] += x
     for a in range(r):
         for b in range(r):
             for c in range(r):
@@ -751,3 +753,57 @@ def poly_pow_mod(a, n, m, p):
         base = mulmod(base, base)
         n >>= 1
     return result
+
+
+def nomizu_affine_dim(L, h_rows, m_rows, kernel):
+    """r + dim{A in gl(m) : A.T = 0 and A.R = 0}, r = dim m, for the canonical
+    connection's T(X, Y) = -[X, Y]_m and R(X, Y)Z = -[[X, Y]_h, Z]: the
+    dimension of the affine algebra that Nomizu's theorem gives a connection
+    with parallel torsion and curvature. T and R are read in the m-coordinates
+    of `m_rows` from `dense_bracket` and `dense_m_part`, [X, Y]_h as the
+    remainder; the r^2 entries A[p][q] (unknown p r + q) solve one linear
+    system, whose kernel the `kernel(rows, ncols)` passed in returns."""
+    bracket = dense_bracket(L)
+    m_part = dense_m_part(L, h_rows, m_rows)
+    r = len(m_rows)
+    T = [[dense_solve(m_rows, [-x for x in m_part(u, v)]) for v in m_rows] for u in m_rows]
+    h_part = [[[p - q for p, q in zip(bracket(u, v), m_part(u, v))] for v in m_rows] for u in m_rows]
+    R = [
+        [[dense_solve(m_rows, [-x for x in bracket(h_part[a][b], w)]) for w in m_rows] for b in range(r)]
+        for a in range(r)
+    ]
+
+    def derivation_rows(tensor, slots):
+        """The equations (A.S)(e_slots)[t] = 0 for S = tensor, one per index
+        tuple and output coordinate t:
+        sum_p A[t][p] S(..)[p] - sum over each slot k of sum_p A[p][k] S(.., e_p, ..)[t]."""
+        rows = []
+        for index in _index_tuples(r, slots):
+            for t in range(r):
+                row = {}
+                for p, x in enumerate(_entry(tensor, index)):
+                    if x:
+                        row[t * r + p] = row.get(t * r + p, F0) + x
+                for k in range(slots):
+                    for p in range(r):
+                        moved = index[:k] + (p,) + index[k + 1 :]
+                        x = _entry(tensor, moved)[t]
+                        if x:
+                            row[p * r + index[k]] = row.get(p * r + index[k], F0) - x
+                rows.append(row)
+        return rows
+
+    system = derivation_rows(T, 2) + derivation_rows(R, 3)
+    return r + len(kernel(system, r * r))
+
+
+def _index_tuples(r, slots):
+    if slots == 0:
+        return [()]
+    return [head + (k,) for head in _index_tuples(r, slots - 1) for k in range(r)]
+
+
+def _entry(tensor, index):
+    for k in index:
+        tensor = tensor[k]
+    return tensor

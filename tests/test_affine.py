@@ -16,8 +16,8 @@ from reductive_workbench.affine import (
     transvection_algebra,
     transvection_equals_g_check,
 )
-from reductive_workbench import liealg
-from reductive_workbench.catalog import catalog_names, construct
+from reductive_workbench import liealg, linalg
+from reductive_workbench.catalog import CURATED_NAMES, catalog_names, construct
 from reductive_workbench.errors import NotEffective, NotNormal
 from reductive_workbench.liealg import (
     SubspaceBasis,
@@ -49,6 +49,7 @@ from oracles import (
     dense_nr_defect,
     dense_pairings,
     dense_project_m,
+    nomizu_affine_dim,
 )
 from test_cli import _changed_basis
 from test_homspace import (
@@ -241,6 +242,20 @@ def test_affine_dims_for_so4_mod_so2():
     assert aff.g1.dim == 6
     assert aff.k.dim == 1
     assert aff.total_dim == 7
+
+
+NORMAL_EFFECTIVE_CURATED = [
+    name for name in CURATED_NAMES if construct(name).pair.flags.normal and construct(name).pair.flags.effective
+]
+
+
+@pytest.mark.parametrize("name", NORMAL_EFFECTIVE_CURATED)
+def test_affine_dim_matches_the_nomizu_oracle(name):
+    # Nomizu: r + dim{A in gl(m) : A.T = 0, A.R = 0}, from dense brackets; a
+    # center z adds gl(z) beyond g1 + k (so3r1_mod_0: 8 = 7 + 1, r2_mod_0: 6 = 2 + 4)
+    pair = construct(name).pair
+    expected = nomizu_affine_dim(pair.algebra, pair.h.rows, pair.m.rows, linalg.kernel)
+    assert affine_algebra(pair).total_dim + center(pair.algebra).dim ** 2 == expected
 
 
 def test_affine_cross_brackets_vanish():

@@ -32,44 +32,46 @@ F = Fraction
 ALL_PAIRS = [sphere_pair, diagonal_pair, second_factor_pair, so4_mod_so2_pair]
 
 
-# The tensors are readings of the adapted table: T(m_a, m_b) = -[m_a, m_b]_m
-# is the m-part of entry (a, b), and R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c]
-# pairs its h-part with the columns ad_h[i][c]; entries are over `scale`.
+# The tensors are readings of the adapted table, h_i at index i and m_a at
+# index s + a: T(m_a, m_b) = -[m_a, m_b]_m is the m-part of rows[s + a][s + b],
+# and R(m_a, m_b)m_c = -[[m_a, m_b]_h, m_c] pairs its h-part with the entries
+# rows[i][s + c]; terms are over `scale`.
 
 
 def test_sphere_pair_tensors():
     # m = span(L1, L2); [L1, L2] = L3 falls in h, so torsion vanishes, and
     # [L3, L1] = L2, so R(L1, L2)L1 = -[L3, L1] = -L2
     t = connection_tensors_at_basepoint(sphere_pair())
-    assert t.entry(0, 1) == (1, ((0, t.scale),), ())
-    assert t.ad_h[0][0] == ((1, t.scale),)
+    assert t.h_dim == 1
+    assert t.rows[1][2] == ((0, t.scale),)
+    assert t.rows[2][1] == ((0, -t.scale),)
+    assert t.rows[0][1] == ((2, t.scale),)
 
 
 def test_trivial_isotropy_pair_is_flat_with_torsion():
     # h = 0 leaves no h-part, so R = 0; torsion -[X,Y] is the full bracket:
     # T(L1, L2) = -L3
     t = connection_tensors_at_basepoint(trivial_isotropy_pair(cyclic_so3()))
-    assert t.ad_h == ()
-    assert not any(in_h for row in t.pairs for in_h, _ in row.values())
-    assert t.entry(0, 1) == (1, (), ((2, t.scale),))
+    assert t.h_dim == 0 and len(t.rows) == 3
+    assert t.rows[0][1] == ((2, t.scale),)
 
 
 def test_diagonal_pair_has_symmetric_space_tensors():
     # [m, m] lands in the diagonal h: torsion zero, curvature nonzero
     t = connection_tensors_at_basepoint(diagonal_pair())
-    entries = [t.entry(a, b) for a in range(3) for b in range(3)]
-    assert not any(in_m for _, _, in_m in entries)
-    assert any(in_h for _, in_h, _ in entries)
+    entries = [t.rows[3 + a].get(3 + b, ()) for a in range(3) for b in range(3)]
+    assert not any(k >= 3 for terms in entries for k, _ in terms)
+    assert any(entries)
     # pinned value: X1 = (L1,-L1), X2 = (L2,-L2): [X1, X2] = (L3, L3) = h_2
     # and [h_2, X1] = X2, so R(X1,X2)X1 = -X2
-    assert t.entry(0, 1) == (1, ((2, t.scale),), ())
-    assert t.ad_h[2][0] == ((1, t.scale),)
+    assert t.rows[3][4] == ((2, t.scale),)
+    assert t.rows[2][3] == ((4, t.scale),)
 
 
 def test_abelian_pair_all_tables_vanish():
     t = connection_tensors_at_basepoint(trivial_isotropy_pair(abelian(2)))
-    assert t.ad_h == ()
-    assert t.pairs == ({}, {})
+    assert t.h_dim == 0
+    assert t.rows == ({}, {})
 
 
 def test_canonical_is_twice_levi_civita():
@@ -82,11 +84,15 @@ def test_canonical_is_twice_levi_civita():
 
 def test_torsion_and_curvature_antisymmetry():
     # no [m_a, m_a] is stored, so T and R vanish on (m_a, m_a), and the table
-    # reads [m_b, m_a] as -[m_a, m_b] for both
+    # stores [m_b, m_a] as -[m_a, m_b], both its h-part and its m-part
     for make in ALL_PAIRS:
         t = connection_tensors_at_basepoint(make())
-        r = len(t.pairs)
-        assert all(t.entry(a, a) == (-1, (), ()) for a in range(r))
+        s, r = t.h_dim, len(t.gram)
+        assert all(s + a not in t.rows[s + a] for a in range(r))
+        assert all(
+            t.rows[s + b].get(s + a, ()) == tuple((k, -v) for k, v in t.rows[s + a].get(s + b, ()))
+            for a in range(r) for b in range(r)
+        )
         assert stored_torsion_antisymmetric(t, r)
         assert consistency_sweep(t)["torsion_antisymmetric"]
 
@@ -96,7 +102,7 @@ def test_first_bianchi_with_torsion():
         pair = make()
         t = connection_tensors_at_basepoint(pair)
         assert dense_bianchi_by_brackets(pair.algebra, pair.h.rows, pair.m.rows)
-        assert dense_bianchi_holds(t.pairs, t.ad_h, pair.h.dim, pair.m.dim)
+        assert dense_bianchi_holds(t.rows, pair.h.dim, pair.m.dim)
         assert consistency_sweep(t)["bianchi_cyclic_identity"]
 
 
@@ -147,17 +153,22 @@ def test_twice_lc_flag_is_the_koszul_identity(make):
 
 def with_pair_entry(pair, a, b, part, index, delta):
     """The pair with the integer delta added to the stored integer term at
-    coordinate `index` of the h-part (part 0) or the m-part (part 1) of the
-    entry stored at (a, b), which is over the table's scale. For a < b that is
-    [m_a, m_b], and the mirrored entry [m_b, m_a] changes with it; the table
-    reads no entry stored at a > b."""
+    coordinate `index` of the h-part (part 0) or the m-part (part 1) of
+    [m_a, m_b], which is over the table's scale, and for a != b its negative
+    to the same term of [m_b, m_a]: the corrupted table stays antisymmetric
+    off the diagonal, as the table is built."""
     table = pair.table
-    entry = [dict(terms) for terms in table.pairs[a].get(b, ((), ()))]
-    entry[part][index] = entry[part].get(index, 0) + delta
-    terms = tuple(tuple(sorted((t, x) for t, x in part.items() if x)) for part in entry)
-    pairs = list(table.pairs)
-    pairs[a] = {**pairs[a], b: terms}
-    return pair.replace(table=table.replace(pairs=tuple(pairs)))
+    s = pair.h.dim
+    k = index + s * part  # adapted index: h_i at i, m_t at s + t
+    rows = list(table.rows)
+    for x, y, d in ((a, b, delta), (b, a, -delta))[: 1 if a == b else 2]:
+        terms = dict(rows[s + x].get(s + y, ()))
+        terms[k] = terms.get(k, 0) + d
+        row = {z: e for z, e in rows[s + x].items() if z != s + y}
+        if any(terms.values()):
+            row[s + y] = tuple(sorted((t, v) for t, v in terms.items() if v))
+        rows[s + x] = row
+    return pair.replace(table=table.replace(rows=tuple(rows)))
 
 
 @pytest.mark.parametrize(
@@ -170,7 +181,7 @@ def with_pair_entry(pair, a, b, part, index, delta):
 )
 def test_torsion_flag_reads_the_stored_diagonal(a, b, part, holds):
     # T is antisymmetric iff no stored [m_a, m_a] has an m-part: an h-part is
-    # not in T, and an entry stored at a > b is never read
+    # not in T, and an entry below the diagonal changes with its mirror above
     pair = construct("su3_mod_su2").pair
     bad = with_pair_entry(pair, a, b, part, 0, pair.table.scale)
     flag = consistency_sweep(connection_tensors_at_basepoint(bad))["torsion_antisymmetric"]
@@ -216,5 +227,5 @@ def test_sweep_bianchi_flag_matches_all_ordered_triples(make, data):
     )
     bad = with_pair_entry(pair, a, b, part, index, delta)
     result = consistency_sweep(connection_tensors_at_basepoint(bad))
-    assert result["bianchi_cyclic_identity"] == dense_bianchi_holds(bad.table.pairs, bad.table.ad_h, s, r)
+    assert result["bianchi_cyclic_identity"] == dense_bianchi_holds(bad.table.rows, s, r)
     assert result["torsion_antisymmetric"] == stored_torsion_antisymmetric(bad.table, r)

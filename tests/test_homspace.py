@@ -48,6 +48,7 @@ from oracles import (
     dense_bracket,
     dense_m_part,
     dense_normalizer,
+    dense_project_m,
     dense_nr_defect,
     dense_pairings,
     fraction_matrix,
@@ -61,6 +62,7 @@ from test_liealg import (
     heisenberg,
     so3_plus_so3,
     so_algebra,
+    subspace_sum,
     unit_subspace,
 )
 
@@ -120,17 +122,22 @@ def test_second_factor_pair_is_not_effective():
 
 
 def test_projections_identities():
-    from reductive_workbench.linalg import identity, vadd
+    # a vector of m is read in adapted indices s + a at the pivots of m; the
+    # adapted table's entries against the dense brackets are checked entrywise
+    # in test_adapted_table_is_integer_over_its_two_scales
+    from reductive_workbench.linalg import identity
 
     for pair in (so4_mod_so2_pair(), diagonal_pair()):
-        for e in identity(pair.algebra.dim):
-            in_h, in_m = pair.split(e)
-            assert vadd(pair.from_h_terms(in_h), pair.from_m_terms(in_m)) == e
-            assert pair.split(pair.from_m_terms(in_m)) == ((), in_m)
-        for i, row in enumerate(pair.h.rows):
-            assert pair.split(row) == (((i, 1),), ())
+        s = pair.h.dim
         for a, row in enumerate(pair.m.rows):
-            assert pair.split(row) == ((), ((a, 1),))
+            assert pair.m_terms(row) == ((s + a, 1),)
+        for i, row in enumerate(pair.h.rows):
+            assert pair.from_h_terms(((i, 1),)) == row
+        terms = tuple((a, F(a + 1, 3)) for a in range(pair.m.dim))
+        assert pair.m_terms(pair.from_m_terms(terms)) == tuple((s + a, c) for a, c in terms)
+        for e in identity(pair.algebra.dim):
+            in_m = tuple(dense_project_m(pair.h.rows, pair.m.rows, e))
+            assert pair.from_m_terms((t - s, c) for t, c in pair.m_terms(in_m)) == in_m
 
 
 def test_normal_decomposition_rejects_non_subalgebra():
@@ -375,31 +382,65 @@ def dense_spec_pair():
 )
 def test_adapted_table_is_integer_over_its_two_scales(make):
     # the stored terms are ints; over `scale` they are the oracle's brackets,
-    # m-part and h-part as the remainder, and over `gram_scale` the metric on m
+    # m-part and h-part as the remainder, read entrywise in adapted indices
+    # (h_i at i, m_a at s + a), and over `gram_scale` the metric on m
     pair = make()
-    table, r = pair.table, pair.m.dim
-    terms = [x for cols in table.ad_h for col in cols for x in col]
-    terms += [x for row in table.pairs for parts in row.values() for part in parts for x in part]
+    table, s, r = pair.table, pair.h.dim, pair.m.dim
+    assert len(table.rows) == s + r
+    assert all(s <= z < s + r for row in table.rows for z in row)
+    terms = [x for row in table.rows for entry in row.values() for x in entry]
     terms += [x for row in table.gram for x in row]
     assert all(type(t) is int and type(v) is int for t, v in terms)
 
-    def divided(terms, sign=1):
-        return [(t, F(sign * v, table.scale)) for t, v in terms]
+    def parts(x, b):  # the h- and m-terms of the stored [e_x, m_b], divided
+        entry = table.rows[x].get(s + b, ())
+        return ([(t, F(v, table.scale)) for t, v in entry if t < s],
+                [(t - s, F(v, table.scale)) for t, v in entry if t >= s])
 
     bracket = dense_bracket(pair.algebra)
     m_part = dense_m_part(pair.algebra, pair.h.rows, pair.m.rows)
     for a, x in enumerate(pair.m.rows):
         for b, y in enumerate(pair.m.rows):
-            sign, in_h, in_m = table.entry(a, b)
+            in_h, in_m = parts(s + a, b)
             expected = m_part(x, y)
-            assert list(pair.from_m_terms(divided(in_m, sign))) == expected
+            assert list(pair.from_m_terms(in_m)) == expected
             h_part = [u - v for u, v in zip(bracket(x, y), expected)]
-            assert list(pair.from_h_terms(divided(in_h, sign))) == h_part
+            assert list(pair.from_h_terms(in_h)) == h_part
     for i, u in enumerate(pair.h.rows):
         for b, y in enumerate(pair.m.rows):
-            assert list(pair.from_m_terms(divided(table.ad_h[i][b]))) == bracket(u, y)
+            in_h, in_m = parts(i, b)
+            assert in_h == []
+            assert list(pair.from_m_terms(in_m)) == bracket(u, y)
     gram = [[F(dict(row).get(c, 0), table.gram_scale) for c in range(r)] for row in table.gram]
     assert gram == dense_pairings(pair.m.rows, pair.m.rows, pair.metric.gram)
+
+
+def dense_trivial_isotropy_pair():
+    # the dense file's algebra with h = 0 under its custom metric
+    from reductive_workbench.specfile import load_space_spec_file
+
+    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
+    L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
+    return normal_decomposition(L, SubspaceBasis.zero(spec.dim), spec.metric_spec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=name: construct(name).pair, id=name)
+     for name in ("so3_mod_0", "so4_mod_0", "so3r1_mod_0", "r2_mod_0")]
+    + [pytest.param(dense_trivial_isotropy_pair, id="so3so3_dense_mod_0")],
+)
+def test_trivial_isotropy_table_is_the_algebra_table(make):
+    # with h = 0 the adapted basis is g's own (m = g in rref), so the adapted
+    # table and g's integer table share one layout and differ by one factor
+    pair = make()
+    assert pair.h.dim == 0
+    scale, rows = pair.algebra._integer_table
+    factor = pair.table.scale // scale
+    assert factor * scale == pair.table.scale
+    assert pair.table.rows == tuple(
+        {j: tuple((k, factor * c) for k, c in terms) for j, terms in row.items()} for row in rows
+    )
 
 
 @pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3_mod_0"])
@@ -444,7 +485,7 @@ def test_abelian_pair_trivially_naturally_reductive():
 def test_normalizer_of_cartan_line_in_so3():
     pair = sphere_pair()
     assert normalizer_invariance_check(pair).ok
-    assert pair.h.sum_with(isotropy_fixed_subspace(pair)) == unit_subspace(3, [2])
+    assert subspace_sum(pair.h, isotropy_fixed_subspace(pair)) == unit_subspace(3, [2])
 
 
 def test_normalizer_invariance_on_normal_pairs():
@@ -458,8 +499,8 @@ def test_normalizer_moves_complement_in_heisenberg_pair():
     assert not pair.flags.normal
     res = normalizer_invariance_check(pair)
     assert not res.ok
-    assert pair.h.sum_with(isotropy_fixed_subspace(pair)) == SubspaceBasis.full(3)
-    assert res.witness.indices[:2] == (0, 1)  # [x, y] = z leaves m
+    assert subspace_sum(pair.h, isotropy_fixed_subspace(pair)) == SubspaceBasis.full(3)
+    assert res.witness.indices[:2] == (0, 1)  # row 0 of m^h is x, and [x, y] = z leaves m
 
 
 def heisenberg_center_pair():
@@ -487,7 +528,7 @@ def test_normalizer_matches_the_dense_oracle(make):
     # the check reads the normalizer as h + m^h; the oracle solves [X, h] in h
     pair = make()
     expected = dense_normalizer(pair.algebra, pair.h.rows)
-    assert [list(row) for row in pair.h.sum_with(isotropy_fixed_subspace(pair)).rows] == expected
+    assert [list(row) for row in subspace_sum(pair.h, isotropy_fixed_subspace(pair)).rows] == expected
 
 
 # --- isotropy fixed subspace -----------------------------------------------------

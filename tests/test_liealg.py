@@ -111,6 +111,11 @@ def unit_subspace(ambient, indices):
     )
 
 
+def subspace_sum(U, W):
+    """U + W, reduced from the rows of both."""
+    return SubspaceBasis.from_vectors(U.ambient_dim, U.rows + W.rows)
+
+
 # --- make_lie_algebra / bracket ---------------------------------------------
 
 
@@ -499,7 +504,7 @@ def test_decomposition_so4_splits_into_two_ideals():
                 new = so_coords(commutator(g, vm), 4)
                 assert gauss_rank(rows + [new], 6) == len(rows)
     # the two ideals are exchanged by no relabeling: sum is everything
-    assert ideals[0].sum_with(ideals[1]) == SubspaceBasis.full(6)
+    assert subspace_sum(ideals[0], ideals[1]) == SubspaceBasis.full(6)
 
 
 def scale_mat(c, M):
@@ -749,7 +754,7 @@ def exact_closure(L, seeds):
     current = SubspaceBasis.from_vectors(L.dim, seeds)
     while True:
         brackets = [L.bracket(u, v) for u in current.rows for v in current.rows]
-        grown = current.sum_with(SubspaceBasis.from_vectors(L.dim, brackets))
+        grown = subspace_sum(current, SubspaceBasis.from_vectors(L.dim, brackets))
         if grown.dim == current.dim:
             return current
         current = grown
