@@ -8,7 +8,8 @@ polynomial is formed, so nothing here loads sympy.
 
 The default metric is -B, minus the Killing form; a recipe adds only its
 center Gram matrix and rescaled simple ideals to it. The adapted table
-brackets the rows of h and m, scaled to integers together, and reads each
+brackets the rows of h and m, scaled to integers together, from the row of
+each in the layout of g's integer table, formed once, and reads each
 bracket in the adapted basis through the integer inverse of that basis,
 which is dropped once the table is built. It keeps integer terms over one
 scale, in the layout of g's integer table, so `liealg._table_bracket`,
@@ -44,6 +45,7 @@ from .liealg import (
     _invariance_witness,
     _largest_ideal_in,
     _table_bracket,
+    _table_row,
     ad_invariance_check,
     center,
     derived_subalgebra,
@@ -231,10 +233,11 @@ def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> V
 
 def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Matrix) -> AdaptedTable | None:
     """The adapted table, or None when some [h_i, m_b] leaves m. The rows of h
-    and m are scaled to integers together, over E, so every bracket is summed
-    from the integer table of L, over D, and read in the adapted basis by the
-    integer inverse of that basis, over C: each term is over the one scale
-    C D E^2. Raises InvalidDecomposition when h and m meet."""
+    and m are scaled to integers together, over E, and each one's row in the
+    layout of the integer table of L, over D, is formed once; every bracket
+    with m_b is read from it and then in the adapted basis by the integer
+    inverse of that basis, over C: each term is over the one scale C D E^2.
+    Raises InvalidDecomposition when h and m meet."""
     s, r = h.dim, m.dim
     basis = h.rows + m.rows
     try:
@@ -245,10 +248,11 @@ def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Ma
     D, g_rows = L._integer_table
     E, scaled = _integer_rows(basis)
 
-    def split(x: int, b: int) -> Terms:
-        """The adapted terms of C D E^2 [basis[x], m_b]."""
+    def split(row: tuple[dict], b: int) -> Terms:
+        """The adapted terms of C D E^2 [basis[x], m_b], for the one-row
+        table of E basis[x] in the layout of g's table."""
         out: dict[int, int] = {}
-        for k, v in _table_bracket(g_rows, scaled[x], scaled[s + b]).items():
+        for k, v in _table_bracket(row, ((0, 1),), scaled[s + b]).items():
             if v:
                 for t, y in coords[k]:
                     out[t] = out.get(t, 0) + v * y
@@ -256,14 +260,16 @@ def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Ma
 
     rows: list[dict[int, Terms]] = [{} for _ in range(s + r)]
     for i in range(s):
+        row = (_table_row(g_rows, scaled[i]),)  # formed once, read for every m_b
         for b in range(r):
-            if terms := split(i, b):
+            if terms := split(row, b):
                 if terms[0][0] < s:  # sorted terms: an h-part comes first
                     return None
                 rows[i][s + b] = terms
-    for a in range(r):
+    for a in range(r - 1):
+        row = (_table_row(g_rows, scaled[s + a]),)
         for b in range(a + 1, r):
-            if terms := split(s + a, b):
+            if terms := split(row, b):
                 rows[s + a][s + b] = terms
                 rows[s + b][s + a] = tuple((t, -v) for t, v in terms)
     G, gram = _integer_rows(gram_m)

@@ -8,18 +8,21 @@ subspace equality is structural equality.
 
 Each algebra caches one integer table: the scale D, the lcm of the
 denominators of its constants, and D c[i][j][k] for both orders of every
-basis pair. The g-level kernels (`bracket`, `ad`, `coadjoint`,
+basis pair. The g-level kernels (`bracket`, `_integer_ad`, `coadjoint`,
 `bracket_basis`, `killing_form`, `ad_invariance_check`, `is_subalgebra`, the
-Jacobi sweep and the rank of [g, g] mod p) read that table in Python ints,
-scale their vector or Gram arguments to integers the same way, and divide
-once per result entry: the same Fractions as exact rational arithmetic. A
-pair's adapted table has the same layout, so one bracket loop,
-`_table_bracket`, brackets over either table, and one cyclic routine,
+Jacobi sweep, the rank of [g, g] mod p and the simple-ideal split) read that
+table in Python ints, scale their vector or Gram arguments to integers the
+same way, and divide once per result entry: the same Fractions as exact
+rational arithmetic. A pair's adapted table has the same layout, so one
+bracket loop, `_table_bracket`, brackets over either table; `_table_row`
+forms the row of one vector X in that layout, so every bracket [X, Y] with
+the same X is one pass over the terms of Y. One cyclic routine,
 `_cyclic_witness`, packs integer terms and finds the first triple with a
 nonzero cyclic sum; the Jacobi sweep and the connection's first Bianchi
-check both call it. One invariance routine,
-`_invariance_witness`, packs every operator into one integer matrix the same
-way and tests them all with one product against the Gram matrix.
+check both call it. One invariance routine, `_invariance_witness`, packs
+every operator into one integer matrix the same way and tests them all with
+one product against the Gram matrix, and the Killing form packs the
+operators over one index, so each row of its Gram matrix is one sum.
 
 An algebra also caches its Killing form, center, derived subalgebra [g, g]
 and simple-ideal split, each built once on first use; `killing_form`,
@@ -49,6 +52,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    PRIME,
     Vector,
     ZERO,
     identity,
@@ -180,12 +184,6 @@ class LieAlgebra(Record):
         scale, rows = self._integer_table
         return _dense(_table_bracket(rows, xs, ys), scale * dx * dy, self.dim)
 
-    def ad(self, X: Vector) -> Matrix:
-        """Matrix of ad(X) = [X, .] acting on coordinates: the sum of X_i ad(e_i)
-        over the nonzero X_i, read from the integer table."""
-        den, acc = self._integer_ad(X)
-        return tuple(_divided(row, den) for row in acc)
-
     def _integer_ad(self, X: Vector) -> tuple[int, list[list[int]]]:
         """(d, d ad(X)), the matrix in integers; d = D for an integer X."""
         if len(X) != self.dim:
@@ -292,6 +290,24 @@ def _table_bracket(rows: Sequence, xs: Iterable[tuple[int, int]], ys: Sequence[t
     return acc
 
 
+def _table_row(rows: Sequence, xs: Sequence[tuple[int, int]]) -> dict[int, Sequence[tuple[int, int]]]:
+    """The row of X = sum x e_i in the layout of the table: [X, e_j] = sum x
+    rows[i][j] over the terms (i, x) of X, as the nonzero terms (k, c) of
+    each column j, so that `_table_bracket` reads [X, Y] from it in one pass
+    over the terms of Y. A unit vector's row is the table's own."""
+    if len(xs) == 1 and xs[0][1] == 1:
+        return rows[xs[0][0]]
+    acc: dict[int, dict[int, int]] = {}
+    for i, x in xs:
+        for j, terms in rows[i].items():
+            col = acc.get(j)
+            if col is None:
+                col = acc[j] = {}
+            for k, c in terms:
+                col[k] = col.get(k, 0) + x * c
+    return {j: terms for j, col in acc.items() if (terms := [(k, c) for k, c in col.items() if c])}
+
+
 def _check_jacobi(L: LieAlgebra) -> None:
     _, rows = L._integer_table
     if witness := _cyclic_witness(rows):
@@ -394,20 +410,40 @@ def killing_form(L: LieAlgebra) -> BilinearForm:
 
 def _build_killing(L: LieAlgebra) -> BilinearForm:
     scale, rows = L._integer_table
-    # ads[i][(a, b)] = D times the coefficient of e_a in [e_i, e_b]
-    ads = [{(a, b): c for b, terms in row.items() for a, c in terms} for row in rows]
-    gram = [[ZERO] * L.dim for _ in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            other = ads[j]
-            total = 0
-            for (a, b), c in ads[i].items():
-                d = other.get((b, a))
-                if d is not None:
-                    total += c * d
-            if total:
-                gram[i][j] = gram[j][i] = Fraction(total, scale * scale)
+    den = scale * scale
+    gram = [[Fraction(x, den) if x else ZERO for x in row] for row in _killing_integers(rows)]
     return make_bilinear_form(gram)
+
+
+def _killing_integers(rows: Sequence) -> list[list[int]]:
+    """trace(A_i A_j) for the integer operators A_i[a][b] = c over the terms
+    (a, c) of rows[i][b], for a table in the layout of g's integer table.
+
+    The operators are packed over j, Q[(b, a)] = sum_j A_j[b][a] 2^(w j), so
+    row i of the Gram matrix is the one sum over the entries of A_i of
+    A_i[a][b] Q[(b, a)], read back as n balanced digits. An entry is at most
+    X = n^2 max|A|^2 in size and w = bitlen(X) + 1 keeps it below 2^(w-1)."""
+    n = len(rows)
+    bound = max((abs(c) for row in rows for terms in row.values() for _, c in terms), default=0)
+    w = (n * n * bound * bound).bit_length() + 1
+    packed = [0] * (n * n)  # packed[b n + a] = Q[(b, a)]
+    for j, row in enumerate(rows):
+        for a, terms in row.items():
+            for b, c in terms:
+                packed[b * n + a] += c << (w * j)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    gram = []
+    for row in rows:
+        total = sum(c * packed[b * n + a] for b, terms in row.items() for a, c in terms)
+        digits = []
+        for _ in range(n):
+            digit = total & mask
+            if digit >= half:
+                digit -= 1 << w
+            digits.append(digit)
+            total = (total - digit) >> w
+        gram.append(digits)
+    return gram
 
 
 def ad_invariance_check(L: LieAlgebra, form: BilinearForm) -> CheckResult:
@@ -520,9 +556,10 @@ def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
     # den times each echelon row: den at its pivot, zero at the other pivots
     den, rows = _integer_rows(sub.rows)
     _, table = L._integer_table
-    for a, xs in enumerate(rows):
+    for a in range(len(rows) - 1):
+        row = (_table_row(table, rows[a]),)  # formed once, read for every b > a
         for b in range(a + 1, len(rows)):
-            acc = _table_bracket(table, xs, rows[b])
+            acc = _table_bracket(row, ((0, 1),), rows[b])
             residual = {k: den * x for k, x in acc.items()}
             for p, terms in zip(sub.pivots, rows):
                 c = acc.get(p)
@@ -588,8 +625,11 @@ def _int_matvec(M: Sequence[Sequence], support: Sequence[tuple[int, int]]) -> li
     return [sum(row[i] * x for i, x in support) for row in M]
 
 
-def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm) -> list[SubspaceBasis]:
-    """The simple ideals of L in `piece`, a semisimple ideal of compact type.
+def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: Sequence[Sequence[int]]) -> list[SubspaceBasis]:
+    """The simple ideals of L in `piece`, a semisimple ideal of compact type,
+    for `killing` the Killing Gram matrix scaled to integers. Every system
+    below is built from the integer adjoints d ad(X), whose kernels and
+    Krylov ranks are those of ad(X).
 
     - t = ker ad(X) on the piece holds a maximal torus through X, so an
       abelian t is one: a Cartan subalgebra, and no root a vanishes on X.
@@ -610,15 +650,19 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
         return []
     n, ann = L.dim, piece.annihilator() if piece.dim < L.dim else ()
     for X, v in _cartan_draws(piece):
-        A = L.ad(X)
+        d, A = L._integer_ad(X)
         t = _kernel_subspace(stack(A, ann), n)
         r, j = t.dim, next((j for j, p in enumerate(t.pivots) if X[p]), None)  # None iff X = 0
-        if j is None or krylov_rank(A, v, piece.dim - r) < piece.dim - r:
+        # A = d ad(X) has the rank mod PRIME of ad(X) over its own denominators
+        # unless PRIME divides d; then krylov_rank reads ad(X) in Fractions and
+        # takes the exact rank when PRIME divides one of those denominators
+        krylov = A if d % PRIME else tuple(_divided(row, d) for row in A)
+        if j is None or krylov_rank(krylov, v, piece.dim - r) < piece.dim - r:
             continue
         # a basis of t that starts with X, in integers: H_b = d_b h_b and ads[b] = D ad(H_b)
         basis = (X,) + t.rows[:j] + t.rows[j + 1 :]
         H = [_integer_support(h) for h in basis]
-        ads = [L._integer_ad(h)[1] for h in basis]
+        ads = [A] + [L._integer_ad(h)[1] for h in basis[1:]]
         if not any(any(_int_matvec(ads[a], h)) for a in range(r) for _, h in H[a + 1 :]):
             break
     else:
@@ -643,8 +687,8 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: BilinearForm
     ideals = []
     for i in range(len(blocks)):
         others = [h for j, blk in enumerate(blocks) if j != i for h in blk]
-        gram_rows = [_int_matvec(killing.gram, _integer_support(h)[1]) for h in others]
-        system = stack(*(L.ad(h) for h in others), gram_rows, ann)
+        gram_rows = [_int_matvec(killing, _integer_support(h)[1]) for h in others]
+        system = stack(*(L._integer_ad(h)[1] for h in others), gram_rows, ann)
         ideals.append(_kernel_subspace(system, n))
     if sum(ideal.dim for ideal in ideals) != piece.dim:
         raise WorkbenchError(f"the ideals read off a Cartan subalgebra miss part of an ideal of dim {piece.dim}")
@@ -675,6 +719,7 @@ def _build_ideals(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ..
     g1 = derived_subalgebra(L)
     if z.dim + g1.dim != L.dim or z.intersect(g1).dim != 0:
         raise NotCompactType("center and derived subalgebra do not split the algebra")
-    ideals = _split_semisimple(L, g1, B)
+    den = lcm(*(x.denominator for row in B.gram for x in row))
+    ideals = _split_semisimple(L, g1, [[x.numerator * (den // x.denominator) for x in row] for row in B.gram])
     ideals.sort(key=lambda s: (s.dim, s.pivots, s.rows))
     return z, tuple(ideals)

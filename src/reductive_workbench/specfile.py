@@ -1,11 +1,16 @@
-"""Space-specification files: positioned parsing and one validating walk.
+"""Space-specification files: a fast decode, positions on demand, and one validating walk.
 
 The input format is strict JSON (RFC 8259; see schemas/spacespec.schema.json).
-The stdlib decoder parses it, with hooks on its containers that record where
-every value starts and where its subtree ends, in document pre-order, and cap
-the nesting, so that syntax errors, schema violations and semantic errors (bad
-indices, malformed rationals) all carry a line and column. A path is resolved
-to its position only when a message or a metric recipe asks for it. One walk
+A document is decoded by the stdlib's C decoder, with hooks that stop it at a
+duplicate key or a NaN/Infinity constant, and its nesting is then checked
+against MAX_NESTING without recursion. Anything the fast decode stops at or
+rejects goes to the positioned parse, which raises the positioned error. That
+parse runs the pure-Python scanner with hooks on its containers that record
+where every value starts and where its subtree ends, in document pre-order, so
+that syntax errors, schema violations and semantic errors (bad indices,
+malformed rationals) all carry a line and column. On a document the fast
+decode read, it runs only when a message or a metric recipe first asks for a
+position, and a path is resolved to its position only then too. One walk
 over the fields, in the order basis, brackets, subalgebra, metric, assertions,
 enforces the schema's rules and the semantic ones together and stops at the
 first value that breaks one; the tests check it against the schema with
@@ -21,11 +26,12 @@ import itertools
 import json
 import re
 from array import array
+from collections.abc import Mapping
 from fractions import Fraction
 from json.decoder import WHITESPACE, JSONArray, JSONObject
 from json.scanner import py_make_scanner
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 from .affine import UserAssertions
 from .errors import SpecFileError
@@ -73,6 +79,62 @@ class Positions:
                 index = self._ends[index]
             item = item[key]
         return self._where(self._offsets[index])
+
+
+class _DeferredPositions:
+    """The Positions of a document the fast decode read: the positioned
+    parse runs on the first lookup, which only an error or a metric recipe
+    makes."""
+
+    def __init__(self, text: str):
+        self._text, self._positions = text, None
+
+    def __getitem__(self, path: Path) -> Position:
+        if self._positions is None:
+            self._positions = parse_positioned(self._text)[1]
+        return self._positions[path]
+
+
+def _unique_keys(pairs: list) -> dict:
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise ValueError("duplicate key")  # the positioned parse says which, and where
+    return out
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+_FAST = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+
+
+def _within_nesting(value) -> bool:
+    """No container opens more than MAX_NESTING levels deep: one level of
+    containers at a time, so no recursion."""
+    level = [value] if type(value) in (list, dict) else []
+    for _ in range(MAX_NESTING):  # level holds the containers one deeper each round
+        if not level:
+            return True
+        level = [
+            child for item in level for child in (item.values() if type(item) is dict else item)
+            if type(child) in (list, dict)
+        ]
+    return not level
+
+
+def _decode(text: str) -> tuple[object, Positions | _DeferredPositions]:
+    """The document and its positions: by the C decoder when it reads the
+    text as a document within MAX_NESTING, else by the positioned parse,
+    which raises the positioned error: the hooks stop the fast decode with a
+    ValueError at a duplicate key or a NaN/Infinity constant."""
+    try:
+        value = _FAST.decode(text)
+    except (ValueError, RecursionError):
+        return parse_positioned(text)
+    if not _within_nesting(value):
+        return parse_positioned(text)
+    return value, _DeferredPositions(text)
 
 
 def parse_positioned(text: str) -> tuple[object, Positions]:
@@ -154,6 +216,25 @@ class SpaceSpec(Record, uncompared=("recipe_positions",)):
     recipe_positions: Mapping[str, Position] = MappingProxyType({})
 
 
+class _RecipePositions(Mapping):
+    """Where each metric-recipe field of the file starts, looked up only when
+    a recipe error asks for it."""
+
+    def __init__(self, positions: Positions | _DeferredPositions, keys: tuple[str, ...]):
+        self._positions, self._keys = positions, keys
+
+    def __getitem__(self, key: str) -> Position:
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._positions[("metric", key)]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 def _error(message: str, positions: Positions, path: Path) -> SpecFileError:
     return SpecFileError(message, *positions[path])
 
@@ -194,7 +275,12 @@ def _rat_at(value, positions, path) -> Fraction:
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
         raise _error(f"malformed rational {value!r}", positions, path)
     try:
-        return Fraction(value)
+        if type(value) is int:
+            return Fraction(value)
+        numerator, _, denominator = value.partition("/")  # two int() calls, no Fraction(str) regex
+        if not denominator:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     except ValueError:  # more digits than int() converts
         raise _error("rational has too many digits", positions, path) from None
 
@@ -202,7 +288,7 @@ def _rat_at(value, positions, path) -> Fraction:
 def parse_space_spec(text: str) -> SpaceSpec:
     """Parse and validate a specification document; raises SpecFileError at
     the first value, in document order, that breaks a rule."""
-    doc, positions = parse_positioned(text)
+    doc, positions = _decode(text)
     doc = _object(doc, SPEC_KEYS, SPEC_KEYS[:4], positions, ())
 
     labels = tuple(_array(doc["basis"], positions, ("basis",)))
@@ -289,7 +375,9 @@ def parse_space_spec(text: str) -> SpaceSpec:
         locally_irreducible=asserts.get("locally_irreducible"),
         is_sphere_or_rp=asserts.get("is_sphere_or_rp"),
     )
-    recipe_positions = {key: positions[("metric", key)] for key in METRIC_KEYS[1:] if key in metric}
+    recipe_keys = tuple(key for key in METRIC_KEYS[1:] if key in metric)
+    # a file without a recipe keeps no positions, and so not its text, alive
+    recipe_positions = _RecipePositions(positions, recipe_keys) if recipe_keys else SpaceSpec.recipe_positions
     return SpaceSpec(
         dim, labels, tuple(entries), tuple(rows), spec, assertions, recipe_positions
     )

@@ -200,6 +200,26 @@ def killing_by_traces(dim, bracket_fn):
     return [[dense_trace(dense_mul(ads[i], ads[j])) for j in range(dim)] for i in range(dim)]
 
 
+def killing_by_entry_loop(rows):
+    """trace(A_i A_j) for the integer operators A_i[a][b] = c over the terms
+    (a, c) of rows[i][b], a table in the layout of g's integer table: the
+    loop the packed Killing form replaced, each pair i <= j summed over the
+    entries of A_i matched with those of A_j."""
+    n = len(rows)
+    ads = [{(a, b): c for b, terms in row.items() for a, c in terms} for row in rows]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            other = ads[j]
+            total = 0
+            for (a, b), c in ads[i].items():
+                d = other.get((b, a))
+                if d is not None:
+                    total += c * d
+            gram[i][j] = gram[j][i] = total
+    return gram
+
+
 def dense_rref(rows, ncols):
     """Textbook Gauss-Jordan on dense rows: reduced row-echelon form, zero rows dropped."""
     mat = [list(r) for r in rows]

@@ -8,13 +8,15 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench import liealg, linalg
+from reductive_workbench import liealg, linalg, specfile
 from reductive_workbench.affine import UserAssertions
 from reductive_workbench.catalog import CURATED_NAMES, catalog_names, construct
 from reductive_workbench.cli import main
@@ -149,6 +151,133 @@ def test_parse_space_spec_raises_only_spec_file_errors(text):
         parse_space_spec(text)
     except SpecFileError as exc:
         assert exc.line is not None
+
+
+# --- the fast decode against the positioned parse ----------------------------------
+
+PLACEHOLDER = "@@"  # a string that no valid document below contains
+DECODE_BASES = tuple(
+    (DATA / name).read_text() for name in ("so3_sphere.json", "so4_mod_so2_asserted.json", "so4_mod_so2_dense.json")
+)
+EDIT_CHARACTERS = st.sampled_from(list('{}[]",:-/.+eE0123456789 \n\\tfnu') + ["\ud800", "\ufeff", "\u0663", "\x00", "\u00e9"])
+
+
+def _with(text: str, path: tuple, value) -> str:
+    """The document with the value at `path` replaced by the placeholder
+    string, dumped as the base file is, and the quoted placeholder then
+    replaced by `value`, raw JSON text."""
+    doc = json.loads(text)
+    item = doc
+    for key in path[:-1]:
+        item = item[key]
+    item[path[-1]] = PLACEHOLDER
+    return json.dumps(doc, indent=1).replace(json.dumps(PLACEHOLDER), value, 1)
+
+
+@st.composite
+def decode_mutations(draw):
+    """A valid spec document with one of the changes the two parsers could
+    read differently: byte edits, nesting around the cap, a duplicate key,
+    NaN/Infinity, an integer past int()'s digit limit, a lone surrogate, a
+    byte-order mark or trailing content."""
+    text = draw(st.sampled_from(DECODE_BASES))
+    kind = draw(st.sampled_from(
+        ["edit", "nest", "nest_inner", "duplicate", "constant", "long", "surrogate", "bom", "trailing"]
+    ))
+    if kind == "edit":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 1))
+            text = text[:i] + draw(st.text(EDIT_CHARACTERS, max_size=2)) + text[i + cut :]
+        return text
+    if kind == "nest":  # the document is 3 deep: root, "brackets", an entry
+        extra = draw(st.integers(31, 33)) - 3
+        return "[" * extra + text + "]" * extra
+    if kind == "nest_inner":  # "subalgebra" sits at depth 2
+        depth = draw(st.integers(31, 33)) - 1
+        return _with(text, ("subalgebra",), "[" * depth + "]" * depth)
+    if kind == "duplicate":
+        key = draw(st.sampled_from(['"basis"', '"mode"']))  # the first "basis" is the root's
+        return text.replace(key, f"{key}: 0, {key}", 1)
+    if kind == "constant":
+        constant = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+        return _with(text, draw(st.sampled_from([("brackets", 0, 3), ("metric", "mode")])), constant)
+    if kind == "long":
+        digits = "7" * draw(st.integers(4299, 4302))
+        value = draw(st.sampled_from([digits, "-" + digits, '"' + digits + '"', '"1/' + digits + '"']))
+        return _with(text, draw(st.sampled_from([("brackets", 0, 3), ("brackets", 0, 0)])), value)
+    if kind == "surrogate":
+        label = draw(st.sampled_from(['"\\ud800"', '"a\\udfff"', '"\ud800"', '"\\ud83d\\ude00"']))
+        return _with(text, ("basis", 0), label)
+    if kind == "bom":
+        return "\ufeff" + text
+    return text + draw(st.sampled_from(["x", "{}", " 1", "\n\n", "]", "\x00", "\ufeff", " \t"]))
+
+
+def _outcome(parse, text):
+    """What a parse makes of the text: the repr of its value, which tells
+    1, 1.0 and True apart, or its message and position."""
+    try:
+        return "value", repr(parse(text)[0])
+    except SpecFileError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(decode_mutations())
+def test_fast_decode_matches_the_positioned_parse(text):
+    # both give the same value, or the same message at the same line and
+    # column; so does the walk over the document, whose positions the fast
+    # path resolves only when an error asks for one
+    assert _outcome(specfile._decode, text) == _outcome(parse_positioned, text)
+    try:
+        fast = parse_space_spec(text)
+    except SpecFileError as exc:
+        fast = str(exc), exc.line, exc.column
+    with mock.patch.object(specfile, "_decode", parse_positioned):
+        try:
+            positioned = parse_space_spec(text)
+        except SpecFileError as exc:
+            positioned = str(exc), exc.line, exc.column
+    assert fast == positioned
+
+
+def test_nesting_at_the_cap_decodes_and_one_level_more_is_refused():
+    for depth, message in ((32, None), (33, "nesting deeper than 32")):
+        text = "[" * depth + "]" * depth
+        assert _outcome(specfile._decode, text) == _outcome(parse_positioned, text)
+        if message is None:
+            assert specfile._decode(text)[0] == parse_positioned(text)[0]
+        else:
+            with pytest.raises(SpecFileError, match=message):
+                specfile._decode(text)
+
+
+def test_a_valid_file_never_runs_the_positioned_parse(monkeypatch, tmp_path, capsys):
+    calls = []
+    positioned = specfile.parse_positioned
+    monkeypatch.setattr(specfile, "parse_positioned", lambda text: calls.append(text) or positioned(text))
+    for path in sorted(DATA.glob("*.json")):  # two of them carry metric scales
+        assert main(["--json", str(path)]) == 0
+    assert calls == []
+    # only a recipe error asks for a position: that of "scales", one parse
+    doc = json.loads((DATA / "so3so3_mod_diag_dense.json").read_text())
+    doc["metric"]["scales"].append("1")
+    text = json.dumps(doc, indent=1)
+    spec = tmp_path / "recipe.json"
+    spec.write_text(text)
+    capsys.readouterr()
+    assert main(["--json", str(spec)]) == 1
+    assert calls == [text]
+    line, column = positioned(text)[1][("metric", "scales")]
+    message = "3 scale factors for 2 simple ideals"
+    assert capsys.readouterr().err.splitlines() == [f"error: line {line}, column {column}: {message}"]
+
+
+def test_a_rational_string_reads_as_fraction_of_it():
+    for text in ("0", "-0", "7", "-12", "6/4", "-6/4", "0/5", "0012/3", "-1/" + "9" * 40):
+        assert specfile._rat_at(text, None, ()) == Fraction(text)
+    assert specfile._rat_at(-5, None, ()) == -5
 
 
 VALID_DOCS = tuple(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +42,9 @@ from reductive_workbench.liealg import (
     make_lie_algebra,
     simple_ideal_decomposition,
 )
-from reductive_workbench.linalg import mat_inverse, rat
+from reductive_workbench.homspace import _adapted_table
+from reductive_workbench.liealg import _table_bracket
+from reductive_workbench.linalg import _integer_rows, identity, mat_inverse, rat, transpose
 
 from oracles import (
     dense_block_metric,
@@ -52,6 +55,7 @@ from oracles import (
     dense_nr_defect,
     dense_pairings,
     fraction_matrix,
+    unimodular,
 )
 
 from test_liealg import (
@@ -67,6 +71,7 @@ from test_liealg import (
 )
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def sphere_pair():
@@ -366,13 +371,17 @@ def test_killing_check_fails_with_the_naturally_reductive_witness():
     assert killing.witness.defect == F(1, 2)
 
 
-def dense_spec_pair():
+def file_pair(path):
     from reductive_workbench.specfile import load_space_spec_file
 
-    spec = load_space_spec_file(Path(__file__).parent / "data" / "so3so3_mod_diag_dense.json")
+    spec = load_space_spec_file(path)
     L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
     h = SubspaceBasis.from_vectors(spec.dim, spec.subalgebra_rows)
     return normal_decomposition(L, h, spec.metric_spec)
+
+
+def dense_spec_pair():
+    return file_pair(DATA / "so3so3_mod_diag_dense.json")
 
 
 @pytest.mark.parametrize(
@@ -441,6 +450,71 @@ def test_trivial_isotropy_table_is_the_algebra_table(make):
     assert pair.table.rows == tuple(
         {j: tuple((k, factor * c) for k, c in terms) for j, terms in row.items()} for row in rows
     )
+
+
+def table_bracket_adapted_rows(L, h_rows, m_rows):
+    """(scale, rows) of the adapted table as every [basis[x], m_b] is
+    bracketed pair by pair with `_table_bracket` over g's integer table, or
+    None when some [h_i, m_b] has an h-part: the table before each basis row
+    formed its own row once."""
+    s, r = len(h_rows), len(m_rows)
+    basis = tuple(h_rows) + tuple(m_rows)
+    C, coords = _integer_rows(transpose(mat_inverse(transpose(basis))))
+    D, g_rows = L._integer_table
+    E, scaled = _integer_rows(basis)
+
+    def split(x, b):
+        out = {}
+        for k, v in _table_bracket(g_rows, scaled[x], scaled[s + b]).items():
+            for t, y in coords[k]:
+                out[t] = out.get(t, 0) + v * y
+        return tuple(sorted(tv for tv in out.items() if tv[1]))
+
+    rows = [{} for _ in range(s + r)]
+    for x in range(s + r):
+        for b in range(x - s + 1 if x >= s else 0, r):
+            if terms := split(x, b):
+                if x < s and terms[0][0] < s:
+                    return None
+                rows[x][s + b] = terms
+                if x >= s:
+                    rows[s + b][x] = tuple((t, -v) for t, v in terms)
+    return C * D * E * E, tuple(rows)
+
+
+def assert_adapted_table_matches_table_brackets(L, h_rows, m_rows):
+    # the rows need not be echelon: the table reads them as they are given
+    h = SubspaceBasis(L.dim, tuple(map(tuple, h_rows)), ())
+    m = SubspaceBasis(L.dim, tuple(map(tuple, m_rows)), ())
+    table = _adapted_table(L, h, m, identity(len(m_rows)))
+    expected = table_bracket_adapted_rows(L, h.rows, m.rows)
+    assert (table is None) == (expected is None)
+    if table is not None:
+        assert (table.scale, table.rows) == expected
+
+
+@pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3so3_mod_diag", "so4_mod_0"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_adapted_table_matches_pairwise_table_brackets_on_random_rows(name, data):
+    # h and m from the rows of a random integer basis (rational after a
+    # scaling of each row), so the table is dense; with s = 0 no h-part can
+    # end the build early, and for s > 0 [h, m] mostly leaves m
+    L = construct(name).algebra
+    n = L.dim
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    P, _ = unimodular(n, rng)
+    scales = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    rows = [[x / d for x in row] for d, row in zip(scales, P)]
+    s = data.draw(st.integers(0, 2))
+    assert_adapted_table_matches_table_brackets(L, rows[:s], rows[s:])
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_dense.json")), ids=lambda p: p.stem)
+def test_adapted_table_matches_pairwise_table_brackets_on_dense_files(path):
+    pair = file_pair(path)
+    assert pair.table is not None
+    assert_adapted_table_matches_table_brackets(pair.algebra, pair.h.rows, pair.m.rows)
 
 
 @pytest.mark.parametrize("name", ["so4_mod_so2", "su3_mod_su2", "so3_mod_0"])

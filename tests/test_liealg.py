@@ -43,6 +43,7 @@ from oracles import (
     express_in_basis,
     fraction_matrix,
     gauss_rank,
+    killing_by_entry_loop,
     killing_by_traces,
     largest_ideal_by_descent,
     so_coords,
@@ -300,6 +301,32 @@ def test_killing_so3_is_minus_two_identity():
     assert B.gram == fraction_matrix([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
     oracle = killing_by_traces(3, bracket_basis(L))
     assert B.gram == fraction_matrix(oracle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_killing_form_matches_the_entry_loop(data):
+    # random integer tables, not Lie algebras: entries up to 2^70 cross many
+    # slot widths, and a table with one large entry among small ones sizes the
+    # slots by it
+    n = data.draw(st.integers(0, 5))
+    index = st.integers(0, n - 1)
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)).filter(bool)
+    column = st.dictionaries(index, coefficient, min_size=1, max_size=n).map(lambda d: tuple(d.items()))
+    rows = tuple(data.draw(st.dictionaries(index, column, max_size=n)) if n else {} for _ in range(n))
+    assert liealg._killing_integers(rows) == killing_by_entry_loop(rows)
+
+
+def test_packed_killing_form_keeps_an_entry_at_its_slot_width():
+    # every entry of A_0 is c and every entry of A_1 is -c, so each trace is
+    # +-n^2 c^2, the bound X that sizes the slots: in slots one bit narrower
+    # X reads as a negative digit and -X borrows from the next slot
+    n, c = 3, 5
+    rows = [{b: tuple((a, sign * c) for a in range(n)) for b in range(n)} for sign in (1, -1, 1)]
+    X = n * n * c * c
+    expected = [[X, -X, X], [-X, X, -X], [X, -X, X]]
+    assert killing_by_entry_loop(rows) == expected
+    assert liealg._killing_integers(rows) == expected
 
 
 def test_killing_abelian_is_zero_and_degenerate():
@@ -741,9 +768,18 @@ def test_ad_matches_dense_oracle_combination(name, data):
         [sum((X[i] * ads[i][a][b] for i in range(L.dim)), F(0)) for b in range(L.dim)]
         for a in range(L.dim)
     ]
-    got = L.ad(X)
-    assert got == tuple(tuple(row) for row in expected)
-    assert all(type(c) is Fraction for row in got for c in row)
+    # the integer adjoint d ad(X), over its scale d
+    den, got = L._integer_ad(X)
+    assert all(type(c) is int for row in got for c in row)
+    assert [[F(c, den) for c in row] for row in got] == expected
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+def test_killing_form_matches_the_entry_loop_over_the_table_scale(name):
+    L = kernel_algebra(name)
+    scale, rows = L._integer_table
+    expected = [[F(x, scale * scale) for x in row] for row in killing_by_entry_loop(rows)]
+    assert killing_form(L).gram == tuple(map(tuple, expected))
 
 
 # --- [g, g] certified mod p, span closures by exact rounds --------------------------

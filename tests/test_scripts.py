@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/: each runs as a user would run it."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -53,3 +54,22 @@ def test_dense_spec_of_so4so4_mod_diag_keeps_the_catalog_dims(tmp_path, capsys):
     spec.write_text(proc.stdout)
     assert main(["--json", str(spec)]) == 0
     assert json.loads(capsys.readouterr().out)["dims"] == construct("so4so4_mod_diag").expected["dims"]
+
+
+def test_time_dense_files_prints_dims_seconds_and_report_md5(tmp_path, capsys):
+    proc = run_script("time_dense_files.py", "so3so3_mod_diag")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["entry", "g", "/", "m", "seconds", "rss_mb", "md5"]
+    name, g, slash, m, seconds, rss, digest = row.split()
+    dims = construct("so3so3_mod_diag").expected["dims"]
+    assert [name, g, slash, m] == ["so3so3_mod_diag", str(dims["g"]), "/", str(dims["m"])]
+    assert float(seconds) > 0 and float(rss) > 0
+    # the md5 is that of the report of the file write_dense_spec.py prints
+    dense = run_script("write_dense_spec.py", "so3so3_mod_diag", "--draw", "1", "--seed", "11")
+    assert dense.returncode == 0, dense.stderr
+    spec = tmp_path / "so3so3_mod_diag.json"
+    spec.write_text(dense.stdout)
+    capsys.readouterr()
+    assert main(["--json", str(spec)]) == 0
+    assert digest == hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
