@@ -30,7 +30,7 @@ from .liealg import (
     derived_subalgebra,
     orthogonal_complement,
 )
-from .linalg import _integer_rows, matvec, transpose
+from .linalg import matvec, rref, transpose, _add_row_mod_p, _integer_rows
 from .record import Record
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
@@ -60,14 +60,21 @@ def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
         raise NotReductive("transvection algebra needs a reductive pair")
     s = pair.h.dim
     h_parts = [  # sorted terms: [m_a, m_b] has an h-part iff its first term is one
-        pair.from_h_terms((t, v) for t, v in terms if t < s)
+        {t: v for t, v in terms if t < s}
         for x, row in enumerate(pair.table.rows[s:], s)
         for z, terms in row.items()
         if z > x and terms[0][0] < s
     ]
     if not h_parts:  # [m, m] lies in m, and m is reduced already
         return pair.m
-    return SubspaceBasis.from_vectors(pair.algebra.dim, [*pair.m.rows, *h_parts])
+    # the h-parts are integer h-coordinates over the table's scale; their rank
+    # over Q is at least their rank mod PRIME, so at dim h they span h and m + h = g
+    pivots: dict[int, dict[int, int]] = {}
+    if any(_add_row_mod_p(pivots, row) and len(pivots) == s for row in h_parts):
+        return SubspaceBasis.full(pair.algebra.dim)
+    span, _ = rref(h_parts, s)  # only the rref rows of their span are mapped through h
+    vectors = [*pair.m.rows, *(pair.from_h_terms(enumerate(row)) for row in span)]
+    return SubspaceBasis.from_vectors(pair.algebra.dim, vectors)
 
 
 class TransvectionCheck(Record):

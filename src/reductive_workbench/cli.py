@@ -77,7 +77,8 @@ def main(argv=None) -> int:
         return 1
 
     if args.numeric_checks:
-        # the lab's matrices are at most 8x8: a second BLAS thread only spins
+        # the lab's matrices are at most 16x16 (su8_mod_0 and so8so8_mod_diag
+        # realize as 16x16): a second BLAS thread only spins
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     exit_code = 0

@@ -355,6 +355,8 @@ def normalizer_invariance_check(pair: ReductivePair) -> CheckResult:
     # normalizes h iff X lies in m^h; [u_h, m] lies in m, so u keeps m
     # invariant iff [X, m_b]_h = 0 for every b: the rows of m^h decide it
     s = pair.h.dim
+    if s == 0:  # no bracket has an h-part
+        return CheckResult(True)
     for a, u in enumerate(isotropy_fixed_subspace(pair).rows):
         x = pair.m_terms(u)
         for b in range(pair.m.dim):

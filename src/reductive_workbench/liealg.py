@@ -67,7 +67,6 @@ from .linalg import (
     rref,
     signature,
     stack,
-    transpose,
     vector,
     _add_row,
     _add_row_mod_p,
@@ -625,11 +624,16 @@ def _int_matvec(M: Sequence[Sequence], support: Sequence[tuple[int, int]]) -> li
     return [sum(row[i] * x for i, x in support) for row in M]
 
 
-def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: Sequence[Sequence[int]]) -> list[SubspaceBasis]:
-    """The simple ideals of L in `piece`, a semisimple ideal of compact type,
-    for `killing` the Killing Gram matrix scaled to integers. Every system
-    below is built from the integer adjoints d ad(X), whose kernels and
-    Krylov ranks are those of ad(X).
+def _independent_mod_p(rows: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+    """The integer rows that raise the rank mod PRIME of the rows before them."""
+    pivots: dict[int, dict[int, int]] = {}
+    return [row for row in rows if _add_row_mod_p(pivots, row)]
+
+
+def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis) -> list[SubspaceBasis]:
+    """The simple ideals of L in `piece`, a semisimple ideal of compact type.
+    Every system below is built from the integer adjoints d ad(X), whose
+    kernels and Krylov ranks are those of ad(X).
 
     - t = ker ad(X) on the piece holds a maximal torus through X, so an
       abelian t is one: a Cartan subalgebra, and no root a vanishes on X.
@@ -642,9 +646,10 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: Sequence[Seq
       solutions are the centroid restricted to t.
     - The identity is a solution and the nullity mod PRIME bounds the nullity
       over Q, so nullity 1 mod PRIME certifies a simple piece with no lift.
-    - Else `commutant_split` splits t into blocks, each the torus of a sum of
-      simple ideals: {Y in piece : [t_j, Y] = 0 and B(t_j, Y) = 0 for every
-      other block t_j}, split again unless each block is one centroid line.
+    - Else `commutant_split` splits t into blocks, each the torus t_i of a
+      sum g_i of simple ideals. The part X_i of X along t_i vanishes on no
+      root of g_i, so g_i = t_i + [X_i, g]; each g_i is split again unless
+      each block is one centroid line.
     """
     if piece.dim == 0:
         return []
@@ -676,25 +681,34 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis, killing: Sequence[Seq
     pivots: dict[int, dict[int, int]] = {}
     if any(_add_row_mod_p(pivots, row) and len(pivots) == r * r - 1 for row in system):
         return [piece]  # nullity 1 mod PRIME
-    # each solution M moved to the rref basis of t, where the blocks have small entries
-    C = transpose([tuple(d * x for x in t.coords_of(h)) for h, (d, _) in zip(basis, H)])
-    C_inv, flat = mat_inverse(C), kernel(system, r * r)
-    mats = [matmul(matmul(C, [f[c * r : (c + 1) * r] for c in range(r)]), C_inv) for f in flat]
+    # each solution is the matrix of S in the coordinates along the H_b: its
+    # eigenvalues do not depend on the basis, so it is not moved to t's rref basis
+    mats = [tuple(f[c * r : (c + 1) * r] for c in range(r)) for f in kernel(system, r * r)]
     kernels = commutant_split(mats)
     if kernels is None:  # no rational idempotent: the piece is simple over Q
         return [piece]
-    blocks = [matmul(ker, t.rows) for ker in kernels]
-    ideals = []
-    for i in range(len(blocks)):
-        others = [h for j, blk in enumerate(blocks) if j != i for h in blk]
-        gram_rows = [_int_matvec(killing, _integer_support(h)[1]) for h in others]
-        system = stack(*(L._integer_ad(h)[1] for h in others), gram_rows, ann)
-        ideals.append(_kernel_subspace(system, n))
+    lead = mat_inverse(stack(*kernels))[0]  # H_0 = d_0 X along the kernels' rows
+    H_rows = [_dense(dict(terms), 1, n) for _, terms in H]
+    _, rows = L._integer_table
+    spans, k = [], 0
+    for ker in kernels:
+        block = matmul(ker, H_rows)
+        # d_0 X_i, the part of d_0 X along the block t_i: regular in g_i
+        X_i = matmul([lead[k : k + len(ker)]], block)[0]
+        k += len(ker)
+        columns = _table_row(rows, _integer_support(X_i)[1]).values()  # [X_i, e_b] over D
+        spans.append([dict(_integer_support(h)[1]) for h in block] + [dict(c) for c in columns])
+    # the rows independent mod PRIME are independent over Q and span part of
+    # g_i; the g_i are independent, so dimensions that add up to the piece's
+    # certify every part as the whole g_i
+    ideals = [SubspaceBasis(n, *rref(_independent_mod_p(span), n)) for span in spans]
+    if sum(ideal.dim for ideal in ideals) != piece.dim:
+        ideals = [SubspaceBasis(n, *rref(span, n)) for span in spans]
     if sum(ideal.dim for ideal in ideals) != piece.dim:
         raise WorkbenchError(f"the ideals read off a Cartan subalgebra miss part of an ideal of dim {piece.dim}")
     if len(ideals) == len(mats):  # one centroid dimension per block: all simple
         return ideals
-    return [simple for ideal in ideals for simple in _split_semisimple(L, ideal, killing)]
+    return [simple for ideal in ideals for simple in _split_semisimple(L, ideal)]
 
 
 def simple_ideal_decomposition(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:
@@ -709,17 +723,15 @@ def simple_ideal_decomposition(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[Subs
 
 def _build_ideals(L: LieAlgebra) -> tuple[SubspaceBasis, tuple[SubspaceBasis, ...]]:
     B = killing_form(L)
-    pos, _neg, _zero = B.inertia
+    pos, _, zero = B.inertia
     if pos > 0:
         raise NotCompactType("Killing form has a positive direction")
     z = center(L)
-    killing_kernel = _kernel_subspace(B.gram, L.dim)
-    if killing_kernel.rows != z.rows:
+    if zero != z.dim:  # the center lies in the kernel of B, as ad vanishes on it
         raise NotCompactType("Killing-form kernel differs from the center")
     g1 = derived_subalgebra(L)
-    if z.dim + g1.dim != L.dim or z.intersect(g1).dim != 0:
+    if z.dim + g1.dim != L.dim or (z.dim and z.intersect(g1).dim):
         raise NotCompactType("center and derived subalgebra do not split the algebra")
-    den = lcm(*(x.denominator for row in B.gram for x in row))
-    ideals = _split_semisimple(L, g1, [[x.numerator * (den // x.denominator) for x in row] for row in B.gram])
+    ideals = _split_semisimple(L, g1)
     ideals.sort(key=lambda s: (s.dim, s.pivots, s.rows))
     return z, tuple(ideals)

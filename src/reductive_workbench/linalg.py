@@ -30,11 +30,17 @@ divisible by PRIME. Kernels pivot on the last column, so their null vectors
 are the rref: the one of a free column f is 1 at f and nonzero elsewhere only
 at later pivots. All routes return that unique rref, with no second rref.
 
-`factor_poly` finds the rational roots mod PRIME as well: gcd(x^p - x, f)
-split by equal-degree steps, each root lifted by rational reconstruction and
-certified by exact division. sympy loads only for an irreducible factor of
-degree >= 2 that is left over; the only caller that can reach one is the
-simple-ideal split (`liealg._split_semisimple`, through `primary_kernels`).
+`rational_roots` finds the rational roots of a polynomial of any height by
+p-adic lifting: roots mod a small prime l, Newton-lifted to l^K past the
+bound that the leading and the constant coefficient set, and certified by
+exact evaluation. `primary_kernels` reads the eigenspaces of a matrix off
+those roots, and `factor_poly` divides them out. sympy loads only in
+`factor_poly`, for an irreducible factor of degree >= 2 that is left over
+(or for the whole polynomial in the rare case that no prime of ROOT_PRIMES
+keeps its squarefree part squarefree); the only caller that can reach it is
+the simple-ideal split (`liealg._split_semisimple`, through
+`primary_kernels`), when a centroid element has an irrational eigenvalue or
+is not diagonalizable.
 """
 
 from __future__ import annotations
@@ -50,9 +56,9 @@ Matrix = tuple[Vector, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-PRIME = 2**61 - 1  # the one prime of `kernel`, `factor_poly` and the closures
+PRIME = 2**61 - 1  # the one prime of `kernel` and the closures
 RECONSTRUCTION_BOUND = 2**30  # |numerator| and denominator of a lifted residue
-SPLIT_SHIFTS = 64  # shifts a tried to split a product of linear factors by (x + a)^((p-1)/2)
+ROOT_PRIMES = tuple(p for p in range(2, 256) if all(p % q for q in range(2, p)))  # the l of `rational_roots`
 
 
 def rat(x) -> Fraction:
@@ -499,26 +505,24 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], A: Matrix) -> Matrix:
 def factor_poly(coeffs: Sequence[Fraction]) -> tuple[tuple[tuple[Fraction, ...], int], ...]:
     """Irreducible monic factors over Q of a rational polynomial, with multiplicities.
 
-    The rational roots are found mod PRIME (`_roots_mod_p`), lifted by rational
-    reconstruction, certified by exact division and divided out with their
-    multiplicities; only a nonconstant leftover goes to sympy. Factorization
-    is unique, so the result is the one sympy gives for the whole polynomial.
-    Deterministic ordering: by degree, then by coefficient tuple.
+    The rational roots come from `rational_roots`, each divided out with its
+    multiplicity by exact division; only a nonconstant leftover goes to sympy.
+    Factorization is unique, so the result is the one sympy gives for the
+    whole polynomial. Deterministic ordering: by degree, then by coefficient
+    tuple.
     """
     rest = list(coeffs)
     while len(rest) > 1 and not rest[-1]:
         rest.pop()
     out = []
-    for residue in _roots_mod_p(_integer_row(rest)):
-        root = _reconstruct(residue)
+    for root in rational_roots(rest) or ():  # None: no listed prime served, sympy factors it all
         mult = 0
-        while root is not None and len(rest) > 1:
+        while len(rest) > 1:
             quotient, remainder = _divide_by_root(rest, root)
             if remainder:
                 break
             rest, mult = quotient, mult + 1
-        if mult:
-            out.append(((-root, ONE), mult))
+        out.append(((-root, ONE), mult))
     if len(rest) > 1:  # a constant leftover is the content
         out.extend(_sympy_factors(rest))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
@@ -553,100 +557,109 @@ def _divide_by_root(coeffs: Sequence[Fraction], root: Fraction) -> tuple[list[Fr
     return quotient, acc * root + coeffs[0]
 
 
-def _roots_mod_p(int_coeffs: dict[int, int] | None) -> list[int]:
-    """Distinct roots mod PRIME of an integer polynomial ({degree: coefficient}),
-    except those that SPLIT_SHIFTS equal-degree steps leave unseparated; none
-    when the polynomial is constant mod PRIME.
+def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
+    """The distinct rational roots of a nonzero rational polynomial
+    (coefficients low to high), ascending; None when no prime of ROOT_PRIMES
+    keeps its squarefree part squarefree.
 
-    gcd(x^p - x, f) is the product of x - r over the roots r; it is split by
-    gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ...
+    Rational zeros by p-adic lifting (Loos, SIAM J. Comput. 12, 1983). Take
+    the squarefree part g as a primitive integer polynomial with g(0) != 0 (a
+    root 0 is read off first) and the first listed prime l that does not
+    divide lc(g) and keeps g squarefree mod l. A rational root p/q in lowest
+    terms has q | lc(g) and p | g(0), and its residue is a simple root of g
+    mod l, so Newton's step lifts that residue to the unique root mod l^K >
+    2 |lc(g) g(0)|, where lc(g) p/q is its symmetric residue times lc(g).
+    Each candidate is certified by exact evaluation; the residues of the
+    irrational roots of g give candidates that fail it.
     """
-    degree = max(int_coeffs or (0,))
-    if degree == 0 or int_coeffs[degree] % PRIME == 0:
-        return []  # constant, or the degree drops mod PRIME and a root's denominator may vanish
-    f = _monic_mod_p([int_coeffs.get(d, 0) % PRIME for d in range(degree + 1)])
-    g = _gcd_mod_p(f, _sub_mod_p(_pow_linear_mod_p(0, PRIME, f), [0, 1]))
-    pending = [g] if len(g) > 1 else []  # no root mod PRIME: nothing to split
-    roots = []
-    while pending:
-        g = pending.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % PRIME)
+    f = _primitive_coeffs(_integer_support(coeffs)[1])
+    if len(f) < 2:
+        return []
+    low = next(d for d, c in enumerate(f) if c)
+    roots = [ZERO] if low else []
+    g = _squarefree_part(f[low:])
+    if len(g) < 2:
+        return roots
+    lead, bound = g[-1], 2 * abs(g[-1] * g[0])
+    ell = next((p for p in ROOT_PRIMES if lead % p and _squarefree_mod(g, p)), None)
+    if ell is None:
+        return None
+    dg = [d * c for d, c in enumerate(g)][1:]
+    for r in range(ell):
+        if _eval_mod(g, r, ell):
             continue
-        for a in range(SPLIT_SHIFTS):
-            h = _gcd_mod_p(g, _sub_mod_p(_pow_linear_mod_p(a, (PRIME - 1) // 2, g), [1]))
-            if 1 < len(h) < len(g):
-                pending += [h, _divmod_mod_p(g, h)[0]]
-                break
+        m = ell
+        while m <= bound:
+            inverse = pow(_eval_mod(dg, r, m), -1, m)  # g'(r) is a unit mod l, so mod m
+            m *= m
+            r = (r - _eval_mod(g, r, m) * inverse) % m
+        u = lead * r % m
+        root = Fraction(u - m if 2 * u > m else u, lead)
+        if not _divide_by_root(g, root)[1]:  # exact evaluation
+            roots.append(root)
     return sorted(roots)
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
+def _primitive_coeffs(terms: Iterable[tuple[int, int]]) -> list[int]:
+    """The dense integer coefficient list of the (degree, coefficient) terms,
+    divided by their content, without a zero leading coefficient."""
+    out: list[int] = []
+    for d, c in terms:
+        out.extend([0] * (d + 1 - len(out)))
+        out[d] = c
+    content = gcd(*out)
+    return [c // content for c in out] if content > 1 else out
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') over Q, as a primitive integer polynomial: the gcd by a
+    primitive pseudo-remainder sequence, the quotient by exact division."""
+    a, b = f, _primitive_coeffs(enumerate([d * c for d, c in enumerate(f)][1:]))
+    while len(b) > 1:
+        a, b = b, _primitive_coeffs(enumerate(_pseudo_remainder(a, b)))
+    if b:  # a constant remainder: f is squarefree
+        return f
+    quotient, rem, dm = [0] * (len(f) - len(a) + 1), list(f), len(a) - 1
+    for d in range(len(f) - 1, dm - 1, -1):
+        q = quotient[d - dm] = rem[d] // a[-1]
+        for e, y in enumerate(a):
+            rem[d - dm + e] -= q * y
+    return _primitive_coeffs(enumerate(quotient))
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(b)^k a by b, one factor lc(b) per elimination
+    step, without zero leading coefficients."""
+    a, db = list(a), len(b) - 1
+    while len(a) > db:
+        c, shift = a.pop(), len(a) - db
+        a = [x * b[-1] for x in a]
+        for e, y in enumerate(b[:-1]):
+            a[shift + e] -= c * y
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
-def _monic_mod_p(a: list[int]) -> list[int]:
-    a = _trim(a)
-    inv = pow(a[-1], -1, PRIME) if a else 1
-    return [x * inv % PRIME for x in a]
+def _squarefree_mod(g: list[int], p: int) -> bool:
+    """Is g squarefree mod p, with p not dividing its leading coefficient:
+    gcd(g, g') = 1 mod p, by pseudo-remainders reduced mod p (lc(b) is a
+    unit mod p, so each one has the gcd of the exact remainder)."""
+    a, b = g, [d * c % p for d, c in enumerate(g)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while len(b) > 1:
+        a, b = b, [x % p for x in _pseudo_remainder(a, b)]
+        while b and not b[-1]:
+            b.pop()
+    return len(b) == 1
 
 
-def _sub_mod_p(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for d, y in enumerate(b):
-        out[d] = (out[d] - y) % PRIME
-    return _trim(out)
-
-
-def _divmod_mod_p(a: list[int], m: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic m, mod PRIME."""
-    rem = list(a)
-    dm = len(m) - 1
-    quotient = [0] * max(len(a) - dm, 0)
-    for d in range(len(a) - 1, dm - 1, -1):
-        q = rem[d]
-        if q:
-            quotient[d - dm] = q
-            for e, y in enumerate(m):
-                rem[d - dm + e] = (rem[d - dm + e] - q * y) % PRIME
-    return _trim(quotient), _trim(rem[:dm])
-
-
-def _mulmod_mod_p(a: list[int], b: list[int], m: list[int]) -> list[int]:
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for d, x in enumerate(a):
-        if x:
-            for e, y in enumerate(b):
-                out[d + e] += x * y
-    return _divmod_mod_p([c % PRIME for c in out], m)[1]
-
-
-def _pow_linear_mod_p(c: int, n: int, m: list[int]) -> list[int]:
-    """(x + c)^n mod (m, PRIME), m monic, by left-to-right powering: each
-    multiplication by x + c is a shift and one reduction step, not a product."""
-    result, dm = [1], len(m) - 1
-    for bit in f"{n:b}":
-        result = _mulmod_mod_p(result, result, m)
-        if bit == "1":
-            out = [0, *result]
-            for d, y in enumerate(result):
-                out[d] = (out[d] + c * y) % PRIME
-            if len(out) > dm:
-                q = out.pop()
-                for e in range(dm):
-                    out[e] = (out[e] - q * m[e]) % PRIME
-            result = _trim(out)
-    return result
-
-
-def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
-    """Monic gcd mod PRIME."""
-    a, b = _monic_mod_p(list(a)), _monic_mod_p(list(b))
-    while b:
-        a, b = b, _monic_mod_p(_divmod_mod_p(a, b)[1])
-    return a
+def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:
@@ -671,22 +684,16 @@ def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:
 
 
 def _rational_eigenspaces(A: Matrix, f: Sequence[Fraction]) -> tuple[Matrix, ...] | None:
-    """The rref eigenspaces of A, largest eigenvalue first, or None: the null
-    vectors of A - r mod PRIME, r a root of f, lifted, share one eigenvalue."""
-    scale = lcm(*(x.denominator for row in A for x in row if x))
-    if scale % PRIME == 0:
+    """The rref eigenspaces of A, largest eigenvalue first, or None when the
+    kernels of A - r, r a rational root of f, do not add up to Q^n."""
+    roots = rational_roots(f)
+    if roots is None:
         return None
-    rows = [[int(x * scale) for x in row] for row in A]
-    spaces = []
-    for root in _roots_mod_p(_integer_row(f)):
-        pivots: dict[int, dict[int, int]] = {}
-        for a, row in enumerate(rows):
-            _add_row_mod_p(pivots, {**dict(enumerate(row)), a: row[a] - root * scale})
-        vectors = _lifted_null_vectors(pivots, len(A))
-        value = vectors and next(y / x for x, y in zip(vectors[0], matvec(A, vectors[0])) if x)
-        if not vectors or any(matvec(A, v) != smul(value, v) for v in vectors):
-            return None
-        spaces.append((-value, vectors))
-    if sum(len(space) for _, space in spaces) != len(A):
+    n = len(A)
+    spaces = [
+        kernel([tuple(x - root if a == b else x for b, x in enumerate(row)) for a, row in enumerate(A)], n)
+        for root in reversed(roots)
+    ]
+    if sum(map(len, spaces)) != n:
         return None
-    return tuple(space for _, space in sorted(spaces))
+    return tuple(spaces)

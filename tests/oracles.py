@@ -11,6 +11,7 @@ read only through its `dim` and `entries` fields, never through its methods.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -827,3 +828,137 @@ def _entry(tensor, index):
     for k in index:
         tensor = tensor[k]
     return tensor
+
+
+# --- the rational-root route that p-adic lifting replaced -----------------------
+# Distinct roots mod 2^61 - 1 by Cantor-Zassenhaus, each lifted by Wang's
+# rational reconstruction with |numerator|, denominator < 2^30 and certified
+# by exact evaluation: a root of greater height is not found.
+
+ROUTE_PRIME = 2**61 - 1
+RECONSTRUCTION_BOUND = 2**30  # |numerator| and denominator of a lifted residue
+SPLIT_SHIFTS = 64  # shifts a tried to split a product of linear factors by (x + a)^((p-1)/2)
+
+
+def reference_rational_roots(coeffs):
+    """The rational roots, ascending, that the mod-p route certifies for a
+    rational polynomial (coefficients low to high)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    int_coeffs = {d: int(c * den) for d, c in enumerate(coeffs) if c}
+    if den % ROUTE_PRIME == 0:
+        return []
+    roots = []
+    for residue in roots_mod_p(int_coeffs):
+        root = reconstruct(residue)
+        if root is not None and sum(c * root**d for d, c in enumerate(coeffs)) == 0:
+            roots.append(root)
+    return sorted(roots)
+
+
+def reconstruct(a: int) -> Fraction | None:
+    """The n/d with n = a d mod ROUTE_PRIME and |n|, d < RECONSTRUCTION_BOUND, or
+    None (Wang's half extended Euclid)."""
+    r0, r1, s0, s1 = ROUTE_PRIME, a, 0, 1
+    while r1 >= RECONSTRUCTION_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) >= RECONSTRUCTION_BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def roots_mod_p(int_coeffs: dict[int, int] | None) -> list[int]:
+    """Distinct roots mod ROUTE_PRIME of an integer polynomial ({degree: coefficient}),
+    except those that SPLIT_SHIFTS equal-degree steps leave unseparated; none
+    when the polynomial is constant mod ROUTE_PRIME.
+
+    gcd(x^p - x, f) is the product of x - r over the roots r; it is split by
+    gcd((x + a)^((p-1)/2) - 1, .) for a = 0, 1, 2, ...
+    """
+    degree = max(int_coeffs or (0,))
+    if degree == 0 or int_coeffs[degree] % ROUTE_PRIME == 0:
+        return []  # constant, or the degree drops mod ROUTE_PRIME and a root's denominator may vanish
+    f = _monic_mod_p([int_coeffs.get(d, 0) % ROUTE_PRIME for d in range(degree + 1)])
+    g = _gcd_mod_p(f, _sub_mod_p(pow_linear_mod_p(0, ROUTE_PRIME, f), [0, 1]))
+    pending = [g] if len(g) > 1 else []  # no root mod ROUTE_PRIME: nothing to split
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % ROUTE_PRIME)
+            continue
+        for a in range(SPLIT_SHIFTS):
+            h = _gcd_mod_p(g, _sub_mod_p(pow_linear_mod_p(a, (ROUTE_PRIME - 1) // 2, g), [1]))
+            if 1 < len(h) < len(g):
+                pending += [h, _divmod_mod_p(g, h)[0]]
+                break
+    return sorted(roots)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic_mod_p(a: list[int]) -> list[int]:
+    a = _trim(a)
+    inv = pow(a[-1], -1, ROUTE_PRIME) if a else 1
+    return [x * inv % ROUTE_PRIME for x in a]
+
+
+def _sub_mod_p(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for d, y in enumerate(b):
+        out[d] = (out[d] - y) % ROUTE_PRIME
+    return _trim(out)
+
+
+def _divmod_mod_p(a: list[int], m: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic m, mod ROUTE_PRIME."""
+    rem = list(a)
+    dm = len(m) - 1
+    quotient = [0] * max(len(a) - dm, 0)
+    for d in range(len(a) - 1, dm - 1, -1):
+        q = rem[d]
+        if q:
+            quotient[d - dm] = q
+            for e, y in enumerate(m):
+                rem[d - dm + e] = (rem[d - dm + e] - q * y) % ROUTE_PRIME
+    return _trim(quotient), _trim(rem[:dm])
+
+
+def _mulmod_mod_p(a: list[int], b: list[int], m: list[int]) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for d, x in enumerate(a):
+        if x:
+            for e, y in enumerate(b):
+                out[d + e] += x * y
+    return _divmod_mod_p([c % ROUTE_PRIME for c in out], m)[1]
+
+
+def pow_linear_mod_p(c: int, n: int, m: list[int]) -> list[int]:
+    """(x + c)^n mod (m, ROUTE_PRIME), m monic, by left-to-right powering: each
+    multiplication by x + c is a shift and one reduction step, not a product."""
+    result, dm = [1], len(m) - 1
+    for bit in f"{n:b}":
+        result = _mulmod_mod_p(result, result, m)
+        if bit == "1":
+            out = [0, *result]
+            for d, y in enumerate(result):
+                out[d] = (out[d] + c * y) % ROUTE_PRIME
+            if len(out) > dm:
+                q = out.pop()
+                for e in range(dm):
+                    out[e] = (out[e] - q * m[e]) % ROUTE_PRIME
+            result = _trim(out)
+    return result
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Monic gcd mod ROUTE_PRIME."""
+    a, b = _monic_mod_p(list(a)), _monic_mod_p(list(b))
+    while b:
+        a, b = b, _monic_mod_p(_divmod_mod_p(a, b)[1])
+    return a

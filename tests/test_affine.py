@@ -49,6 +49,7 @@ from oracles import (
     dense_nr_defect,
     dense_pairings,
     dense_project_m,
+    dense_rref,
     nomizu_affine_dim,
 )
 from test_cli import _changed_basis
@@ -88,6 +89,35 @@ def test_transvection_examples():
     assert transvection_algebra(sphere_pair()) == SubspaceBasis.full(3)
     assert transvection_algebra(abelian_pair()) == SubspaceBasis.full(2)
     assert transvection_algebra(diagonal_pair()) == SubspaceBasis.full(6)
+
+
+def partial_h_pair(rng=None):
+    """so(3) + so(3) mod the u(1) of the first factor plus the second factor:
+    [m, m]_h is that u(1) alone, a nonzero proper part of h. With a Random,
+    the same pair in a dense unimodular basis."""
+    L, h_rows = so3_plus_so3(), unit_subspace(6, [2, 3, 4, 5]).rows
+    if rng is not None:
+        entries, to_new = _changed_basis(L, rng)
+        L, h_rows = make_lie_algebra(6, entries), [to_new(v) for v in h_rows]
+    return normal_decomposition(L, SubspaceBasis.from_vectors(6, h_rows))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [sphere_pair, diagonal_pair, second_factor_pair, so4_mod_so2_pair, dense_spec_pair, partial_h_pair,
+     lambda: partial_h_pair(random.Random(4))],
+    ids=["sphere", "diagonal", "second_factor", "so4_mod_so2", "dense_so3so3", "partial_h", "dense_partial_h"],
+)
+def test_transvection_algebra_is_the_dense_span_of_m_and_its_brackets(make):
+    # g at once when the h-parts reach rank dim h mod p, else m plus the rref
+    # of their span, mapped through h
+    pair = make()
+    bracket = dense_bracket(pair.algebra)
+    rows = [*pair.m.rows, *(bracket(x, y) for x in pair.m.rows for y in pair.m.rows)]
+    expected = dense_rref(rows, pair.algebra.dim)
+    assert [list(row) for row in transvection_algebra(pair).rows] == expected
+    if make is partial_h_pair:
+        assert len(expected) == 3
 
 
 def test_transvection_equals_g_check():

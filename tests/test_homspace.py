@@ -42,6 +42,7 @@ from reductive_workbench.liealg import (
     make_lie_algebra,
     simple_ideal_decomposition,
 )
+from reductive_workbench import homspace
 from reductive_workbench.homspace import _adapted_table
 from reductive_workbench.liealg import _table_bracket
 from reductive_workbench.linalg import _integer_rows, identity, mat_inverse, rat, transpose
@@ -565,6 +566,16 @@ def test_normalizer_of_cartan_line_in_so3():
 def test_normalizer_invariance_on_normal_pairs():
     for pair in (diagonal_pair(), second_factor_pair(), so4_mod_so2_pair()):
         assert normalizer_invariance_check(pair).ok
+
+
+def test_normalizer_check_brackets_nothing_when_h_is_zero(monkeypatch):
+    # with h = 0 no bracket has an h-part, so the check is decided unread
+    pair = trivial_isotropy_pair(so3_plus_so3())
+    calls = []
+    monkeypatch.setattr(homspace, "_table_bracket", lambda *args: calls.append(args) or _table_bracket(*args))
+    result = normalizer_invariance_check(pair)
+    assert result.ok and result.witness is None
+    assert calls == []
 
 
 def test_normalizer_moves_complement_in_heisenberg_pair():

@@ -534,6 +534,16 @@ def test_decomposition_so4_splits_into_two_ideals():
     assert subspace_sum(ideals[0], ideals[1]) == SubspaceBasis.full(6)
 
 
+@pytest.mark.parametrize("name", ["so4so4_mod_diag", "so3so3_mod_diag"])
+def test_split_falls_back_to_the_exact_span_when_p_drops_a_row(name, monkeypatch):
+    # a rank mod p below the rank over Q leaves dims that miss the piece's:
+    # then each ideal is the exact rref of all its spanning rows
+    L = construct(name).algebra
+    expected = liealg._build_ideals(L)
+    monkeypatch.setattr(liealg, "_independent_mod_p", lambda rows: rows[:1])
+    assert liealg._build_ideals(L) == expected
+
+
 def scale_mat(c, M):
     return [[c * x for x in row] for row in M]
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 # primary_kernels imports sympy at the first irreducible factor of degree >= 2;
@@ -46,8 +50,12 @@ from oracles import (
     fraction_signature,
     gauss_rank,
     poly_pow_mod,
+    pow_linear_mod_p,
+    reference_rational_roots,
     unimodular,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -161,12 +169,14 @@ def sympy_route(coeffs):
     return tuple(sorted(linalg._sympy_factors(coeffs), key=lambda fm: (len(fm[0]), fm[0])))
 
 
-linear_factors = st.one_of(
-    st.fractions(min_value=-9, max_value=9, max_denominator=8),
-    # roots beyond the reconstruction bound 2^30 reach sympy through the leftover
-    st.integers(2**30, 2**62).map(Fraction),
+small_roots = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+# roots of any height are lifted p-adically; the mod-p route left these to sympy
+tall_roots = st.one_of(
+    st.integers(2**30, 2**140).map(Fraction),
     st.integers(1, 2**31).map(lambda d: Fraction(-1, d)),
-).map(lambda root: (-root, Fraction(1)))
+    st.builds(Fraction, st.integers(-(10**45), 10**45), st.integers(2**31, 10**40)),
+)
+linear_factors = st.one_of(small_roots, tall_roots).map(lambda root: (-root, Fraction(1)))
 irreducible_factors = st.sampled_from([
     (1, 0, 1),         # x^2 + 1 has no root mod 2^61 - 1
     (-2, 0, 1),        # x^2 - 2
@@ -201,16 +211,107 @@ def test_factor_poly_leaves_only_the_nonlinear_part_to_sympy(monkeypatch):
     f = linalg.poly_mul((rat(-2), rat(1)), (rat(1), rat(0), rat(1)))
     assert factor_poly(f) == (((rat(-2), rat(1)), 1), ((rat(1), rat(0), rat(1)), 1))
     assert seen == [[rat(1), rat(0), rat(1)]]
+    # (x - a)^4 (x - b)^4 with roots of 41 and 43 digits: found without sympy
+    seen.clear()
+    a, b = Fraction(10**40 + 7, 3**30), Fraction(-(10**42) - 1, 7**5)
+    f = product_of_roots([a] * 4 + [b] * 4, rat(5))
+    assert factor_poly(f) == (((-a, rat(1)), 4), ((-b, rat(1)), 4))
+    assert seen == []
+
+
+def product_of_roots(roots, lead, extra=()):
+    """lead times the product of x - r over the roots and of the extra factors."""
+    f = (Fraction(lead),)
+    for root in roots:
+        f = linalg.poly_mul(f, (-root, rat(1)))
+    for factor in extra:
+        f = linalg.poly_mul(f, factor)
+    return f
+
+
+leads = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    # a leading coefficient divisible by the first listed prime
+    st.integers(-4, 4).filter(bool).map(lambda k: Fraction(k * linalg.ROOT_PRIMES[0] ** 3)),
+)
+quadratics = st.sampled_from([(), ((1, 0, 1),), ((-2, 0, 1),), ((1, 1, 1), (-2, 0, 0, 1))]).map(
+    lambda fs: tuple(tuple(map(Fraction, cs)) for cs in fs)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_roots, max_size=6), st.data(), leads, quadratics)
+def test_rational_roots_match_the_reference_route(roots, data, lead, extra):
+    # repeated roots, non-monic leads and irreducible factors whose roots mod
+    # l give candidates that the certificate refuses
+    roots += data.draw(st.lists(st.sampled_from(roots), max_size=3)) if roots else []
+    f = product_of_roots(roots, lead, extra)
+    assert linalg.rational_roots(f) == reference_rational_roots(f) == sorted(set(roots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(small_roots, tall_roots), min_size=1, max_size=5), leads, quadratics)
+def test_rational_roots_of_any_height(roots, lead, extra):
+    # the reference finds only roots below 2^30 in height; lifting finds all
+    f = product_of_roots(roots, lead, extra)
+    found = linalg.rational_roots(f)
+    assert found == sorted(set(roots))
+    assert set(reference_rational_roots(f)) <= set(found)
+
+
+@pytest.mark.parametrize(
+    "roots, lead, served",
+    [
+        # -105 and 105 meet mod 2, 3, 5 and 7: the first prime that keeps them apart is 11
+        ([Fraction(-105), Fraction(105)], 1, 11),
+        # eight roots meet mod every prime below 8
+        ([Fraction(k) for k in range(1, 9)], 1, 11),
+        # lc 24 of the primitive part: 2 and 3 divide it, and 1/2 = -1/3 mod 5
+        ([Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4)], 48, 7),
+        # roots of greater height than 2^30, apart mod 2
+        ([Fraction(2**61 - 1), Fraction(-(2**100), 3**40)], -7, 2),
+    ],
+)
+def test_rational_roots_skip_primes_that_do_not_serve(roots, lead, served, monkeypatch):
+    tried = []
+    squarefree_mod = linalg._squarefree_mod
+    monkeypatch.setattr(linalg, "_squarefree_mod", lambda g, p: tried.append(p) or squarefree_mod(g, p))
+    f = product_of_roots(roots + roots[:1], lead)  # a repeated root: the squarefree part is lifted
+    assert linalg.rational_roots(f) == sorted(roots)
+    assert tried[-1] == served
+    assert all(r.denominator % p for r in roots for p in tried)  # no prime that divides lc(g) is tried
+
+
+def test_tall_eigenvalues_do_not_import_sympy():
+    # A = P diag(a, a, b, b) P^-1 with eigenvalues of 40 digits: the eigenspaces
+    # are read off the lifted roots, with no factoring
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from reductive_workbench.linalg import matmul, mat_inverse, primary_kernels, rref\n"
+        "a, b = Fraction(10**40 + 3, 7**20), Fraction(-(10**39) - 9, 11**18)\n"
+        "P = [[Fraction(x) for x in row] for row in ([2, 1, 0, 3], [1, 1, 4, 0], [0, 5, 1, 1], [1, 0, 2, 1])]\n"
+        "D = [[a if i == j and i < 2 else b if i == j else Fraction(0) for j in range(4)] for i in range(4)]\n"
+        "A = matmul(matmul(P, D), mat_inverse(P))\n"
+        "K = primary_kernels(A)\n"
+        "columns = [tuple(row[c] for row in P) for c in range(4)]\n"
+        "print([len(k) for k in K], K[0] == rref(columns[:2], 4)[0], K[1] == rref(columns[2:], 4)[0], "
+        "'sympy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[2, 2] True True False\n"
 
 
 @pytest.mark.parametrize("degree", range(1, 16))
 def test_linear_power_matches_square_and_multiply(degree):
-    # `_roots_mod_p` raises x + c to these powers mod a monic factor of its polynomial
+    # the reference route `roots_mod_p` raises x + c to these powers mod a monic factor of its polynomial
     rng = random.Random(degree)
     m = [rng.randrange(P) for _ in range(degree)] + [1]
     for c in (0, 63, rng.randrange(P)):
         for n in (P, (P - 1) // 2, *range(1, 2 * degree + 3)):
-            assert linalg._pow_linear_mod_p(c, n, m) == poly_pow_mod([c, 1], n, m, P), (c, n)
+            assert pow_linear_mod_p(c, n, m) == poly_pow_mod([c, 1], n, m, P), (c, n)
 
 
 @settings(max_examples=30)

@@ -57,7 +57,16 @@ def test_dense_spec_of_so4so4_mod_diag_keeps_the_catalog_dims(tmp_path, capsys):
 
 
 def test_time_dense_files_prints_dims_seconds_and_report_md5(tmp_path, capsys):
-    proc = run_script("time_dense_files.py", "so3so3_mod_diag")
+    check_time_dense_files(tmp_path, capsys, [])
+
+
+def test_time_dense_files_passes_scales_to_the_writer(tmp_path, capsys):
+    # --scales times the custom-metric file, whose analysis runs the simple-ideal split
+    check_time_dense_files(tmp_path, capsys, ["--scales"])
+
+
+def check_time_dense_files(tmp_path, capsys, flags):
+    proc = run_script("time_dense_files.py", *flags, "so3so3_mod_diag")
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()
     assert header.split() == ["entry", "g", "/", "m", "seconds", "rss_mb", "md5"]
@@ -65,9 +74,10 @@ def test_time_dense_files_prints_dims_seconds_and_report_md5(tmp_path, capsys):
     dims = construct("so3so3_mod_diag").expected["dims"]
     assert [name, g, slash, m] == ["so3so3_mod_diag", str(dims["g"]), "/", str(dims["m"])]
     assert float(seconds) > 0 and float(rss) > 0
-    # the md5 is that of the report of the file write_dense_spec.py prints
-    dense = run_script("write_dense_spec.py", "so3so3_mod_diag", "--draw", "1", "--seed", "11")
+    # the md5 is that of the report of the file write_dense_spec.py prints with the same flags
+    dense = run_script("write_dense_spec.py", "so3so3_mod_diag", "--draw", "1", "--seed", "11", *flags)
     assert dense.returncode == 0, dense.stderr
+    assert ("custom" in dense.stdout) == bool(flags)
     spec = tmp_path / "so3so3_mod_diag.json"
     spec.write_text(dense.stdout)
     capsys.readouterr()
