@@ -5,7 +5,9 @@
 
 Each file is what `write_dense_spec.py NAME --draw 1 --seed 11` prints,
 written to a temporary directory; with --scales the flag is passed on, so the
-file has a custom metric and `analyze` runs the simple-ideal split. The command runs in a fresh interpreter
+file has a custom metric and `analyze` runs the simple-ideal split. A NAME
+that ends in `.json` is the path of an existing spec file, timed as it is
+and named by its file name. The command runs in a fresh interpreter
 with this checkout's `src` on PYTHONPATH, timed from this process. One line
 per name gives dim g / dim m, the wall seconds, the peak RSS of the child and
 the md5 of the report bytes, so two checkouts can be compared line by line.
@@ -46,17 +48,20 @@ def time_cold(path: Path) -> tuple[float, float, int, bytes]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="+", metavar="NAME", help="catalog entry, e.g. su8_mod_0")
+    parser.add_argument("names", nargs="+", metavar="NAME", help="catalog entry, e.g. su8_mod_0, or a spec file path")
     parser.add_argument("--scales", action="store_true", help="custom metric, one scale per simple ideal")
     args = parser.parse_args()
     print(f"{'entry':24s} {'g / m':>7s} {'seconds':>8s} {'rss_mb':>7s} md5")
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.names:
-            path = Path(tmp) / f"{name}.json"
-            with open(path, "wb") as handle:
-                writer = [sys.executable, str(REPO / "scripts" / "write_dense_spec.py"), name, "--draw", "1", "--seed", "11"]
-                writer += ["--scales"] if args.scales else []
-                subprocess.run(writer, stdout=handle, env=ENV, check=True)
+            if name.endswith(".json"):
+                path, name = Path(name).resolve(), Path(name).name
+            else:
+                path = Path(tmp) / f"{name}.json"
+                with open(path, "wb") as handle:
+                    writer = [sys.executable, str(REPO / "scripts" / "write_dense_spec.py"), name, "--draw", "1", "--seed", "11"]
+                    writer += ["--scales"] if args.scales else []
+                    subprocess.run(writer, stdout=handle, env=ENV, check=True)
             seconds, rss, code, out = time_cold(path)
             if code not in (0, 2):  # 2: a theorem verdict failed, the report is still written
                 print(f"{name:24s} analyze exited with {code}")

@@ -594,29 +594,16 @@ def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
     return _kernel_subspace(list(pivots.values()), L.dim)
 
 
-def commutant_split(basis: Sequence[Matrix]) -> tuple[Matrix, ...] | None:
-    """The primary kernels of the first non-scalar element of a commutant
-    basis that has two or more, or None when no basis element splits.
-
-    Primary kernels are nonzero and their dimensions add up to the whole
-    space, so each of two or more is a proper invariant subspace.
-    """
-    for T in basis:
-        if not is_scalar_matrix(T):
-            kernels = primary_kernels(T)
-            if len(kernels) >= 2:
-                return kernels
-    return None
-
-
 CARTAN_DRAWS = 8  # (X, v) pairs tried on one piece before the split gives up
 
 
 def _cartan_draws(piece: SubspaceBasis) -> Iterable[tuple[Vector, Vector]]:
-    """(X, v) pairs: combinations of the piece's rows, coefficients in -9..9."""
+    """(X, v) pairs: combinations of the piece's rows, coefficients in -w..w, w = 9
+    widened eightfold per draw: with many simple ideals a narrow X's root values collide."""
     rng = random.Random(0)
-    for _ in range(CARTAN_DRAWS):
-        yield matmul([[rng.randint(-9, 9) for _ in piece.rows] for _ in range(2)], piece.rows)
+    for draw in range(CARTAN_DRAWS):
+        width = 9 << (3 * draw)
+        yield matmul([[rng.randint(-width, width) for _ in piece.rows] for _ in range(2)], piece.rows)
 
 
 def _int_matvec(M: Sequence[Sequence], support: Sequence[tuple[int, int]]) -> list:
@@ -646,10 +633,11 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis) -> list[SubspaceBasis
       solutions are the centroid restricted to t.
     - The identity is a solution and the nullity mod PRIME bounds the nullity
       over Q, so nullity 1 mod PRIME certifies a simple piece with no lift.
-    - Else `commutant_split` splits t into blocks, each the torus t_i of a
-      sum g_i of simple ideals. The part X_i of X along t_i vanishes on no
-      root of g_i, so g_i = t_i + [X_i, g]; each g_i is split again unless
-      each block is one centroid line.
+    - Else the primary kernels of the first non-scalar S that has two or more
+      (semisimple: the centroid is a product of number fields) split t into
+      blocks, each the torus t_i of a sum g_i of simple ideals. The part X_i
+      of X along t_i vanishes on no root of g_i, so g_i = t_i + [X_i, g];
+      each g_i is split again unless each block is one centroid line.
     """
     if piece.dim == 0:
         return []
@@ -684,7 +672,10 @@ def _split_semisimple(L: LieAlgebra, piece: SubspaceBasis) -> list[SubspaceBasis
     # each solution is the matrix of S in the coordinates along the H_b: its
     # eigenvalues do not depend on the basis, so it is not moved to t's rref basis
     mats = [tuple(f[c * r : (c + 1) * r] for c in range(r)) for f in kernel(system, r * r)]
-    kernels = commutant_split(mats)
+    try:
+        kernels = next((ks for S in mats if not is_scalar_matrix(S) and len(ks := primary_kernels(S)) >= 2), None)
+    except ValueError:  # the centroid is a product of number fields: no S can fail it
+        raise WorkbenchError(f"a centroid element on an ideal of dim {piece.dim} is not semisimple") from None
     if kernels is None:  # no rational idempotent: the piece is simple over Q
         return [piece]
     lead = mat_inverse(stack(*kernels))[0]  # H_0 = d_0 X along the kernels' rows

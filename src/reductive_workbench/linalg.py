@@ -33,14 +33,13 @@ at later pivots. All routes return that unique rref, with no second rref.
 `rational_roots` finds the rational roots of a polynomial of any height by
 p-adic lifting: roots mod a small prime l, Newton-lifted to l^K past the
 bound that the leading and the constant coefficient set, and certified by
-exact evaluation. `primary_kernels` reads the eigenspaces of a matrix off
-those roots, and `factor_poly` divides them out. sympy loads only in
+exact integer division. `factor_poly` divides them out, and `primary_kernels`
+takes the kernel of f(A) for each factor f. sympy loads only in
 `factor_poly`, for an irreducible factor of degree >= 2 that is left over
 (or for the whole polynomial in the rare case that no prime of ROOT_PRIMES
 keeps its squarefree part squarefree); the only caller that can reach it is
 the simple-ideal split (`liealg._split_semisimple`, through
-`primary_kernels`), when a centroid element has an irrational eigenvalue or
-is not diagonalizable.
+`primary_kernels`), when a centroid element has an irrational eigenvalue.
 """
 
 from __future__ import annotations
@@ -478,26 +477,19 @@ def charpoly(A: Matrix) -> tuple[Fraction, ...]:
 
 def is_scalar_matrix(A: Matrix) -> bool:
     """True when A is a multiple of the identity."""
-    n = len(A)
-    lam = A[0][0]
-    return all(A[i][j] == (lam if i == j else 0) for i in range(n) for j in range(n))
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Product of two polynomials, coefficients low degree to high."""
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        if pa:
-            for b, qb in enumerate(q):
-                out[a + b] += pa * qb
-    return tuple(out)
+    return all(x == (A[0][0] if i == j else 0) for i, row in enumerate(A) for j, x in enumerate(row))
 
 
 def poly_eval_matrix(coeffs: Sequence[Fraction], A: Matrix) -> Matrix:
-    """Evaluate a polynomial (coefficients low to high) at a square matrix."""
+    """Evaluate a polynomial (coefficients low to high) at a square matrix, by
+    Horner's loop from lead A + c I: a linear factor costs no product."""
     n = len(A)
-    out = mat_scale(coeffs[-1], identity(n))
-    for c in reversed(coeffs[:-1]):
+    if len(coeffs) == 1:
+        return mat_scale(coeffs[0], identity(n))
+    lead, c = coeffs[-1], coeffs[-2]
+    out = A if lead == 1 else mat_scale(lead, A)
+    out = tuple(tuple(x + c if a == b else x for b, x in enumerate(row)) for a, row in enumerate(out))
+    for c in reversed(coeffs[:-2]):
         out = mat_add(matmul(out, A), mat_scale(c, identity(n)))
     return out
 
@@ -505,22 +497,18 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], A: Matrix) -> Matrix:
 def factor_poly(coeffs: Sequence[Fraction]) -> tuple[tuple[tuple[Fraction, ...], int], ...]:
     """Irreducible monic factors over Q of a rational polynomial, with multiplicities.
 
-    The rational roots come from `rational_roots`, each divided out with its
-    multiplicity by exact division; only a nonconstant leftover goes to sympy.
+    The rational roots come from `rational_roots`, each divided out of the
+    primitive integer polynomial with its multiplicity by exact division;
+    only a nonconstant leftover goes to sympy.
     Factorization is unique, so the result is the one sympy gives for the
     whole polynomial. Deterministic ordering: by degree, then by coefficient
     tuple.
     """
-    rest = list(coeffs)
-    while len(rest) > 1 and not rest[-1]:
-        rest.pop()
+    rest = _primitive_coeffs(_integer_support(coeffs)[1])
     out = []
-    for root in rational_roots(rest) or ():  # None: no listed prime served, sympy factors it all
+    for root in rational_roots(coeffs) or ():  # None: no listed prime served, sympy factors it all
         mult = 0
-        while len(rest) > 1:
-            quotient, remainder = _divide_by_root(rest, root)
-            if remainder:
-                break
+        while (quotient := _divide_by_root(rest, root)) is not None:
             rest, mult = quotient, mult + 1
         out.append(((-root, ONE), mult))
     if len(rest) > 1:  # a constant leftover is the content
@@ -547,14 +535,18 @@ def _sympy_factors(coeffs: Sequence[Fraction]) -> list[tuple[tuple[Fraction, ...
     return out
 
 
-def _divide_by_root(coeffs: Sequence[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Quotient and remainder of the polynomial by x - root (Horner)."""
-    quotient = [ZERO] * (len(coeffs) - 1)
-    acc = ZERO
-    for d in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[d]
+def _divide_by_root(f: Sequence[int], root: Fraction) -> list[int] | None:
+    """The quotient of an integer polynomial f by q x - p, for root = p/q, or
+    None when q x - p does not divide f. The quotient of a primitive divisor
+    is integral (Gauss), so a step that q does not divide ends the division."""
+    p, q = root.numerator, root.denominator
+    quotient, acc = [0] * (len(f) - 1), 0
+    for d in range(len(f) - 1, 0, -1):
+        acc, r = divmod(f[d] + p * acc, q)
+        if r:
+            return None
         quotient[d - 1] = acc
-    return quotient, acc * root + coeffs[0]
+    return quotient if f[0] + p * acc == 0 else None
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -569,7 +561,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
     terms has q | lc(g) and p | g(0), and its residue is a simple root of g
     mod l, so Newton's step lifts that residue to the unique root mod l^K >
     2 |lc(g) g(0)|, where lc(g) p/q is its symmetric residue times lc(g).
-    Each candidate is certified by exact evaluation; the residues of the
+    Each candidate is certified by exact division; the residues of the
     irrational roots of g give candidates that fail it.
     """
     f = _primitive_coeffs(_integer_support(coeffs)[1])
@@ -595,7 +587,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
             r = (r - _eval_mod(g, r, m) * inverse) % m
         u = lead * r % m
         root = Fraction(u - m if 2 * u > m else u, lead)
-        if not _divide_by_root(g, root)[1]:  # exact evaluation
+        if _divide_by_root(g, root) is not None:  # exact division
             roots.append(root)
     return sorted(roots)
 
@@ -663,37 +655,14 @@ def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
 
 
 def primary_kernels(A: Matrix) -> tuple[Matrix, ...]:
-    """Kernel of f(A)^k for each irreducible factor f^k of charpoly(A), in
-    `factor_poly` order: the primary decomposition of Q^n under A.
+    """Kernel of f(A) for each distinct irreducible factor f of charpoly(A),
+    in `factor_poly` order: the primary decomposition of Q^n under a
+    semisimple A, where ker f(A) is the whole primary component of f.
 
-    The kernels are A-invariant and Q^n is their direct sum; each is the
-    generalized eigenspace of f, so a higher exponent gives the same kernel.
-    A diagonalizable A with rational eigenvalues needs no factoring and no sympy.
+    Raises ValueError when the kernels do not add up to Q^n: A is not semisimple.
     """
-    f = charpoly(A)
-    spaces = _rational_eigenspaces(A, f)
-    if spaces is not None:
-        return spaces
-    out = []
-    for fac, mult in factor_poly(f):
-        power = fac
-        for _ in range(mult - 1):
-            power = poly_mul(power, fac)
-        out.append(kernel(poly_eval_matrix(power, A), len(A)))
-    return tuple(out)
-
-
-def _rational_eigenspaces(A: Matrix, f: Sequence[Fraction]) -> tuple[Matrix, ...] | None:
-    """The rref eigenspaces of A, largest eigenvalue first, or None when the
-    kernels of A - r, r a rational root of f, do not add up to Q^n."""
-    roots = rational_roots(f)
-    if roots is None:
-        return None
     n = len(A)
-    spaces = [
-        kernel([tuple(x - root if a == b else x for b, x in enumerate(row)) for a, row in enumerate(A)], n)
-        for root in reversed(roots)
-    ]
+    spaces = tuple(kernel(poly_eval_matrix(f, A), n) for f, _ in factor_poly(charpoly(A)))
     if sum(map(len, spaces)) != n:
-        return None
-    return tuple(spaces)
+        raise ValueError("the matrix is not semisimple: its primary kernels miss part of Q^n")
+    return spaces

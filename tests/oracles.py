@@ -744,6 +744,25 @@ def fraction_is_subalgebra(L, rows, pivots):
     return None
 
 
+def poly_mul(p, q):
+    """Product of two polynomials, coefficients low degree to high."""
+    out = [F0] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            out[a + b] += pa * qb
+    return tuple(out)
+
+
+def horner_eval_matrix(coeffs, A):
+    """A polynomial (coefficients low to high) at a square matrix, by Horner's
+    loop from the leading coefficient times the identity."""
+    n = len(A)
+    out = [[coeffs[-1] * x for x in row] for row in dense_identity(n)]
+    for c in reversed(coeffs[:-1]):
+        out = [[x + (c if i == j else F0) for j, x in enumerate(row)] for i, row in enumerate(dense_mul(out, A))]
+    return fraction_matrix(out)
+
+
 def poly_pow_mod(a, n, m, p):
     """a^n mod (m, p) for a monic m, by right-to-left square-and-multiply on
     dense coefficient lists (lowest degree first), trimmed of zero leading

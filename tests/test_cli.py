@@ -1177,6 +1177,37 @@ def test_dense_custom_metric_spec_does_not_import_sympy(tmp_path):
     assert proc.stderr == "0 True False\n"
 
 
+def test_a_file_with_twenty_one_simple_factors_is_analyzed(tmp_path):
+    # so(3)^21 (dim 63): its split takes the widened Cartan draws; the custom
+    # metric takes one scale per simple ideal, so 21 scales fit and 20 do not
+    cycle = [(1, 2, 3, "1"), (2, 3, 1, "1"), (1, 3, 2, "-1")]
+    doc = {
+        "basis": [f"L{i}_{f}" for f in range(1, 22) for i in (1, 2, 3)],
+        "brackets": [[i + 3 * f, j + 3 * f, k + 3 * f, c] for f in range(21) for i, j, k, c in cycle],
+        "subalgebra": [["0", "0", "1"] + ["0"] * 60],
+        "metric": {"mode": "custom", "scales": [str(s) for s in range(1, 22)]},
+    }
+    spec = tmp_path / "so3_pow21.json"
+    spec.write_text(json.dumps(doc))
+    proc = _run_module("-m", "reductive_workbench", "--json", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dims"]["g"] == 63
+    doc["metric"]["scales"].pop()
+    spec.write_text(json.dumps(doc))
+    proc = _run_module("-m", "reductive_workbench", "--json", str(spec))
+    assert proc.returncode == 1
+    assert "20 scale factors for 21 simple ideals" in proc.stderr
+
+
+def test_a_q_simple_ideal_that_is_not_absolutely_simple_takes_one_scale(capsys):
+    # so(3) + su(2) over Q(sqrt 2), dim 9: two simple ideals over Q, of dims 3 and 6
+    assert main(["--json", str(DATA / "so3_plus_su2_over_q_sqrt2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"]["g"] == 9
+    spec = load_space_spec_file(str(DATA / "so3_plus_su2_over_q_sqrt2.json"))
+    _, ideals = simple_ideal_decomposition(make_lie_algebra(spec.dim, spec.bracket_entries))
+    assert [s.dim for s in ideals] == [3, 6]
+
+
 def _dense_spec(tmp_path, name, seed, scales=None):
     """The catalog entry rewritten in a unimodular basis. `scales` (one per
     simple ideal, in the entry's split order) follow their ideals into the new

@@ -689,6 +689,60 @@ def test_the_draws_are_deterministic():
     assert len(list(liealg._cartan_draws(piece))) == liealg.CARTAN_DRAWS
 
 
+def test_the_first_draw_is_narrow_and_the_later_draws_widen():
+    piece = SubspaceBasis.full(6)
+    draws = list(liealg._cartan_draws(piece))
+    rng = random.Random(0)  # the first draw takes coefficients in -9..9
+    assert draws[0] == tuple(tuple(map(F, [rng.randint(-9, 9) for _ in range(6)])) for _ in range(2))
+    widths = [max(abs(x) for vec in pair for x in vec) for pair in draws]
+    assert all(w <= 9 << (3 * draw) for draw, w in enumerate(widths))
+    assert widths[-1] > 9 << (3 * (liealg.CARTAN_DRAWS - 2))
+
+
+def so3_power(k):
+    """so(3)^k in the standard basis: factor f on e_{3f}, e_{3f+1}, e_{3f+2}."""
+    return make_lie_algebra(3 * k, [(i + 3 * f, j + 3 * f, c + 3 * f, x) for f in range(k) for i, j, c, x in CYCLIC_SO3])
+
+
+def test_twenty_simple_factors_split_with_widened_draws(krylov_ranks):
+    # with 20 factors the root values of an X in -9..9 collide: a later,
+    # wider draw separates them
+    z, ideals = simple_ideal_decomposition(so3_power(20))
+    assert z.dim == 0
+    assert ideals == tuple(unit_subspace(60, [3 * f, 3 * f + 1, 3 * f + 2]) for f in range(20))
+    assert any(rank < steps for rank, steps in krylov_ranks)
+
+
+SU2_OVER_Q_SQRT2 = [  # a_i = e_i and b_i = sqrt(2) e_i of su(2) over Q(sqrt 2)
+    entry for i, j, k, c in CYCLIC_SO3
+    for entry in ((i, j, k, c), (i, 3 + j, 3 + k, c), (j, 3 + i, 3 + k, -c), (3 + i, 3 + j, k, 2 * c))
+]
+
+
+@pytest.mark.parametrize("with_so3", [False, True])
+def test_a_simple_ideal_that_is_not_absolutely_simple_stays_whole(with_so3, monkeypatch):
+    # the centroid of su(2) over Q(sqrt 2) is Q(sqrt 2): its non-scalar
+    # elements have the one primary kernel of x^2 - 2c^2, and no element splits
+    counts = []
+    primary_kernels = liealg.primary_kernels
+    monkeypatch.setattr(liealg, "primary_kernels", lambda S: counts.append(len(primary_kernels(S))) or primary_kernels(S))
+    L = make_lie_algebra(9, direct_sum_entries(CYCLIC_SO3, 3, SU2_OVER_Q_SQRT2)) if with_so3 else make_lie_algebra(6, SU2_OVER_Q_SQRT2)
+    z, ideals = simple_ideal_decomposition(L)
+    assert z.dim == 0
+    assert [s.dim for s in ideals] == ([3, 6] if with_so3 else [6])
+    assert ideals[-1] == unit_subspace(L.dim, range(L.dim - 6, L.dim))
+    assert counts[-1] == 1
+
+
+def test_a_centroid_element_that_is_not_semisimple_is_a_workbench_error(monkeypatch):
+    def refuse(S):
+        raise ValueError("the matrix is not semisimple")
+
+    monkeypatch.setattr(liealg, "primary_kernels", refuse)
+    with pytest.raises(WorkbenchError, match="centroid element on an ideal of dim 6 is not semisimple"):
+        simple_ideal_decomposition(so3_plus_so3())
+
+
 # --- zero-skipping bracket and adjoint against the dense oracles -------------------
 
 

@@ -49,6 +49,8 @@ from oracles import (
     fraction_rref,
     fraction_signature,
     gauss_rank,
+    horner_eval_matrix,
+    poly_mul,
     poly_pow_mod,
     pow_linear_mod_p,
     reference_rational_roots,
@@ -195,7 +197,7 @@ def test_factor_poly_matches_the_sympy_route(factors, lead):
     # non-monic products, repeated factors and roots beyond 2^30 included
     f = (lead,)
     for factor in factors:
-        f = linalg.poly_mul(f, factor)
+        f = poly_mul(f, factor)
     assert factor_poly(f) == sympy_route(f)
 
 
@@ -204,11 +206,11 @@ def test_factor_poly_leaves_only_the_nonlinear_part_to_sympy(monkeypatch):
     sympy_factors = linalg._sympy_factors
     monkeypatch.setattr(linalg, "_sympy_factors", lambda cs: seen.append(cs) or sympy_factors(cs))
     # 3 (x - 1/2)^2 (x + 7): every root is certified mod p; the content drops
-    f = linalg.poly_mul(linalg.poly_mul((Fraction(-3, 2), rat(3)), (Fraction(-1, 2), rat(1))), (rat(7), rat(1)))
+    f = poly_mul(poly_mul((Fraction(-3, 2), rat(3)), (Fraction(-1, 2), rat(1))), (rat(7), rat(1)))
     assert factor_poly(f) == (((Fraction(-1, 2), rat(1)), 2), ((rat(7), rat(1)), 1))
     assert seen == []
     # (x - 2)(x^2 + 1): only x^2 + 1 goes to sympy
-    f = linalg.poly_mul((rat(-2), rat(1)), (rat(1), rat(0), rat(1)))
+    f = poly_mul((rat(-2), rat(1)), (rat(1), rat(0), rat(1)))
     assert factor_poly(f) == (((rat(-2), rat(1)), 1), ((rat(1), rat(0), rat(1)), 1))
     assert seen == [[rat(1), rat(0), rat(1)]]
     # (x - a)^4 (x - b)^4 with roots of 41 and 43 digits: found without sympy
@@ -223,9 +225,9 @@ def product_of_roots(roots, lead, extra=()):
     """lead times the product of x - r over the roots and of the extra factors."""
     f = (Fraction(lead),)
     for root in roots:
-        f = linalg.poly_mul(f, (-root, rat(1)))
+        f = poly_mul(f, (-root, rat(1)))
     for factor in extra:
-        f = linalg.poly_mul(f, factor)
+        f = poly_mul(f, factor)
     return f
 
 
@@ -314,17 +316,55 @@ def test_linear_power_matches_square_and_multiply(degree):
             assert pow_linear_mod_p(c, n, m) == poly_pow_mod([c, 1], n, m, P), (c, n)
 
 
-@settings(max_examples=30)
-@given(small_matrix(3, 3))
-def test_primary_kernels_split_invariantly(rows):
-    # the primary kernels are A-invariant and Q^n is their direct sum
-    A = fraction_matrix(rows)
+COMPANIONS = {  # the companion block of each irreducible quadratic
+    (Fraction(-2), Fraction(0), Fraction(1)): ((0, 2), (1, 0)),
+    (Fraction(1), Fraction(0), Fraction(1)): ((0, -1), (1, 0)),
+}
+diagonal_blocks = st.one_of(
+    small_fractions.map(lambda root: ((-root, Fraction(1)), ((root,),))),
+    st.sampled_from(sorted(COMPANIONS.items())),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(diagonal_blocks, min_size=2, max_size=4), st.integers(0, 2**32))
+def test_primary_kernels_split_invariantly(blocks, seed):
+    # a semisimple A = P D P^-1, D block diagonal with rational eigenvalues and
+    # companion blocks of x^2 - 2 and x^2 + 1: the kernel of f(A) is spanned
+    # by the columns of P at the blocks of f, one kernel per distinct f
+    n = sum(len(block) for _, block in blocks)
+    D = [[Fraction(0)] * n for _ in range(n)]
+    columns, at = {}, 0
+    for f, block in blocks:
+        for i, row in enumerate(block):
+            D[at + i][at : at + len(block)] = map(Fraction, row)
+        columns.setdefault(f, []).extend(range(at, at + len(block)))
+        at += len(block)
+    P, Pinv = unimodular(n, random.Random(seed))
+    A = fraction_matrix(dense_mul(dense_mul(P, D), Pinv))
+    factors = [f for f, _ in factor_poly(charpoly(A))]
+    assert sorted(factors) == sorted(columns)
     kernels = primary_kernels(A)
-    assert sum(len(K) for K in kernels) == len(A)
-    assert len(rref([v for K in kernels for v in K], len(A))[0]) == len(A)
-    for K in kernels:
+    assert len(kernels) == len(factors)
+    for f, K in zip(factors, kernels):
+        assert K == rref([[P[i][c] for i in range(n)] for c in columns[f]], n)[0]
         for v in K:
-            assert coords_in_rref(K, rref(K, len(A))[1], matvec(A, v)) is not None
+            assert coords_in_rref(K, rref(K, n)[1], matvec(A, v)) is not None
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 2]], [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]])
+def test_primary_kernels_refuse_a_matrix_that_is_not_semisimple(rows):
+    # a Jordan block: ker f(A) is short of the primary component of f
+    with pytest.raises(ValueError, match="not semisimple"):
+        primary_kernels(fraction_matrix(rows))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(small_fractions, min_size=d + 1, max_size=d + 1)), small_matrix(3, 3))
+def test_poly_eval_matrix_matches_the_horner_loop(coeffs, rows):
+    # Horner's loop from lead A + c I agrees with the loop from lead I, degrees 0 to 4
+    A = fraction_matrix(rows)
+    assert poly_eval_matrix(coeffs, A) == horner_eval_matrix(coeffs, A)
 
 
 # --- zero-skipping kernels against the dense oracles -----------------------------

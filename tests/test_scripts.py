@@ -83,3 +83,18 @@ def check_time_dense_files(tmp_path, capsys, flags):
     capsys.readouterr()
     assert main(["--json", str(spec)]) == 0
     assert digest == hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_time_dense_files_times_a_spec_file_as_it_is(capsys):
+    # an argument ending in .json is an existing file, named by its file name
+    spec = REPO / "tests" / "data" / "so3_plus_su2_over_q_sqrt2.json"
+    proc = run_script("time_dense_files.py", str(spec.relative_to(REPO)), "so3so3_mod_diag")
+    assert proc.returncode == 0, proc.stderr
+    header, row, dense_row = proc.stdout.splitlines()
+    name, g, slash, m, seconds, rss, digest = row.split()
+    assert [name, g, slash, m] == [spec.name, "9", "/", "8"]
+    assert float(seconds) > 0 and float(rss) > 0
+    assert dense_row.split()[0] == "so3so3_mod_diag"
+    capsys.readouterr()
+    assert main(["--json", str(spec)]) == 0
+    assert digest == hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
