@@ -9,8 +9,9 @@ The opposite sign gives the anti-isomorphic algebra; comparisons are made only
 through isomorphism invariants (dimension, center dimension, Killing inertia).
 
 Each structure is built from what the pair already proves and is not
-re-checked: m^h is bracket-closed on a reductive pair, g1 = [g, g] is an
-ideal, and on a normal pair g's metric restricts to an invariant one on k.
+re-checked: m^h is bracket-closed on a reductive pair, which every pair is
+by construction, g1 = [g, g] is an ideal, and on a normal pair g's metric
+restricts to an invariant one on k.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotEffective, NotNormal, NotReductive
+from .errors import NotEffective, NotNormal
 from .homspace import ReductivePair, isotropy_fixed_subspace
 from .liealg import (
     CheckResult,
@@ -30,7 +31,7 @@ from .liealg import (
     derived_subalgebra,
     orthogonal_complement,
 )
-from .linalg import matvec, rref, transpose, _add_row_mod_p, _integer_rows
+from .linalg import matmul, matvec, rref, transpose, _add_row_mod_p, _integer_rows
 from .record import Record
 
 K_BRACKET_CONVENTION = "[X,Y]_k = -[X,Y]_m"
@@ -56,8 +57,6 @@ def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
     It is an ideal of g for every reductive pair, so it gets no sweep: [h, m]
     and [m, h] lie in m, and for h_i in h, [h_i, [X, Y]_h] is [h_i, [X, Y]]
     (in [m, m]) minus [h_i, [X, Y]_m] (in m)."""
-    if not pair.flags.reductive:
-        raise NotReductive("transvection algebra needs a reductive pair")
     s = pair.h.dim
     h_parts = [  # sorted terms: [m_a, m_b] has an h-part iff its first term is one
         {t: v for t, v in terms if t < s}
@@ -73,7 +72,7 @@ def transvection_algebra(pair: ReductivePair) -> SubspaceBasis:
     if any(_add_row_mod_p(pivots, row) and len(pivots) == s for row in h_parts):
         return SubspaceBasis.full(pair.algebra.dim)
     span, _ = rref(h_parts, s)  # only the rref rows of their span are mapped through h
-    vectors = [*pair.m.rows, *(pair.from_h_terms(enumerate(row)) for row in span)]
+    vectors = [*pair.m.rows, *matmul(span, pair.h.rows)]
     return SubspaceBasis.from_vectors(pair.algebra.dim, vectors)
 
 
@@ -123,8 +122,6 @@ def invariant_field_algebra(pair: ReductivePair) -> InvariantFieldAlgebra:
     lies in h and in m), so the carrier coordinates of a bracket are its
     values at the carrier's leading m-indices. k gets no Jacobi sweep, as it
     is the opposite of n_g(h)/h, and no metric check (module docstring)."""
-    if not pair.flags.reductive:
-        raise NotReductive("invariant-field algebra needs a reductive pair")
     carrier = isotropy_fixed_subspace(pair)
     status = "invariant-fields" if pair.flags.normal else "upper-bound-candidate"
     # the carrier's m-coordinates over one denominator D are rref: row k is D at
@@ -153,8 +150,6 @@ def invariant_field_killing_check(pair: ReductivePair) -> CheckResult:
     The defect is linear in X, so it is the naturally reductive defect
     contracted with the m-coordinates of X; when the adapted table has no
     naturally reductive witness, that defect and every contraction vanish."""
-    if not pair.flags.reductive:
-        raise NotReductive("Killing check needs a reductive pair")
     if pair.table.nr_witness is None:
         return CheckResult(True)
     table = pair.table

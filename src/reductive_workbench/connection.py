@@ -19,7 +19,6 @@ identity) and the Bianchi identity through the Jacobi check's cyclic routine.
 
 from __future__ import annotations
 
-from .errors import NotReductive
 from .homspace import AdaptedTable, ReductivePair
 from .liealg import _cyclic_witness
 
@@ -33,8 +32,6 @@ CONVENTIONS = {
 
 def connection_tensors_at_basepoint(pair: ReductivePair) -> AdaptedTable:
     """The adapted table, from which every basepoint tensor above is read."""
-    if not pair.flags.reductive:
-        raise NotReductive("connection tensors need a reductive pair")
     return pair.table
 
 

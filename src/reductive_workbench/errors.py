@@ -57,7 +57,7 @@ class InvalidDecomposition(WorkbenchError):
 
 
 class NotReductive(WorkbenchError):
-    """Operation requires [h, m] inside m."""
+    """[h, m] leaves m: the pair constructor refuses such an m."""
 
 
 class NotInM(WorkbenchError):

@@ -1,7 +1,9 @@
 """Reductive decompositions g = h + m and their classification.
 
-Builds normal decompositions (m = orthogonal complement of h with respect to
-an invariant positive-definite metric), verifies all flags exactly, finds the
+Every pair is reductive by construction: its constructor refuses an m that
+[h, m] leaves. Builds normal decompositions (m = orthogonal complement of h
+with respect to an invariant positive-definite metric), verifies all flags
+exactly, reads effectiveness from the adapted table, finds the
 fixed set of the isotropy representation on m and decides whether it is
 irreducible over R, both by one sparse kernel each: no characteristic
 polynomial is formed, so nothing here loads sympy.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import (
     InvalidDecomposition,
@@ -43,7 +44,6 @@ from .liealg import (
     TripleWitness,
     _canonical,
     _invariance_witness,
-    _largest_ideal_in,
     _table_bracket,
     _table_row,
     ad_invariance_check,
@@ -94,8 +94,8 @@ class MetricSpec(Record):
 
 def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
     """Assemble the invariant metric described by `spec` and check that it is
-    positive-definite; its invariance is verified once, by the normal flag of
-    the pair built on it (see `normal_decomposition`).
+    positive-definite; its invariance is verified once, by
+    `normal_decomposition`.
 
     B vanishes on z and pairs distinct simple ideals to zero, so the recipe is
     -B plus the center Gram matrix on the z-coordinates plus (1 - s) B(x_I, y)
@@ -147,7 +147,6 @@ def build_metric(L: LieAlgebra, spec: MetricSpec) -> BilinearForm:
 
 
 class ReductiveFlags(Record):
-    reductive: bool
     normal: bool
     naturally_reductive: bool
     effective: bool
@@ -192,11 +191,12 @@ class AdaptedTable(Record):
 
 
 class ReductivePair(Record, eq=False, uncompared=("table",)):
-    """The decomposition g = h + m with its verified flags.
+    """The reductive decomposition g = h + m with its verified flags.
 
-    `table` is the adapted table, None when the pair is not reductive. A pair
-    is equal only to itself and hashes by identity, so the caches keyed by a
-    pair look it up without hashing its fields.
+    `table` is the adapted table, which every pair has: its constructor
+    refuses an m that [h, m] leaves. A pair is equal only to itself and
+    hashes by identity, so the caches keyed by a pair look it up without
+    hashing its fields.
     """
 
     algebra: LieAlgebra
@@ -204,7 +204,7 @@ class ReductivePair(Record, eq=False, uncompared=("table",)):
     m: SubspaceBasis
     metric: BilinearForm
     flags: ReductiveFlags
-    table: AdaptedTable | None
+    table: AdaptedTable
 
     def m_terms(self, X: Vector) -> Terms:
         """The nonzero adapted terms (s + a, c) of X = sum c m_a in m: m's rows
@@ -212,32 +212,14 @@ class ReductivePair(Record, eq=False, uncompared=("table",)):
         s = self.h.dim
         return tuple((s + a, X[p]) for a, p in enumerate(self.m.pivots) if X[p])
 
-    def from_h_terms(self, terms: Iterable[tuple[int, Fraction]]) -> Vector:
-        """The vector sum c h_i over the (i, c) terms, in ambient coordinates."""
-        return _combine(terms, self.h.rows, self.algebra.dim)
 
-    def from_m_terms(self, terms: Iterable[tuple[int, Fraction]]) -> Vector:
-        """The vector sum c m_a over the (a, c) terms, in ambient coordinates."""
-        return _combine(terms, self.m.rows, self.algebra.dim)
-
-
-def _combine(terms: Iterable[tuple[int, Fraction]], rows: Matrix, dim: int) -> Vector:
-    out = [ZERO] * dim
-    for a, c in terms:
-        if c:
-            for k, x in enumerate(rows[a]):
-                if x:
-                    out[k] += c * x
-    return tuple(out)
-
-
-def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Matrix) -> AdaptedTable | None:
-    """The adapted table, or None when some [h_i, m_b] leaves m. The rows of h
-    and m are scaled to integers together, over E, and each one's row in the
-    layout of the integer table of L, over D, is formed once; every bracket
-    with m_b is read from it and then in the adapted basis by the integer
-    inverse of that basis, over C: each term is over the one scale C D E^2.
-    Raises InvalidDecomposition when h and m meet."""
+def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Matrix) -> AdaptedTable:
+    """The adapted table. The rows of h and m are scaled to integers
+    together, over E, and each one's row in the layout of the integer table
+    of L, over D, is formed once; every bracket with m_b is read from it and
+    then in the adapted basis by the integer inverse of that basis, over C:
+    each term is over the one scale C D E^2. Raises InvalidDecomposition when
+    h and m meet and NotReductive at the first [h_i, m_b] that leaves m."""
     s, r = h.dim, m.dim
     basis = h.rows + m.rows
     try:
@@ -264,7 +246,7 @@ def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Ma
         for b in range(r):
             if terms := split(row, b):
                 if terms[0][0] < s:  # sorted terms: an h-part comes first
-                    return None
+                    raise NotReductive(f"[h_{i}, m_{b}] leaves m: witness ({i}, {b})")
                 rows[i][s + b] = terms
     for a in range(r - 1):
         row = (_table_row(g_rows, scaled[s + a]),)
@@ -282,31 +264,39 @@ def _adapted_table(L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, gram_m: Ma
 def make_reductive_pair(
     L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, metric: BilinearForm
 ) -> ReductivePair:
-    """General constructor: flags are computed, not assumed."""
+    """General constructor for any reductive pair: flags are computed, not
+    assumed. Raises NotASubalgebra when h is not a subalgebra,
+    InvalidDecomposition when h + m is not a direct sum equal to g, and
+    NotReductive, naming the first (i, b), when [h_i, m_b] leaves m."""
     sub_check = is_subalgebra(L, h)
     if not sub_check.ok:
         raise NotASubalgebra(sub_check.witness)
-    return _reductive_pair(L, h, m, metric)
+    invariant = metric.definiteness == "positive-definite" and ad_invariance_check(L, metric).ok
+    return _reductive_pair(L, h, m, metric, invariant)
 
 
 def _reductive_pair(
-    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, metric: BilinearForm
+    L: LieAlgebra, h: SubspaceBasis, m: SubspaceBasis, metric: BilinearForm, invariant: bool
 ) -> ReductivePair:
-    """`make_reductive_pair` for an h already checked to be a subalgebra."""
+    """`make_reductive_pair` for an h already checked to be a subalgebra;
+    `invariant` is the caller's verdict: the metric is positive-definite and invariant."""
     if h.dim + m.dim != L.dim:
         raise InvalidDecomposition(f"dim h + dim m = {h.dim + m.dim} != {L.dim}")
     images = matmul(m.rows, metric.gram)  # G.m_b, as the metric is symmetric
     table = _adapted_table(L, h, m, matmul(m.rows, transpose(images)))
-    reductive = table is not None
-    nr = reductive and table.nr_witness is None
     # h + m = g, so for a positive-definite metric m = h-perp iff every <h_i, m_b> = 0
-    normal = (
-        metric.definiteness == "positive-definite"
-        and ad_invariance_check(L, metric).ok
-        and not any(map(any, matmul(h.rows, transpose(images)) if m.dim else ()))
-    )
-    effective = _largest_ideal_in(L, h).dim == 0
-    flags = ReductiveFlags(reductive, normal, nr, effective)
+    normal = invariant and not any(map(any, matmul(h.rows, transpose(images)) if m.dim else ()))
+    # K = {x in h : [x, m] = 0} is the largest ideal of g inside h: it is an
+    # ideal, as [h, m] lies in m and Jacobi gives [[x, y], m] = 0 for y in h,
+    # and an ideal I inside h has [I, m] in I and m, so zero. The pair is
+    # effective iff no nonzero y has sum y_i [h_i, m_b] = 0 for every b.
+    equations: dict[tuple[int, int], dict[int, int]] = {}  # (b, t) -> {i: coefficient}
+    for i, row in enumerate(table.rows[: h.dim]):
+        for b, terms in row.items():
+            for t, v in terms:
+                equations.setdefault((b, t), {})[i] = v
+    effective = not kernel(list(equations.values()), h.dim)
+    flags = ReductiveFlags(normal, table.nr_witness is None, effective)
     return ReductivePair(L, h, m, metric, flags, table)
 
 
@@ -317,8 +307,9 @@ def normal_decomposition(
 
     Accepts a MetricSpec (default: plain -Killing with identity on the center)
     or an explicit BilinearForm. The metric is verified to be positive-definite
-    here and invariant by the pair's normal flag, which also yields the
-    reductive flag: [h, m] lies in m for every invariant metric.
+    and then invariant, once, before m is formed: a metric that is not raises
+    MetricNotAdInvariant with the first witness and builds no adapted table.
+    [h, m] lies in m for every invariant metric, so the pair is reductive.
     """
     sub_check = is_subalgebra(L, h)
     if not sub_check.ok:
@@ -331,26 +322,20 @@ def normal_decomposition(
         form = spec_or_form
         if form.definiteness != "positive-definite":
             raise MetricNotPositiveDefinite(f"metric is {form.definiteness}")
-    m = orthogonal_complement(h, form)
-    pair = _reductive_pair(L, h, m, form)
-    if not pair.flags.normal:
-        # m is the complement of a positive-definite form: only invariance can fail
-        raise MetricNotAdInvariant(f"witness {ad_invariance_check(L, form).witness}")
-    return pair
+    invariance = ad_invariance_check(L, form)
+    if not invariance.ok:
+        raise MetricNotAdInvariant(f"witness {invariance.witness}")
+    return _reductive_pair(L, h, orthogonal_complement(h, form), form, True)
 
 
 def naturally_reductive_check(pair: ReductivePair) -> CheckResult:
     """<[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 over ordered basis triples of m."""
-    if not pair.flags.reductive:
-        raise NotReductive("naturally reductive check needs a reductive pair")
     witness = pair.table.nr_witness
     return CheckResult(witness is None, witness)
 
 
 def normalizer_invariance_check(pair: ReductivePair) -> CheckResult:
     """Does the normalizer algebra of h keep m invariant: [n_g(h), m] in m?"""
-    if not pair.flags.reductive:
-        raise NotReductive("normalizer invariance check needs a reductive pair")
     # write u = u_h + X along h + m: [u_h, h] lies in h and [X, h] in m, so u
     # normalizes h iff X lies in m^h; [u_h, m] lies in m, so u keeps m
     # invariant iff [X, m_b]_h = 0 for every b: the rows of m^h decide it
@@ -368,8 +353,6 @@ def normalizer_invariance_check(pair: ReductivePair) -> CheckResult:
 @lru_cache(maxsize=None)
 def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
     """m^h = {X in m : [h, X] = 0}, the fixed set of the isotropy action."""
-    if not pair.flags.reductive:
-        raise NotReductive("fixed subspace needs a reductive pair")
     if pair.h.dim == 0 or pair.m.dim == 0:
         return pair.m
     # one equation per (i, c): the coefficient of m_c in [h_i, X] vanishes
@@ -380,7 +363,7 @@ def isotropy_fixed_subspace(pair: ReductivePair) -> SubspaceBasis:
         for c in range(r)
     ]
     # rref m-coordinates through the rref rows of m are the rref of m^h
-    return _canonical(pair.algebra.dim, [pair.from_m_terms(enumerate(t)) for t in kernel(system, r)])
+    return _canonical(pair.algebra.dim, matmul(kernel(system, r), pair.m.rows))
 
 
 def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
@@ -395,8 +378,6 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
     the entry (A^T Q + Q A)[a][b] of A = ad(h_i)|_m. A nonzero fixed set m^h
     with dim m >= 2 is invariant and decides "reducible" without the system.
     """
-    if not pair.flags.reductive:
-        raise NotReductive("irreducibility probe needs a reductive pair")
     if not pair.flags.normal:
         raise NotNormal("irreducibility probe needs a normal pair")
     r = pair.m.dim

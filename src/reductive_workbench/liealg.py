@@ -571,20 +571,16 @@ def is_subalgebra(L: LieAlgebra, sub: SubspaceBasis) -> CheckResult:
 
 
 def largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
-    """Largest ideal of L contained in the subalgebra h."""
-    if not is_subalgebra(L, h):
-        raise NotASubalgebra()
-    return _largest_ideal_in(L, h)
-
-
-def _largest_ideal_in(L: LieAlgebra, h: SubspaceBasis) -> SubspaceBasis:
-    """`largest_ideal_in` for an h already checked to be a subalgebra.
+    """Largest ideal of L contained in the subalgebra h.
 
     A subspace I of h is an ideal iff its annihilator contains that of h and
     is closed under phi -> phi o ad(e_i), so the largest ideal is the kernel
     of the closure of the annihilator of h under those maps: each functional
-    that joins the integer pivot rows is mapped once, by `coadjoint`.
+    that joins the integer pivot rows is mapped once, by `coadjoint`. A
+    reductive pair reads its effectiveness from its adapted table instead.
     """
+    if not is_subalgebra(L, h):
+        raise NotASubalgebra()
     pivots: dict[int, dict[int, int]] = {}
     queue = [phi for phi in h.annihilator() if _add_row(pivots, dict(_integer_support(phi)[1]))]
     while queue and len(pivots) < L.dim:

@@ -225,7 +225,7 @@ def run_report(
     iso = _step("isometry_report", isometry_report, pair, assertions, probe, aff)
 
     flags = {
-        "reductive": pair.flags.reductive,
+        "reductive": True,  # every pair is reductive: its constructor refuses an m that [h, m] leaves
         "normal": pair.flags.normal,
         "naturally_reductive": pair.flags.naturally_reductive,
         "effective": pair.flags.effective,

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench.affine import (
-    invariant_field_algebra,
-    invariant_field_killing_check,
-    transvection_algebra,
-)
+from reductive_workbench.affine import invariant_field_killing_check
 from reductive_workbench.catalog import CURATED_NAMES, construct
-from reductive_workbench.connection import connection_tensors_at_basepoint
 from reductive_workbench.errors import (
     InvalidDecomposition,
     InvalidMetricSpec,
@@ -38,6 +33,7 @@ from reductive_workbench.liealg import (
     center,
     derived_subalgebra,
     killing_form,
+    largest_ideal_in,
     make_bilinear_form,
     make_lie_algebra,
     simple_ideal_decomposition,
@@ -45,7 +41,7 @@ from reductive_workbench.liealg import (
 from reductive_workbench import homspace
 from reductive_workbench.homspace import _adapted_table
 from reductive_workbench.liealg import _table_bracket
-from reductive_workbench.linalg import _integer_rows, identity, mat_inverse, rat, transpose
+from reductive_workbench.linalg import _integer_rows, identity, mat_inverse, matmul, rat, transpose
 
 from oracles import (
     dense_block_metric,
@@ -108,7 +104,7 @@ def test_sphere_pair_decomposition_and_flags():
     pair = sphere_pair()
     assert pair.m == unit_subspace(3, [0, 1])
     f = pair.flags
-    assert (f.reductive, f.normal, f.naturally_reductive, f.effective) == (True,) * 4
+    assert (f.normal, f.naturally_reductive, f.effective) == (True,) * 3
 
 
 def test_diagonal_pair_is_antidiagonal_and_effective():
@@ -127,23 +123,48 @@ def test_second_factor_pair_is_not_effective():
     assert pair.m == unit_subspace(6, [0, 1, 2])
 
 
+def hand_built_pair(L, h_indices, m_indices):
+    # coordinate h and m under the identity metric, through the general constructor
+    metric = make_bilinear_form(identity(L.dim))
+    return make_reductive_pair(L, unit_subspace(L.dim, h_indices), unit_subspace(L.dim, m_indices), metric)
+
+
+SL2 = make_lie_algebra(3, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)], ["H", "E", "F"])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=name: construct(name).pair, id=name)
+     for name in (*CURATED_NAMES, "so8_mod_so7", "su8_mod_su7", "so8so8_mod_diag")]
+    + [
+        pytest.param(lambda: hand_built_pair(cyclic_so3(), [0, 1, 2], []), id="h_is_g"),
+        pytest.param(lambda: hand_built_pair(abelian(2), [0], [1]), id="r2_abelian_ideal"),
+        pytest.param(lambda: hand_built_pair(SL2, [0], [1, 2]), id="sl2_cartan"),
+        pytest.param(lambda: hand_built_pair(so3_plus_so3(), [], range(6)), id="h_is_zero"),
+    ],
+)
+def test_effective_flag_is_the_largest_ideal_test(make):
+    # the flag reads the kernel of h -> gl(m) from the adapted table; the
+    # coadjoint worklist of largest_ideal_in is the reference
+    pair = make()
+    assert pair.flags.effective == (largest_ideal_in(pair.algebra, pair.h).dim == 0)
+
+
 def test_projections_identities():
     # a vector of m is read in adapted indices s + a at the pivots of m; the
     # adapted table's entries against the dense brackets are checked entrywise
     # in test_adapted_table_is_integer_over_its_two_scales
-    from reductive_workbench.linalg import identity
-
     for pair in (so4_mod_so2_pair(), diagonal_pair()):
         s = pair.h.dim
         for a, row in enumerate(pair.m.rows):
             assert pair.m_terms(row) == ((s + a, 1),)
-        for i, row in enumerate(pair.h.rows):
-            assert pair.from_h_terms(((i, 1),)) == row
-        terms = tuple((a, F(a + 1, 3)) for a in range(pair.m.dim))
-        assert pair.m_terms(pair.from_m_terms(terms)) == tuple((s + a, c) for a, c in terms)
+        coords = tuple(F(a + 1, 3) for a in range(pair.m.dim))
+        (combined,) = matmul([coords], pair.m.rows)
+        assert pair.m_terms(combined) == tuple((s + a, c) for a, c in enumerate(coords))
         for e in identity(pair.algebra.dim):
             in_m = tuple(dense_project_m(pair.h.rows, pair.m.rows, e))
-            assert pair.from_m_terms((t - s, c) for t, c in pair.m_terms(in_m)) == in_m
+            read = dict(pair.m_terms(in_m))
+            assert matmul([[read.get(s + a, 0) for a in range(pair.m.dim)]], pair.m.rows) == (in_m,)
 
 
 def test_normal_decomposition_rejects_non_subalgebra():
@@ -169,26 +190,27 @@ def so3_pair(m_rows):
     return make_reductive_pair(cyclic_so3(), unit_subspace(3, [2]), m, metric)
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        naturally_reductive_check,
-        normalizer_invariance_check,
-        isotropy_fixed_subspace,
-        isotropy_irreducibility_probe,
-        transvection_algebra,
-        invariant_field_algebra,
-        invariant_field_killing_check,
-        connection_tensors_at_basepoint,
-    ],
-)
-def test_guarded_entry_points_refuse_a_non_reductive_pair(check):
-    # m = span(L1, L2 + L3): [L3, L1] = L2 = (L2 + L3) - L3 leaves m; the pair
-    # has no adapted table, and each guard must say why
-    pair = so3_pair([[1, 0, 0], [0, 1, 1]])
-    assert not pair.flags.reductive and pair.table is None
-    with pytest.raises(NotReductive):
-        check(pair)
+def test_make_reductive_pair_refuses_an_m_that_h_moves_out():
+    # m = span(L1, L2 + L3): [L3, L1] = L2 = (L2 + L3) - L3 leaves m, so the
+    # constructor refuses at h_0 = L3 and m_0 = L1, 0-based like every witness
+    with pytest.raises(NotReductive) as exc:
+        so3_pair([[1, 0, 0], [0, 1, 1]])
+    assert str(exc.value) == "[h_0, m_0] leaves m: witness (0, 0)"
+
+
+def test_normal_decomposition_builds_no_table_for_a_non_invariant_metric(monkeypatch):
+    # the invariance check runs once, before m is formed, and no adapted
+    # table is built for the refused metric
+    L = cyclic_so3()
+    built, checked = [], []
+    monkeypatch.setattr(homspace, "_adapted_table", lambda *args: built.append(args) or _adapted_table(*args))
+    real_check = homspace.ad_invariance_check
+    monkeypatch.setattr(homspace, "ad_invariance_check", lambda *args: checked.append(args) or real_check(*args))
+    with pytest.raises(MetricNotAdInvariant):
+        normal_decomposition(L, unit_subspace(3, [2]), make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]]))
+    assert built == [] and len(checked) == 1
+    normal_decomposition(L, unit_subspace(3, [2]))
+    assert len(built) == 1 and len(checked) == 2
 
 
 @pytest.mark.parametrize("m_rows", [[[1, 0, 0]], [[1, 0, 0], [0, 0, 1]]], ids=["short_m", "m_meets_h"])
@@ -294,7 +316,7 @@ def test_reductive_pair_with_m_not_orthogonal_to_h_is_not_normal():
     L = make_lie_algebra(4, CYCLIC_SO3)
     m = SubspaceBasis.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     pair = make_reductive_pair(L, unit_subspace(4, [3]), m, build_metric(L, MetricSpec()))
-    assert pair.flags.reductive and not pair.flags.normal
+    assert not pair.flags.normal
 
 
 @settings(max_examples=15, deadline=None)
@@ -409,18 +431,24 @@ def test_adapted_table_is_integer_over_its_two_scales(make):
 
     bracket = dense_bracket(pair.algebra)
     m_part = dense_m_part(pair.algebra, pair.h.rows, pair.m.rows)
+
+    def combine(terms, rows):  # sum c rows[t] over the (t, c) terms, in ambient coordinates
+        coords = dict(terms)
+        (vector,) = matmul([[coords.get(t, 0) for t in range(len(rows))]], rows)
+        return list(vector) or [0] * pair.algebra.dim
+
     for a, x in enumerate(pair.m.rows):
         for b, y in enumerate(pair.m.rows):
             in_h, in_m = parts(s + a, b)
             expected = m_part(x, y)
-            assert list(pair.from_m_terms(in_m)) == expected
+            assert combine(in_m, pair.m.rows) == expected
             h_part = [u - v for u, v in zip(bracket(x, y), expected)]
-            assert list(pair.from_h_terms(in_h)) == h_part
+            assert combine(in_h, pair.h.rows) == h_part
     for i, u in enumerate(pair.h.rows):
         for b, y in enumerate(pair.m.rows):
             in_h, in_m = parts(i, b)
             assert in_h == []
-            assert list(pair.from_m_terms(in_m)) == bracket(u, y)
+            assert combine(in_m, pair.m.rows) == bracket(u, y)
     gram = [[F(dict(row).get(c, 0), table.gram_scale) for c in range(r)] for row in table.gram]
     assert gram == dense_pairings(pair.m.rows, pair.m.rows, pair.metric.gram)
 
@@ -487,10 +515,12 @@ def assert_adapted_table_matches_table_brackets(L, h_rows, m_rows):
     # the rows need not be echelon: the table reads them as they are given
     h = SubspaceBasis(L.dim, tuple(map(tuple, h_rows)), ())
     m = SubspaceBasis(L.dim, tuple(map(tuple, m_rows)), ())
-    table = _adapted_table(L, h, m, identity(len(m_rows)))
     expected = table_bracket_adapted_rows(L, h.rows, m.rows)
-    assert (table is None) == (expected is None)
-    if table is not None:
+    if expected is None:
+        with pytest.raises(NotReductive):
+            _adapted_table(L, h, m, identity(len(m_rows)))
+    else:
+        table = _adapted_table(L, h, m, identity(len(m_rows)))
         assert (table.scale, table.rows) == expected
 
 
@@ -514,7 +544,6 @@ def test_adapted_table_matches_pairwise_table_brackets_on_random_rows(name, data
 @pytest.mark.parametrize("path", sorted(DATA.glob("*_dense.json")), ids=lambda p: p.stem)
 def test_adapted_table_matches_pairwise_table_brackets_on_dense_files(path):
     pair = file_pair(path)
-    assert pair.table is not None
     assert_adapted_table_matches_table_brackets(pair.algebra, pair.h.rows, pair.m.rows)
 
 
@@ -580,7 +609,7 @@ def test_normalizer_check_brackets_nothing_when_h_is_zero(monkeypatch):
 
 def test_normalizer_moves_complement_in_heisenberg_pair():
     pair = heisenberg_center_pair()
-    assert pair.flags.reductive and pair.flags.naturally_reductive
+    assert pair.flags.naturally_reductive
     assert not pair.flags.normal
     res = normalizer_invariance_check(pair)
     assert not res.ok
@@ -706,9 +735,7 @@ def test_probe_known_answers_over_r(make, verdict):
 def test_probe_refuses_a_reductive_pair_that_is_not_normal():
     # sl(2) with h = span(H) and m = span(E, F): [h, m] lies in m, but the
     # identity metric is not invariant, so no rule over R applies
-    sl2 = make_lie_algebra(3, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)], ["H", "E", "F"])
-    metric = make_bilinear_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    pair = make_reductive_pair(sl2, unit_subspace(3, [0]), unit_subspace(3, [1, 2]), metric)
-    assert pair.flags.reductive and not pair.flags.normal
+    pair = hand_built_pair(SL2, [0], [1, 2])
+    assert not pair.flags.normal
     with pytest.raises(NotNormal):
         isotropy_irreducibility_probe(pair)

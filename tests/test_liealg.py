@@ -905,7 +905,7 @@ def test_modular_closure_dimension_is_a_lower_bound(name, data):
     vec = st.lists(closure_entries, min_size=L.dim, max_size=L.dim).map(tuple)
     seeds = data.draw(st.lists(vec, min_size=1, max_size=2))
     h = exact_closure(L, seeds)
-    assert liealg._largest_ideal_in(L, h).rows == fraction_matrix(largest_ideal_by_descent(L, h.rows))
+    assert largest_ideal_in(L, h).rows == fraction_matrix(largest_ideal_by_descent(L, h.rows))
 
 
 @pytest.mark.parametrize(
@@ -965,7 +965,7 @@ def test_largest_ideal_matches_the_descending_chain_oracle(name, data):
     seeds = [draw_vector(data, L.dim) for _ in range(data.draw(st.integers(1, 2)))]
     h = exact_closure(L, seeds)
     expected = largest_ideal_by_descent(L, h.rows)
-    assert liealg._largest_ideal_in(L, h).rows == fraction_matrix(expected)
+    assert largest_ideal_in(L, h).rows == fraction_matrix(expected)
 
 
 @pytest.mark.parametrize("name", catalog_names())
