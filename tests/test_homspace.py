@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductive_workbench.affine import invariant_field_killing_check
+from reductive_workbench.affine import (
+    invariant_field_algebra,
+    invariant_field_killing_check,
+    transvection_algebra,
+)
 from reductive_workbench.catalog import CURATED_NAMES, construct
+from reductive_workbench.connection import connection_tensors_at_basepoint
 from reductive_workbench.errors import (
     InvalidDecomposition,
     InvalidMetricSpec,
@@ -196,6 +201,32 @@ def test_make_reductive_pair_refuses_an_m_that_h_moves_out():
     with pytest.raises(NotReductive) as exc:
         so3_pair([[1, 0, 0], [0, 1, 1]])
     assert str(exc.value) == "[h_0, m_0] leaves m: witness (0, 0)"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        naturally_reductive_check,
+        normalizer_invariance_check,
+        isotropy_fixed_subspace,
+        isotropy_irreducibility_probe,
+        transvection_algebra,
+        invariant_field_algebra,
+        invariant_field_killing_check,
+        connection_tensors_at_basepoint,
+    ],
+)
+def test_guarded_entry_points_refuse_a_non_reductive_pair(check):
+    # the guard of each entry point is the constructor: the non-reductive
+    # m = span(L1, L2 + L3) is refused before the entry point is reached, and
+    # the reductive m = span(L1, L2) goes through it on its adapted table
+    ran = []
+    with pytest.raises(NotReductive, match=r"witness \(0, 0\)$"):
+        ran.append(check(so3_pair([[1, 0, 0], [0, 1, 1]])))
+    assert ran == []
+    pair = so3_pair([[1, 0, 0], [0, 1, 0]])
+    assert pair.table is not None
+    check(pair)
 
 
 def test_normal_decomposition_builds_no_table_for_a_non_invariant_metric(monkeypatch):
