@@ -6,11 +6,12 @@ embeddings so(k) in so(n) and su(k) in su(n) (top-left block), the diagonal
 embedding of g in g+g, trivial subalgebras and abelian r(d). A family states
 only its basis labels and exact antisymmetric basis matrices;
 `numlab.make_matrix_realization` derives the structure constants from their
-commutators, formed over nonzero entries only (a family matrix has at most
-four, and a cross-block pair of a direct sum meets none), so every entry's
-algebra comes with its matrix realization. A corner, or the second summand of
-a direct sum, is read off the basis matrices as those supported in its block,
-so only a family's builder knows its basis order.
+integer commutators, formed only for the basis pairs that meet in a nonzero
+row and over nonzero entries only (a family matrix has at most four, and a
+cross-block pair of a direct sum never meets, so it is never formed), so
+every entry's algebra comes with its matrix realization. A corner, or the
+second summand of a direct sum, is read off the basis matrices as those
+supported in its block, so only a family's builder knows its basis order.
 
 Regression expectations for the curated entries are packaged data produced
 by scripts/compute_expected_catalog.py, never typed by hand. No report reads

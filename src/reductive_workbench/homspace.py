@@ -5,8 +5,9 @@ Every pair is reductive by construction: its constructor refuses an m that
 with respect to an invariant positive-definite metric), verifies all flags
 exactly, reads effectiveness from the adapted table, finds the
 fixed set of the isotropy representation on m and decides whether it is
-irreducible over R, both by one sparse kernel each: no characteristic
-polynomial is formed, so nothing here loads sympy.
+irreducible over R, both by one sparse kernel each (the probe's is certified
+"irreducible" by full rank mod PRIME): no characteristic polynomial is
+formed, so nothing here loads sympy.
 
 The default metric is -B, minus the Killing form; a recipe adds only its
 center Gram matrix and rescaled simple ideals to it. The adapted table
@@ -375,8 +376,11 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
     invariant eigenspaces. The action is therefore irreducible iff the
     h-invariant symmetric forms on m are the line of the metric: one sparse
     system in the unknowns Q[a][b], a <= b, with a row per h_i and a <= b for
-    the entry (A^T Q + Q A)[a][b] of A = ad(h_i)|_m. A nonzero fixed set m^h
-    with dim m >= 2 is invariant and decides "reducible" without the system.
+    the entry (A^T Q + Q A)[a][b] of A = ad(h_i)|_m. The metric solves it with
+    <m_0, m_0> > 0, so its line is the whole solution space iff the system
+    with the row Q[0][0] = 0 prepended has none: full rank, which `kernel`
+    certifies mod PRIME with no lift. A nonzero fixed set m^h with dim m >= 2
+    is invariant and decides "reducible" without the system.
     """
     if not pair.flags.normal:
         raise NotNormal("irreducibility probe needs a normal pair")
@@ -391,7 +395,7 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
         return a * (2 * r - a - 1) // 2 + b
 
     s = pair.h.dim
-    system = []
+    system: list[dict[int, int]] = [{0: 1}]  # Q[0][0] = 0
     for cols in pair.table.rows[:s]:  # column s + b of A as the terms (s + c, A[c][b])
         for a in range(r):
             for b in range(a, r):
@@ -403,4 +407,4 @@ def isotropy_irreducibility_probe(pair: ReductivePair) -> str:
                     k = unknown(a, c - s)
                     row[k] = row.get(k, 0) + x
                 system.append(row)
-    return "irreducible" if len(kernel(system, r * (r + 1) // 2)) == 1 else "reducible"
+    return "reducible" if kernel(system, r * (r + 1) // 2) else "irreducible"

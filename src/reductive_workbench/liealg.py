@@ -27,6 +27,8 @@ operators over one index, so each row of its Gram matrix is one sum.
 An algebra also caches its Killing form, center, derived subalgebra [g, g]
 and simple-ideal split, each built once on first use; `killing_form`,
 `center`, `derived_subalgebra` and `simple_ideal_decomposition` return them.
+The center is zero, with no elimination, when the cached Killing form is
+nondegenerate.
 
 Each subspace is reduced once: `kernel` returns rref rows, and `_canonical`
 wraps rows that are the rref by construction. The largest ideal inside h is
@@ -267,7 +269,8 @@ def _lie_algebra(
             raise IndexError(f"structure entry {(i, j, k)} out of range for dim {dim}")
         if i >= j:
             raise ValueError(f"structure entries must have i < j, got {(i, j)}")
-        acc[(i, j, k)] = acc.get((i, j, k), ZERO) + rat(c)
+        c = rat(c)
+        acc[i, j, k] = acc[i, j, k] + c if (i, j, k) in acc else c
     canonical = tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c)
     return LieAlgebra(dim, basis_labels, canonical)
 
@@ -525,6 +528,14 @@ def center(L: LieAlgebra) -> SubspaceBasis:
 
 
 def _build_center(L: LieAlgebra) -> SubspaceBasis:
+    """z lies in the radical of the Killing form B, as ad vanishes on it, so a
+    nondegenerate B (no zero in its inertia) certifies z = 0 with no
+    elimination. B is read only when L has cached it already, as g's metric
+    and split have; a degenerate or unbuilt B leaves z to the stacked-ad
+    centralizer kernel, which costs less than building B for it."""
+    killing = vars(L).get("_killing")
+    if killing is not None and not killing.inertia[2]:
+        return SubspaceBasis.zero(L.dim)
     return centralizer(L, SubspaceBasis.full(L.dim))
 
 

@@ -1,10 +1,11 @@
 """Matrix realizations, and a floating-point lab for numeric sanity checks.
 
 `make_matrix_realization` is the one route from exact antisymmetric basis
-matrices to an algebra: the commutator of each basis pair, formed over the
-nonzero entries of the two matrices and read in the span of the basis, gives
-the structure constants. They need no Jacobi sweep, because matrix
-commutators satisfy Jacobi.
+matrices to an algebra: the integer commutator of each basis pair that meets
+in a nonzero row, formed over the nonzero entries of the two matrices and
+read in the span of the basis, gives the structure constants; the other
+pairs commute. They need no Jacobi sweep, because matrix commutators satisfy
+Jacobi.
 Floats live only in the lab functions below; the exact engine never consumes
 a numeric result, and numpy is imported only when a float function runs.
 """
@@ -12,12 +13,13 @@ a numeric result, and numpy is imported only when a float function runs.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import NonFinite, NotInFixedSubspace, NotInM
 from .liealg import LieAlgebra, _lie_algebra
-from .linalg import Matrix, Vector, ZERO, identity, rref
+from .linalg import Matrix, Vector, _add_row, _integer_support
 from .record import Record
 
 if TYPE_CHECKING:
@@ -53,58 +55,90 @@ def make_matrix_realization(basis_matrices, labels=None) -> MatrixRealization:
     """Derive the algebra spanned by exact antisymmetric basis matrices.
 
     The matrices must be linearly independent and their span closed under
-    the commutator. [B_a, B_b] is formed once per pair a < b, over the
-    nonzero entries of the two matrices and on its strict upper triangle
-    only, and its coordinates in the basis are the structure constants.
-    Commutators of matrices satisfy Jacobi, so the table gets no sweep.
-    Raises ValueError for a matrix that is not antisymmetric, for dependent
-    matrices and for a commutator outside the span.
+    the commutator. Each B_a is scaled once to the integer matrix d_a B_a,
+    d_a the lcm of its denominators. Antisymmetric matrices whose nonzero
+    rows are disjoint commute exactly, so d_a d_b [B_a, B_b] is formed only
+    for the pairs a < b that meet in a nonzero row (a cross-block pair of a
+    direct sum never does), over the nonzero entries and on the strict upper
+    triangle. The integer echelon rows of [upper(d_a B_a) | d_a e_a] certify
+    closure by an integer residual and map the commutator back to one
+    Fraction per structure constant. Commutators of matrices satisfy Jacobi,
+    so the table gets no sweep. Raises ValueError for a matrix that is not
+    antisymmetric, for dependent matrices and for a commutator outside the
+    span.
     """
     mats = tuple(tuple(tuple(row) for row in B) for B in basis_matrices)
     dim = len(mats)
     n = len(mats[0]) if mats else 0
-    # rows[a][i] = ((j, x), ...) over the nonzero entries x = B_a[i][j]
-    rows = tuple(tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in B) for B in mats)
-    nonzero = tuple(tuple((i, j, x) for i, r in enumerate(R) for j, x in r) for R in rows)
+    scales = []
+    cells = []  # cells[a] = {(i, j): d_a B_a[i][j]} over the nonzero entries
+    rows = []  # rows[a][i] = [(j, x), ...] over the nonzero rows i of d_a B_a
+    for B in mats:
+        d, support = _integer_support([x for row in B for x in row])
+        C: dict[tuple[int, int], int] = {}
+        R: dict[int, list] = {}
+        for idx, x in support:
+            i, j = divmod(idx, n)
+            C[i, j] = x
+            R.setdefault(i, []).append((j, x))
+        scales.append(d)
+        cells.append(C)
+        rows.append(R)
     # this also rejects a nonzero diagonal entry and an unmatched one
-    for B, nz in zip(mats, nonzero):
-        if any(B[j][i] != -x for i, j, x in nz):
-            raise ValueError("realization matrices must be antisymmetric")
+    if any(C.get((j, i)) != -x for C in cells for (i, j), x in C.items()):
+        raise ValueError("realization matrices must be antisymmetric")
     # an antisymmetric matrix is determined by its strict upper triangle
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     width = len(upper)
-    # Rows [upper(B_a) | e_a]: the matrices are independent iff every pivot
-    # falls in the left block, and the right block maps echelon coordinates
-    # back to basis coordinates.
-    red, pivots = rref(
-        [tuple(B[i][j] for i, j in upper) + e for B, e in zip(mats, identity(dim))], width + dim
-    )
-    if pivots and pivots[-1] >= width:
+    column = {pos: c for c, pos in enumerate(upper)}
+    # Integer rows [upper(d_a B_a) | d_a e_a]: the matrices are independent iff
+    # every pivot falls in the left block, and the right block maps echelon
+    # coordinates back to basis coordinates. Each pivot row is a positive
+    # multiple of its rref row, zero at the other pivots.
+    pivots: dict[int, dict[int, int]] = {}
+    for a, (C, d) in enumerate(zip(cells, scales)):
+        row = {column[i, j]: x for (i, j), x in C.items() if i < j}
+        row[width + a] = d
+        _add_row(pivots, row)
+    order = sorted(pivots)
+    if order and order[-1] >= width:
         raise ValueError("realization matrices must be linearly independent")
-    # the echelon rows are reduced, so a vector of the span has coordinate
-    # C[pivot] on each row; each row's support and back-map terms, read once
-    pivot_row = {upper[p]: r for r, p in enumerate(pivots)}
-    support = tuple(tuple((upper[c], x) for c, x in enumerate(row[:width]) if x) for row in red)
-    back = tuple(tuple((k, x) for k, x in enumerate(row[width:]) if x) for row in red)
+    # over E = lcm of the pivot entries, the rref row of pivot p is E S_p / S_p[p]
+    E = math.lcm(*(pivots[p][p] for p in order))
+    pivot_row = {upper[p]: r for r, p in enumerate(order)}
+    support, back = [], []  # each row's upper-triangle and back-map terms, over E
+    for p in order:
+        S, f = pivots[p], E // pivots[p][p]
+        support.append([(upper[c], x * f) for c, x in S.items() if c < width])
+        back.append([(c - width, x * f) for c, x in S.items() if c >= width])
+    # the pairs a < b with a common nonzero row, in lexicographic order
+    sharing: dict[int, list[int]] = {}
+    for a, R in enumerate(rows):
+        for i in R:
+            sharing.setdefault(i, []).append(a)
+    meeting = sorted({(a, b) for ms in sharing.values() for t, a in enumerate(ms) for b in ms[t + 1:]})
     entries = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            # [B_a, B_b] on the strict upper triangle, as {(i, j): value}
-            C = {}
-            for first, second, sign in ((a, b, 1), (b, a, -1)):
-                for i, k, x in nonzero[first]:
-                    for j, y in rows[second][k]:
-                        if j > i:
-                            C[i, j] = C.get((i, j), ZERO) + sign * x * y
-            residual = dict(C)
-            for pos, c in C.items():
-                if c and (r := pivot_row.get(pos)) is not None:
-                    for q, x in support[r]:
-                        residual[q] = residual.get(q, ZERO) - c * x
-                    # _lie_algebra sums the terms of each (a, b, k)
-                    entries.extend((a, b, k, c * x) for k, x in back[r])
-            if any(residual.values()):
-                raise ValueError(f"commutator of basis pair {(a, b)} leaves the span")
+    for a, b in meeting:
+        # d_a d_b [B_a, B_b] on the strict upper triangle, as {(i, j): value}
+        C = {}
+        for first, second, sign in ((a, b, 1), (b, a, -1)):
+            for (i, k), x in cells[first].items():
+                for j, y in rows[second].get(k, ()):
+                    if j > i:
+                        C[i, j] = C.get((i, j), 0) + sign * x * y
+        # its coordinate along an echelon row is its entry at the row's pivot
+        residual = {pos: E * c for pos, c in C.items() if c}
+        coords: dict[int, int] = {}
+        for pos, c in C.items():
+            if c and (r := pivot_row.get(pos)) is not None:
+                for q, x in support[r]:
+                    residual[q] = residual.get(q, 0) - c * x
+                for k, x in back[r]:
+                    coords[k] = coords.get(k, 0) + c * x
+        if any(residual.values()):
+            raise ValueError(f"commutator of basis pair {(a, b)} leaves the span")
+        den = E * scales[a] * scales[b]
+        entries.extend((a, b, k, Fraction(v, den)) for k, v in coords.items() if v)
     return MatrixRealization(_lie_algebra(dim, entries, labels), n, mats)
 
 

@@ -981,3 +981,89 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
     while b:
         a, b = b, _monic_mod_p(_divmod_mod_p(a, b)[1])
     return a
+
+
+def realization_entries(basis_matrices):
+    """The sorted structure constants (a, b, k, c), a < b and c != 0, of the
+    span of exact antisymmetric matrices: the commutator of every basis pair
+    a < b in Fractions over the nonzero entries, on the strict upper triangle,
+    read in the span through the rref of the rows [upper(B_a) | e_a]
+    (`fraction_rref`), whose right block maps echelon coordinates back to
+    basis coordinates. Raises ValueError, with the package's messages, for a
+    matrix that is not antisymmetric, for dependent matrices and for a
+    commutator outside the span."""
+    mats = [[[F0 + x for x in row] for row in B] for B in basis_matrices]
+    dim = len(mats)
+    n = len(mats[0]) if mats else 0
+    rows = [[[(j, x) for j, x in enumerate(r) if x] for r in B] for B in mats]
+    nonzero = [[(i, j, x) for i, r in enumerate(R) for j, x in r] for R in rows]
+    for B, nz in zip(mats, nonzero):
+        if any(B[j][i] != -x for i, j, x in nz):
+            raise ValueError("realization matrices must be antisymmetric")
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    width = len(upper)
+    red, pivots = fraction_rref(
+        [[B[i][j] for i, j in upper] + [F1 if k == a else F0 for k in range(dim)] for a, B in enumerate(mats)],
+        width + dim,
+    )
+    if pivots and pivots[-1] >= width:
+        raise ValueError("realization matrices must be linearly independent")
+    pivot_row = {upper[p]: r for r, p in enumerate(pivots)}
+    acc = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            C = {}
+            for first, second, sign in ((a, b, 1), (b, a, -1)):
+                for i, k, x in nonzero[first]:
+                    for j, y in rows[second][k]:
+                        if j > i:
+                            C[i, j] = C.get((i, j), F0) + sign * x * y
+            residual = dict(C)
+            for pos, c in C.items():
+                if c and (r := pivot_row.get(pos)) is not None:
+                    for q, x in zip(upper, red[r][:width]):
+                        if x:
+                            residual[q] = residual.get(q, F0) - c * x
+                    for k, x in enumerate(red[r][width:]):
+                        if x:
+                            acc[a, b, k] = acc.get((a, b, k), F0) + c * x
+            if any(residual.values()):
+                raise ValueError(f"commutator of basis pair {(a, b)} leaves the span")
+    return tuple((a, b, k, c) for (a, b, k), c in sorted(acc.items()) if c)
+
+
+def probe_by_invariant_forms(L, h_rows, m_rows, kernel):
+    """The isotropy probe's rule before its full-rank test: "irreducible" iff
+    the h-invariant symmetric forms on m are one line, len(kernel(system, N))
+    == 1, for the system (A^T Q + Q A)[a][b] = 0, a <= b, in N = r(r+1)/2
+    unknowns, of each A = ad(h_i) on m in the coordinates along m's rows.
+    A is read from dense brackets of the entries of L and one Gauss-Jordan
+    inverse of the basis h + m; m = 0 is irreducible. `kernel` solves the
+    system that this function alone has built."""
+    r, s, n = len(m_rows), len(h_rows), L.dim
+    if r == 0:
+        return "irreducible"
+    bracket = dense_bracket(L)
+    basis = [list(row) for row in h_rows] + [list(row) for row in m_rows]
+    # row t of the inverse of basis^T reads the coordinate along basis[t]
+    aug = [[basis[t][k] for t in range(n)] + dense_identity(n)[k] for k in range(n)]
+    inverse = [row[n:] for row in dense_rref(aug, 2 * n)]
+
+    def unknown(a, b):
+        a, b = min(a, b), max(a, b)
+        return a * (2 * r - a - 1) // 2 + b
+
+    system = []
+    for x in h_rows:
+        images = [bracket(x, y) for y in m_rows]
+        # A[c][b] = the coordinate along m_c of [x, m_b]
+        A = [[sum((inverse[s + c][k] * v for k, v in enumerate(images[b]) if v), F0) for b in range(r)]
+             for c in range(r)]
+        for a in range(r):
+            for b in range(a, r):
+                row = [F0] * (r * (r + 1) // 2)
+                for c in range(r):
+                    row[unknown(c, b)] += A[c][a]
+                    row[unknown(a, c)] += A[c][b]
+                system.append(row)
+    return "irreducible" if len(kernel(system, r * (r + 1) // 2)) == 1 else "reducible"

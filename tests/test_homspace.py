@@ -43,10 +43,11 @@ from reductive_workbench.liealg import (
     make_lie_algebra,
     simple_ideal_decomposition,
 )
-from reductive_workbench import homspace
+from reductive_workbench.specfile import load_space_spec_file
+from reductive_workbench import homspace, linalg
 from reductive_workbench.homspace import _adapted_table
 from reductive_workbench.liealg import _table_bracket
-from reductive_workbench.linalg import _integer_rows, identity, mat_inverse, matmul, rat, transpose
+from reductive_workbench.linalg import _integer_rows, identity, kernel, mat_inverse, matmul, rat, transpose
 
 from oracles import (
     dense_block_metric,
@@ -57,6 +58,7 @@ from oracles import (
     dense_nr_defect,
     dense_pairings,
     fraction_matrix,
+    probe_by_invariant_forms,
     unimodular,
 )
 
@@ -742,25 +744,68 @@ def catalog_algebra_pair(name, h_indices):
     return make
 
 
-@pytest.mark.parametrize(
-    "make, verdict",
-    [
-        # h at positions in the catalog bases: so(5) E12, E34, E35, E45; su(3) A12, S12, D1, D2
-        pytest.param(catalog_algebra_pair("so5_mod_0", [0, 7, 8, 9]), "irreducible", id="gr2_r5"),
-        pytest.param(catalog_algebra_pair("su3_mod_0", [0, 3, 6, 7]), "irreducible", id="cp2"),
-        pytest.param(catalog_algebra_pair("su3_mod_0", [0, 1, 2]), "irreducible", id="su3_mod_so3"),
-        pytest.param(lambda: trivial_isotropy_pair(abelian(1)), "irreducible", id="abelian_line"),
-        pytest.param(catalog_algebra_pair("so3_mod_0", [0, 1, 2]), "irreducible", id="m_zero"),
-        pytest.param(catalog_algebra_pair("su3_mod_0", [6, 7]), "reducible", id="su3_mod_torus"),
-        pytest.param(catalog_algebra_pair("so4_mod_0", [0, 5]), "reducible", id="so4_mod_so2so2"),
-        pytest.param(so3_cubed_mod_diag_pair, "reducible", id="so3_cubed_mod_diag"),
-    ],
-)
+PROBE_KNOWN_ANSWERS = [
+    # h at positions in the catalog bases: so(5) E12, E34, E35, E45; su(3) A12, S12, D1, D2
+    pytest.param(catalog_algebra_pair("so5_mod_0", [0, 7, 8, 9]), "irreducible", id="gr2_r5"),
+    pytest.param(catalog_algebra_pair("su3_mod_0", [0, 3, 6, 7]), "irreducible", id="cp2"),
+    pytest.param(catalog_algebra_pair("su3_mod_0", [0, 1, 2]), "irreducible", id="su3_mod_so3"),
+    pytest.param(lambda: trivial_isotropy_pair(abelian(1)), "irreducible", id="abelian_line"),
+    pytest.param(catalog_algebra_pair("so3_mod_0", [0, 1, 2]), "irreducible", id="m_zero"),
+    pytest.param(catalog_algebra_pair("su3_mod_0", [6, 7]), "reducible", id="su3_mod_torus"),
+    pytest.param(catalog_algebra_pair("so4_mod_0", [0, 5]), "reducible", id="so4_mod_so2so2"),
+    pytest.param(so3_cubed_mod_diag_pair, "reducible", id="so3_cubed_mod_diag"),
+]
+
+
+@pytest.mark.parametrize("make, verdict", PROBE_KNOWN_ANSWERS)
 def test_probe_known_answers_over_r(make, verdict):
     # Gr2(R^5) and CP^2 are isotropy irreducible of complex type: their
     # commutant is C, yet the only invariant symmetric form is the metric
     pair = make()
     assert isotropy_irreducibility_probe(pair) == verdict
+
+
+def spec_file_pair(name):
+    spec = load_space_spec_file(DATA / name)
+    L = make_lie_algebra(spec.dim, spec.bracket_entries, spec.basis_labels)
+    return normal_decomposition(L, SubspaceBasis.from_vectors(spec.dim, spec.subalgebra_rows), spec.metric_spec)
+
+
+def assert_probe_keeps_the_old_rule(pair):
+    # the old rule: the invariant forms are one line; the probe: with Q[0][0] = 0
+    # prepended, the system has full rank
+    old = probe_by_invariant_forms(pair.algebra, pair.h.rows, pair.m.rows, kernel)
+    assert isotropy_irreducibility_probe(pair) == old
+
+
+@pytest.mark.parametrize("name", CURATED_NAMES + ("so8_mod_so7", "su8_mod_su7", "so8so8_mod_diag"))
+def test_probe_keeps_the_old_rule_on_every_catalog_entry(name):
+    assert_probe_keeps_the_old_rule(construct(name).pair)
+
+
+@pytest.mark.parametrize("make, verdict", PROBE_KNOWN_ANSWERS)
+def test_probe_keeps_the_old_rule_on_the_known_answers(make, verdict):
+    assert_probe_keeps_the_old_rule(make())
+
+
+@pytest.mark.parametrize("name", ["so3so3_mod_diag_dense.json", "so4_mod_so2_dense.json"])
+def test_probe_keeps_the_old_rule_on_the_dense_golden_inputs(name):
+    assert_probe_keeps_the_old_rule(spec_file_pair(name))
+
+
+def test_probe_certifies_irreducible_by_full_rank_without_a_lift(monkeypatch):
+    pair = construct("so8_mod_so7").pair
+    assert isotropy_fixed_subspace(pair).dim == 0  # cached before the spy
+    lifts = []
+    real = linalg._lifted_null_vectors
+    monkeypatch.setattr(linalg, "_lifted_null_vectors", lambda *args: lifts.append(args) or real(*args))
+    assert isotropy_irreducibility_probe(pair) == "irreducible"
+    assert lifts == []
+    # two adjoint copies of so(3): m^h = 0, so the system decides, and the
+    # forms pairing the copies are a second line
+    pair = so3_cubed_mod_diag_pair()
+    assert isotropy_fixed_subspace(pair).dim == 0
+    assert isotropy_irreducibility_probe(pair) == "reducible"
 
 
 def test_probe_refuses_a_reductive_pair_that_is_not_normal():

@@ -442,6 +442,50 @@ def test_center_of_simple_and_abelian():
     assert center(heisenberg()) == unit_subspace(3, [2])
 
 
+def _catalog_algebra(name):
+    return lambda: construct(name).algebra
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(_catalog_algebra(name), id=name)
+        for name in ("so3r1_mod_0", "r2_mod_0", "so3_mod_0", "so4_mod_0", "su3_mod_su2", "so3so3_mod_diag",
+                     "so4so4_mod_diag", "so8_mod_0", "su8_mod_0", "so8so8_mod_diag")
+    ]
+    + [pytest.param(heisenberg, id="heisenberg")],
+)
+def test_center_is_the_centralizer_of_g(make):
+    # fresh, so the center is built here: with the Killing form cached, a
+    # nondegenerate one certifies z = 0 and a degenerate one leaves z to the
+    # centralizer kernel; without it the kernel runs
+    L = make()
+    for cached in (True, False):
+        L = liealg.LieAlgebra(L.dim, L.basis_labels, L.entries)
+        if cached:
+            killing_form(L)
+        assert center(L) == centralizer(L, SubspaceBasis.full(L.dim))
+
+
+def test_center_of_heisenberg_is_read_off_a_zero_killing_form():
+    L = heisenberg()
+    assert killing_form(L).inertia == (0, 0, 3)
+    assert center(L) == unit_subspace(3, [2])  # span(z)
+
+
+def test_a_nondegenerate_killing_form_decides_the_center_without_a_centralizer(monkeypatch):
+    calls = []
+    real = liealg.centralizer
+    monkeypatch.setattr(liealg, "centralizer", lambda *args: calls.append(args) or real(*args))
+    entry = construct.__wrapped__("so8_mod_so7")  # fresh: nothing cached on its algebra
+    assert entry.pair.flags.normal
+    assert center(entry.algebra).dim == 0
+    assert calls == []
+    L = heisenberg()
+    killing_form(L)
+    assert center(L).dim == 1 and len(calls) == 1  # B = 0 runs the kernel
+
+
 def test_derived_subalgebra_examples():
     assert derived_subalgebra(cyclic_so3()) == SubspaceBasis.full(3)
     assert derived_subalgebra(abelian(2)).dim == 0

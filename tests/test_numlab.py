@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reductive_workbench.catalog import catalog_names, construct
 from reductive_workbench.errors import NonFinite, NotInFixedSubspace, NotInM
@@ -15,6 +19,8 @@ from reductive_workbench.numlab import (
     matrix_exp,
     orthogonality_residual,
 )
+
+from oracles import realization_entries
 
 
 def test_exp_of_zero_is_identity():
@@ -105,6 +111,83 @@ def test_realization_rejects_unmatched_off_diagonal_entries(B):
     # one matrix, so no commutator and no dependence can reject it instead
     with pytest.raises(ValueError, match="antisymmetric"):
         make_matrix_realization([[[rat(x) for x in row] for row in B]])
+
+
+# every family up to the desk cap: so(n), su(n), so(n) + so(n), r(d) and so(3) + r(1)
+FAMILY_NAMES = (
+    [f"so{n}_mod_0" for n in range(2, 9)]
+    + [f"su{n}_mod_0" for n in range(2, 9)]
+    + [f"so{n}so{n}_mod_diag" for n in range(3, 9)]
+    + [f"r{d}_mod_0" for d in range(1, 9)]
+    + ["so3r1_mod_0"]
+)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_realization_matches_the_reference_pair_loop_on_every_family(name):
+    # the reference commutes every pair in Fractions; the realization only
+    # the pairs that meet in a nonzero row, in integers
+    realization = construct(name).realization
+    assert realization.algebra.entries == realization_entries(realization.basis_matrices)
+
+
+def _antisymmetric(n, upper):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), x in upper.items():
+        M[i][j], M[j][i] = Fraction(x), -Fraction(x)
+    return M
+
+
+SO4 = [_antisymmetric(4, {pos: 1}) for pos in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+E12_PLUS_E34 = _antisymmetric(4, {(0, 1): 1, (2, 3): 1})
+E13_PLUS_E24 = _antisymmetric(4, {(0, 2): 1, (1, 3): 1})  # commutes with E12 + E34
+
+
+@st.composite
+def antisymmetric_bases(draw):
+    """Rational antisymmetric bases: free draws, which mostly leave their
+    span or are dependent, and rational combinations of a closed basis of
+    so(3), so(4), so(3) + so(3) or su(2) in so(4), which span it unless they
+    are too few or dependent."""
+    value = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return [_antisymmetric(n, {pos: draw(value) for pos in upper}) for _ in range(draw(st.integers(1, 4)))]
+    closed = draw(st.sampled_from(["so3", "so4", "so3so3", "self_dual"]))
+    if closed == "so3":
+        basis = [[row[:3] for row in B[:3]] for B in (SO4[0], SO4[1], SO4[3])]
+    elif closed == "so4":
+        basis = SO4
+    elif closed == "so3so3":  # two diagonal blocks, whose cross pairs never meet
+        basis = [_antisymmetric(6, {(i + o, j + o): 1}) for o in (0, 3) for i, j in ((0, 1), (0, 2), (1, 2))]
+    else:  # su(2) inside so(4): every pair meets in every row
+        basis = [E12_PLUS_E34, _antisymmetric(4, {(0, 2): 1, (1, 3): -1}), _antisymmetric(4, {(0, 3): 1, (1, 2): 1})]
+    n = len(basis[0])
+    count = len(basis) if draw(st.booleans()) else draw(st.integers(1, len(basis)))
+    coefficient = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])
+    out = []
+    for _ in range(count):
+        coeffs = [draw(coefficient) for _ in basis]
+        out.append([[sum((c * B[i][j] for c, B in zip(coeffs, basis)), Fraction(0)) for j in range(n)]
+                    for i in range(n)])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_bases())
+@example([SO4[0], SO4[0]])  # dependent
+@example([SO4[0], SO4[1]])  # [E12, E13] = -E23 leaves the span
+@example([E12_PLUS_E34, E13_PLUS_E24])  # they meet, and every product cancels
+@example([SO4[0], SO4[5], E12_PLUS_E34])  # dependent, of a pair that never meets
+def test_realization_matches_the_reference_pair_loop_or_its_error(mats):
+    try:
+        expected = realization_entries(mats)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            make_matrix_realization(mats)
+        return
+    assert make_matrix_realization(mats).algebra.entries == expected
 
 
 def test_to_float_converts_the_basis_once_and_matches_a_fresh_conversion():
